@@ -9,13 +9,12 @@ outside an operation's domain, 3 for blown resource caps.
 
 Randomized modes (``disj --mode mc``, ``xor --search``) require an explicit
 ``--seed``; every per-sample generator is derived from that master seed, so
-results do not depend on worker count.
+a rerun repeats its samples exactly.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -34,12 +33,12 @@ from .and_protocols import (
     one_sided_and,
 )
 from .disjointness import (
+    EXACT_COORD_CAP,
     DisjInstance,
     HARDEST_ZERO_DIAG_PRIOR,
     disj_bound_curve,
     disj_error_audit,
     disj_ic_exact,
-    disj_protocol,
 )
 from .distributions import (
     JointDistribution,
@@ -194,8 +193,7 @@ def _parse_eps_list(raw: str):
 
 
 def _config_from(args, inputs=(), outputs=(), exclude=()) -> ExperimentConfig:
-    # workers never changes results, so it stays out of the provenance echo
-    skip = {"func", "command", "format", "seed", "workers", *inputs, *outputs, *exclude}
+    skip = {"func", "command", "format", "seed", *inputs, *outputs, *exclude}
     params = tuple(
         sorted(
             (name, value)
@@ -453,9 +451,10 @@ def _cmd_disj(args) -> int:
     else:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
-    if args.mode == "exact" and inst.n > 4:
+    if args.mode == "exact" and inst.n > EXACT_COORD_CAP:
         raise ResourceCapError(
-            f"exact audit supports n <= 4 coordinates, got {inst.n}"
+            f"exact audit supports n <= {EXACT_COORD_CAP} coordinates, "
+            f"got {inst.n}"
         )
 
     def factory(prior, epsilon):
@@ -553,12 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Protocol-walk information costs: experiments and audits.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=os.cpu_count(),
-        help="worker pool size for grid scans; outputs never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("entropy", help="binary entropy of a probability")
@@ -641,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="and_grid",
         type=int,
         default=256,
-        help="grid resolution of the per-coordinate AND walk "
-        "(use <= 32 with --with-ic to stay under the exact-cost cap)",
+        help="grid resolution of the per-coordinate AND walk",
     )
     p.add_argument(
         "--curve-eps",

@@ -9,8 +9,13 @@ rounds err — probability (per-round error)^t.
 
 Input laws are product-across-coordinates, so earlier rounds never move the
 posterior of a later coordinate and each round's prior is just its
-coordinate's marginal law.  Composite inputs are encoded as integers whose
-bit i is coordinate i; intersection is then literally ``x & y``.
+coordinate's marginal law.  The exact cost and error audit therefore factor
+over the n per-coordinate AND laws: a coordinate's round runs with the
+probability that every round drawn before it said 0, and pays its AND cost
+when it does.  The composite law over all 4ⁿ inputs (``disj_protocol``'s
+exact mode) stays the definition they are checked against.  Composite inputs
+are encoded as integers whose bit i is coordinate i; intersection is then
+literally ``x & y``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, internal_ic
 
 EXACT_COORD_CAP = 4
-IC_EXACT_COORD_CAP = 3
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
 # closed-form cost anchors the analytic bound curve
@@ -104,6 +108,16 @@ def disj_table(n: int) -> np.ndarray:
     return ((x[:, None] & x[None, :]) != 0).astype(int)
 
 
+def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
+    """The per-round AND budget ε/(2 p_one), or None when the sets intersect
+    with probability below ε and the always-0 protocol already meets it."""
+    if not (0.0 <= epsilon < 1.0):
+        raise PreconditionError(f"epsilon = {epsilon!r} outside [0, 1)")
+    if inst.p_one == 0.0 or inst.p_one < epsilon:
+        return None
+    return epsilon / (2.0 * inst.p_one)
+
+
 def _coordinate_laws(inst: DisjInstance, eps_round: float, and_factory):
     laws = []
     for i, w in enumerate(inst.coord_priors):
@@ -115,6 +129,35 @@ def _coordinate_laws(inst: DisjInstance, eps_round: float, and_factory):
             ) from exc
         laws.append(law)
     return laws
+
+
+def _says_one(law: TranscriptLaw) -> np.ndarray:
+    """Pr[the round answers 1 | a, b] as a 2x2 table."""
+    ones = [t for t, out in enumerate(law.outputs) if out == 1]
+    return law.cond[ones].sum(axis=0)
+
+
+def _reach(inst: DisjInstance, laws) -> np.ndarray:
+    """Pr[the round of coordinate c runs], for every c, under the prior.
+
+    A round runs when every round drawn before it said 0.  The rounds are
+    independent, so with miss_k = Pr[round k says 0] the probability is
+    reach_c = E_σ Π_{k before c} miss_k = ∫₀¹ Π_{k≠c} (1 − t(1 − miss_k)) dt,
+    the integral summing over the position of c in σ.  The integrand is a
+    polynomial of degree n − 1, which ⌊n/2⌋ + 1 Gauss–Legendre nodes
+    integrate exactly; prefix and suffix products over k make all n values
+    O(n²)."""
+    miss = np.array([
+        float(np.sum(w.mass * (1.0 - _says_one(law))))
+        for w, law in zip(inst.coord_priors, laws)
+    ])
+    nodes, weights = np.polynomial.legendre.leggauss(inst.n // 2 + 1)
+    t = 0.5 * (nodes + 1.0)
+    factors = 1.0 - np.outer(1.0 - miss, t)  # (coordinate, node)
+    ones = np.ones((1, t.size))
+    before = np.cumprod(np.vstack([ones, factors[:-1]]), axis=0)
+    after = np.cumprod(np.vstack([ones, factors[:0:-1]]), axis=0)[::-1]
+    return (before * after) @ (0.5 * weights)
 
 
 def _trivial_law(inst: DisjInstance) -> TranscriptLaw:
@@ -193,12 +236,9 @@ def disj_protocol(
     exact mode (n ≤ 4) returns the full composite TranscriptLaw, and sampled
     mode returns a list of DisjRunResult with inputs drawn from the product
     law, one spawned child seed per run so runs can be distributed."""
-    if not (0.0 <= epsilon < 1.0):
-        raise PreconditionError(f"epsilon = {epsilon!r} outside [0, 1)")
-    if inst.p_one == 0.0 or inst.p_one < epsilon:
-        # the sets (almost) never intersect: always-0 already meets the budget
+    eps_round = _round_budget(inst, epsilon)
+    if eps_round is None:
         return _trivial_law(inst)
-    eps_round = epsilon / (2.0 * inst.p_one)
     laws = _coordinate_laws(inst, eps_round, and_factory)
     if not sample:
         if inst.n > EXACT_COORD_CAP:
@@ -236,11 +276,6 @@ class DisjAudit:
     mode: str
 
 
-def _rounds_of(leaf_id: str) -> int:
-    _, _, tail = leaf_id.partition("|")
-    return len(tail.split(";")) if tail else 0
-
-
 def disj_error_audit(
     inst: DisjInstance,
     epsilon: float,
@@ -248,33 +283,41 @@ def disj_error_audit(
     seed: Optional[int] = None,
     samples: int = 400,
 ) -> DisjAudit:
-    """Exact (n ≤ 4) or Monte-Carlo error table of the protocol."""
+    """Exact (n ≤ EXACT_COORD_CAP) or Monte-Carlo error table of the protocol.
+
+    The exact table comes from the coordinate laws alone.  Whatever the
+    permutation, the protocol answers 0 exactly when no round says 1, which
+    has probability Π_c (1 − o_c(x_c, y_c)) with o_c = Pr[round c says 1];
+    the table over composite inputs is the Kronecker product of these 2x2
+    factors, so a disjoint input (every o_c exactly 0 for one-sided rounds)
+    has error exactly 0.  The expected rounds are Σ_c Pr[round c runs].  When
+    the always-0 protocol meets the budget, both modes report its exact
+    error: 1 on every intersecting input, and no rounds."""
     truth = disj_table(inst.n)
     prior = inst.joint_prior()
-    trivial = inst.p_one == 0.0 or inst.p_one < epsilon
-    eps_round = 0.0 if trivial else epsilon / (2.0 * inst.p_one)
-    if inst.n <= EXACT_COORD_CAP:
-        law = disj_protocol(inst, epsilon, and_factory)
-        err = np.zeros_like(prior.mass)
-        rounds = 0.0
-        for t, out in enumerate(law.outputs):
-            err += law.cond[t] * (out != truth)
-            rounds += _rounds_of(law.leaf_ids[t]) * float(
-                np.sum(prior.mass * law.cond[t])
-            )
+    eps_round = _round_budget(inst, epsilon)
+    mode = "exact" if inst.n <= EXACT_COORD_CAP else "mc"
+    if mode == "mc" and seed is None:
+        raise PreconditionError("Monte-Carlo audit needs a seed")
+    if eps_round is None:
+        err = truth.astype(float)
+        return DisjAudit(
+            float(np.sum(prior.mass * err)), err, 0.0, 0.0, True, mode
+        )
+    laws = _coordinate_laws(inst, eps_round, and_factory)
+    if mode == "exact":
+        silent = np.ones((1, 1))
+        for law in reversed(laws):  # the last factor is coordinate 0, bit 0
+            silent = np.kron(silent, 1.0 - _says_one(law))
+        err = np.where(truth == 1, silent, 1.0 - silent)
         return DisjAudit(
             distributional=float(np.sum(prior.mass * err)),
             per_input=err,
             eps_round=eps_round,
-            expected_rounds=rounds,
-            trivial=trivial,
-            mode="exact",
+            expected_rounds=float(np.sum(_reach(inst, laws))),
+            trivial=False,
+            mode=mode,
         )
-    if seed is None:
-        raise PreconditionError("Monte-Carlo audit needs a seed")
-    if trivial:
-        return DisjAudit(0.0, np.zeros_like(prior.mass), 0.0, 0.0, True, "mc")
-    laws = _coordinate_laws(inst, eps_round, and_factory)
     err = np.zeros_like(prior.mass)
     rounds_sum = 0.0
     rng = np.random.default_rng(seed)
@@ -292,7 +335,7 @@ def disj_error_audit(
         eps_round=eps_round,
         expected_rounds=float(rounds_sum) / samples,
         trivial=False,
-        mode="mc",
+        mode=mode,
     )
 
 
@@ -301,15 +344,21 @@ def disj_ic_exact(
     epsilon: float,
     and_factory: Callable = default_and_factory,
 ) -> float:
-    """Exact internal information cost of the composite law.
+    """Exact internal information cost of the protocol, at any n.
 
-    The public permutation rides in the transcript, so a single cost
-    computation over the full law is already the permutation average."""
-    if inst.n > IC_EXACT_COORD_CAP:
-        raise ResourceCapError(
-            f"exact information cost caps at {IC_EXACT_COORD_CAP} coordinates"
-        )
-    return internal_ic(disj_protocol(inst, epsilon, and_factory))
+    The public permutation is independent of the inputs, and a round's
+    messages depend only on its own coordinate, which the earlier rounds say
+    nothing about under the product prior.  So by the chain rule
+    IC = Σ_c Pr[round c runs] · IC(AND law of coordinate c), which equals
+    the internal cost of ``disj_protocol``'s composite law without building
+    it."""
+    eps_round = _round_budget(inst, epsilon)
+    if eps_round is None:
+        return 0.0
+    laws = _coordinate_laws(inst, eps_round, and_factory)
+    return math.fsum(
+        float(r) * internal_ic(law) for r, law in zip(_reach(inst, laws), laws)
+    )
 
 
 @dataclass(frozen=True)

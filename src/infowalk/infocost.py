@@ -127,13 +127,6 @@ def _plogq(p: float, q: float) -> float:
     return p * math.log2(q) if p > 0.0 else 0.0
 
 
-def _cond_entropy_terms(joint, given):
-    """Terms of H(A | B) from joint (a, b) cells and the matching b-marginals."""
-    return -math.fsum(
-        _plogq(j, j / g) for j, g in zip(joint, given) if g > 0.0
-    )
-
-
 @dataclass(frozen=True)
 class CostReport:
     """The four cost functionals of one law.

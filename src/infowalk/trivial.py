@@ -158,13 +158,15 @@ def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
     that answer correctly on every input (not just the support).
 
     Searches every protocol in which each signal is a subset-membership
-    question, by dynamic programming over input rectangles (a subtree's cost
-    depends only on the rectangle it is reached with).  Bits that are already
-    determined by the conditioning cost nothing, which is how block
-    announcements stay free; separating a mixed rectangle that the prior
-    still straddles cannot be free.  Returns inf when no such tree exists
-    within the budget.  This is a diagnostic floor for non-triviality, not a
-    certified bound: randomized protocols are not covered.
+    question, by dynamic programming over input rectangles: a subtree's cost
+    depends only on the rectangle it is reached with, and counts in
+    proportion to the prior chance of reaching it (the chain rule).  Bits
+    that are already determined by the conditioning cost nothing, which is
+    how block announcements stay free; separating a mixed rectangle that the
+    prior still straddles cannot be free.  Returns inf when no such tree
+    exists within the budget.  This is a diagnostic floor for
+    non-triviality, not a certified bound: randomized protocols are not
+    covered.
     """
     table = _table(f, mu)
 
@@ -181,6 +183,18 @@ def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
 
     cache: dict = {}
 
+    def tail(p_side, p_rest, side_rect, rest_rect, budget):
+        """The children's costs weighted by the chance of each side.  A side
+        the prior never reaches must still be answered on every input, so
+        an inf there rules the split out rather than meeting a zero weight."""
+        side_cost = best(*side_rect, budget - 1)
+        if side_cost == math.inf:
+            return math.inf
+        rest_cost = best(*rest_rect, budget - 1)
+        if rest_cost == math.inf:
+            return math.inf
+        return p_side * side_cost + p_rest * rest_cost
+
     def best(rows, cols, budget):
         if monochromatic(rows, cols):
             return 0.0
@@ -192,6 +206,7 @@ def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
         sub = mu.mass[np.ix_(rows, cols)]
         total = sub.sum()
         cond = sub / total if total > 0.0 else np.zeros_like(sub)
+        reached = cond.sum()
         value = math.inf
         # Alice splits her rows: she reveals one bit; Bob learns
         # E_y h(P[side | y]) about X and nothing flows the other way
@@ -203,10 +218,10 @@ def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
                 for j in range(len(cols))
                 if py[j] > 0.0
             )
-            tail = best(side, cols, budget - 1)
-            if tail < math.inf:
-                tail += best(rest, cols, budget - 1)
-            value = min(value, info + tail)
+            p_side = cond[keep, :].sum()
+            value = min(value, info + tail(
+                p_side, reached - p_side, (side, cols), (rest, cols), budget
+            ))
         for side, rest in splits(cols):
             keep = [cols.index(y) for y in side]
             px = cond.sum(axis=1)
@@ -215,10 +230,10 @@ def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
                 for i in range(len(rows))
                 if px[i] > 0.0
             )
-            tail = best(rows, side, budget - 1)
-            if tail < math.inf:
-                tail += best(rows, rest, budget - 1)
-            value = min(value, info + tail)
+            p_side = cond[:, keep].sum()
+            value = min(value, info + tail(
+                p_side, reached - p_side, (rows, side), (rows, rest), budget
+            ))
         cache[key] = value
         return value
 

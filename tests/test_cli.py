@@ -257,6 +257,18 @@ def test_disj_exact_audit(capsys, files):
     assert any("fitted_exponent" in line for line in curve_lines)
 
 
+def test_disj_ic_at_the_default_grid(capsys, files):
+    tmp, _ = files
+    audit_path = str(tmp / "audit.json")
+    code, _, err = run(
+        capsys, "disj", "--n", "2", "--eps", "0.1", "--with-ic",
+        "--out-audit", audit_path,
+    )
+    assert code == 0, err
+    result = json.loads((tmp / "audit.json").read_text())["result"]
+    assert 0.0 < result["ic_internal"] < 4.0
+
+
 def test_disj_exact_cap_is_code_3(capsys):
     code, _, err = run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "exact")
     assert code == 3

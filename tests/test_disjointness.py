@@ -1,10 +1,13 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from infowalk import disjointness
 from infowalk.and_protocols import one_sided_and
 from infowalk.disjointness import (
+    HARDEST_ZERO_DIAG_PRIOR,
     DisjInstance,
     DisjRunResult,
     disj_bound_curve,
@@ -17,7 +20,11 @@ from infowalk.distributions import JointDistribution, truncated_entropy
 from infowalk.errors import PreconditionError, ProtocolError, ResourceCapError
 from infowalk.infocost import TranscriptLaw, internal_ic
 
+from helpers import random_prior
+
 W = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
+UNIFORM = JointDistribution.uniform(2, 2)
+THIN = JointDistribution.from_mass([[0.7, 0.15], [0.14, 0.01]])
 
 
 def grid4(prior, eps):
@@ -128,8 +135,11 @@ def test_exact_mode_caps_coordinates():
     inst = DisjInstance.iid(W, 5)
     with pytest.raises(ResourceCapError):
         disj_protocol(inst, 0.1, grid4)
-    with pytest.raises(ResourceCapError):
-        disj_ic_exact(DisjInstance.iid(W, 4), 0.1, grid4)
+    # the exact cost has no coordinate cap: it needs only the coordinate laws
+    four = DisjInstance.iid(W, 4)
+    assert disj_ic_exact(four, 0.1, grid4) == pytest.approx(
+        chain_rule_enumeration(four, 0.1, grid4)[0], abs=1e-12
+    )
 
 
 def test_factory_failure_is_wrapped():
@@ -218,3 +228,150 @@ def test_bound_curve_explicit_p():
     assert pt.bound == pytest.approx(expect, abs=1e-10)
     with pytest.raises(PreconditionError):
         disj_bound_curve([0.7])
+
+
+# ---------------------------------------------------------------------------
+# the factorized exact path against its slow oracles
+# ---------------------------------------------------------------------------
+
+def composite_audit(inst, eps, factory):
+    """(per_input, distributional, expected_rounds) read off the composite
+    law of ``disj_protocol``, transcript by transcript."""
+    law = disj_protocol(inst, eps, factory)
+    truth = disj_table(inst.n)
+    mass = inst.joint_prior().mass
+    err = np.zeros_like(mass)
+    rounds = 0.0
+    for t, out in enumerate(law.outputs):
+        err += law.cond[t] * (out != truth)
+        _, _, tail = law.leaf_ids[t].partition("|")
+        ran = len(tail.split(";")) if tail else 0
+        rounds += ran * float(np.sum(mass * law.cond[t]))
+    return err, float(np.sum(mass * err)), rounds
+
+
+def chain_rule_enumeration(inst, eps, factory):
+    """(IC, expected rounds) by walking all n! permutations: round j of σ
+    runs when rounds σ_1..σ_{j−1} all said 0 and then pays its AND cost."""
+    if inst.p_one == 0.0 or inst.p_one < eps:
+        return 0.0, 0.0
+    eps_round = eps / (2.0 * inst.p_one)
+    costs, miss = [], []
+    for w in inst.coord_priors:
+        law = factory(w, eps_round)
+        costs.append(internal_ic(law))
+        zero = [t for t, out in enumerate(law.outputs) if out == 0]
+        miss.append(float((law.cond[zero].sum(axis=0) * w.mass).sum()))
+    ic = rounds = 0.0
+    orders = list(permutations(range(inst.n)))
+    for sigma in orders:
+        reach = 1.0
+        for coord in sigma:
+            ic += reach * costs[coord]
+            rounds += reach
+            reach *= miss[coord]
+    return ic / len(orders), rounds / len(orders)
+
+
+def leaky(prior, eps):
+    """A hand-made round that also answers 1 off (1, 1), so that disjoint
+    inputs err and every cell of the general formula is exercised."""
+    says_one = np.array([[0.0, 0.2], [0.05, 0.7]])
+    share = np.array([[0.5, 0.3], [0.6, 0.1]])  # of the 1s, on transcript "b"
+    cond = np.stack([1.0 - says_one, says_one * share, says_one * (1.0 - share)])
+    return TranscriptLaw(prior, ("a", "b", "c"), cond, (0, 1, 1))
+
+
+def grid64(prior, eps):
+    return one_sided_and(eps, prior, n=64)
+
+
+PRIOR_SETS = {
+    "uniform": (UNIFORM,),
+    "full": (W,),
+    "uniform+uniform": (UNIFORM, UNIFORM),
+    "uniform+hardest": (UNIFORM, HARDEST_ZERO_DIAG_PRIOR),
+    "hardest+full": (HARDEST_ZERO_DIAG_PRIOR, W),
+    "full+uniform": (W, UNIFORM),
+    "hardest+hardest": (HARDEST_ZERO_DIAG_PRIOR, HARDEST_ZERO_DIAG_PRIOR),
+}
+
+
+@pytest.mark.parametrize("factory", [grid16, grid64, leaky],
+                         ids=["grid16", "grid64", "leaky"])
+@pytest.mark.parametrize("priors", PRIOR_SETS.values(), ids=PRIOR_SETS.keys())
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_factorized_audit_matches_composite_law(priors, factory, eps):
+    inst = DisjInstance.from_priors(priors)
+    audit = disj_error_audit(inst, eps, factory)
+    err, distributional, rounds = composite_audit(inst, eps, factory)
+    assert audit.mode == "exact"
+    assert audit.per_input.shape == err.shape
+    assert np.max(np.abs(audit.per_input - err)) <= 1e-12
+    assert abs(audit.distributional - distributional) <= 1e-12
+    assert abs(audit.expected_rounds - rounds) <= 1e-12
+    if factory is not leaky:
+        assert np.all(audit.per_input[disj_table(inst.n) == 0] == 0.0)
+
+
+@pytest.mark.parametrize("factory", [grid16, leaky], ids=["grid16", "leaky"])
+@pytest.mark.parametrize("priors", PRIOR_SETS.values(), ids=PRIOR_SETS.keys())
+def test_ic_matches_composite_law(priors, factory):
+    inst = DisjInstance.from_priors(priors)
+    composite = internal_ic(disj_protocol(inst, 0.1, factory))
+    assert disj_ic_exact(inst, 0.1, factory) == pytest.approx(composite, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ic_matches_permutation_enumeration(n):
+    rng = np.random.default_rng(100 + n)
+    priors = [random_prior(rng, 2, 2) for _ in range(n - 1)]
+    priors.append(HARDEST_ZERO_DIAG_PRIOR)
+    inst = DisjInstance.from_priors(priors)
+    for factory in (grid4, leaky):
+        ic, rounds = chain_rule_enumeration(inst, 0.1, factory)
+        assert disj_ic_exact(inst, 0.1, factory) == pytest.approx(ic, abs=1e-12)
+        if n <= 4:
+            audit = disj_error_audit(inst, 0.1, factory)
+            assert audit.expected_rounds == pytest.approx(rounds, abs=1e-12)
+
+
+def test_exact_path_never_builds_the_composite_law(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the composite law was built")
+
+    monkeypatch.setattr(disjointness, "_composite_law", forbidden)
+    for n in range(1, 5):
+        inst = DisjInstance.from_priors([W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR, W][:n])
+        audit = disj_error_audit(inst, 0.05, grid4)
+        assert audit.mode == "exact" and not audit.trivial
+        assert disj_ic_exact(inst, 0.05, grid4) > 0.0
+
+
+def test_ic_at_two_hundred_coordinates(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the joint prior was built")
+
+    monkeypatch.setattr(DisjInstance, "joint_prior", forbidden)
+    n, eps = 200, 0.1
+    inst = DisjInstance.iid(W, n)
+    ic = disj_ic_exact(inst, eps, grid4)
+    # iid: each coordinate sits at a uniform position, so its round runs
+    # with probability (1/n) Σ_j m^j; summed over n coordinates the cost is
+    # IC(AND)·(1 − mⁿ)/(1 − m)
+    law = grid4(W, eps / (2.0 * inst.p_one))
+    m = float((law.cond[[t for t, o in enumerate(law.outputs) if o == 0]]
+               .sum(axis=0) * W.mass).sum())
+    expect = internal_ic(law) * (1.0 - m**n) / (1.0 - m)
+    assert ic == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, mode", [(4, "exact"), (5, "mc")])
+def test_trivial_audit_reports_the_always_zero_error(n, mode):
+    inst = DisjInstance.iid(THIN, n)
+    assert inst.p_one < 0.5
+    audit = disj_error_audit(inst, 0.5, grid16, seed=3, samples=5)
+    assert audit.mode == mode and audit.trivial
+    assert np.array_equal(audit.per_input, disj_table(n).astype(float))
+    assert audit.distributional == pytest.approx(inst.p_one, abs=1e-12)
+    assert audit.expected_rounds == 0.0

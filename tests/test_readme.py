@@ -1,0 +1,81 @@
+"""Every ``$ infowalk …`` example in the README, run in a fresh directory.
+
+The command after ``$`` is run in-process and its stdout is compared with
+the lines printed under it, token by token: ``key=value`` tokens match when
+the keys are equal and the values agree as floats to 1e-9 relative; any
+other token must match exactly.
+"""
+
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from infowalk import tree_to_json
+from infowalk.cli import main
+
+from helpers import exchange_tree
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the input files the examples name
+INPUTS = {
+    "exchange.json": tree_to_json(
+        exchange_tree(2, 2, [["00", "01"], ["10", "11"]])
+    ),
+    "uniform2x2.json": json.dumps([[0.25, 0.25], [0.25, 0.25]]),
+    "xor.json": json.dumps([[0, 1], [1, 0]]),
+    "diag.json": json.dumps({"mass": [[0.5, 0.0], [0.0, 0.5]]}),
+}
+
+
+def readme_examples():
+    """(argv, expected stdout) for each example, in README order."""
+    examples = []
+    lines = README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if not line.startswith("$ infowalk "):
+            continue
+        printed = []
+        for follow in lines[i + 1:]:
+            if not follow.strip() or follow.startswith(("$", "```")):
+                break
+            printed.append(follow)
+        examples.append((shlex.split(line[2:])[1:], "\n".join(printed)))
+    return examples
+
+
+def same_token(got: str, want: str) -> bool:
+    got_key, _, got_value = got.rpartition("=")
+    want_key, _, want_value = want.rpartition("=")
+    try:
+        g, w = float(got_value), float(want_value)
+    except ValueError:
+        return got == want
+    return got_key == want_key and abs(g - w) <= 1e-9 * max(1.0, abs(w))
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_has_an_example_per_documented_command():
+    commands = {argv[0] for argv, _ in EXAMPLES}
+    assert {"entropy", "ic", "optimize", "buzzer", "tradeoff", "xor", "disj",
+            "trivial-check"} <= commands
+
+
+@pytest.mark.parametrize(
+    "argv, expected", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES]
+)
+def test_readme_example(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    got, want = captured.out.split(), expected.split()
+    assert len(got) == len(want), captured.out
+    for g, w in zip(got, want):
+        assert same_token(g, w), f"stdout token {g!r}, README {w!r}"

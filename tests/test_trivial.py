@@ -7,7 +7,7 @@ import pytest
 from infowalk.distributions import JointDistribution
 from infowalk.errors import PreconditionError
 from infowalk.infocost import external_ic, internal_ic, law_of
-from infowalk.protocol import Leaf, Task, evaluate_error
+from infowalk.protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, evaluate_error
 from infowalk.trivial import (
     build_support_graph,
     deterministic_ic_floor,
@@ -265,3 +265,82 @@ def test_floor_inf_when_depth_exhausted():
     f = np.arange(9).reshape(3, 3)  # all-distinct outputs need several rounds
     assert deterministic_ic_floor(f, mu, depth=1) == math.inf
     assert deterministic_ic_floor(f, mu, depth=4) < math.inf
+
+
+def test_floor_weights_each_side_by_its_probability():
+    # Alice sends x, then Bob sends y only if x = 1: 1 + 1/2 bits at uniform
+    uniform = JointDistribution.uniform(2, 2)
+    tree = ProtocolTree(
+        2, 2, (0, 1),
+        Internal(ALICE, (0.0, 1.0), Leaf(0),
+                 Internal(BOB, (0.0, 1.0), Leaf(0), Leaf(1))),
+    )
+    assert internal_ic(law_of(tree, uniform)) == pytest.approx(1.5, abs=1e-12)
+    assert deterministic_ic_floor(AND, uniform) == pytest.approx(1.5, abs=1e-12)
+
+
+def membership_trees(f, nx, ny, rows, cols, depth):
+    """Every deterministic tree of depth ≤ ``depth`` on the rectangle
+    rows × cols whose signals are membership questions splitting the
+    rectangle into two non-empty parts, and whose leaves answer f correctly
+    on every input that reaches them."""
+    values = {f[x][y] for x in rows for y in cols}
+    if len(values) == 1:
+        yield Leaf(values.pop())
+    if depth == 0:
+        return
+    for owner, items, size in ((ALICE, rows, nx), (BOB, cols, ny)):
+        for mask in range(1, 2 ** len(items) - 1):
+            side = tuple(v for i, v in enumerate(items) if mask >> i & 1)
+            rest = tuple(v for i, v in enumerate(items) if not mask >> i & 1)
+            ask = tuple(1.0 if v in side else 0.0 for v in range(size))
+            if owner == ALICE:
+                zeros, ones = (rest, cols), (side, cols)
+            else:
+                zeros, ones = (rows, rest), (rows, side)
+            zero_trees = list(membership_trees(f, nx, ny, *zeros, depth - 1))
+            for child1 in membership_trees(f, nx, ny, *ones, depth - 1):
+                for child0 in zero_trees:
+                    yield Internal(owner, ask, child0, child1)
+
+
+def brute_force_floor(f, mu, depth):
+    outputs = tuple(sorted({v for row in f for v in row}))
+    trees = membership_trees(f, mu.nx, mu.ny, tuple(range(mu.nx)),
+                             tuple(range(mu.ny)), depth)
+    return min(
+        (internal_ic(law_of(ProtocolTree(mu.nx, mu.ny, outputs, t), mu))
+         for t in trees),
+        default=math.inf,
+    )
+
+
+def floor_oracle_cases():
+    rng = np.random.default_rng(8)
+    cases = [
+        (AND, JointDistribution.uniform(2, 2), 3),
+        (AND, TENT, 3),
+        (XOR, JointDistribution.from_mass([[0.1, 0.2], [0.3, 0.4]]), 3),
+        (AND, JointDistribution.from_mass([[0.6, 0.4], [0.0, 0.0]]), 3),
+    ]
+    # all-distinct values behind a zero-mass row: the unreached row still
+    # needs two of Bob's questions, so depth 2 is inf and depth 3 is not
+    distinct = [[0, 1, 2], [3, 4, 5]]
+    zero_row = JointDistribution.from_mass([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
+    cases += [(distinct, zero_row, d) for d in (1, 2, 3)]
+    for nx, ny in ((2, 2), (2, 3), (2, 3), (2, 3)):
+        mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.75)
+        mass[0, 0] += 0.1
+        f = rng.integers(0, 2, size=(nx, ny)).tolist()
+        cases.append((f, JointDistribution.from_mass(mass / mass.sum()), 3))
+    return cases
+
+
+@pytest.mark.parametrize("f, mu, depth", floor_oracle_cases())
+def test_floor_equals_brute_force_minimum(f, mu, depth):
+    floor = deterministic_ic_floor(f, mu, depth=depth)
+    oracle = brute_force_floor(f, mu, depth)
+    if oracle == math.inf:
+        assert floor == math.inf
+    else:
+        assert floor == pytest.approx(oracle, abs=1e-12)
