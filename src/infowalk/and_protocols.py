@@ -33,9 +33,8 @@ from .distributions import (
     symmetric_decomposition,
 )
 from .errors import PreconditionError, ProtocolError
-from .infocost import TranscriptLaw, law_of
-from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, WalkLeaf, walk
-from .protocol import evaluate_error_law
+from .infocost import TranscriptLaw, law_of, leaf_posteriors
+from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, evaluate_error_law
 
 LN2 = math.log(2.0)
 AND_TABLE = ((0, 0), (0, 1))
@@ -204,10 +203,16 @@ def buzzer_grid_tree(
 
 
 class GridLeaf(NamedTuple):
-    leaf_id: str
+    index: int  # the exit's phase, or the phase count at the final leaf
     ell: float  # the nonzero coordinate at an axis exit; 1.0 at the corner
     axis: str  # "x", "y", or "one" for the (1,1) corner
     pretend_mass: float
+    final: bool  # the leaf the walk reaches when no phase gives up
+
+    @property
+    def leaf_id(self) -> str:
+        """The caterpillar path: one 1 per phase survived, then the give-up 0."""
+        return "1" * self.index + ("" if self.final else "0")
 
 
 def grid_leaf_law(spec: GridWalkSpec) -> list:
@@ -219,15 +224,15 @@ def grid_leaf_law(spec: GridWalkSpec) -> list:
         p_up = phase.mover / phase.high
         axis = "x" if phase.owner == BOB else "y"  # the survivor names the axis
         out.append(
-            GridLeaf("1" * k + "0", phase.other / spec.n, axis, reach * (1.0 - p_up))
+            GridLeaf(k, phase.other / spec.n, axis, reach * (1.0 - p_up), False)
         )
         reach *= p_up
     if terminal == 1:
-        out.append(GridLeaf("1" * len(phases), 1.0, "one", reach))
+        out.append(GridLeaf(len(phases), 1.0, "one", reach, True))
     else:
         ell = max(spec.a, spec.b) / spec.n
         axis = "x" if spec.a >= spec.b else "y"
-        out.append(GridLeaf("1" * len(phases), ell, axis, reach))
+        out.append(GridLeaf(len(phases), ell, axis, reach, True))
     return out
 
 
@@ -325,39 +330,38 @@ def potential_phi_closed(c: float, p: float, q: float) -> float:
 
 
 def _pretend_leaf_marginals(tree: ProtocolTree, dec: Decomposition):
-    """Walk the tree under the pretend product prior; yield
-    (pretend mass, P[x=1], P[y=1]) per leaf, rejecting non-product leaves."""
-    result = walk(tree, dec.pretend.as_joint())
-    for wl in result:
-        m = wl.posterior.mass
-        lp = m[1, :].sum()
-        lq = m[:, 1].sum()
-        gap = np.max(np.abs(m - np.outer([1 - lp, lp], [1 - lq, lq])))
-        if gap > 1e-9:
-            raise PreconditionError(
-                f"leaf {wl.leaf_id} posterior is not a product distribution "
-                f"(off by {gap:.3e})"
-            )
-        yield wl.prob, float(lp), float(lq)
+    """(pretend mass, P[x=1], P[y=1]) arrays over the leaves the pretend
+    product prior reaches; rejects non-product leaves."""
+    law = law_of(tree, dec.pretend.as_joint())
+    prob, post = leaf_posteriors(law)
+    live = np.flatnonzero(prob > 0.0)
+    m = post[live]
+    lp = m[:, 1, 0] + m[:, 1, 1]
+    lq = m[:, 0, 1] + m[:, 1, 1]
+    # a 2x2 law with these marginals is a product iff its (1,1) entry is lp·lq
+    gap = np.abs(m[:, 1, 1] - lp * lq)
+    if np.any(gap > 1e-9):
+        bad = int(np.argmax(gap))
+        raise PreconditionError(
+            f"leaf {law.leaf_ids[live[bad]]} posterior is not a product "
+            f"distribution (off by {gap[bad]:.3e})"
+        )
+    return prob[live], lp, lq
 
 
 def potential_of_tree(tree: ProtocolTree, c: float, dec: Decomposition) -> float:
     """E[((c − max(ℓp, ℓq))₊)²] over the tree's pretend leaf law."""
     if not (0.0 < c < 1.0):
         raise PreconditionError("threshold must satisfy 0 < c < 1")
-    return math.fsum(
-        mass * max(c - max(lp, lq), 0.0) ** 2
-        for mass, lp, lq in _pretend_leaf_marginals(tree, dec)
-    )
+    mass, lp, lq = _pretend_leaf_marginals(tree, dec)
+    terms = mass * np.maximum(c - np.maximum(lp, lq), 0.0) ** 2
+    return math.fsum(terms.tolist())
 
 
 def leaf_mass_below(tree: ProtocolTree, dec: Decomposition, threshold: float) -> float:
     """Pretend-law probability that max(ℓp, ℓq) ≤ threshold at the leaf."""
-    return math.fsum(
-        mass
-        for mass, lp, lq in _pretend_leaf_marginals(tree, dec)
-        if max(lp, lq) <= threshold
-    )
+    mass, lp, lq = _pretend_leaf_marginals(tree, dec)
+    return math.fsum(mass[np.maximum(lp, lq) <= threshold].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -414,45 +418,30 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
         new[x1] = heads * s[x0] + (1.0 - heads) * s[x1]
         return tuple(new)
 
-    # post-order rebuild over (node, behave-as-x0 log-weight, as-x1 log-weight)
+    # post-order rebuild over (node, behave-as-x0 log-weight, as-x1 log-weight);
+    # an expanded entry carries its children's keys
     done: dict = {}
-    stack = [(tree.root, 0.0, 0.0, False)]
+    stack = [(tree.root, 0.0, 0.0, None)]
     while stack:
-        node, la0, la1, expanded = stack.pop()
+        node, la0, la1, kids = stack.pop()
         key = (id(node), la0, la1)
         if key in done:
             continue
         if isinstance(node, Leaf):
             done[key] = node
-            continue
-        if not expanded:
-            stack.append((node, la0, la1, True))
+        elif kids is None:
+            s = node.send_one_prob
             if node.owner == ALICE:
-                s = node.send_one_prob
-                stack.append(
-                    (node.child1, la0 + log_(s[x0]), la1 + log_(s[x1]), False)
-                )
-                stack.append(
-                    (
-                        node.child0,
-                        la0 + log_(1 - s[x0]),
-                        la1 + log_(1 - s[x1]),
-                        False,
-                    )
-                )
+                kids = ((id(node.child0), la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1])),
+                        (id(node.child1), la0 + log_(s[x0]), la1 + log_(s[x1])))
             else:
-                stack.append((node.child1, la0, la1, False))
-                stack.append((node.child0, la0, la1, False))
+                kids = ((id(node.child0), la0, la1), (id(node.child1), la0, la1))
+            stack.append((node, la0, la1, kids))
+            stack.append((node.child1, *kids[1][1:], None))
+            stack.append((node.child0, *kids[0][1:], None))
         else:
-            if node.owner == ALICE:
-                s = node.send_one_prob
-                c0 = done[(id(node.child0), la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1]))]
-                c1 = done[(id(node.child1), la0 + log_(s[x0]), la1 + log_(s[x1]))]
-                done[key] = Internal(ALICE, mixed(node, la0, la1), c0, c1)
-            else:
-                c0 = done[(id(node.child0), la0, la1)]
-                c1 = done[(id(node.child1), la0, la1)]
-                done[key] = Internal(node.owner, node.send_one_prob, c0, c1)
+            s = mixed(node, la0, la1) if node.owner == ALICE else node.send_one_prob
+            done[key] = Internal(node.owner, s, done[kids[0]], done[kids[1]])
     return ProtocolTree(
         tree.nx, tree.ny, tree.outputs, done[(id(tree.root), 0.0, 0.0)], tree.depth_cap
     )
@@ -498,60 +487,49 @@ def complete_to_zero_error(
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree")
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
-    posteriors = {wl.leaf_id: wl.posterior for wl in walk(tree, prior)}
+    prob, post = leaf_posteriors(law_of(tree, prior))
+    px = post.sum(axis=2).tolist()
+    py = post.sum(axis=1).tolist()
     support = prior.support()
+    reveal_x = [tuple(row) for row in np.eye(tree.nx).tolist()]  # "is x yours?"
+    reveal_y = [tuple(row) for row in np.eye(tree.ny).tolist()]
+    cells = [(x, y) for x in range(tree.nx) for y in range(tree.ny) if support[x, y]]
+    tests = {out: [c for c in cells if table[c] != out] for out in tree.outputs}
 
-    def verification(leaf: Leaf, posterior: JointDistribution):
-        cells = [
-            (x, y)
-            for x in range(tree.nx)
-            for y in range(tree.ny)
-            if support[x, y] and table[x, y] != leaf.output
-        ]
-        px = posterior.marginal_x()
-        py = posterior.marginal_y()
+    def verification(leaf: Leaf, t: int):
         node = leaf  # all tests failed: the original answer stands
-        for x, y in reversed(cells):
+        for x, y in reversed(tests[leaf.output]):
             confirm = Leaf(table[x, y])
-            ask_alice = lambda yes, no, xv=x: Internal(
-                ALICE,
-                tuple(1.0 if v == xv else 0.0 for v in range(tree.nx)),
-                no,
-                yes,
-            )
-            ask_bob = lambda yes, no, yv=y: Internal(
-                BOB,
-                tuple(1.0 if v == yv else 0.0 for v in range(tree.ny)),
-                no,
-                yes,
-            )
-            if px[x] <= py[y]:
-                node = ask_alice(ask_bob(confirm, node), node)
+            # each question's 1-branch is the match; the smaller marginal asks first
+            if px[t][x] <= py[t][y]:
+                second = Internal(BOB, reveal_y[y], node, confirm)
+                node = Internal(ALICE, reveal_x[x], node, second)
             else:
-                node = ask_bob(ask_alice(confirm, node), node)
+                second = Internal(ALICE, reveal_x[x], node, confirm)
+                node = Internal(BOB, reveal_y[y], node, second)
         return node
 
-    # rebuild the tree, replacing each reachable leaf by its verification
-    done: dict = {}
-    stack = [(tree.root, "", False)]
+    # rebuild the tree, replacing each reachable leaf by its verification;
+    # leaves are met in the law's order (preorder, 0-child first)
+    built = []
+    t = 0
+    stack = [(tree.root, False)]
     while stack:
-        node, path, expanded = stack.pop()
+        node, expanded = stack.pop()
         if isinstance(node, Leaf):
-            post = posteriors.get(path)
-            done[path] = node if post is None else verification(node, post)
-            continue
-        if not expanded:
-            stack.append((node, path, True))
-            stack.append((node.child1, path + "1", False))
-            stack.append((node.child0, path + "0", False))
+            built.append(verification(node, t) if prob[t] > 0.0 else node)
+            t += 1
+        elif expanded:
+            child1, child0 = built.pop(), built.pop()
+            built.append(Internal(node.owner, node.send_one_prob, child0, child1))
         else:
-            done[path] = Internal(
-                node.owner, node.send_one_prob, done[path + "0"], done[path + "1"]
-            )
+            stack.append((node, True))
+            stack.append((node.child1, False))
+            stack.append((node.child0, False))
     return ProtocolTree(
         tree.nx,
         tree.ny,
         outputs,
-        done[""],
+        built.pop(),
         tree.depth_cap + 2 * tree.nx * tree.ny,
     )

@@ -33,7 +33,6 @@ from .and_protocols import (
     one_sided_and,
 )
 from .disjointness import (
-    EXACT_COORD_CAP,
     DisjInstance,
     HARDEST_ZERO_DIAG_PRIOR,
     disj_bound_curve,
@@ -451,19 +450,14 @@ def _cmd_disj(args) -> int:
     else:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
-    if args.mode == "exact" and inst.n > EXACT_COORD_CAP:
-        raise ResourceCapError(
-            f"exact audit supports n <= {EXACT_COORD_CAP} coordinates, "
-            f"got {inst.n}"
-        )
 
     def factory(prior, epsilon):
         return one_sided_and(epsilon, prior, n=args.and_grid)
 
-    ic_internal = disj_ic_exact(inst, args.eps, factory) if args.with_ic else None
     audit = disj_error_audit(
-        inst, args.eps, factory, seed=args.seed, samples=args.samples
+        inst, args.eps, factory, seed=args.seed, samples=args.samples, mode=args.mode
     )
+    ic_internal = disj_ic_exact(inst, args.eps, factory) if args.with_ic else None
     print(
         f"n={inst.n} mode={audit.mode} distributional={audit.distributional!r} "
         f"eps_round={audit.eps_round!r} expected_rounds={audit.expected_rounds!r}"

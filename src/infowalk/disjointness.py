@@ -90,15 +90,16 @@ class DisjInstance:
 
 @dataclass(frozen=True)
 class DisjRunResult:
-    """One sampled execution: the answer and how many rounds ran."""
+    """One sampled execution: the answer and how many rounds ran (none for
+    the always-0 protocol of a trivial instance)."""
 
     output: int
     rounds_executed: int
     seed: int
 
     def __post_init__(self):
-        if not (1 <= self.rounds_executed):
-            raise PreconditionError("a run executes at least one round")
+        if self.rounds_executed < 0:
+            raise PreconditionError("a run cannot execute a negative number of rounds")
 
 
 def disj_table(n: int) -> np.ndarray:
@@ -230,14 +231,20 @@ def disj_protocol(
 ):
     """The permuted-AND protocol at distributional error budget epsilon.
 
-    When the sets intersect with probability below epsilon the always-0
-    protocol already meets the budget and is returned as an exact law.
-    Otherwise each round solves one-sided AND at budget epsilon/(2 p_one);
-    exact mode (n ≤ 4) returns the full composite TranscriptLaw, and sampled
-    mode returns a list of DisjRunResult with inputs drawn from the product
-    law, one spawned child seed per run so runs can be distributed."""
+    Each round solves one-sided AND at budget epsilon/(2 p_one); exact mode
+    (n ≤ 4) returns the full composite TranscriptLaw, and sampled mode returns
+    a list of DisjRunResult with inputs drawn from the product law, one
+    spawned child seed per run so runs can be distributed.  When the sets
+    intersect with probability below epsilon the always-0 protocol already
+    meets the budget: exact mode returns its one-transcript law, and sampled
+    mode its runs, each answering 0 after no rounds."""
     eps_round = _round_budget(inst, epsilon)
+    if sample and seed is None:
+        raise PreconditionError("sampled mode needs a seed")
+    children = np.random.SeedSequence(seed).spawn(samples) if sample else ()
     if eps_round is None:
+        if sample:
+            return [DisjRunResult(0, 0, child.spawn_key[-1]) for child in children]
         return _trivial_law(inst)
     laws = _coordinate_laws(inst, eps_round, and_factory)
     if not sample:
@@ -247,12 +254,10 @@ def disj_protocol(
                 "pass sample=True with a seed"
             )
         return _composite_law(inst, laws)
-    if seed is None:
-        raise PreconditionError("sampled mode needs a seed")
     prior = inst.joint_prior()
     flat = prior.mass.reshape(-1)
     results = []
-    for child in np.random.SeedSequence(seed).spawn(samples):
+    for child in children:
         rng = np.random.default_rng(child)
         cell = rng.choice(flat.size, p=flat)
         x, y = divmod(int(cell), prior.ny)
@@ -282,8 +287,12 @@ def disj_error_audit(
     and_factory: Callable = default_and_factory,
     seed: Optional[int] = None,
     samples: int = 400,
+    mode: Optional[str] = None,
 ) -> DisjAudit:
-    """Exact (n ≤ EXACT_COORD_CAP) or Monte-Carlo error table of the protocol.
+    """Exact or Monte-Carlo error table of the protocol.
+
+    ``mode`` is "exact" (at most EXACT_COORD_CAP coordinates) or "mc" (needs
+    a seed); by default it is exact whenever n allows.
 
     The exact table comes from the coordinate laws alone.  Whatever the
     permutation, the protocol answers 0 exactly when no round says 1, which
@@ -296,7 +305,13 @@ def disj_error_audit(
     truth = disj_table(inst.n)
     prior = inst.joint_prior()
     eps_round = _round_budget(inst, epsilon)
-    mode = "exact" if inst.n <= EXACT_COORD_CAP else "mc"
+    mode = mode or ("exact" if inst.n <= EXACT_COORD_CAP else "mc")
+    if mode not in ("exact", "mc"):
+        raise PreconditionError(f"audit mode must be 'exact' or 'mc', not {mode!r}")
+    if mode == "exact" and inst.n > EXACT_COORD_CAP:
+        raise ResourceCapError(
+            f"exact audit supports n <= {EXACT_COORD_CAP} coordinates, got {inst.n}"
+        )
     if mode == "mc" and seed is None:
         raise PreconditionError("Monte-Carlo audit needs a seed")
     if eps_round is None:

@@ -14,19 +14,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__ as _version
 from .distributions import (
+    SNAP_EPS,
     Decomposition,
-    EntropyProfile,
     JointDistribution,
     ProductDistribution,
     entropy_profile,
-    odot,
 )
 from .errors import (
     DecompositionMismatchError,
@@ -34,12 +34,47 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .protocol import ALICE, Internal, Leaf, ProtocolTree
+from .protocol import ALICE, Leaf, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
 DIRECT_INPUT_CAP = 64
-DIRECT_LEAF_CAP = 2**16
+# Direct summation is capped by cells, transcripts × nx × ny.  ``cost_report``
+# allocates 84 bytes per cell at its peak (the joint law, the masked terms and
+# their Python float lists; measured with tracemalloc on 2x2 laws of 2**14 to
+# 2**18 transcripts), so the cap holds it under 90 MB and about 0.8 s.
+DIRECT_CELL_CAP = 2**20
+
+
+class LeafIds(Sequence):
+    """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
+    preorder, 0-child first, which is their sorted order; rendered on demand.
+
+    A path is a handle (run, k): k copies of the bit of ``runs[run]``
+    appended to the path that run extends, itself a handle.  Memory is
+    O(tree nodes), where the strings take Σ depth characters (quadratic on
+    the buzzer caterpillar); rendering costs one repeat per run of equal bits.
+    """
+
+    def __init__(self, runs, leaves):
+        self._runs = runs  # (bit, run, k): the bit, and the handle extended
+        self._leaves = leaves  # the handle of each leaf
+
+    def __len__(self):
+        return len(self._leaves)
+
+    def __getitem__(self, i):
+        run, k = self._leaves[i]
+        parts = []
+        while run >= 0:
+            parts.append(self._runs[run][0] * k)
+            _, run, k = self._runs[run]
+        return "".join(reversed(parts))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +84,12 @@ class TranscriptLaw:
     ``cond`` has shape (transcripts, nx, ny).  For every input with positive
     prior mass the conditional probabilities must sum to 1 within 1e-10 (they
     usually do for all inputs; zero-mass inputs are not constrained).
+    ``leaf_ids`` is a sequence of strings, such as a tuple or ``LeafIds``.
     ``outputs``, when present, gives the protocol's answer per transcript.
     """
 
     prior: JointDistribution
-    leaf_ids: tuple
+    leaf_ids: Sequence
     cond: np.ndarray
     outputs: Optional[tuple] = None
 
@@ -92,39 +128,59 @@ def law_of(tree: ProtocolTree, prior: JointDistribution) -> TranscriptLaw:
 
     Because Alice's factors depend only on x and Bob's only on y, each
     transcript's conditional table is the outer product of a row vector and a
-    column vector; nothing here depends on the prior's support.
+    column vector; nothing here depends on the prior's support.  Transcripts
+    come in depth-first preorder with the 0-child first, which is the sorted
+    order of their path strings.
     """
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree rectangle")
-    ids, tables, outs = [], [], []
-    root_fa = np.ones(tree.nx)
-    root_fb = np.ones(tree.ny)
-    stack = [(tree.root, "", root_fa, root_fb)]
+    runs, leaves, fas, fbs, outs = [], [], [], [], []
+
+    def extend(run, k, bit):  # the handle of path (run, k) plus one bit
+        if run >= 0 and runs[run][0] == bit:
+            return run, k + 1
+        runs.append((bit, run, k))
+        return len(runs) - 1, 1
+
+    stack = [(tree.root, (1.0,) * tree.nx, (1.0,) * tree.ny, -1, 0)]
     while stack:
-        node, path, fa, fb = stack.pop()
+        node, fa, fb, run, k = stack.pop()
         if isinstance(node, Leaf):
-            ids.append(path)
-            tables.append(np.outer(fa, fb))
+            leaves.append((run, k))
+            fas.extend(fa)
+            fbs.extend(fb)
             outs.append(node.output)
             continue
-        s = np.asarray(node.send_one_prob, dtype=float)
+        s = node.send_one_prob
+        one, zero = extend(run, k, "1"), extend(run, k, "0")
         if node.owner == ALICE:
-            stack.append((node.child1, path + "1", fa * s, fb))
-            stack.append((node.child0, path + "0", fa * (1.0 - s), fb))
+            stack.append((node.child1, [a * v for a, v in zip(fa, s)], fb, *one))
+            stack.append((node.child0, [a * (1.0 - v) for a, v in zip(fa, s)], fb, *zero))
         else:
-            stack.append((node.child1, path + "1", fa, fb * s))
-            stack.append((node.child0, path + "0", fa, fb * (1.0 - s)))
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    return TranscriptLaw(
-        prior,
-        tuple(ids[i] for i in order),
-        np.stack([tables[i] for i in order]),
-        tuple(outs[i] for i in order),
-    )
+            stack.append((node.child1, fa, [b * v for b, v in zip(fb, s)], *one))
+            stack.append((node.child0, fa, [b * (1.0 - v) for b, v in zip(fb, s)], *zero))
+    fa = np.array(fas, dtype=float).reshape(len(leaves), tree.nx)
+    fb = np.array(fbs, dtype=float).reshape(len(leaves), tree.ny)
+    cond = fa[:, :, None] * fb[:, None, :]
+    return TranscriptLaw(prior, LeafIds(runs, leaves), cond, tuple(outs))
 
 
-def _plogq(p: float, q: float) -> float:
-    return p * math.log2(q) if p > 0.0 else 0.0
+def _snap(m: np.ndarray) -> np.ndarray:
+    m[np.abs(m) < SNAP_EPS] = 0.0  # as JointDistribution does
+    return m
+
+
+def leaf_posteriors(law: TranscriptLaw, prior: Optional[JointDistribution] = None):
+    """(Pr[t], posterior of t) per transcript under ``prior`` (by default the
+    law's): the compensated sum of prior ⊙ Pr[t|x,y], and that table over it,
+    snapped as JointDistribution snaps.  A transcript of probability zero has
+    an all-zero posterior."""
+    joint = law.cond * (prior or law.prior).mass[None, :, :]
+    prob = np.array([math.fsum(row) for row in joint.reshape(len(joint), -1).tolist()])
+    live = prob > 0.0
+    post = np.zeros_like(joint)
+    post[live] = joint[live] / prob[live, None, None]
+    return prob, _snap(post)
 
 
 @dataclass(frozen=True)
@@ -154,50 +210,47 @@ class CostReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
+    """−Σ weight·log₂(table / margin) over the cells where table > 0, one
+    compensated sum per margin (an array that broadcasts against table).
+
+    libm's log2, as in a per-cell loop, keeps each sum bit-identical to one
+    (numpy's log2 differs in the last bit on ~0.1% of arguments); the
+    exactly-zero terms where table = margin are skipped."""
+    live = table > 0.0
+    w, p = weight[live], table[live]
+    sums = []
+    for margin in margins:
+        q = p / np.broadcast_to(margin, table.shape)[live]
+        keep = q != 1.0
+        logs = np.fromiter(map(math.log2, q[keep].tolist()), float, np.count_nonzero(keep))
+        sums.append(-math.fsum((w[keep] * logs).tolist()))
+    return tuple(sums)
+
+
 def _residual_entropies(law: TranscriptLaw):
     """(H(X|ΠY), H(Y|ΠX), H(XY|Π)) by direct compensated summation."""
     j = law.joint()  # (T, nx, ny)
-    pt = j.sum(axis=(1, 2))
-    pt_y = j.sum(axis=1)  # (T, ny)
-    pt_x = j.sum(axis=2)  # (T, nx)
-    T, nx, ny = j.shape
-    h_x_g_ty = -math.fsum(
-        _plogq(j[t, x, y], j[t, x, y] / pt_y[t, y])
-        for t in range(T)
-        for x in range(nx)
-        for y in range(ny)
-        if pt_y[t, y] > 0.0
-    )
-    h_y_g_tx = -math.fsum(
-        _plogq(j[t, x, y], j[t, x, y] / pt_x[t, x])
-        for t in range(T)
-        for x in range(nx)
-        for y in range(ny)
-        if pt_x[t, x] > 0.0
-    )
-    h_xy_g_t = -math.fsum(
-        _plogq(j[t, x, y], j[t, x, y] / pt[t])
-        for t in range(T)
-        for x in range(nx)
-        for y in range(ny)
-        if pt[t] > 0.0
-    )
-    return h_x_g_ty, h_y_g_tx, h_xy_g_t
+    margins = [j.sum(axis=axis, keepdims=True) for axis in (1, 2, (1, 2))]
+    return _neg_plogq_sums(j, j, margins)
 
 
-def _within_direct_caps(law: TranscriptLaw) -> bool:
-    return (
-        law.prior.nx * law.prior.ny <= DIRECT_INPUT_CAP
-        and law.transcript_count() <= DIRECT_LEAF_CAP
-    )
+def _direct(law: TranscriptLaw, seed: Optional[int] = None) -> bool:
+    """Whether the law is within the direct-summation caps.  Above them the
+    Monte-Carlo estimators take over, and they need a seed."""
+    if law.prior.nx * law.prior.ny <= DIRECT_INPUT_CAP and law.cond.size <= DIRECT_CELL_CAP:
+        return True
+    if seed is None:
+        raise ResourceCapError(
+            f"law of {law.cond.size} cells exceeds the direct-summation caps "
+            f"({DIRECT_CELL_CAP} cells, {DIRECT_INPUT_CAP} inputs); pass a seed"
+        )
+    return False
 
 
 def cost_report(law: TranscriptLaw) -> CostReport:
     """All four costs at once (direct summation only)."""
-    if not _within_direct_caps(law):
-        raise ResourceCapError(
-            "law too large for direct summation; use internal_ic_estimate"
-        )
+    _direct(law)
     profile = entropy_profile(law.prior)
     h_x_g_ty, h_y_g_tx, h_xy_g_t = _residual_entropies(law)
     ci_internal = h_x_g_ty + h_y_g_tx
@@ -217,6 +270,20 @@ class ICEstimate(NamedTuple):
     samples: int
 
 
+def _mc_estimate(law: TranscriptLaw, seed: int, samples: int, log_ratio) -> ICEstimate:
+    """Mean and standard error of log_ratio(t, x, y) over ``samples`` seeded
+    draws of (t, x, y) from the joint law: the one sampler of both costs."""
+    rng = np.random.default_rng(seed)
+    flat = law.joint().reshape(-1)
+    idx = rng.choice(flat.size, size=samples, p=flat / flat.sum())
+    t, rem = np.divmod(idx, law.prior.nx * law.prior.ny)
+    x, y = np.divmod(rem, law.prior.ny)
+    vals = log_ratio(t, x, y)
+    return ICEstimate(
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)), samples
+    )
+
+
 def internal_ic_estimate(
     law: TranscriptLaw, seed: int, samples: int = 200_000
 ) -> ICEstimate:
@@ -227,27 +294,25 @@ def internal_ic_estimate(
     whose expectation is I(Π;X|Y) + I(Π;Y|X).  Returns the sample mean and
     its standard error.
     """
-    rng = np.random.default_rng(seed)
-    j = law.joint()
-    T, nx, ny = j.shape
-    flat = j.reshape(-1)
-    flat = flat / flat.sum()
-    idx = rng.choice(flat.size, size=samples, p=flat)
-    t, rem = np.divmod(idx, nx * ny)
-    x, y = np.divmod(rem, ny)
     px = law.prior.marginal_x()
     py = law.prior.marginal_y()
     # Pr[t|y] = Σ_x cond[t,x,y]·Pr[x|y]; likewise for Pr[t|x]
     cond_ty = np.einsum("txy,xy->ty", law.cond, law.prior.mass) / py[None, :]
     cond_tx = np.einsum("txy,xy->tx", law.cond, law.prior.mass) / px[None, :]
-    vals = (
-        2.0 * np.log2(law.cond[t, x, y])
-        - np.log2(cond_ty[t, y])
-        - np.log2(cond_tx[t, x])
-    )
-    return ICEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)), samples
-    )
+    return _mc_estimate(law, seed, samples, lambda t, x, y: (
+        2.0 * np.log2(law.cond[t, x, y]) - np.log2(cond_ty[t, y]) - np.log2(cond_tx[t, x])
+    ))
+
+
+def external_ic_estimate(
+    law: TranscriptLaw, seed: int, samples: int = 200_000
+) -> ICEstimate:
+    """Unbiased Monte-Carlo estimate of the external information cost: the
+    mean of log₂ Pr[t|x,y] − log₂ Pr[t], with its standard error."""
+    pt = law.joint().sum(axis=(1, 2))
+    return _mc_estimate(law, seed, samples, lambda t, x, y: (
+        np.log2(law.cond[t, x, y]) - np.log2(pt[t])
+    ))
 
 
 def internal_ic(law: TranscriptLaw, seed: Optional[int] = None) -> float:
@@ -256,33 +321,17 @@ def internal_ic(law: TranscriptLaw, seed: Optional[int] = None) -> float:
     Falls back to the seeded Monte-Carlo estimator when the law exceeds the
     direct-summation caps (a seed is then required).
     """
-    if _within_direct_caps(law):
+    if _direct(law, seed):
         return cost_report(law).ic_internal
-    if seed is None:
-        raise ResourceCapError(
-            "law exceeds direct-summation caps; pass a seed for Monte-Carlo"
-        )
     return internal_ic_estimate(law, seed).value
 
 
 def external_ic(law: TranscriptLaw, seed: Optional[int] = None) -> float:
-    """I(Π;XY): what an outside observer learns about the input pair."""
-    if _within_direct_caps(law):
+    """I(Π;XY): what an outside observer learns about the input pair, with
+    the same seeded Monte-Carlo fallback."""
+    if _direct(law, seed):
         return cost_report(law).ic_external
-    if seed is None:
-        raise ResourceCapError(
-            "law exceeds direct-summation caps; pass a seed for Monte-Carlo"
-        )
-    rng = np.random.default_rng(seed)
-    j = law.joint()
-    flat = j.reshape(-1) / j.sum()
-    idx = rng.choice(flat.size, size=200_000, p=flat)
-    T, nx, ny = j.shape
-    t, rem = np.divmod(idx, nx * ny)
-    x, y = np.divmod(rem, ny)
-    pt = j.sum(axis=(1, 2))
-    vals = np.log2(law.cond[t, x, y]) - np.log2(pt[t])
-    return float(vals.mean())
+    return external_ic_estimate(law, seed).value
 
 
 def pretend_step(pretend: ProductDistribution, owner: str, send_one_prob):
@@ -295,20 +344,13 @@ def pretend_step(pretend: ProductDistribution, owner: str, send_one_prob):
     s = np.asarray(send_one_prob, dtype=float)
     if s.shape != (2,):
         raise PreconditionError("pretend_step is for binary inputs")
-    r = pretend.p if owner == ALICE else pretend.q
+    side = "p" if owner == ALICE else "q"
+    r = getattr(pretend, side)
     lam1 = (1.0 - r) * s[0] + r * s[1]
     lam0 = 1.0 - lam1
     r1 = r * s[1] / lam1 if lam1 > 0.0 else r
     r0 = r * (1.0 - s[1]) / lam0 if lam0 > 0.0 else r
-    if owner == ALICE:
-        return [
-            (lam0, ProductDistribution(r0, pretend.q)),
-            (lam1, ProductDistribution(r1, pretend.q)),
-        ]
-    return [
-        (lam0, ProductDistribution(pretend.p, r0)),
-        (lam1, ProductDistribution(pretend.p, r1)),
-    ]
+    return [(lam0, replace(pretend, **{side: r0})), (lam1, replace(pretend, **{side: r1}))]
 
 
 def sim(law: TranscriptLaw, dec: Decomposition) -> float:
@@ -318,7 +360,8 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
     ⟨ν, μ_t⟩ · CI(ν ⊙ μ_t): sample the transcript under the pretend product
     measure, recompose its pretend posterior, and take the concealed
     information there.  Requires the law's prior to be exactly the
-    decomposition's recomposition.
+    decomposition's recomposition.  One array pass over the transcripts with
+    compensated sums; it agrees with a per-transcript loop to 1e-12 relative.
     """
     recomposed = dec.compose()
     if (recomposed.nx, recomposed.ny) != (law.prior.nx, law.prior.ny):
@@ -328,24 +371,18 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
         raise DecompositionMismatchError(
             f"prior is not the recomposition of (reference, pretend): off by {gap:.3e}"
         )
-    mu = dec.pretend.as_joint().mass
-    nu = dec.reference
-    total = 0.0
-    terms = []
-    for t in range(law.transcript_count()):
-        jt = mu * law.cond[t]
-        lam = math.fsum(jt.flat)
-        if lam <= 0.0:
-            continue
-        mu_t = JointDistribution(2, 2, jt / lam)
-        inner = float(np.sum(nu.mass * mu_t.mass))
-        if inner <= 0.0:
-            continue
-        real_t = odot(nu, mu_t)
-        profile = entropy_profile(real_t)
-        terms.append(lam * inner * (profile.h_x_given_y + profile.h_y_given_x))
-    total = math.fsum(terms)
-    return total
+    lam, mu_t = leaf_posteriors(law, dec.pretend.as_joint())  # pretend world
+    live = lam > 0.0
+    lam, mu_t = lam[live], mu_t[live]
+    nu = dec.reference.mass
+    inner = (nu * mu_t).sum(axis=(1, 2))
+    keep = inner > 0.0
+    real = nu * mu_t[keep]
+    real = _snap(real / real.sum(axis=(1, 2))[:, None, None])  # ν ⊙ μ_t
+    # Σ_t λ_t⟨ν,μ_t⟩·(H(X|Y) + H(Y|X)) at ν ⊙ μ_t, summed cell by cell
+    weight = (lam[keep] * inner[keep])[:, None, None] * real
+    margins = [real.sum(axis=axis, keepdims=True) for axis in (1, 2)]
+    return sum(_neg_plogq_sums(weight, real, margins))
 
 
 def pretend_prob(

@@ -12,8 +12,10 @@ traversal here is iterative, never recursive.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -73,6 +75,8 @@ class ProtocolTree:
     def __post_init__(self):
         outputs = tuple(self.outputs)
         object.__setattr__(self, "outputs", outputs)
+        deepest = 0
+        arity_of = {ALICE: self.nx, BOB: self.ny}
         stack = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
@@ -81,16 +85,14 @@ class ProtocolTree:
                     f"protocol tree exceeds depth cap {self.depth_cap}"
                 )
             if isinstance(node, Leaf):
+                deepest = max(deepest, depth)
                 if node.output not in outputs:
                     raise ProtocolError(
                         f"leaf output {node.output!r} not in alphabet {outputs!r}"
                     )
             elif isinstance(node, Internal):
-                if node.owner == ALICE:
-                    arity = self.nx
-                elif node.owner == BOB:
-                    arity = self.ny
-                else:
+                arity = arity_of.get(node.owner)
+                if arity is None:
                     raise ProtocolError(f"unknown owner {node.owner!r}")
                 if len(node.send_one_prob) != arity:
                     raise ProtocolError(
@@ -104,18 +106,11 @@ class ProtocolTree:
                 stack.append((node.child1, depth + 1))
             else:
                 raise ProtocolError(f"unknown node type {type(node).__name__}")
+        object.__setattr__(self, "_depth", deepest)
 
     def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if isinstance(node, Internal):
-                stack.append((node.child0, d + 1))
-                stack.append((node.child1, d + 1))
-            else:
-                best = max(best, d)
-        return best
+        """Edges on the longest root-to-leaf path, found while validating."""
+        return self._depth
 
 
 def owner_axis(owner: str) -> str:
@@ -157,39 +152,33 @@ class WalkResult:
 def walk(tree: ProtocolTree, prior: JointDistribution) -> WalkResult:
     """Run the drift-free walk: Bayes-update the prior along every path.
 
-    Returns the leaf posteriors and reach probabilities.  Branches whose
-    reach probability is exactly zero have no defined posterior; they are
-    pruned and their ids recorded.
+    Returns the leaf posteriors (prior ⊙ Pr[leaf|x,y], renormalized) and
+    reach probabilities, read off the transcript law.  Branches whose reach
+    probability is exactly zero have no defined posterior; they are pruned
+    and their ids recorded.
     """
-    if (prior.nx, prior.ny) != (tree.nx, tree.ny):
-        raise PreconditionError("prior shape does not match the tree rectangle")
-    leaves = []
-    pruned = []
-    stack = [(tree.root, "", prior.mass)]
-    while stack:
-        node, path, mass = stack.pop()
-        if isinstance(node, Leaf):
-            prob = math.fsum(mass.flat)
-            leaves.append(
-                WalkLeaf(path, JointDistribution(tree.nx, tree.ny, mass / prob),
-                         prob, node.output)
-            )
-            continue
-        s = np.asarray(node.send_one_prob, dtype=float)
-        if node.owner == ALICE:
-            m1 = mass * s[:, None]
-        else:
-            m1 = mass * s[None, :]
-        m0 = mass - m1
-        for bit, m in ((1, m1), (0, m0)):
-            if m.sum() <= 0.0:
-                pruned.append(path + str(bit))
-            else:
-                stack.append(
-                    (node.child1 if bit else node.child0, path + str(bit), m)
-                )
-    leaves.sort(key=lambda wl: wl.leaf_id)
-    return WalkResult(tuple(leaves), tuple(pruned))
+    from .infocost import law_of, leaf_posteriors
+
+    law = law_of(tree, prior)
+    prob, post = leaf_posteriors(law)
+    ids = list(law.leaf_ids)
+    live = [i for i, p in enumerate(prob) if p > 0.0]
+    leaves = tuple(
+        WalkLeaf(ids[i], JointDistribution(tree.nx, tree.ny, post[i]),
+                 float(prob[i]), law.outputs[i])
+        for i in live
+    )
+    pruned = set()
+    for i in set(range(len(ids))).difference(live):
+        # the pruned branch is the shortest prefix of this path that no
+        # reachable leaf shares; the nearest reachable leaves share the most
+        k = bisect.bisect(live, i)
+        shared = max((len(os.path.commonprefix((ids[i], ids[j])))
+                      for j in live[max(k - 1, 0):k + 1]), default=0)
+        pruned.add(ids[i][: shared + 1])
+    # listed as a walk meets them: by parent in preorder, the 1-branch first
+    order = sorted(pruned, key=lambda branch: (branch[:-1], branch[-1] == "0"))
+    return WalkResult(leaves, tuple(order))
 
 
 def apply_signal(mu: JointDistribution, owner: str, send_one_prob) -> WalkStep:
@@ -351,45 +340,36 @@ def evaluate_error_law(law, task: Task) -> ErrorReport:
     nx, ny = task.f.shape
     if (law.prior.nx, law.prior.ny) != (nx, ny):
         raise PreconditionError("law shape does not match the task table")
-    weight = (
-        task.measure.mass
-        if task.measure is not None
-        else np.full((nx, ny), 1.0 / (nx * ny))
-    )
-    err = np.zeros((nx, ny))
-    violation = np.zeros((nx, ny))
-    for t, out in enumerate(law.outputs):
-        wrong = np.array(
-            [[out != task.f[x, y] for y in range(ny)] for x in range(nx)]
-        )
-        err += law.cond[t] * wrong
-        if task.one_sided is not None:
-            z1, z0 = task.one_sided
-            excused = np.array(
-                [
-                    [task.f[x, y] == z1 and out == z0 for y in range(ny)]
-                    for x in range(nx)
-                ]
-            )
-            violation += law.cond[t] * (wrong & ~excused)
-    report = ErrorReport(
+    uniform = np.full((nx, ny), 1.0 / (nx * ny))
+    weight = task.measure.mass if task.measure is not None else uniform
+    kinds = list(dict.fromkeys(law.outputs))
+    rows = [kinds.index(out) for out in law.outputs]
+    f = task.f.tolist()
+
+    def per_transcript(test):  # one table per distinct output, gathered
+        return np.array([[[test(out, f[x][y]) for y in range(ny)] for x in range(nx)]
+                         for out in kinds])[rows]
+
+    # a first-axis sum adds row by row, in transcript order, as a loop would
+    wrong = per_transcript(lambda out, value: out != value)
+    err = (law.cond * wrong).sum(axis=0)
+    if task.one_sided is not None:
+        z1, z0 = task.one_sided
+        excused = per_transcript(lambda out, value: value == z1 and out == z0)
+        violation = (law.cond * (wrong & ~excused)).sum(axis=0)
+    return ErrorReport(
         max_pointwise=float(np.max(err)),
         distributional=float(np.sum(weight * err)),
         one_sided_violation=(
             float(np.sum(weight * violation)) if task.one_sided is not None else None
         ),
     )
-    return report
 
 
 def evaluate_error(tree: ProtocolTree, task: Task) -> ErrorReport:
     from .infocost import law_of
 
-    prior = (
-        task.measure
-        if task.measure is not None
-        else JointDistribution.uniform(task.nx, task.ny)
-    )
+    prior = task.measure or JointDistribution.uniform(task.nx, task.ny)
     return evaluate_error_law(law_of(tree, prior), task)
 
 
@@ -410,7 +390,7 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
     cond = np.concatenate(
         [(1.0 - epsilon) * law.cond, np.full((1, nx, ny), epsilon)], axis=0
     )
-    leaf_ids = law.leaf_ids + ("abort",)
+    leaf_ids = tuple(law.leaf_ids) + ("abort",)
     outputs = None if law.outputs is None else law.outputs + (abort_output,)
     return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
 
@@ -433,17 +413,12 @@ def mix_with_exchange(law, delta: float, prior: JointDistribution = None, f=None
         prior = law.prior
     nx, ny = prior.nx, prior.ny
     table = None if f is None else np.asarray(f, dtype=object)
-    extra = np.zeros((nx * ny, nx, ny))
-    ids = []
-    outs = []
-    for x in range(nx):
-        for y in range(ny):
-            extra[x * ny + y, x, y] = delta
-            ids.append(f"exchange:{x},{y}")
-            outs.append(None if table is None else table[x, y])
+    cells = [(x, y) for x in range(nx) for y in range(ny)]  # one transcript each
+    extra = delta * np.eye(nx * ny).reshape(nx * ny, nx, ny)
     cond = np.concatenate([(1.0 - delta) * law.cond, extra], axis=0)
-    leaf_ids = law.leaf_ids + tuple(ids)
-    outputs = None if law.outputs is None else law.outputs + tuple(outs)
+    leaf_ids = tuple(law.leaf_ids) + tuple(f"exchange:{x},{y}" for x, y in cells)
+    outs = tuple(None if table is None else table[c] for c in cells)
+    outputs = None if law.outputs is None else law.outputs + outs
     return TranscriptLaw(prior, leaf_ids, cond, outputs)
 
 

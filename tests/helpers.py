@@ -7,6 +7,7 @@ import numpy as np
 from infowalk import (
     ALICE,
     BOB,
+    CostReport,
     Decomposition,
     Internal,
     JointDistribution,
@@ -14,6 +15,8 @@ from infowalk import (
     ProductDistribution,
     ProtocolTree,
     TranscriptLaw,
+    entropy_profile,
+    odot,
 )
 
 
@@ -131,3 +134,208 @@ def external_reference(law):
                 if j[t, x, y] > 0.0:
                     total += j[t, x, y] * math.log2(j[t, x, y] / (pt[t] * w[x, y]))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Slow oracles for the fast paths: the same quantities one cell, one
+# transcript or one path at a time.
+# ---------------------------------------------------------------------------
+
+def law_of_reference(tree, prior):
+    """The transcript law by a walk that builds every path string and sorts
+    by it; ``law_of``'s preorder must give the same ids, tables and outputs."""
+    ids, tables, outs = [], [], []
+    stack = [(tree.root, "", np.ones(tree.nx), np.ones(tree.ny))]
+    while stack:
+        node, path, fa, fb = stack.pop()
+        if isinstance(node, Leaf):
+            ids.append(path)
+            tables.append(np.outer(fa, fb))
+            outs.append(node.output)
+            continue
+        s = np.asarray(node.send_one_prob, dtype=float)
+        if node.owner == ALICE:
+            stack.append((node.child1, path + "1", fa * s, fb))
+            stack.append((node.child0, path + "0", fa * (1.0 - s), fb))
+        else:
+            stack.append((node.child1, path + "1", fa, fb * s))
+            stack.append((node.child0, path + "0", fa, fb * (1.0 - s)))
+    order = sorted(range(len(ids)), key=lambda i: ids[i])
+    return TranscriptLaw(
+        prior,
+        tuple(ids[i] for i in order),
+        np.stack([tables[i] for i in order]),
+        tuple(outs[i] for i in order),
+    )
+
+
+def _plogq(p, q):
+    return p * math.log2(q) if p > 0.0 else 0.0
+
+
+def residual_entropies_reference(law):
+    """(H(X|ΠY), H(Y|ΠX), H(XY|Π)), one compensated sum over every cell."""
+    j = law.joint()
+    pt = j.sum(axis=(1, 2))
+    pt_y = j.sum(axis=1)
+    pt_x = j.sum(axis=2)
+    T, nx, ny = j.shape
+    cells = [(t, x, y) for t in range(T) for x in range(nx) for y in range(ny)]
+    return (
+        -math.fsum(_plogq(j[c], j[c] / pt_y[c[0], c[2]]) for c in cells
+                   if pt_y[c[0], c[2]] > 0.0),
+        -math.fsum(_plogq(j[c], j[c] / pt_x[c[0], c[1]]) for c in cells
+                   if pt_x[c[0], c[1]] > 0.0),
+        -math.fsum(_plogq(j[c], j[c] / pt[c[0]]) for c in cells if pt[c[0]] > 0.0),
+    )
+
+
+def cost_report_reference(law):
+    profile = entropy_profile(law.prior)
+    h_x_g_ty, h_y_g_tx, h_xy_g_t = residual_entropies_reference(law)
+    return CostReport(
+        ic_internal=(profile.h_x_given_y - h_x_g_ty) + (profile.h_y_given_x - h_y_g_tx),
+        ic_external=profile.h_xy - h_xy_g_t,
+        ci_internal=h_x_g_ty + h_y_g_tx,
+        ci_external=h_xy_g_t,
+    )
+
+
+def sim_reference(law, dec):
+    """SIM transcript by transcript, each through ``JointDistribution``,
+    ``odot`` and ``entropy_profile``."""
+    mu = dec.pretend.as_joint().mass
+    nu = dec.reference
+    terms = []
+    for t in range(law.transcript_count()):
+        jt = mu * law.cond[t]
+        lam = math.fsum(jt.flat)
+        if lam <= 0.0:
+            continue
+        mu_t = JointDistribution(2, 2, jt / lam)
+        inner = float(np.sum(nu.mass * mu_t.mass))
+        if inner <= 0.0:
+            continue
+        profile = entropy_profile(odot(nu, mu_t))
+        terms.append(lam * inner * (profile.h_x_given_y + profile.h_y_given_x))
+    return math.fsum(terms)
+
+
+def walk_reference(tree, prior):
+    """The walk by sequential Bayes updates along every path:
+    ([(id, posterior, prob, output)] sorted by id, pruned ids)."""
+    leaves, pruned = [], []
+    stack = [(tree.root, "", prior.mass)]
+    while stack:
+        node, path, mass = stack.pop()
+        if isinstance(node, Leaf):
+            prob = math.fsum(mass.flat)
+            leaves.append((path, JointDistribution(tree.nx, tree.ny, mass / prob),
+                           prob, node.output))
+            continue
+        s = np.asarray(node.send_one_prob, dtype=float)
+        m1 = mass * (s[:, None] if node.owner == ALICE else s[None, :])
+        m0 = mass - m1
+        for bit, m in ((1, m1), (0, m0)):
+            if m.sum() <= 0.0:
+                pruned.append(path + str(bit))
+            else:
+                stack.append((node.child1 if bit else node.child0, path + str(bit), m))
+    leaves.sort(key=lambda leaf: leaf[0])
+    return leaves, pruned
+
+
+def potential_reference(tree, c, dec):
+    leaves, _ = walk_reference(tree, dec.pretend.as_joint())
+    return math.fsum(
+        prob * max(c - max(post.mass[1, :].sum(), post.mass[:, 1].sum()), 0.0) ** 2
+        for _, post, prob, _ in leaves
+    )
+
+
+def complete_reference(tree, f, prior):
+    """Zero-error completion keyed by path strings, with walk posteriors."""
+    table = np.asarray(f, dtype=object)
+    outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
+    posteriors = {path: post for path, post, _, _ in walk_reference(tree, prior)[0]}
+    support = prior.support()
+
+    def ask(owner, size, value, yes, no):
+        return Internal(owner, tuple(1.0 if v == value else 0.0 for v in range(size)),
+                        no, yes)
+
+    def verification(leaf, posterior):
+        px, py = posterior.marginal_x(), posterior.marginal_y()
+        node = leaf
+        for x in reversed(range(tree.nx)):
+            for y in reversed(range(tree.ny)):
+                if not support[x, y] or table[x, y] == leaf.output:
+                    continue
+                confirm = Leaf(table[x, y])
+                if px[x] <= py[y]:
+                    node = ask(ALICE, tree.nx, x, ask(BOB, tree.ny, y, confirm, node), node)
+                else:
+                    node = ask(BOB, tree.ny, y, ask(ALICE, tree.nx, x, confirm, node), node)
+        return node
+
+    done = {}
+    stack = [(tree.root, "", False)]
+    while stack:
+        node, path, expanded = stack.pop()
+        if isinstance(node, Leaf):
+            post = posteriors.get(path)
+            done[path] = node if post is None else verification(node, post)
+        elif not expanded:
+            stack.append((node, path, True))
+            stack.append((node.child1, path + "1", False))
+            stack.append((node.child0, path + "0", False))
+        else:
+            done[path] = Internal(node.owner, node.send_one_prob,
+                                  done[path + "0"], done[path + "1"])
+    return ProtocolTree(tree.nx, tree.ny, outputs, done[""],
+                        tree.depth_cap + 2 * tree.nx * tree.ny)
+
+
+def evaluate_error_reference(law, task):
+    """(error table, violation table or None), one transcript at a time."""
+    nx, ny = task.f.shape
+    err = np.zeros((nx, ny))
+    violation = np.zeros((nx, ny))
+    for t, out in enumerate(law.outputs):
+        wrong = np.array([[out != task.f[x, y] for y in range(ny)] for x in range(nx)])
+        err += law.cond[t] * wrong
+        if task.one_sided is not None:
+            z1, z0 = task.one_sided
+            excused = np.array([[task.f[x, y] == z1 and out == z0 for y in range(ny)]
+                                for x in range(nx)])
+            violation += law.cond[t] * (wrong & ~excused)
+    return err, (violation if task.one_sided is not None else None)
+
+
+def internal_ic_mc_reference(law, seed, samples=200_000):
+    rng = np.random.default_rng(seed)
+    j = law.joint()
+    T, nx, ny = j.shape
+    flat = j.reshape(-1)
+    flat = flat / flat.sum()
+    idx = rng.choice(flat.size, size=samples, p=flat)
+    t, rem = np.divmod(idx, nx * ny)
+    x, y = np.divmod(rem, ny)
+    cond_ty = np.einsum("txy,xy->ty", law.cond, law.prior.mass) / law.prior.marginal_y()
+    cond_tx = np.einsum("txy,xy->tx", law.cond, law.prior.mass) / law.prior.marginal_x()
+    vals = 2.0 * np.log2(law.cond[t, x, y]) - np.log2(cond_ty[t, y]) - np.log2(cond_tx[t, x])
+    return float(vals.mean())
+
+
+def external_ic_mc_reference(law, seed):
+    """External-cost Monte-Carlo with its own sampler and 200 000 draws;
+    ``external_ic``'s fallback must match it bit for bit."""
+    rng = np.random.default_rng(seed)
+    j = law.joint()
+    flat = j.reshape(-1) / j.sum()
+    idx = rng.choice(flat.size, size=200_000, p=flat)
+    T, nx, ny = j.shape
+    t, rem = np.divmod(idx, nx * ny)
+    x, y = np.divmod(rem, ny)
+    pt = j.sum(axis=(1, 2))
+    return float((np.log2(law.cond[t, x, y]) - np.log2(pt[t])).mean())

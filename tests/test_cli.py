@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infowalk import tree_to_json
+import infowalk
+from infowalk import JointDistribution, ic_and_zero, tree_to_json
 from infowalk.cli import main
 
 from helpers import exchange_tree
@@ -291,6 +294,20 @@ def test_disj_mc_deterministic(capsys, files):
     assert a["result"] == b["result"]
 
 
+def test_disj_mc_is_honoured_below_the_exact_cap(capsys, files):
+    tmp, _ = files
+    audit_path = str(tmp / "a.json")
+    code, out, err = run(
+        capsys, "disj", "--n", "2", "--eps", "0.1", "--mode", "mc", "--seed", "1",
+        "--and-grid", "16", "--out-audit", audit_path,
+    )
+    assert code == 0, err
+    assert "mode=mc" in out.split()
+    payload = json.loads((tmp / "a.json").read_text())
+    assert payload["config"]["params"]["mode"] == "mc"
+    assert payload["result"]["mode"] == "mc"
+
+
 def test_trivial_check_verdict(capsys, files):
     tmp, write = files
     table = write("xor.json", [[0, 1], [1, 0]])
@@ -352,3 +369,30 @@ def test_module_entry_point():
         text=True,
     )
     assert bad.returncode == 2
+
+
+def test_buzzer_at_65536_runs_direct_within_200_mb(tmp_path):
+    # 65537 transcripts × 4 inputs: within the direct-summation cell cap
+    script = (
+        "import resource, sys\n"
+        "from infowalk.cli import main\n"
+        "code = main(['buzzer', '--p', '0.5', '--q', '0.25', '--n', '65536',\n"
+        "             '--out-report', 'report.json'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    package_root = str(Path(infowalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    summary, status = done.stdout.splitlines()
+    code, max_rss_kb = map(int, status.split())
+    assert code == 0
+    assert max_rss_kb < 200 * 1024
+    internal = float(summary.split("internal=")[1].split()[0])
+    prior = JointDistribution.from_mass(np.outer([0.5, 0.5], [0.75, 0.25]))
+    assert abs(internal - ic_and_zero(prior)) <= 8.0 / 65536**2
+    report = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert report["ic_internal"] == internal

@@ -83,6 +83,33 @@ def test_trivial_when_intersection_unlikely():
     assert internal_ic(law) == 0.0
 
 
+def test_trivial_instance_samples_always_zero_runs():
+    thin = JointDistribution.from_mass([[0.7, 0.15], [0.14, 0.01]])
+    inst = DisjInstance.iid(thin, 2)
+    runs = disj_protocol(inst, 0.5, grid16, seed=1, sample=True, samples=10)
+    assert isinstance(runs, list) and len(runs) == 10
+    assert all(isinstance(r, DisjRunResult) for r in runs)
+    assert [(r.output, r.rounds_executed) for r in runs] == [(0, 0)] * 10
+    assert len({r.seed for r in runs}) == 10
+    with pytest.raises(PreconditionError):
+        disj_protocol(inst, 0.5, grid16, sample=True)
+
+
+def test_audit_mode_is_honoured_at_any_n():
+    inst = DisjInstance.iid(W, 2)
+    audit = disj_error_audit(inst, 0.1, grid8, seed=3, samples=20, mode="mc")
+    assert audit.mode == "mc"
+    truth = disj_table(2)
+    assert np.all(audit.per_input[truth == 0] == 0.0)
+    assert disj_error_audit(inst, 0.1, grid8).mode == "exact"
+    with pytest.raises(ResourceCapError):
+        disj_error_audit(DisjInstance.iid(W, 5), 0.1, grid4, mode="exact")
+    with pytest.raises(PreconditionError):
+        disj_error_audit(inst, 0.1, grid8, mode="mc")
+    with pytest.raises(PreconditionError):
+        disj_error_audit(inst, 0.1, grid8, mode="fast")
+
+
 def test_n1_reduces_to_the_subprotocol():
     inst = DisjInstance.iid(W, 1)
     eps = 0.05

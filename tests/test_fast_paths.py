@@ -1,0 +1,234 @@
+"""The array-valued fast paths against slow per-cell, per-transcript and
+per-path loops, which ``tests/helpers.py`` keeps as oracles.
+
+Tolerances: ``cost_report``, ``evaluate_error_law``, the transcript
+law itself and the Monte-Carlo estimates are bit-identical; ``sim`` agrees to
+1e-12 relative; walk posteriors, leaf probabilities and ``potential_of_tree``
+to 1e-12 absolute; completed trees serialize identically.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from infowalk import (
+    ALICE,
+    AND_TABLE,
+    BOB,
+    GridWalkSpec,
+    Internal,
+    JointDistribution,
+    Leaf,
+    ProtocolTree,
+    Task,
+    buzzer_grid_tree,
+    complete_to_zero_error,
+    cost_report,
+    evaluate_error_law,
+    external_ic,
+    flip_tree,
+    internal_ic,
+    law_of,
+    potential_of_tree,
+    sim,
+    symmetric_decomposition,
+    tree_to_json,
+    walk,
+)
+from infowalk import infocost
+from infowalk.infocost import external_ic_estimate, internal_ic_estimate
+
+from helpers import (
+    complete_reference,
+    cost_report_reference,
+    evaluate_error_reference,
+    external_ic_mc_reference,
+    internal_ic_mc_reference,
+    law_of_reference,
+    potential_reference,
+    random_law,
+    random_prior,
+    random_symmetric_decomposition,
+    random_tree,
+    sim_reference,
+    walk_reference,
+)
+
+POSTERIOR_TOL = 1e-12
+SIM_RTOL = 1e-12
+
+
+def coarse_tree(rng, nx, ny, depth=5):
+    """A random tree whose send probabilities are multiples of 1/4, so that
+    0 and 1 occur and some branches are unreachable."""
+
+    def build(d):
+        if d >= depth or (d > 0 and rng.random() < 0.3):
+            return Leaf(int(rng.integers(0, 2)))
+        owner, size = (ALICE, nx) if rng.random() < 0.5 else (BOB, ny)
+        probs = tuple(float(k) / 4.0 for k in rng.integers(0, 5, size=size))
+        return Internal(owner, probs, build(d + 1), build(d + 1))
+
+    return ProtocolTree(nx, ny, (0, 1), build(0))
+
+
+def sparse_prior(rng, nx, ny):
+    """A prior with some cells of mass exactly zero."""
+    mass = rng.dirichlet(np.ones(nx * ny)) * (rng.random(nx * ny) < 0.6)
+    if mass.sum() == 0.0:
+        mass[0] = 1.0
+    return JointDistribution.from_mass((mass / mass.sum()).reshape(nx, ny))
+
+
+def random_instances():
+    rng = np.random.default_rng(2024)
+    for k in range(40):
+        size = 2 + k % 2
+        if k % 4 < 2:
+            yield random_tree(rng, size, size, depth=5), random_prior(rng, size, size)
+        else:
+            yield coarse_tree(rng, size, size), sparse_prior(rng, size, size)
+
+
+INSTANCES = list(random_instances())
+
+
+def buzzer_instances():
+    rng = np.random.default_rng(7)
+    for n in (64, 256, 1024, 2048):
+        for full in (True, False):
+            q = int(rng.integers(8, 33)) / 64.0
+            s = rng.uniform(0.3, 0.6)
+            w11 = rng.uniform(0.05, 0.25) if full else 0.0
+            w = JointDistribution.from_mass(
+                [[1.0 - s - w11, s * q], [s * (1.0 - q), w11]]
+            )
+            dec = symmetric_decomposition(w)
+            spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
+            yield n, w, dec, buzzer_grid_tree(spec, dec)
+
+
+BUZZERS = list(buzzer_instances())
+BUZZER_IDS = [f"n{n}-{'full' if w.mass[1, 1] else 'zero11'}" for n, w, _, _ in BUZZERS]
+
+
+def assert_same_law(tree, prior):
+    law, ref = law_of(tree, prior), law_of_reference(tree, prior)
+    assert tuple(law.leaf_ids) == ref.leaf_ids
+    assert law.leaf_ids == ref.leaf_ids
+    assert np.array_equal(law.cond, ref.cond)
+    assert law.outputs == ref.outputs
+    return law
+
+
+def assert_same_walk(tree, prior):
+    got = walk(tree, prior)
+    leaves, pruned = walk_reference(tree, prior)
+    assert [wl.leaf_id for wl in got] == [leaf[0] for leaf in leaves]
+    assert got.pruned == tuple(pruned)
+    for wl, (_, posterior, prob, output) in zip(got, leaves):
+        assert wl.output == output
+        assert abs(wl.prob - prob) <= POSTERIOR_TOL
+        assert np.max(np.abs(wl.posterior.mass - posterior.mass)) <= POSTERIOR_TOL
+
+
+def assert_same_error(law, task):
+    report = evaluate_error_law(law, task)
+    err, violation = evaluate_error_reference(law, task)
+    assert report.max_pointwise == float(np.max(err))
+    weight = task.measure.mass
+    assert report.distributional == float(np.sum(weight * err))
+    if violation is not None:
+        assert report.one_sided_violation == float(np.sum(weight * violation))
+
+
+@pytest.mark.parametrize("k", range(len(INSTANCES)))
+def test_random_trees_match_the_slow_loops(k):
+    tree, prior = INSTANCES[k]
+    law = assert_same_law(tree, prior)
+    assert cost_report(law) == cost_report_reference(law)
+    assert_same_walk(tree, prior)
+    table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny)).tolist()
+    assert_same_error(law, Task(table, 1.0, "distributional", measure=prior))
+    assert_same_error(law, Task(table, 1.0, "distributional", measure=prior,
+                                one_sided=(1, 0)))
+    completed = complete_to_zero_error(tree, table, prior)
+    assert tree_to_json(completed) == tree_to_json(complete_reference(tree, table, prior))
+
+
+def test_error_tables_add_in_transcript_order():
+    # many transcripts with both outputs, so that a pairwise sum would differ
+    rng = np.random.default_rng(17)
+    for size in (2, 3):
+        law = random_law(rng, size, size, transcripts=400)
+        table = rng.integers(0, 2, size=(size, size)).tolist()
+        assert_same_error(law, Task(table, 1.0, "distributional", measure=law.prior,
+                                    one_sided=(1, 0)))
+
+
+def test_entropy_terms_use_libm_log2():
+    # one cell per sum, so each sum is its single term: numpy's log2 would
+    # differ from libm's on a few of these arguments
+    rng = np.random.default_rng(23)
+    for p, m in rng.uniform(1e-6, 1.0, size=(3000, 2)):
+        m = max(p, m)
+        got = infocost._neg_plogq_sums(np.array([p]), np.array([p]), [np.array([m])])
+        assert got == (-(p * math.log2(p / m)) if p != m else -0.0,)
+
+
+def test_sim_and_potential_on_random_two_by_two_trees():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        dec = random_symmetric_decomposition(rng)
+        tree = random_tree(rng, 2, 2, depth=5)
+        law = law_of(tree, dec.compose())
+        assert sim(law, dec) == pytest.approx(sim_reference(law, dec), rel=SIM_RTOL)
+        c = float(rng.uniform(0.2, 0.95))
+        assert abs(potential_of_tree(tree, c, dec) - potential_reference(tree, c, dec)) \
+            <= POSTERIOR_TOL
+
+
+@pytest.mark.parametrize("n, w, dec, tree", BUZZERS, ids=BUZZER_IDS)
+def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
+    law = assert_same_law(tree, w)
+    assert cost_report(law) == cost_report_reference(law)
+    assert sim(law, dec) == pytest.approx(sim_reference(law, dec), rel=SIM_RTOL)
+    assert abs(potential_of_tree(tree, 0.8, dec) - potential_reference(tree, 0.8, dec)) \
+        <= POSTERIOR_TOL
+    assert_same_walk(tree, dec.pretend.as_joint())
+    flipped = flip_tree(tree, 0, 1, 0.05)
+    completed = complete_to_zero_error(flipped, AND_TABLE, w)
+    assert tree_to_json(completed) == tree_to_json(
+        complete_reference(flipped, AND_TABLE, w)
+    )
+    law_c = assert_same_law(completed, w)
+    assert cost_report(law_c) == cost_report_reference(law_c)
+    assert_same_error(law_c, Task(AND_TABLE, 1.0, "distributional", measure=w,
+                                  one_sided=(1, 0)))
+
+
+def test_leaf_ids_behave_as_a_tuple_of_strings():
+    # the hand-enumerated walk from (2/4, 1/4): four phases, then the corner
+    law = law_of(buzzer_grid_tree(GridWalkSpec(4, 2, 1)), JointDistribution.uniform(2, 2))
+    ids = law.leaf_ids
+    as_tuple = tuple(ids)
+    assert as_tuple == ("0", "10", "110", "1110", "1111")
+    assert len(ids) == 5 and ids[-1] == "1111" and ids[2] == "110"
+    assert ids == as_tuple and ids == list(as_tuple) and ids != as_tuple[:-1]
+    assert "110" in ids and ids.index("1110") == 3
+    with pytest.raises(IndexError):
+        ids[5]
+
+
+def test_monte_carlo_estimates_are_unchanged_and_share_one_sampler(monkeypatch):
+    rng = np.random.default_rng(5)
+    law = random_law(rng, 2, 3, transcripts=7)
+    exact = cost_report(law).ic_external
+    monkeypatch.setattr(infocost, "DIRECT_CELL_CAP", 0)
+    assert internal_ic(law, seed=11) == internal_ic_mc_reference(law, 11)
+    assert external_ic(law, seed=11) == external_ic_mc_reference(law, 11)
+    est = external_ic_estimate(law, seed=11, samples=50_000)
+    assert est.samples == 50_000 and 0.0 < est.stderr < 0.05
+    assert est.value == pytest.approx(exact, abs=5 * est.stderr)
+    assert internal_ic_estimate(law, seed=11, samples=50_000).samples == 50_000

@@ -27,6 +27,7 @@ from infowalk import (
     sim,
     walk,
 )
+from infowalk.infocost import DIRECT_CELL_CAP
 
 from helpers import (
     exchange_tree,
@@ -189,7 +190,7 @@ def test_internal_ic_estimate_agrees_with_direct():
 
 
 def test_resource_cap_and_sampled_fallback():
-    T = 2**16 + 4
+    T = DIRECT_CELL_CAP // 4 + 4  # just over the cell cap on a 2x2 prior
     prior = JointDistribution.uniform(2, 2)
     cond = np.full((T, 2, 2), 1.0 / T)
     law = TranscriptLaw(prior, tuple(f"t{k}" for k in range(T)), cond)

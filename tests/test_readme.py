@@ -3,9 +3,12 @@
 The command after ``$`` is run in-process and its stdout is compared with
 the lines printed under it, token by token: ``key=value`` tokens match when
 the keys are equal and the values agree as floats to 1e-9 relative; any
-other token must match exactly.
+other token must match exactly.  Every file an example writes must also
+match, byte for byte, the sha256 recorded in ``ARTIFACT_SHA256``: the CLI
+promises byte-identical artifacts, which stdout at 1e-9 cannot show.
 """
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -27,6 +30,24 @@ INPUTS = {
     "uniform2x2.json": json.dumps([[0.25, 0.25], [0.25, 0.25]]),
     "xor.json": json.dumps([[0, 1], [1, 0]]),
     "diag.json": json.dumps({"mass": [[0.5, 0.0], [0.0, 0.5]]}),
+}
+
+# sha256 of each file the README examples write, keyed by command; an
+# example that writes no file has no entry
+ARTIFACT_SHA256 = {
+    "optimize": {
+        "opt.json": "17f4377c1d39ca83a808522f828b6a6a46d9d72b06aa05331368f13f411436c0",
+    },
+    "buzzer": {
+        "law.csv": "484f29f1cbb3948c070aebd20a120d8a021c31183c2117141e781d1fd310f479",
+        "report.json": "4a0acf08983600467e38be2541dd032f0b0e75ae0da255dd323aff3c239874f2",
+    },
+    "tradeoff": {
+        "curve.csv": "ff464c857771ad0efc73660a3d4104ae4c7fd5944a919a3f0f0d97a45918b967",
+    },
+    "disj": {
+        "audit.json": "fd0da66c1f726fc5d2cf5fdb777f0a8a34918f94b5189208dbd1208573d31ed6",
+    },
 }
 
 
@@ -79,3 +100,9 @@ def test_readme_example(argv, expected, tmp_path, monkeypatch, capsys):
     assert len(got) == len(want), captured.out
     for g, w in zip(got, want):
         assert same_token(g, w), f"stdout token {g!r}, README {w!r}"
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if path.name not in INPUTS
+    }
+    assert written == ARTIFACT_SHA256.get(argv[0], {})
