@@ -33,6 +33,15 @@ from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, internal_ic
 
 EXACT_COORD_CAP = 4
+# The Monte-Carlo audit walks its runs in batches of at most this many
+# (run, coordinate) draws.  A batch peaks at about 40 bytes a draw (10.6 MB,
+# measured with tracemalloc).
+MC_CHUNK_DRAWS = 2**18
+# The Monte-Carlo audit makes 4ⁿ · samples · n draws, at about 45 ns each,
+# and keeps a few 4ⁿ-cell tables.  At n = 10 with 3 samples (31.5M draws)
+# `disj --and-grid 8` takes 1.8 s at 77 MB peak RSS on a 2-core host; n = 11
+# needs 46M draws even at one sample, so the cap also bounds the tables.
+MC_DRAW_CAP = 2**25
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
 # closed-form cost anchors the analytic bound curve
@@ -120,15 +129,19 @@ def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
 
 
 def _coordinate_laws(inst: DisjInstance, eps_round: float, and_factory):
+    """The AND law of every coordinate, built once per distinct prior."""
+    built = {}
     laws = []
     for i, w in enumerate(inst.coord_priors):
-        try:
-            law = and_factory(w, eps_round)
-        except Exception as exc:
-            raise ProtocolError(
-                f"AND factory failed on coordinate {i}: {exc}"
-            ) from exc
-        laws.append(law)
+        key = w.mass.tobytes()
+        if key not in built:
+            try:
+                built[key] = and_factory(w, eps_round)
+            except Exception as exc:
+                raise ProtocolError(
+                    f"AND factory failed on coordinate {i}: {exc}"
+                ) from exc
+        laws.append(built[key])
     return laws
 
 
@@ -209,16 +222,33 @@ def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
     )
 
 
-def _run_once(rng, inst: DisjInstance, laws, x: int, y: int):
-    """Execute the protocol once on a fixed composite input."""
-    sigma = rng.permutation(inst.n)
-    for j, coord in enumerate(sigma):
-        law = laws[coord]
-        xb, yb = (x >> int(coord)) & 1, (y >> int(coord)) & 1
-        t = rng.choice(len(law.leaf_ids), p=law.cond[:, xb, yb])
-        if law.outputs[t] == 1:
-            return 1, j + 1
-    return 0, inst.n
+def _sample_runs(rng, says: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """One run of the protocol on each composite input (x[i], y[i]).
+
+    ``says`` stacks the n tables o_c = Pr[round c says 1 | a, b].  A run
+    draws, per coordinate, a key and a uniform u from one (runs, 2, n) array,
+    so that splitting the runs into batches leaves the random stream
+    unchanged.  The rounds run in the order of the keys (their argsort is a
+    uniform permutation), and round c says 1 when u < o_c(x_c, y_c); a
+    round's transcript matters only through that.  The first round to say 1
+    is the one with the smallest key among those saying 1, and its position
+    is 1 + the number of smaller keys.  Returns (output, rounds), with n
+    rounds when none says 1."""
+    n = len(says)
+    coords = np.arange(n)
+    hit_p = says[coords, (x[:, None] >> coords) & 1, (y[:, None] >> coords) & 1]
+    draw = rng.random((x.size, 2, n))
+    keys = draw[:, 0]
+    hit = draw[:, 1] < hit_p
+    first = np.where(hit, keys, np.inf).min(axis=1)
+    output = hit.any(axis=1)
+    rounds = np.where(output, 1 + np.sum(keys < first[:, None], axis=1), n)
+    return output, rounds
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise PreconditionError(f"samples = {samples!r}; need at least 1")
 
 
 def disj_protocol(
@@ -239,8 +269,10 @@ def disj_protocol(
     meets the budget: exact mode returns its one-transcript law, and sampled
     mode its runs, each answering 0 after no rounds."""
     eps_round = _round_budget(inst, epsilon)
-    if sample and seed is None:
-        raise PreconditionError("sampled mode needs a seed")
+    if sample:
+        if seed is None:
+            raise PreconditionError("sampled mode needs a seed")
+        _check_samples(samples)
     children = np.random.SeedSequence(seed).spawn(samples) if sample else ()
     if eps_round is None:
         if sample:
@@ -256,13 +288,13 @@ def disj_protocol(
         return _composite_law(inst, laws)
     prior = inst.joint_prior()
     flat = prior.mass.reshape(-1)
+    says = np.stack([_says_one(law) for law in laws])
     results = []
     for child in children:
         rng = np.random.default_rng(child)
-        cell = rng.choice(flat.size, p=flat)
-        x, y = divmod(int(cell), prior.ny)
-        out, rounds = _run_once(rng, inst, laws, x, y)
-        results.append(DisjRunResult(out, rounds, child.spawn_key[-1]))
+        x, y = divmod(int(rng.choice(flat.size, p=flat)), prior.ny)
+        out, rounds = _sample_runs(rng, says, np.array([x]), np.array([y]))
+        results.append(DisjRunResult(int(out[0]), int(rounds[0]), child.spawn_key[-1]))
     return results
 
 
@@ -292,7 +324,8 @@ def disj_error_audit(
     """Exact or Monte-Carlo error table of the protocol.
 
     ``mode`` is "exact" (at most EXACT_COORD_CAP coordinates) or "mc" (needs
-    a seed); by default it is exact whenever n allows.
+    a seed, and at most MC_DRAW_CAP draws of 4ⁿ · samples · n, checked
+    before any table is built); by default it is exact whenever n allows.
 
     The exact table comes from the coordinate laws alone.  Whatever the
     permutation, the protocol answers 0 exactly when no round says 1, which
@@ -301,9 +334,11 @@ def disj_error_audit(
     factors, so a disjoint input (every o_c exactly 0 for one-sided rounds)
     has error exactly 0.  The expected rounds are Σ_c Pr[round c runs].  When
     the always-0 protocol meets the budget, both modes report its exact
-    error: 1 on every intersecting input, and no rounds."""
-    truth = disj_table(inst.n)
-    prior = inst.joint_prior()
+    error: 1 on every intersecting input, and no rounds.
+
+    The Monte-Carlo table runs the protocol ``samples`` times on every
+    composite input, through the same sampler as ``disj_protocol``'s sampled
+    mode; it too reads exactly 0 on disjoint inputs of one-sided rounds."""
     eps_round = _round_budget(inst, epsilon)
     mode = mode or ("exact" if inst.n <= EXACT_COORD_CAP else "mc")
     if mode not in ("exact", "mc"):
@@ -312,10 +347,19 @@ def disj_error_audit(
         raise ResourceCapError(
             f"exact audit supports n <= {EXACT_COORD_CAP} coordinates, got {inst.n}"
         )
-    if mode == "mc" and seed is None:
-        raise PreconditionError("Monte-Carlo audit needs a seed")
+    if mode == "mc":
+        if seed is None:
+            raise PreconditionError("Monte-Carlo audit needs a seed")
+        _check_samples(samples)
+        draws = 4**inst.n * samples * inst.n
+        if draws > MC_DRAW_CAP:
+            raise ResourceCapError(
+                f"Monte-Carlo audit of n = {inst.n} with {samples} samples per "
+                f"input needs {draws} draws, over the cap of {MC_DRAW_CAP}"
+            )
+    prior = inst.joint_prior()
     if eps_round is None:
-        err = truth.astype(float)
+        err = disj_table(inst.n).astype(float)
         return DisjAudit(
             float(np.sum(prior.mass * err)), err, 0.0, 0.0, True, mode
         )
@@ -324,34 +368,40 @@ def disj_error_audit(
         silent = np.ones((1, 1))
         for law in reversed(laws):  # the last factor is coordinate 0, bit 0
             silent = np.kron(silent, 1.0 - _says_one(law))
-        err = np.where(truth == 1, silent, 1.0 - silent)
-        return DisjAudit(
-            distributional=float(np.sum(prior.mass * err)),
-            per_input=err,
-            eps_round=eps_round,
-            expected_rounds=float(np.sum(_reach(inst, laws))),
-            trivial=False,
-            mode=mode,
-        )
-    err = np.zeros_like(prior.mass)
-    rounds_sum = 0.0
-    rng = np.random.default_rng(seed)
-    for x in range(prior.nx):
-        for y in range(prior.ny):
-            wrong = 0
-            for _ in range(samples):
-                out, rounds = _run_once(rng, inst, laws, x, y)
-                wrong += out != truth[x, y]
-                rounds_sum += rounds * prior.mass[x, y]
-            err[x, y] = wrong / samples
+        err = np.where(disj_table(inst.n) == 1, silent, 1.0 - silent)
+        rounds = float(np.sum(_reach(inst, laws)))
+    else:
+        err, rounds = _mc_tables(inst.n, laws, prior.mass, seed, samples)
     return DisjAudit(
         distributional=float(np.sum(prior.mass * err)),
         per_input=err,
         eps_round=eps_round,
-        expected_rounds=float(rounds_sum) / samples,
+        expected_rounds=rounds,
         trivial=False,
         mode=mode,
     )
+
+
+def _mc_tables(n: int, laws, mass: np.ndarray, seed: int, samples: int):
+    """Monte-Carlo error table and expected rounds: ``samples`` runs per
+    composite input, input-major, in batches of at most MC_CHUNK_DRAWS
+    (run, coordinate) draws.  Counts are kept per input as exact integers,
+    so the result depends on the seed alone, not on the batch size."""
+    says = np.stack([_says_one(law) for law in laws])
+    runs = mass.size * samples
+    wrong = np.zeros(mass.size)
+    rounds = np.zeros(mass.size)
+    rng = np.random.default_rng(seed)
+    step = max(1, MC_CHUNK_DRAWS // n)
+    for start in range(0, runs, step):
+        cell = np.arange(start, min(start + step, runs)) // samples
+        x, y = cell >> n, cell & (2**n - 1)
+        output, ran = _sample_runs(rng, says, x, y)
+        seen = slice(cell[0], cell[-1] + 1)
+        wrong[seen] += np.bincount(cell - cell[0], weights=output != ((x & y) != 0))
+        rounds[seen] += np.bincount(cell - cell[0], weights=ran)
+    err = (wrong / samples).reshape(mass.shape)
+    return err, float(np.sum(mass.reshape(-1) * rounds)) / samples
 
 
 def disj_ic_exact(

@@ -339,3 +339,36 @@ def external_ic_mc_reference(law, seed):
     x, y = np.divmod(rem, ny)
     pt = j.sum(axis=(1, 2))
     return float((np.log2(law.cond[t, x, y]) - np.log2(pt[t])).mean())
+
+
+def disj_run_reference(rng, inst, laws, x, y):
+    """One run of the permuted-AND DISJ protocol on composite input (x, y):
+    a fresh permutation, then one transcript drawn per round from the
+    coordinate's AND law until a round answers 1.  Returns (output, rounds)."""
+    sigma = rng.permutation(inst.n)
+    for j, coord in enumerate(sigma):
+        law = laws[coord]
+        xb, yb = (x >> int(coord)) & 1, (y >> int(coord)) & 1
+        t = rng.choice(len(law.leaf_ids), p=law.cond[:, xb, yb])
+        if law.outputs[t] == 1:
+            return 1, j + 1
+    return 0, inst.n
+
+
+def disj_mc_audit_reference(inst, laws, seed, samples):
+    """(per_input, expected_rounds) by ``samples`` reference runs on every
+    composite input, one at a time."""
+    size = 2**inst.n
+    mass = inst.joint_prior().mass
+    err = np.zeros((size, size))
+    rounds_sum = 0.0
+    rng = np.random.default_rng(seed)
+    for x in range(size):
+        for y in range(size):
+            wrong = 0
+            for _ in range(samples):
+                out, rounds = disj_run_reference(rng, inst, laws, x, y)
+                wrong += out != int((x & y) != 0)
+                rounds_sum += rounds * mass[x, y]
+            err[x, y] = wrong / samples
+    return err, rounds_sum / samples

@@ -282,6 +282,20 @@ def test_disj_mc_needs_seed(capsys):
     assert run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "mc")[0] == 2
 
 
+def test_disj_mc_samples_must_be_positive(capsys):
+    code, out, err = run(capsys, "disj", "--n", "2", "--eps", "0.1", "--mode", "mc",
+                         "--seed", "1", "--samples", "0")
+    assert code == 2 and out == ""
+    assert "precondition" in err and "samples" in err
+
+
+def test_disj_mc_draw_cap_is_code_3(capsys):
+    code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--mode", "mc",
+                         "--seed", "1", "--samples", "1", "--and-grid", "8")
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "draws" in err
+
+
 def test_disj_mc_deterministic(capsys, files):
     tmp, _ = files
     a_path, b_path = str(tmp / "a.json"), str(tmp / "b.json")

@@ -20,7 +20,7 @@ from infowalk.distributions import JointDistribution, truncated_entropy
 from infowalk.errors import PreconditionError, ProtocolError, ResourceCapError
 from infowalk.infocost import TranscriptLaw, internal_ic
 
-from helpers import random_prior
+from helpers import disj_mc_audit_reference, disj_run_reference, random_prior
 
 W = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
 UNIFORM = JointDistribution.uniform(2, 2)
@@ -402,3 +402,153 @@ def test_trivial_audit_reports_the_always_zero_error(n, mode):
     assert np.array_equal(audit.per_input, disj_table(n).astype(float))
     assert audit.distributional == pytest.approx(inst.p_one, abs=1e-12)
     assert audit.expected_rounds == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the vectorized Monte-Carlo sampler against the exact audit and the
+# one-run-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def round_moments(inst, laws):
+    """Exact E[rounds] and E[rounds²] on every composite input, flattened, by
+    enumerating the n! orders: the run stops at the first round saying 1."""
+    says = np.stack([
+        law.cond[[t for t, o in enumerate(law.outputs) if o == 1]].sum(axis=0)
+        for law in laws
+    ])
+    size = 2**inst.n
+    cells = np.arange(size * size)
+    x, y = cells // size, cells % size
+    o = np.stack([says[c, (x >> c) & 1, (y >> c) & 1] for c in range(inst.n)])
+    orders = list(permutations(range(inst.n)))
+    m1 = np.zeros(cells.size)
+    m2 = np.zeros(cells.size)
+    for sigma in orders:
+        alive = np.ones(cells.size)
+        for j, c in enumerate(sigma, start=1):
+            stop = alive if j == inst.n else alive * o[c]
+            m1 += j * stop
+            m2 += j * j * stop
+            alive = alive * (1.0 - o[c])
+    return m1 / len(orders), m2 / len(orders)
+
+
+def audit_fields(audit):
+    return (audit.distributional, audit.per_input.tolist(), audit.eps_round,
+            audit.expected_rounds, audit.trivial, audit.mode)
+
+
+def assert_within_5_se(inst, laws, exact, err, rounds, samples):
+    p = exact.per_input
+    assert np.all(np.abs(err - p) <= 5.0 * np.sqrt(p * (1.0 - p) / samples) + 1e-12)
+    mass = inst.joint_prior().mass.reshape(-1)
+    m1, m2 = round_moments(inst, laws)
+    assert float(np.sum(mass * m1)) == pytest.approx(exact.expected_rounds, abs=1e-12)
+    se = math.sqrt(float(np.sum(mass**2 * (m2 - m1**2))) / samples)
+    assert abs(rounds - exact.expected_rounds) <= 5.0 * se
+
+
+@pytest.mark.parametrize("factory", [grid16, leaky], ids=["grid16", "leaky"])
+@pytest.mark.parametrize(
+    "priors", [(UNIFORM, W), (UNIFORM, W, HARDEST_ZERO_DIAG_PRIOR)], ids=["n2", "n3"]
+)
+def test_mc_audit_agrees_with_exact_within_5_se(priors, factory):
+    inst = DisjInstance.from_priors(priors)
+    exact = disj_error_audit(inst, 0.1, factory)
+    laws = [factory(w, exact.eps_round) for w in priors]
+    mc = disj_error_audit(inst, 0.1, factory, seed=11, samples=4000, mode="mc")
+    assert mc.mode == "mc" and mc.eps_round == exact.eps_round
+    assert_within_5_se(inst, laws, exact, mc.per_input, mc.expected_rounds, 4000)
+    assert mc.distributional == pytest.approx(
+        float(np.sum(inst.joint_prior().mass * mc.per_input)), abs=1e-15
+    )
+    err, rounds = disj_mc_audit_reference(inst, laws, seed=12, samples=200)
+    assert_within_5_se(inst, laws, exact, err, rounds, 200)
+
+
+def test_mc_audit_is_fixed_by_its_seed_not_its_batches(monkeypatch):
+    inst = DisjInstance.from_priors((W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR))
+    first = disj_error_audit(inst, 0.1, grid8, seed=5, samples=7, mode="mc")
+    assert audit_fields(disj_error_audit(
+        inst, 0.1, grid8, seed=5, samples=7, mode="mc")) == audit_fields(first)
+    assert audit_fields(disj_error_audit(
+        inst, 0.1, grid8, seed=6, samples=7, mode="mc")) != audit_fields(first)
+    # 448 runs of 3 draws: batches of 7 runs, of 1 run, and of 13 runs that
+    # end inside an input's samples all replay the same stream
+    for chunk in (21, 1, 40):
+        monkeypatch.setattr(disjointness, "MC_CHUNK_DRAWS", chunk)
+        again = disj_error_audit(inst, 0.1, grid8, seed=5, samples=7, mode="mc")
+        assert audit_fields(again) == audit_fields(first)
+
+
+def test_sampled_runs_match_the_reference_runs():
+    inst = DisjInstance.from_priors((W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR))
+    eps = 0.1
+    runs = disj_protocol(inst, eps, grid16, seed=3, sample=True, samples=3000)
+    eps_round = eps / (2.0 * inst.p_one)
+    laws = [grid16(w, eps_round) for w in inst.coord_priors]
+    flat = inst.joint_prior().mass.reshape(-1)
+    rng = np.random.default_rng(4)
+    reference = []
+    for _ in range(3000):
+        x, y = divmod(int(rng.choice(flat.size, p=flat)), 2**inst.n)
+        reference.append(disj_run_reference(rng, inst, laws, x, y))
+    ours = [(r.output, r.rounds_executed) for r in runs]
+    outcomes = set(ours) | set(reference)
+    assert outcomes <= {(1, 1), (1, 2), (1, 3), (0, 3)}
+    for outcome in outcomes:
+        a, b = ours.count(outcome) / 3000, reference.count(outcome) / 3000
+        pooled = 0.5 * (a + b)
+        assert abs(a - b) <= 5.0 * math.sqrt(pooled * (1.0 - pooled) * 2 / 3000)
+
+
+def test_samples_must_be_positive():
+    inst = DisjInstance.iid(W, 2)
+    for samples in (0, -3):
+        with pytest.raises(PreconditionError):
+            disj_error_audit(inst, 0.1, grid8, seed=1, samples=samples, mode="mc")
+        with pytest.raises(PreconditionError):
+            disj_protocol(inst, 0.1, grid8, seed=1, sample=True, samples=samples)
+
+
+def test_mc_draw_cap_is_checked_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(DisjInstance, "joint_prior", forbidden)
+    with pytest.raises(ResourceCapError, match="draws"):
+        disj_error_audit(DisjInstance.iid(W, 11), 0.1, forbidden, seed=1,
+                         samples=1, mode="mc")
+    monkeypatch.undo()
+    # the cap counts 4ⁿ · samples · n draws: 16 · 3 · 2 = 96 fits, 128 does not
+    monkeypatch.setattr(disjointness, "MC_DRAW_CAP", 96)
+    inst = DisjInstance.iid(W, 2)
+    assert disj_error_audit(inst, 0.1, grid8, seed=1, samples=3, mode="mc").mode == "mc"
+    with pytest.raises(ResourceCapError):
+        disj_error_audit(inst, 0.1, grid8, seed=1, samples=4, mode="mc")
+
+
+def test_factory_runs_once_per_distinct_prior():
+    calls = []
+
+    def counting(prior, eps):
+        calls.append(prior.mass.tobytes())
+        return grid8(prior, eps)
+
+    inst = DisjInstance.iid(W, 4)
+    disj_error_audit(inst, 0.1, counting)
+    assert len(calls) == 1
+    disj_ic_exact(inst, 0.1, counting)
+    assert len(calls) == 2
+    calls.clear()
+    mixed = DisjInstance.from_priors((W, UNIFORM, W, UNIFORM))
+    disj_error_audit(mixed, 0.1, counting, seed=1, samples=1, mode="mc")
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+    def fails_off_w(prior, eps):
+        if prior is not W:
+            raise ValueError("unsupported prior")
+        return grid8(prior, eps)
+
+    with pytest.raises(ProtocolError, match="coordinate 1: unsupported prior"):
+        disj_error_audit(mixed, 0.1, fails_off_w)
