@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,7 +87,6 @@ class ExperimentConfig:
     inputs: tuple = ()
     outputs: tuple = ()
     params: tuple = ()
-    fmt: str = "json"
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -98,10 +97,10 @@ class ExperimentConfig:
                 f"{self.command}: sampled mode selected without --seed"
             )
 
-    def echo(self) -> dict:
+    def echo(self, fmt: str) -> dict:
         return {
             "command": self.command,
-            "format": self.fmt,
+            "format": fmt,
             "inputs": dict(self.inputs),
             "outputs": dict(self.outputs),
             "params": dict(self.params),
@@ -119,17 +118,15 @@ def _render(value):
 
 
 def _write_json(path: str, config: ExperimentConfig, result: dict) -> None:
-    config = replace(config, fmt="json")
-    payload = {"config": config.echo(), "result": result}
+    payload = {"config": config.echo("json"), "result": result}
     text = json.dumps(payload, sort_keys=True, indent=2, default=_render) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def _write_csv(path: str, config: ExperimentConfig, header, rows, notes=()) -> None:
-    config = replace(config, fmt="csv")
     lines = [f"# infowalk {__version__}"]
-    lines.append("# config " + json.dumps(config.echo(), sort_keys=True))
+    lines.append("# config " + json.dumps(config.echo("csv"), sort_keys=True))
     lines.extend(f"# {note}" for note in notes)
     lines.append(",".join(header))
     lines.extend(",".join(_render(cell) for cell in row) for row in rows)
@@ -191,8 +188,8 @@ def _parse_eps_list(raw: str):
     return values
 
 
-def _config_from(args, inputs=(), outputs=(), exclude=()) -> ExperimentConfig:
-    skip = {"func", "command", "format", "seed", *inputs, *outputs, *exclude}
+def _config_from(args, inputs=(), outputs=()) -> ExperimentConfig:
+    skip = {"func", "command", "seed", *inputs, *outputs}
     params = tuple(
         sorted(
             (name, value)
@@ -209,7 +206,6 @@ def _config_from(args, inputs=(), outputs=(), exclude=()) -> ExperimentConfig:
             sorted((n, getattr(args, n)) for n in outputs if getattr(args, n))
         ),
         params=params,
-        fmt=getattr(args, "format", "json"),
         seed=getattr(args, "seed", None),
     )
 

@@ -12,8 +12,8 @@ posterior of a later coordinate and each round's prior is just its
 coordinate's marginal law.  The exact cost and error audit therefore factor
 over the n per-coordinate AND laws: a coordinate's round runs with the
 probability that every round drawn before it said 0, and pays its AND cost
-when it does.  The composite law over all 4ⁿ inputs (``disj_protocol``'s
-exact mode) stays the definition they are checked against.  Composite inputs
+when it does.  The composite law over all 4ⁿ inputs (``disj_protocol``)
+stays the definition they are checked against.  Composite inputs
 are encoded as integers whose bit i is coordinate i; intersection is then
 literally ``x & y``.
 """
@@ -21,7 +21,7 @@ literally ``x & y``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -59,28 +59,24 @@ def default_and_factory(prior: JointDistribution, epsilon: float) -> TranscriptL
 class DisjInstance:
     """A product-form input law: one independent 2x2 prior per coordinate."""
 
-    n: int
     coord_priors: tuple
-    p_one: float  # probability that the sets intersect
+    n: int = field(init=False)
+    p_one: float = field(init=False)  # probability that the sets intersect
 
     def __post_init__(self):
-        if self.n < 1 or len(self.coord_priors) != self.n:
-            raise PreconditionError("need one coordinate prior per coordinate")
+        if not self.coord_priors:
+            raise PreconditionError("need at least one coordinate prior")
         for w in self.coord_priors:
             if (w.nx, w.ny) != (2, 2):
                 raise PreconditionError("coordinate priors must be 2x2")
-        recomputed = 1.0 - math.prod(1.0 - w.mass[1, 1] for w in self.coord_priors)
-        if not (0.0 <= self.p_one <= 1.0) or abs(self.p_one - recomputed) > 1e-10:
-            raise PreconditionError(
-                f"p_one = {self.p_one!r} inconsistent with the coordinate priors "
-                f"(recomputed {recomputed!r})"
-            )
+        object.__setattr__(self, "n", len(self.coord_priors))
+        object.__setattr__(self, "p_one", 1.0 - math.prod(
+            1.0 - float(w.mass[1, 1]) for w in self.coord_priors
+        ))
 
     @classmethod
     def from_priors(cls, coord_priors) -> "DisjInstance":
-        priors = tuple(coord_priors)
-        p = 1.0 - math.prod(1.0 - float(w.mass[1, 1]) for w in priors)
-        return cls(len(priors), priors, p)
+        return cls(tuple(coord_priors))
 
     @classmethod
     def iid(cls, w: JointDistribution, n: int) -> "DisjInstance":
@@ -95,20 +91,6 @@ class DisjInstance:
             xb = (np.arange(size) >> i) & 1
             mass *= w.mass[np.ix_(xb, xb)]
         return JointDistribution.from_mass(mass)
-
-
-@dataclass(frozen=True)
-class DisjRunResult:
-    """One sampled execution: the answer and how many rounds ran (none for
-    the always-0 protocol of a trivial instance)."""
-
-    output: int
-    rounds_executed: int
-    seed: int
-
-    def __post_init__(self):
-        if self.rounds_executed < 0:
-            raise PreconditionError("a run cannot execute a negative number of rounds")
 
 
 def disj_table(n: int) -> np.ndarray:
@@ -172,13 +154,6 @@ def _reach(inst: DisjInstance, laws) -> np.ndarray:
     before = np.cumprod(np.vstack([ones, factors[:-1]]), axis=0)
     after = np.cumprod(np.vstack([ones, factors[:0:-1]]), axis=0)[::-1]
     return (before * after) @ (0.5 * weights)
-
-
-def _trivial_law(inst: DisjInstance) -> TranscriptLaw:
-    prior = inst.joint_prior()
-    return TranscriptLaw(
-        prior, ("",), np.ones((1, prior.nx, prior.ny)), (0,)
-    )
 
 
 def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
@@ -246,56 +221,27 @@ def _sample_runs(rng, says: np.ndarray, x: np.ndarray, y: np.ndarray):
     return output, rounds
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise PreconditionError(f"samples = {samples!r}; need at least 1")
-
-
 def disj_protocol(
     inst: DisjInstance,
     epsilon: float,
     and_factory: Callable = default_and_factory,
-    seed: Optional[int] = None,
-    sample: bool = False,
-    samples: int = 1000,
-):
-    """The permuted-AND protocol at distributional error budget epsilon.
+) -> TranscriptLaw:
+    """The permuted-AND protocol at distributional error budget epsilon, as
+    its exact composite TranscriptLaw (at most EXACT_COORD_CAP coordinates).
 
-    Each round solves one-sided AND at budget epsilon/(2 p_one); exact mode
-    (n ≤ 4) returns the full composite TranscriptLaw, and sampled mode returns
-    a list of DisjRunResult with inputs drawn from the product law, one
-    spawned child seed per run so runs can be distributed.  When the sets
-    intersect with probability below epsilon the always-0 protocol already
-    meets the budget: exact mode returns its one-transcript law, and sampled
-    mode its runs, each answering 0 after no rounds."""
+    Each round solves one-sided AND at budget epsilon/(2 p_one).  When the
+    sets intersect with probability below epsilon the always-0 protocol
+    already meets the budget, and its one-transcript law is returned."""
     eps_round = _round_budget(inst, epsilon)
-    if sample:
-        if seed is None:
-            raise PreconditionError("sampled mode needs a seed")
-        _check_samples(samples)
-    children = np.random.SeedSequence(seed).spawn(samples) if sample else ()
     if eps_round is None:
-        if sample:
-            return [DisjRunResult(0, 0, child.spawn_key[-1]) for child in children]
-        return _trivial_law(inst)
-    laws = _coordinate_laws(inst, eps_round, and_factory)
-    if not sample:
-        if inst.n > EXACT_COORD_CAP:
-            raise ResourceCapError(
-                f"exact mode caps at {EXACT_COORD_CAP} coordinates; "
-                "pass sample=True with a seed"
-            )
-        return _composite_law(inst, laws)
-    prior = inst.joint_prior()
-    flat = prior.mass.reshape(-1)
-    says = np.stack([_says_one(law) for law in laws])
-    results = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        x, y = divmod(int(rng.choice(flat.size, p=flat)), prior.ny)
-        out, rounds = _sample_runs(rng, says, np.array([x]), np.array([y]))
-        results.append(DisjRunResult(int(out[0]), int(rounds[0]), child.spawn_key[-1]))
-    return results
+        prior = inst.joint_prior()
+        return TranscriptLaw(prior, ("",), np.ones((1, prior.nx, prior.ny)), (0,))
+    if inst.n > EXACT_COORD_CAP:
+        raise ResourceCapError(
+            f"exact mode caps at {EXACT_COORD_CAP} coordinates; audit larger "
+            "instances with disj_error_audit(mode='mc')"
+        )
+    return _composite_law(inst, _coordinate_laws(inst, eps_round, and_factory))
 
 
 @dataclass(frozen=True)
@@ -337,8 +283,8 @@ def disj_error_audit(
     error: 1 on every intersecting input, and no rounds.
 
     The Monte-Carlo table runs the protocol ``samples`` times on every
-    composite input, through the same sampler as ``disj_protocol``'s sampled
-    mode; it too reads exactly 0 on disjoint inputs of one-sided rounds."""
+    composite input through ``_sample_runs``; it too reads exactly 0 on
+    disjoint inputs of one-sided rounds."""
     eps_round = _round_budget(inst, epsilon)
     mode = mode or ("exact" if inst.n <= EXACT_COORD_CAP else "mc")
     if mode not in ("exact", "mc"):
@@ -350,7 +296,8 @@ def disj_error_audit(
     if mode == "mc":
         if seed is None:
             raise PreconditionError("Monte-Carlo audit needs a seed")
-        _check_samples(samples)
+        if samples < 1:
+            raise PreconditionError(f"samples = {samples!r}; need at least 1")
         draws = 4**inst.n * samples * inst.n
         if draws > MC_DRAW_CAP:
             raise ResourceCapError(

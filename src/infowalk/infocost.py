@@ -38,7 +38,6 @@ from .protocol import ALICE, Leaf, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
-DIRECT_INPUT_CAP = 64
 # Direct summation is capped by cells, transcripts × nx × ny.  ``cost_report``
 # allocates 84 bytes per cell at its peak (the joint law, the masked terms and
 # their Python float lists; measured with tracemalloc on 2x2 laws of 2**14 to
@@ -236,14 +235,15 @@ def _residual_entropies(law: TranscriptLaw):
 
 
 def _direct(law: TranscriptLaw, seed: Optional[int] = None) -> bool:
-    """Whether the law is within the direct-summation caps.  Above them the
-    Monte-Carlo estimators take over, and they need a seed."""
-    if law.prior.nx * law.prior.ny <= DIRECT_INPUT_CAP and law.cond.size <= DIRECT_CELL_CAP:
+    """Whether the law is within the direct-summation cap of DIRECT_CELL_CAP
+    cells (transcripts × inputs).  Above it the Monte-Carlo estimators take
+    over, and they need a seed."""
+    if law.cond.size <= DIRECT_CELL_CAP:
         return True
     if seed is None:
         raise ResourceCapError(
-            f"law of {law.cond.size} cells exceeds the direct-summation caps "
-            f"({DIRECT_CELL_CAP} cells, {DIRECT_INPUT_CAP} inputs); pass a seed"
+            f"law of {law.cond.size} cells exceeds the direct-summation cap "
+            f"of {DIRECT_CELL_CAP} cells; pass a seed"
         )
     return False
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import JointDistribution, binary_entropy
 from .errors import PreconditionError
-from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree
+from .protocol import ALICE, Internal, Leaf, ProtocolTree
 
 
 class Component(NamedTuple):

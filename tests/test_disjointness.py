@@ -9,7 +9,6 @@ from infowalk.and_protocols import one_sided_and
 from infowalk.disjointness import (
     HARDEST_ZERO_DIAG_PRIOR,
     DisjInstance,
-    DisjRunResult,
     disj_bound_curve,
     disj_error_audit,
     disj_ic_exact,
@@ -20,7 +19,7 @@ from infowalk.distributions import JointDistribution, truncated_entropy
 from infowalk.errors import PreconditionError, ProtocolError, ResourceCapError
 from infowalk.infocost import TranscriptLaw, internal_ic
 
-from helpers import disj_mc_audit_reference, disj_run_reference, random_prior
+from helpers import disj_mc_audit_reference, random_prior
 
 W = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
 UNIFORM = JointDistribution.uniform(2, 2)
@@ -43,9 +42,9 @@ def test_instance_p_one():
     inst = DisjInstance.iid(W, 2)
     assert inst.p_one == pytest.approx(1 - 0.9**2, abs=1e-12)
     with pytest.raises(PreconditionError):
-        DisjInstance(2, (W, W), 0.5)
-    with pytest.raises(PreconditionError):
         DisjInstance.from_priors([JointDistribution.uniform(2, 3)])
+    with pytest.raises(PreconditionError):
+        DisjInstance.from_priors([])
 
 
 def test_joint_prior_is_product():
@@ -81,18 +80,6 @@ def test_trivial_when_intersection_unlikely():
     law = disj_protocol(inst, 0.5, grid16)
     assert law.outputs == (0,)
     assert internal_ic(law) == 0.0
-
-
-def test_trivial_instance_samples_always_zero_runs():
-    thin = JointDistribution.from_mass([[0.7, 0.15], [0.14, 0.01]])
-    inst = DisjInstance.iid(thin, 2)
-    runs = disj_protocol(inst, 0.5, grid16, seed=1, sample=True, samples=10)
-    assert isinstance(runs, list) and len(runs) == 10
-    assert all(isinstance(r, DisjRunResult) for r in runs)
-    assert [(r.output, r.rounds_executed) for r in runs] == [(0, 0)] * 10
-    assert len({r.seed for r in runs}) == 10
-    with pytest.raises(PreconditionError):
-        disj_protocol(inst, 0.5, grid16, sample=True)
 
 
 def test_audit_mode_is_honoured_at_any_n():
@@ -159,9 +146,14 @@ def test_expected_rounds_bound():
 
 
 def test_exact_mode_caps_coordinates():
+    def forbidden(prior, eps):
+        raise AssertionError("an AND law was built before the cap check")
+
     inst = DisjInstance.iid(W, 5)
     with pytest.raises(ResourceCapError):
         disj_protocol(inst, 0.1, grid4)
+    with pytest.raises(ResourceCapError):
+        disj_protocol(inst, 0.1, forbidden)
     # the exact cost has no coordinate cap: it needs only the coordinate laws
     four = DisjInstance.iid(W, 4)
     assert disj_ic_exact(four, 0.1, grid4) == pytest.approx(
@@ -175,23 +167,6 @@ def test_factory_failure_is_wrapped():
 
     with pytest.raises(ProtocolError):
         disj_protocol(DisjInstance.iid(W, 2), 0.1, broken)
-
-
-def test_sampled_mode():
-    inst = DisjInstance.iid(W, 2)
-    runs = disj_protocol(inst, 0.1, grid8, seed=42, sample=True, samples=300)
-    assert len(runs) == 300
-    assert all(isinstance(r, DisjRunResult) for r in runs)
-    assert all(1 <= r.rounds_executed <= 2 for r in runs)
-    # repeatable under the same master seed
-    again = disj_protocol(inst, 0.1, grid8, seed=42, sample=True, samples=300)
-    assert [(r.output, r.rounds_executed) for r in runs] == [
-        (r.output, r.rounds_executed) for r in again
-    ]
-    mean_out = np.mean([r.output for r in runs])
-    assert abs(mean_out - inst.p_one) < 0.08  # errs only downward, slightly
-    with pytest.raises(PreconditionError):
-        disj_protocol(inst, 0.1, grid8, sample=True)
 
 
 def test_mc_audit_tracks_exact():
@@ -481,34 +456,11 @@ def test_mc_audit_is_fixed_by_its_seed_not_its_batches(monkeypatch):
         assert audit_fields(again) == audit_fields(first)
 
 
-def test_sampled_runs_match_the_reference_runs():
-    inst = DisjInstance.from_priors((W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR))
-    eps = 0.1
-    runs = disj_protocol(inst, eps, grid16, seed=3, sample=True, samples=3000)
-    eps_round = eps / (2.0 * inst.p_one)
-    laws = [grid16(w, eps_round) for w in inst.coord_priors]
-    flat = inst.joint_prior().mass.reshape(-1)
-    rng = np.random.default_rng(4)
-    reference = []
-    for _ in range(3000):
-        x, y = divmod(int(rng.choice(flat.size, p=flat)), 2**inst.n)
-        reference.append(disj_run_reference(rng, inst, laws, x, y))
-    ours = [(r.output, r.rounds_executed) for r in runs]
-    outcomes = set(ours) | set(reference)
-    assert outcomes <= {(1, 1), (1, 2), (1, 3), (0, 3)}
-    for outcome in outcomes:
-        a, b = ours.count(outcome) / 3000, reference.count(outcome) / 3000
-        pooled = 0.5 * (a + b)
-        assert abs(a - b) <= 5.0 * math.sqrt(pooled * (1.0 - pooled) * 2 / 3000)
-
-
 def test_samples_must_be_positive():
     inst = DisjInstance.iid(W, 2)
     for samples in (0, -3):
         with pytest.raises(PreconditionError):
             disj_error_audit(inst, 0.1, grid8, seed=1, samples=samples, mode="mc")
-        with pytest.raises(PreconditionError):
-            disj_protocol(inst, 0.1, grid8, seed=1, sample=True, samples=samples)
 
 
 def test_mc_draw_cap_is_checked_before_any_work(monkeypatch):

@@ -199,3 +199,12 @@ def test_resource_cap_and_sampled_fallback():
     assert abs(internal_ic(law, seed=7)) < 1e-9
     with pytest.raises(ResourceCapError):
         cost_report(law)
+
+
+def test_many_inputs_within_the_cell_cap_are_summed_directly():
+    # 2 transcripts on uniform 9x9 inputs are 162 cells, far under the cap
+    cond = np.random.default_rng(61).dirichlet([1.0, 1.0], size=(9, 9))
+    law = TranscriptLaw(JointDistribution.uniform(9, 9), ("a", "b"),
+                        cond.transpose(2, 0, 1))
+    assert internal_ic(law) == pytest.approx(ic_reference(law), abs=1e-12)
+    assert external_ic(law) == pytest.approx(external_reference(law), abs=1e-12)
