@@ -55,13 +55,10 @@ from .protocol import (  # noqa: F401
 )
 from .infocost import (  # noqa: F401
     CostReport,
-    ICEstimate,
     TranscriptLaw,
     cost_report,
     external_ic,
-    external_ic_estimate,
     internal_ic,
-    internal_ic_estimate,
     law_of,
     pretend_prob,
     pretend_step,

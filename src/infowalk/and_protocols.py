@@ -470,10 +470,15 @@ def one_sided_and(
 
 
 def complete_to_zero_error(
-    tree: ProtocolTree, f, prior: JointDistribution
+    tree: ProtocolTree,
+    f,
+    prior: JointDistribution,
+    *,
+    law: Optional[TranscriptLaw] = None,
 ) -> ProtocolTree:
     """Append verification rounds below every leaf until no input can be
-    answered incorrectly.
+    answered incorrectly.  ``law`` is the tree's law under ``prior`` when the
+    caller has already built it.
 
     At a leaf with output z and posterior μ_ℓ, the players test each support
     cell (x, y) with f(x, y) ≠ z in row-major order: the player whose
@@ -487,7 +492,10 @@ def complete_to_zero_error(
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree")
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
-    prob, post = leaf_posteriors(law_of(tree, prior))
+    if law is not None and not np.array_equal(law.prior.mass, prior.mass):
+        raise PreconditionError("law is not the tree's law under the prior")
+    # a law built here is dropped at once: it would outlive the rebuild below
+    prob, post = leaf_posteriors(law if law is not None else law_of(tree, prior))
     px = post.sum(axis=2).tolist()
     py = post.sum(axis=1).tolist()
     support = prior.support()

@@ -59,7 +59,7 @@ from .optimize import (
     xor_external_experiment,
     xor_floor_search,
 )
-from .protocol import Task, evaluate_error, tree_from_json, tree_to_json
+from .protocol import Task, evaluate_error_law, tree_from_json, tree_to_json
 from .trivial import (
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
@@ -266,7 +266,6 @@ def _cmd_buzzer(args) -> int:
     tree = buzzer_grid_tree(spec, dec)
     law = law_of(tree, prior)
     report = cost_report(law)
-    leaves = grid_leaf_law(spec)
     kolmogorov = grid_law_kolmogorov(
         spec, buzzer_leaf_law(spec.start.p, spec.start.q)
     )
@@ -275,6 +274,7 @@ def _cmd_buzzer(args) -> int:
         f"internal={report.ic_internal!r} kolmogorov={kolmogorov!r}"
     )
     if args.out_law:
+        leaves = grid_leaf_law(spec)
         rows = [(leaf.ell, leaf.axis, leaf.pretend_mass) for leaf in leaves]
         _write_csv(args.out_law, config, ("ell", "axis", "mass"), rows)
     if args.out_report:
@@ -324,11 +324,13 @@ def _cmd_complete(args) -> int:
     table = _load_table(args.table)
     prior = _load_prior(args.prior)
     task = Task(table, 1.0, "pointwise", measure=prior)
-    before = evaluate_error(tree, task)
-    completed = complete_to_zero_error(tree, table, prior)
-    after = evaluate_error(completed, task)
-    ic_before = internal_ic(law_of(tree, prior))
-    ic_after = internal_ic(law_of(completed, prior))
+    law = law_of(tree, prior)
+    completed = complete_to_zero_error(tree, table, prior, law=law)
+    law_after = law_of(completed, prior)
+    before = evaluate_error_law(law, task)
+    after = evaluate_error_law(law_after, task)
+    ic_before = internal_ic(law)
+    ic_after = internal_ic(law_after)
     print(
         f"pointwise {before.max_pointwise!r} -> {after.max_pointwise!r} "
         f"ic {ic_before!r} -> {ic_after!r}"
@@ -512,8 +514,8 @@ def _cmd_trivial_check(args) -> int:
         else:
             witness = trivial_witness_protocol(table, mu, kind)
             law = law_of(witness, mu)
-            report = evaluate_error(
-                witness, Task(table, 0.0, "distributional", measure=mu)
+            report = evaluate_error_law(
+                law, Task(table, 0.0, "distributional", measure=mu)
             )
             result["witness"] = {
                 "kind": kind,

@@ -5,9 +5,10 @@ is a sufficient statistic for every cost computed here: internal and external
 information cost, the concealed information that complements each, and the
 scaled cost SIM used by the AND analysis.
 
-Everything is in bits.  Direct summation (compensated) is used whenever the
-problem is small enough to enumerate; a seeded Monte-Carlo estimator covers
-the rest.
+Everything is in bits, by direct compensated summation over every cell
+(transcript × input) of the law.  The sums walk the law in blocks of
+transcripts, so the memory their terms take is bounded by the block, not by
+the law.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
@@ -28,21 +30,18 @@ from .distributions import (
     ProductDistribution,
     entropy_profile,
 )
-from .errors import (
-    DecompositionMismatchError,
-    DistributionError,
-    PreconditionError,
-    ResourceCapError,
-)
+from .errors import DecompositionMismatchError, DistributionError, PreconditionError
 from .protocol import ALICE, Leaf, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
-# Direct summation is capped by cells, transcripts × nx × ny.  ``cost_report``
-# allocates 84 bytes per cell at its peak (the joint law, the masked terms and
-# their Python float lists; measured with tracemalloc on 2x2 laws of 2**14 to
-# 2**18 transcripts), so the cap holds it under 90 MB and about 0.8 s.
-DIRECT_CELL_CAP = 2**20
+# The entropy sums walk the law in blocks of about this many cells (whole
+# transcripts, at least one).  A block's masked terms and their Python float
+# lists take about 55 bytes a cell (3.6 MB a block), on top of the joint law and
+# its margins at 18 bytes a cell: tracemalloc puts ``cost_report`` on a 2x2
+# law of 2**18 transcripts at a 22.6 MB peak, against 96.5 MB summed in one
+# block.  Smaller blocks save little more and cost time per block.
+SUM_BLOCK_CELLS = 2**16
 
 
 class LeafIds(Sequence):
@@ -211,20 +210,27 @@ class CostReport:
 
 def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
     """−Σ weight·log₂(table / margin) over the cells where table > 0, one
-    compensated sum per margin (an array that broadcasts against table).
+    compensated sum per margin (an array with the table's first axis that
+    broadcasts against it).
 
-    libm's log2, as in a per-cell loop, keeps each sum bit-identical to one
-    (numpy's log2 differs in the last bit on ~0.1% of arguments); the
-    exactly-zero terms where table = margin are skipped."""
-    live = table > 0.0
-    w, p = weight[live], table[live]
-    sums = []
-    for margin in margins:
-        q = p / np.broadcast_to(margin, table.shape)[live]
-        keep = q != 1.0
-        logs = np.fromiter(map(math.log2, q[keep].tolist()), float, np.count_nonzero(keep))
-        sums.append(-math.fsum((w[keep] * logs).tolist()))
-    return tuple(sums)
+    Each sum is one exactly rounded ``math.fsum`` fed block by block along
+    the first axis, so it is bit-identical at any block size.  libm's log2,
+    as in a per-cell loop, keeps each sum bit-identical to one (numpy's log2
+    differs in the last bit on ~0.1% of arguments); the exactly-zero terms
+    where table = margin, and the cells where table = 0, read a ratio of 1
+    and are skipped."""
+    step = max(1, SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
+
+    def terms(margin):
+        for lo in range(0, len(table), step):
+            p = table[lo:lo + step]
+            q = np.divide(p, margin[lo:lo + step], out=np.ones(p.shape), where=p > 0.0)
+            keep = q != 1.0
+            logs = np.fromiter(map(math.log2, q[keep].tolist()), float,
+                               np.count_nonzero(keep))
+            yield (weight[lo:lo + step][keep] * logs).tolist()
+
+    return tuple(-math.fsum(chain.from_iterable(terms(m))) for m in margins)
 
 
 def _residual_entropies(law: TranscriptLaw):
@@ -234,23 +240,8 @@ def _residual_entropies(law: TranscriptLaw):
     return _neg_plogq_sums(j, j, margins)
 
 
-def _direct(law: TranscriptLaw, seed: Optional[int] = None) -> bool:
-    """Whether the law is within the direct-summation cap of DIRECT_CELL_CAP
-    cells (transcripts × inputs).  Above it the Monte-Carlo estimators take
-    over, and they need a seed."""
-    if law.cond.size <= DIRECT_CELL_CAP:
-        return True
-    if seed is None:
-        raise ResourceCapError(
-            f"law of {law.cond.size} cells exceeds the direct-summation cap "
-            f"of {DIRECT_CELL_CAP} cells; pass a seed"
-        )
-    return False
-
-
 def cost_report(law: TranscriptLaw) -> CostReport:
-    """All four costs at once (direct summation only)."""
-    _direct(law)
+    """All four costs at once."""
     profile = entropy_profile(law.prior)
     h_x_g_ty, h_y_g_tx, h_xy_g_t = _residual_entropies(law)
     ci_internal = h_x_g_ty + h_y_g_tx
@@ -264,74 +255,14 @@ def cost_report(law: TranscriptLaw) -> CostReport:
     )
 
 
-class ICEstimate(NamedTuple):
-    value: float
-    stderr: float
-    samples: int
+def internal_ic(law: TranscriptLaw) -> float:
+    """I(Π;X|Y) + I(Π;Y|X): what each player learns about the other's input."""
+    return cost_report(law).ic_internal
 
 
-def _mc_estimate(law: TranscriptLaw, seed: int, samples: int, log_ratio) -> ICEstimate:
-    """Mean and standard error of log_ratio(t, x, y) over ``samples`` seeded
-    draws of (t, x, y) from the joint law: the one sampler of both costs."""
-    rng = np.random.default_rng(seed)
-    flat = law.joint().reshape(-1)
-    idx = rng.choice(flat.size, size=samples, p=flat / flat.sum())
-    t, rem = np.divmod(idx, law.prior.nx * law.prior.ny)
-    x, y = np.divmod(rem, law.prior.ny)
-    vals = log_ratio(t, x, y)
-    return ICEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)), samples
-    )
-
-
-def internal_ic_estimate(
-    law: TranscriptLaw, seed: int, samples: int = 200_000
-) -> ICEstimate:
-    """Unbiased Monte-Carlo estimate of the internal information cost.
-
-    Samples (x, y, t) from the joint law and averages
-    log₂ Pr[t|x,y] − log₂ Pr[t|y]  +  log₂ Pr[t|x,y] − log₂ Pr[t|x],
-    whose expectation is I(Π;X|Y) + I(Π;Y|X).  Returns the sample mean and
-    its standard error.
-    """
-    px = law.prior.marginal_x()
-    py = law.prior.marginal_y()
-    # Pr[t|y] = Σ_x cond[t,x,y]·Pr[x|y]; likewise for Pr[t|x]
-    cond_ty = np.einsum("txy,xy->ty", law.cond, law.prior.mass) / py[None, :]
-    cond_tx = np.einsum("txy,xy->tx", law.cond, law.prior.mass) / px[None, :]
-    return _mc_estimate(law, seed, samples, lambda t, x, y: (
-        2.0 * np.log2(law.cond[t, x, y]) - np.log2(cond_ty[t, y]) - np.log2(cond_tx[t, x])
-    ))
-
-
-def external_ic_estimate(
-    law: TranscriptLaw, seed: int, samples: int = 200_000
-) -> ICEstimate:
-    """Unbiased Monte-Carlo estimate of the external information cost: the
-    mean of log₂ Pr[t|x,y] − log₂ Pr[t], with its standard error."""
-    pt = law.joint().sum(axis=(1, 2))
-    return _mc_estimate(law, seed, samples, lambda t, x, y: (
-        np.log2(law.cond[t, x, y]) - np.log2(pt[t])
-    ))
-
-
-def internal_ic(law: TranscriptLaw, seed: Optional[int] = None) -> float:
-    """I(Π;X|Y) + I(Π;Y|X): what each player learns about the other's input.
-
-    Falls back to the seeded Monte-Carlo estimator when the law exceeds the
-    direct-summation caps (a seed is then required).
-    """
-    if _direct(law, seed):
-        return cost_report(law).ic_internal
-    return internal_ic_estimate(law, seed).value
-
-
-def external_ic(law: TranscriptLaw, seed: Optional[int] = None) -> float:
-    """I(Π;XY): what an outside observer learns about the input pair, with
-    the same seeded Monte-Carlo fallback."""
-    if _direct(law, seed):
-        return cost_report(law).ic_external
-    return external_ic_estimate(law, seed).value
+def external_ic(law: TranscriptLaw) -> float:
+    """I(Π;XY): what an outside observer learns about the input pair."""
+    return cost_report(law).ic_external
 
 
 def pretend_step(pretend: ProductDistribution, owner: str, send_one_prob):

@@ -43,7 +43,7 @@ from .protocol import (
     Leaf,
     ProtocolTree,
     Task,
-    evaluate_error,
+    evaluate_error_law,
     mix_with_abort,
 )
 from .trivial import is_structurally_internal_trivial
@@ -299,10 +299,11 @@ def xor_floor_search(
             tree = _random_dyadic_tree(rng)
         else:
             tree = _perturbed_exchange_tree(rng)
-        if evaluate_error(tree, task).max_pointwise > epsilon + 1e-12:
+        law = law_of(tree, prior)
+        if evaluate_error_law(law, task).max_pointwise > epsilon + 1e-12:
             continue
         valid += 1
-        min_external = min(min_external, external_ic(law_of(tree, prior)))
+        min_external = min(min_external, external_ic(law))
     return XorSearchResult(
         float(epsilon), 1.0 - 3.0 * epsilon, samples, valid, min_external
     )

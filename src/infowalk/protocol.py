@@ -477,18 +477,29 @@ def tree_from_json(text: str) -> ProtocolTree:
         nx, ny = obj["nx"], obj["ny"]
         outputs = tuple(obj["outputs"])
         depth_cap = obj.get("depth_cap", DEFAULT_DEPTH_CAP)
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise ParseError(f"protocol JSON missing field: {e}") from e
+    except TypeError as e:
+        raise ParseError(f"protocol JSON malformed: {e}") from e
+
+    if not isinstance(raw_nodes, list):
+        raise ParseError("protocol JSON nodes must be a list")
+    if any(type(size) is not int or size < 1 for size in (nx, ny)):
+        raise ParseError(f"nx = {nx!r} and ny = {ny!r} must be positive integers")
+
+    def checked(index, what):  # a node index must name a listed node
+        if type(index) is not int or not 0 <= index < len(raw_nodes):
+            raise ParseError(f"{what} {index!r} is not a node index")
+        return index
+
+    def entry(i, spec, name):
+        try:
+            return spec[name]
+        except KeyError:
+            raise ParseError(f"node {i} is missing {name!r}") from None
 
     built: dict[int, Node] = {}
-
-    def ready(i):
-        spec = raw_nodes[i]
-        if spec["kind"] == "leaf":
-            return True
-        return spec["child0"] in built and spec["child1"] in built
-
-    stack = [root_index]
+    stack = [checked(root_index, "root")]
     expanding = set()
     while stack:
         i = stack[-1]
@@ -499,25 +510,23 @@ def tree_from_json(text: str) -> ProtocolTree:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ParseError(f"malformed node {i}")
         if spec["kind"] == "leaf":
-            built[i] = Leaf(spec["output"])
+            built[i] = Leaf(entry(i, spec, "output"))
             stack.pop()
         elif spec["kind"] == "internal":
-            if ready(i):
-                built[i] = Internal(
-                    spec["owner"],
-                    tuple(float(v) for v in spec["send_one_prob"]),
-                    built[spec["child0"]],
-                    built[spec["child1"]],
-                )
+            c0 = checked(entry(i, spec, "child0"), f"node {i} child0")
+            c1 = checked(entry(i, spec, "child1"), f"node {i} child1")
+            if c0 in built and c1 in built:
+                try:
+                    probs = tuple(float(v) for v in entry(i, spec, "send_one_prob"))
+                except (TypeError, ValueError) as e:
+                    raise ParseError(f"node {i} send_one_prob: {e}") from e
+                built[i] = Internal(entry(i, spec, "owner"), probs, built[c0], built[c1])
                 expanding.discard(i)
                 stack.pop()
             else:
                 if i in expanding:
                     raise ParseError(f"node {i} is part of a reference cycle")
                 expanding.add(i)
-                c0, c1 = spec["child0"], spec["child1"]
-                if not (0 <= c0 < len(raw_nodes) and 0 <= c1 < len(raw_nodes)):
-                    raise ParseError(f"node {i} references a missing child")
                 stack.append(c1)
                 stack.append(c0)
         else:

@@ -312,35 +312,6 @@ def evaluate_error_reference(law, task):
     return err, (violation if task.one_sided is not None else None)
 
 
-def internal_ic_mc_reference(law, seed, samples=200_000):
-    rng = np.random.default_rng(seed)
-    j = law.joint()
-    T, nx, ny = j.shape
-    flat = j.reshape(-1)
-    flat = flat / flat.sum()
-    idx = rng.choice(flat.size, size=samples, p=flat)
-    t, rem = np.divmod(idx, nx * ny)
-    x, y = np.divmod(rem, ny)
-    cond_ty = np.einsum("txy,xy->ty", law.cond, law.prior.mass) / law.prior.marginal_y()
-    cond_tx = np.einsum("txy,xy->tx", law.cond, law.prior.mass) / law.prior.marginal_x()
-    vals = 2.0 * np.log2(law.cond[t, x, y]) - np.log2(cond_ty[t, y]) - np.log2(cond_tx[t, x])
-    return float(vals.mean())
-
-
-def external_ic_mc_reference(law, seed):
-    """External-cost Monte-Carlo with its own sampler and 200 000 draws;
-    ``external_ic``'s fallback must match it bit for bit."""
-    rng = np.random.default_rng(seed)
-    j = law.joint()
-    flat = j.reshape(-1) / j.sum()
-    idx = rng.choice(flat.size, size=200_000, p=flat)
-    T, nx, ny = j.shape
-    t, rem = np.divmod(idx, nx * ny)
-    x, y = np.divmod(rem, ny)
-    pt = j.sum(axis=(1, 2))
-    return float((np.log2(law.cond[t, x, y]) - np.log2(pt[t])).mean())
-
-
 def disj_run_reference(rng, inst, laws, x, y):
     """One run of the permuted-AND DISJ protocol on composite input (x, y):
     a fresh permutation, then one transcript drawn per round from the

@@ -33,7 +33,16 @@ from infowalk.distributions import (
 )
 from infowalk.errors import PreconditionError
 from infowalk.infocost import internal_ic, law_of, pretend_prob, sim
-from infowalk.protocol import ALICE, BOB, Internal, Leaf, Task, evaluate_error, walk
+from infowalk.protocol import (
+    ALICE,
+    BOB,
+    Internal,
+    Leaf,
+    Task,
+    evaluate_error,
+    tree_to_json,
+    walk,
+)
 
 from helpers import random_prior, random_tree
 
@@ -539,6 +548,9 @@ def test_completion_random_trees_exact_zero_error():
         completed = complete_to_zero_error(tree, f, prior)
         report = evaluate_error(completed, Task(f, 0.0))
         assert report.max_pointwise == 0.0
+        # a caller that holds the tree's law passes it in: the same tree
+        again = complete_to_zero_error(tree, f, prior, law=law_of(tree, prior))
+        assert tree_to_json(again) == tree_to_json(completed)
 
 
 def test_completion_cost_stays_below_entropy_bound():
@@ -558,5 +570,8 @@ def test_completion_rejects_shape_mismatch():
     tree = random_tree(rng, 2, 2, depth=3)
     with pytest.raises(PreconditionError):
         complete_to_zero_error(tree, [[0, 1, 0], [1, 0, 1]], random_prior(rng, 2, 2))
+    prior, other = random_prior(rng, 2, 2), random_prior(rng, 2, 2)
+    with pytest.raises(PreconditionError):  # a law under another prior
+        complete_to_zero_error(tree, AND_TABLE, prior, law=law_of(tree, other))
     with pytest.raises(PreconditionError):
         complete_to_zero_error(tree, AND_TABLE, random_prior(rng, 2, 3))

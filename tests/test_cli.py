@@ -63,6 +63,19 @@ def test_parse_failures_are_code_1(capsys, files):
     assert run(capsys, "ic", "--protocol", tree, "--prior", negative)[0] == 1
 
 
+def test_tree_with_a_bad_root_is_a_parse_error(capsys, files):
+    _, write = files
+    prior = write("uniform.json", [[0.25, 0.25], [0.25, 0.25]])
+    tree = write("tree.json", {
+        "nx": 2, "ny": 2, "outputs": [0], "root": 3,
+        "nodes": [{"kind": "leaf", "output": 0}],
+    })
+    code, out, err = run(capsys, "ic", "--protocol", tree, "--prior", prior)
+    assert code == 1
+    assert "parse error" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_shape_mismatch_is_code_2(capsys, files):
     _, write = files
     tree = write("tree.json", tree_to_json(exchange_tree(2, 2, [[0, 0], [0, 1]])))
@@ -386,7 +399,7 @@ def test_module_entry_point():
 
 
 def test_buzzer_at_65536_runs_direct_within_200_mb(tmp_path):
-    # 65537 transcripts × 4 inputs: within the direct-summation cell cap
+    # 65537 transcripts × 4 inputs, summed directly block by block
     script = (
         "import resource, sys\n"
         "from infowalk.cli import main\n"

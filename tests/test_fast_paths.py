@@ -1,10 +1,12 @@
 """The array-valued fast paths against slow per-cell, per-transcript and
 per-path loops, which ``tests/helpers.py`` keeps as oracles.
 
-Tolerances: ``cost_report``, ``evaluate_error_law``, the transcript
-law itself and the Monte-Carlo estimates are bit-identical; ``sim`` agrees to
-1e-12 relative; walk posteriors, leaf probabilities and ``potential_of_tree``
-to 1e-12 absolute; completed trees serialize identically.
+Tolerances: ``cost_report``, ``evaluate_error_law`` and the transcript
+law itself are bit-identical; ``sim`` agrees to 1e-12 relative; walk
+posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12 absolute;
+completed trees serialize identically.  The entropy sums walk a law in
+blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
+every block size.
 """
 
 import math
@@ -26,9 +28,7 @@ from infowalk import (
     complete_to_zero_error,
     cost_report,
     evaluate_error_law,
-    external_ic,
     flip_tree,
-    internal_ic,
     law_of,
     potential_of_tree,
     sim,
@@ -37,14 +37,11 @@ from infowalk import (
     walk,
 )
 from infowalk import infocost
-from infowalk.infocost import external_ic_estimate, internal_ic_estimate
 
 from helpers import (
     complete_reference,
     cost_report_reference,
     evaluate_error_reference,
-    external_ic_mc_reference,
-    internal_ic_mc_reference,
     law_of_reference,
     potential_reference,
     random_law,
@@ -221,14 +218,33 @@ def test_leaf_ids_behave_as_a_tuple_of_strings():
         ids[5]
 
 
-def test_monte_carlo_estimates_are_unchanged_and_share_one_sampler(monkeypatch):
-    rng = np.random.default_rng(5)
-    law = random_law(rng, 2, 3, transcripts=7)
-    exact = cost_report(law).ic_external
-    monkeypatch.setattr(infocost, "DIRECT_CELL_CAP", 0)
-    assert internal_ic(law, seed=11) == internal_ic_mc_reference(law, 11)
-    assert external_ic(law, seed=11) == external_ic_mc_reference(law, 11)
-    est = external_ic_estimate(law, seed=11, samples=50_000)
-    assert est.samples == 50_000 and 0.0 < est.stderr < 0.05
-    assert est.value == pytest.approx(exact, abs=5 * est.stderr)
-    assert internal_ic_estimate(law, seed=11, samples=50_000).samples == 50_000
+@pytest.fixture(scope="module")
+def priced_laws():
+    """(law, decomposition or None, its prices at the default block size) for
+    the random-tree and buzzer-grid cases and their completed trees."""
+    cases = []
+    for k, (tree, prior) in enumerate(INSTANCES):
+        table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny))
+        completed = complete_to_zero_error(tree, table.tolist(), prior)
+        cases += [(law_of(tree, prior), None), (law_of(completed, prior), None)]
+    for _, w, dec, tree in BUZZERS:
+        completed = complete_to_zero_error(flip_tree(tree, 0, 1, 0.05), AND_TABLE, w)
+        cases += [(law_of(tree, w), dec), (law_of(completed, w), dec)]
+    return [(law, dec, prices(law, dec)) for law, dec in cases]
+
+
+def prices(law, dec):
+    report = cost_report(law)
+    values = [report.ic_internal, report.ic_external, report.ci_internal,
+              report.ci_external] + ([sim(law, dec)] if dec is not None else [])
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("transcripts", (1, 3, 7))
+def test_block_wise_sums_are_bit_identical_at_any_block_size(
+    transcripts, priced_laws, monkeypatch
+):
+    for law, dec, default in priced_laws:
+        cells = transcripts * law.prior.nx * law.prior.ny
+        monkeypatch.setattr(infocost, "SUM_BLOCK_CELLS", cells)
+        assert prices(law, dec) == default

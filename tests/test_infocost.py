@@ -14,20 +14,17 @@ from infowalk import (
     Leaf,
     ProductDistribution,
     ProtocolTree,
-    ResourceCapError,
     TranscriptLaw,
     cost_report,
     entropy_profile,
     external_ic,
     internal_ic,
-    internal_ic_estimate,
     law_of,
     pretend_prob,
     pretend_step,
     sim,
     walk,
 )
-from infowalk.infocost import DIRECT_CELL_CAP
 
 from helpers import (
     exchange_tree,
@@ -180,29 +177,26 @@ def test_pretend_prob_round_trip_and_step_sum():
         assert pretend_prob(0.37, dec, dec) == 0.37
 
 
-def test_internal_ic_estimate_agrees_with_direct():
-    rng = np.random.default_rng(59)
-    law = random_law(rng, 2, 2, transcripts=6)
-    exact = internal_ic(law)
-    est = internal_ic_estimate(law, seed=123, samples=120_000)
-    assert abs(est.value - exact) < max(4 * est.stderr, 2e-3)
-    assert est.stderr < 0.01
-
-
-def test_resource_cap_and_sampled_fallback():
-    T = DIRECT_CELL_CAP // 4 + 4  # just over the cell cap on a 2x2 prior
-    prior = JointDistribution.uniform(2, 2)
-    cond = np.full((T, 2, 2), 1.0 / T)
+def test_a_law_past_the_old_cell_cap_is_priced_without_a_seed():
+    # 2**18 + 2 transcripts on a 2x2 prior are 2**20 + 8 cells, just past the
+    # cap above which costs were once only estimated by sampling.  t % 2
+    # reveals x and the rest of t is uniform noise, so I(Π;X|Y) = H(X|Y),
+    # I(Π;Y|X) = 0 and I(Π;XY) = H(X).
+    T = 2**18 + 2
+    prior = JointDistribution.from_mass([[0.1, 0.2], [0.3, 0.4]])
+    reveals = (np.arange(T) % 2)[:, None] == np.arange(2)[None, :]  # (T, x)
+    cond = np.repeat((reveals / (T // 2))[:, :, None], 2, axis=2)
     law = TranscriptLaw(prior, tuple(f"t{k}" for k in range(T)), cond)
-    with pytest.raises(ResourceCapError):
-        internal_ic(law)
-    assert abs(internal_ic(law, seed=7)) < 1e-9
-    with pytest.raises(ResourceCapError):
-        cost_report(law)
+    report = cost_report(law)
+    profile = entropy_profile(prior)
+    assert abs(report.ic_internal - profile.h_x_given_y) < 1e-9
+    assert abs(report.ic_external - profile.h_x) < 1e-9
+    assert internal_ic(law) == report.ic_internal
+    assert external_ic(law) == report.ic_external
 
 
 def test_many_inputs_within_the_cell_cap_are_summed_directly():
-    # 2 transcripts on uniform 9x9 inputs are 162 cells, far under the cap
+    # 2 transcripts on uniform 9x9 inputs, against the per-cell loops
     cond = np.random.default_rng(61).dirichlet([1.0, 1.0], size=(9, 9))
     law = TranscriptLaw(JointDistribution.uniform(9, 9), ("a", "b"),
                         cond.transpose(2, 0, 1))

@@ -276,3 +276,33 @@ def test_tree_json_rejects_malformed_input():
             '{"nx": 2, "ny": 2, "outputs": [0], "root": 0, '
             '"nodes": [{"kind": "mystery"}]}'
         )
+    internal = (
+        '{"kind": "internal", "owner": "alice", "send_one_prob": [0.5, 0.5], '
+        '"child0": 1, "child1": 1}'
+    )
+    leaf = '{"kind": "leaf", "output": 0}'
+    malformed = [
+        # a negative root must not index from the end of the list
+        ("-1", [internal, leaf]),
+        ("3", [leaf]),
+        ('"0"', [leaf]),
+        ("true", [internal, leaf]),
+        ("0", ['{"kind": "leaf"}']),
+        ("0", [internal.replace('"child0": 1, ', ""), leaf]),
+        ("0", [internal.replace(', "child1": 1', ""), leaf]),
+        ("0", [internal.replace('"owner": "alice", ', ""), leaf]),
+        ("0", [internal.replace('"child1": 1', '"child1": 2'), leaf]),
+        ("0", [internal.replace("[0.5, 0.5]", '["half", 0.5]'), leaf]),
+    ]
+    for root, nodes in malformed:
+        with pytest.raises(ParseError):
+            tree_from_json(
+                f'{{"nx": 2, "ny": 2, "outputs": [0], "root": {root}, '
+                f'"nodes": [{", ".join(nodes)}]}}'
+            )
+    # sizes are checked before the arity check, whose message they would garble
+    for sizes in ('"nx": "2", "ny": 2', '"nx": 2, "ny": 0'):
+        with pytest.raises(ParseError):
+            tree_from_json(
+                f'{{{sizes}, "outputs": [0], "root": 0, "nodes": [{internal}, {leaf}]}}'
+            )

@@ -9,12 +9,17 @@ promises byte-identical artifacts, which stdout at 1e-9 cannot show.
 """
 
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import infowalk
 from infowalk import tree_to_json
 from infowalk.cli import main
 
@@ -106,3 +111,44 @@ def test_readme_example(argv, expected, tmp_path, monkeypatch, capsys):
         if path.name not in INPUTS
     }
     assert written == ARTIFACT_SHA256.get(argv[0], {})
+
+
+def library_layout_names():
+    """The back-ticked Python names of README's "Library layout" section: a
+    dotted identifier, or the callee of a call such as `f(x, seed)`."""
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for quoted in re.findall(r"`([^`]+)`", section):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?", quoted)
+        if match:
+            names.add(match.group(1))
+    return sorted(names)
+
+
+def test_library_layout_names_resolve():
+    modules = {"infowalk": infowalk} | {
+        f"infowalk.{info.name}": importlib.import_module(f"infowalk.{info.name}")
+        for info in pkgutil.iter_modules(infowalk.__path__)
+        if not info.name.startswith("_")
+    }
+    owners = {}  # attribute or field name -> the public classes that have it
+    for module in modules.values():
+        for cls_name, cls in vars(module).items():
+            if inspect.isclass(cls) and not cls_name.startswith("_"):
+                fields = getattr(cls, "__dataclass_fields__", {})
+                for attr in set(dir(cls)) | set(fields):
+                    owners.setdefault(attr, set()).add(cls_name)
+
+    def resolves(name):
+        head, _, tail = name.rpartition(".")
+        if name in modules:
+            return True
+        if not head:  # a module-level name, or a field of a public class
+            return any(hasattr(m, name) for m in modules.values()) or name in owners
+        if head in modules:
+            return hasattr(modules[head], tail)
+        return head.rpartition(".")[2] in owners.get(tail, ())
+
+    names = library_layout_names()
+    assert "infowalk.infocost" in names and "leaf_ids" in names
+    assert [name for name in names if not resolves(name)] == []
