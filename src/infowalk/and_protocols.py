@@ -469,16 +469,9 @@ def one_sided_and(
     return flipped
 
 
-def complete_to_zero_error(
-    tree: ProtocolTree,
-    f,
-    prior: JointDistribution,
-    *,
-    law: Optional[TranscriptLaw] = None,
-) -> ProtocolTree:
+def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> ProtocolTree:
     """Append verification rounds below every leaf until no input can be
-    answered incorrectly.  ``law`` is the tree's law under ``prior`` when the
-    caller has already built it.
+    answered incorrectly.
 
     At a leaf with output z and posterior μ_ℓ, the players test each support
     cell (x, y) with f(x, y) ≠ z in row-major order: the player whose
@@ -489,13 +482,8 @@ def complete_to_zero_error(
     table = np.asarray(f, dtype=object)
     if table.shape != (tree.nx, tree.ny):
         raise PreconditionError("function table shape does not match the tree")
-    if (prior.nx, prior.ny) != (tree.nx, tree.ny):
-        raise PreconditionError("prior shape does not match the tree")
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
-    if law is not None and not np.array_equal(law.prior.mass, prior.mass):
-        raise PreconditionError("law is not the tree's law under the prior")
-    # a law built here is dropped at once: it would outlive the rebuild below
-    prob, post = leaf_posteriors(law if law is not None else law_of(tree, prior))
+    prob, post = leaf_posteriors(law_of(tree, prior))
     px = post.sum(axis=2).tolist()
     py = post.sum(axis=1).tolist()
     support = prior.support()

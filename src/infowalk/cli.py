@@ -169,13 +169,9 @@ def _load_table(path: str) -> np.ndarray:
 def _load_tree(path: str):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return tree_from_json(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return tree_from_json(text)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: not a protocol tree: {exc}") from exc
 
 
 def _parse_eps_list(raw: str):
@@ -325,7 +321,7 @@ def _cmd_complete(args) -> int:
     prior = _load_prior(args.prior)
     task = Task(table, 1.0, "pointwise", measure=prior)
     law = law_of(tree, prior)
-    completed = complete_to_zero_error(tree, table, prior, law=law)
+    completed = complete_to_zero_error(tree, table, prior)
     law_after = law_of(completed, prior)
     before = evaluate_error_law(law, task)
     after = evaluate_error_law(law_after, task)

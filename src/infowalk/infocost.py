@@ -31,48 +31,17 @@ from .distributions import (
     entropy_profile,
 )
 from .errors import DecompositionMismatchError, DistributionError, PreconditionError
-from .protocol import ALICE, Leaf, ProtocolTree
+from .protocol import ALICE, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
-# The entropy sums walk the law in blocks of about this many cells (whole
-# transcripts, at least one).  A block's masked terms and their Python float
-# lists take about 55 bytes a cell (3.6 MB a block), on top of the joint law and
-# its margins at 18 bytes a cell: tracemalloc puts ``cost_report`` on a 2x2
-# law of 2**18 transcripts at a 22.6 MB peak, against 96.5 MB summed in one
-# block.  Smaller blocks save little more and cost time per block.
+# The entropy sums and ``leaf_posteriors`` walk the law in blocks of about
+# this many cells (whole transcripts, at least one).  A block's masked terms and
+# Python float lists take about 55 bytes a cell (3.6 MB a block), on top of the
+# joint law and its margins at 18 bytes a cell: tracemalloc puts ``cost_report``
+# on a 2x2 law of 2**18 transcripts at a 22.6 MB peak, against 96.5 MB summed in
+# one block.  Smaller blocks save little more and cost time per block.
 SUM_BLOCK_CELLS = 2**16
-
-
-class LeafIds(Sequence):
-    """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
-    preorder, 0-child first, which is their sorted order; rendered on demand.
-
-    A path is a handle (run, k): k copies of the bit of ``runs[run]``
-    appended to the path that run extends, itself a handle.  Memory is
-    O(tree nodes), where the strings take Σ depth characters (quadratic on
-    the buzzer caterpillar); rendering costs one repeat per run of equal bits.
-    """
-
-    def __init__(self, runs, leaves):
-        self._runs = runs  # (bit, run, k): the bit, and the handle extended
-        self._leaves = leaves  # the handle of each leaf
-
-    def __len__(self):
-        return len(self._leaves)
-
-    def __getitem__(self, i):
-        run, k = self._leaves[i]
-        parts = []
-        while run >= 0:
-            parts.append(self._runs[run][0] * k)
-            _, run, k = self._runs[run]
-        return "".join(reversed(parts))
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
-        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,41 +95,16 @@ def law_of(tree: ProtocolTree, prior: JointDistribution) -> TranscriptLaw:
 
     Because Alice's factors depend only on x and Bob's only on y, each
     transcript's conditional table is the outer product of a row vector and a
-    column vector; nothing here depends on the prior's support.  Transcripts
-    come in depth-first preorder with the 0-child first, which is the sorted
-    order of their path strings.
+    column vector, which the tree recorded when it was built; nothing here
+    depends on the prior's support.  Transcripts come in depth-first preorder
+    with the 0-child first, which is the sorted order of their path strings.
     """
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree rectangle")
-    runs, leaves, fas, fbs, outs = [], [], [], [], []
-
-    def extend(run, k, bit):  # the handle of path (run, k) plus one bit
-        if run >= 0 and runs[run][0] == bit:
-            return run, k + 1
-        runs.append((bit, run, k))
-        return len(runs) - 1, 1
-
-    stack = [(tree.root, (1.0,) * tree.nx, (1.0,) * tree.ny, -1, 0)]
-    while stack:
-        node, fa, fb, run, k = stack.pop()
-        if isinstance(node, Leaf):
-            leaves.append((run, k))
-            fas.extend(fa)
-            fbs.extend(fb)
-            outs.append(node.output)
-            continue
-        s = node.send_one_prob
-        one, zero = extend(run, k, "1"), extend(run, k, "0")
-        if node.owner == ALICE:
-            stack.append((node.child1, [a * v for a, v in zip(fa, s)], fb, *one))
-            stack.append((node.child0, [a * (1.0 - v) for a, v in zip(fa, s)], fb, *zero))
-        else:
-            stack.append((node.child1, fa, [b * v for b, v in zip(fb, s)], *one))
-            stack.append((node.child0, fa, [b * (1.0 - v) for b, v in zip(fb, s)], *zero))
-    fa = np.array(fas, dtype=float).reshape(len(leaves), tree.nx)
-    fb = np.array(fbs, dtype=float).reshape(len(leaves), tree.ny)
-    cond = fa[:, :, None] * fb[:, None, :]
-    return TranscriptLaw(prior, LeafIds(runs, leaves), cond, tuple(outs))
+    paths = tree.path_law
+    f = np.frombuffer(paths.factors).reshape(-1, tree.nx + tree.ny)
+    cond = f[:, :tree.nx, None] * f[:, None, tree.nx:]
+    return TranscriptLaw(prior, paths.leaf_ids, cond, paths.outputs)
 
 
 def _snap(m: np.ndarray) -> np.ndarray:
@@ -172,12 +116,15 @@ def leaf_posteriors(law: TranscriptLaw, prior: Optional[JointDistribution] = Non
     """(Pr[t], posterior of t) per transcript under ``prior`` (by default the
     law's): the compensated sum of prior ⊙ Pr[t|x,y], and that table over it,
     snapped as JointDistribution snaps.  A transcript of probability zero has
-    an all-zero posterior."""
+    an all-zero posterior.  The rows reach their sums in blocks of about
+    ``SUM_BLOCK_CELLS`` cells, so their Python lists never hold the law."""
     joint = law.cond * (prior or law.prior).mass[None, :, :]
-    prob = np.array([math.fsum(row) for row in joint.reshape(len(joint), -1).tolist()])
-    live = prob > 0.0
-    post = np.zeros_like(joint)
-    post[live] = joint[live] / prob[live, None, None]
+    rows = joint.reshape(len(joint), -1)
+    step = max(1, SUM_BLOCK_CELLS // max(1, rows.shape[1]))
+    prob = np.fromiter((math.fsum(row) for lo in range(0, len(rows), step)
+                        for row in rows[lo:lo + step].tolist()), float, len(rows))
+    live = (prob > 0.0)[:, None, None]
+    post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
     return prob, _snap(post)
 
 

@@ -16,7 +16,11 @@ import bisect
 import json
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mul, sub
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     ProtocolError,
+    ResourceCapError,
 )
 
 ALICE = "alice"
@@ -35,15 +40,18 @@ BOB = "bob"
 ROWS = "rows"
 COLUMNS = "columns"
 DEFAULT_DEPTH_CAP = 64
+# A JSON tree may record at most this many factors, nx + ny a transcript: 2**21
+# transcripts of a 2x2 tree, whose construction walk peaks at 69 bytes each (145 MB).
+JSON_FACTOR_CAP = 2**23
 SPLIT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     output: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Internal:
     owner: str
     send_one_prob: tuple  # probability of sending bit 1, indexed by the owner's input
@@ -57,6 +65,51 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
+class LeafIds(Sequence):
+    """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
+    preorder, 0-child first (their sorted order), rendered on demand.  A path
+    is a handle (run, k): k copies of run ``run``'s bit appended to the path
+    that run extends, itself a handle.  ``runs`` holds flat integer triples
+    (bit, run, k) and ``leaves`` flat handles: a few bytes a node, where the
+    strings take Σ depth characters (quadratic on the buzzer caterpillar)."""
+
+    __slots__ = ("_runs", "_leaves")
+
+    def __init__(self, runs: array, leaves: array):
+        self._runs, self._leaves = runs, leaves
+
+    def __len__(self):
+        return len(self._leaves) // 2
+
+    def __getitem__(self, i):  # a negative i counts both halves from the end
+        return self._path(self._leaves[2 * i], self._leaves[2 * i + 1])
+
+    def __iter__(self):
+        return map(self._path, self._leaves[::2], self._leaves[1::2])
+
+    def _path(self, run, k):
+        runs, parts = self._runs, []
+        while run >= 0:
+            parts.append("01"[runs[3 * run]] * k)
+            run, k = runs[3 * run + 1], runs[3 * run + 2]
+        return "".join(reversed(parts))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+class PathLaw(NamedTuple):
+    """A tree's prior-free law, leaf by leaf: its id, its output, and its
+    factors, Alice's nx and Bob's ny edge-probability products along the path
+    (flat in one array), so that Pr[leaf | x, y] = alice[x] · bob[y]."""
+
+    leaf_ids: LeafIds
+    factors: array
+    outputs: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolTree:
     """A finite protocol over an nx-by-ny input rectangle.
@@ -64,6 +117,8 @@ class ProtocolTree:
     ``outputs`` is the explicit output alphabet; every leaf must reference it.
     ``depth_cap`` bounds the number of edges on any root-to-leaf path;
     constructions that legitimately need deeper trees pass their own cap.
+    Building a tree walks it once: the walk checks every node and records
+    ``path_law``, from which ``law_of`` prices the tree under any prior.
     """
 
     nx: int
@@ -71,50 +126,58 @@ class ProtocolTree:
     outputs: tuple
     root: Node
     depth_cap: int = DEFAULT_DEPTH_CAP
+    path_law: PathLaw = field(init=False, repr=False)
 
     def __post_init__(self):
         outputs = tuple(self.outputs)
         object.__setattr__(self, "outputs", outputs)
-        deepest = 0
         arity_of = {ALICE: self.nx, BOB: self.ny}
-        stack = [(self.root, 0)]
+        runs, leaves, factors, outs = array("i"), array("i"), array("d"), []
+        deepest = 0
+
+        def extend(run, k, bit):  # the handle of path (run, k) plus one bit
+            if run >= 0 and runs[3 * run] == bit:
+                return run, k + 1
+            runs.fromlist([bit, run, k])
+            return len(runs) // 3 - 1, 1
+
+        stack = [(self.root, 0, [1.0] * self.nx, [1.0] * self.ny, -1, 0)]
         while stack:
-            node, depth = stack.pop()
+            node, depth, fa, fb, run, k = stack.pop()
             if depth > self.depth_cap:
-                raise DepthCapError(
-                    f"protocol tree exceeds depth cap {self.depth_cap}"
-                )
+                raise DepthCapError(f"protocol tree exceeds depth cap {self.depth_cap}")
             if isinstance(node, Leaf):
                 deepest = max(deepest, depth)
                 if node.output not in outputs:
-                    raise ProtocolError(
-                        f"leaf output {node.output!r} not in alphabet {outputs!r}"
-                    )
-            elif isinstance(node, Internal):
-                arity = arity_of.get(node.owner)
-                if arity is None:
-                    raise ProtocolError(f"unknown owner {node.owner!r}")
-                if len(node.send_one_prob) != arity:
-                    raise ProtocolError(
-                        f"signal table has {len(node.send_one_prob)} entries, "
-                        f"owner {node.owner} needs {arity}"
-                    )
-                for s in node.send_one_prob:
-                    if not (0.0 <= s <= 1.0):
-                        raise ProtocolError(f"send probability {s!r} outside [0, 1]")
-                stack.append((node.child0, depth + 1))
-                stack.append((node.child1, depth + 1))
-            else:
+                    raise ProtocolError(f"leaf output {node.output!r} not in alphabet {outputs!r}")
+                leaves.fromlist([run, k])
+                factors.fromlist(fa + fb)
+                outs.append(node.output)
+                continue
+            if not isinstance(node, Internal):
                 raise ProtocolError(f"unknown node type {type(node).__name__}")
+            s, arity = node.send_one_prob, arity_of.get(node.owner)
+            if arity is None:
+                raise ProtocolError(f"unknown owner {node.owner!r}")
+            if len(s) != arity:
+                raise ProtocolError(f"{node.owner} needs {arity} send probabilities, not {len(s)}")
+            for v in s:
+                if not (0.0 <= v <= 1.0):
+                    raise ProtocolError(f"send probability {v!r} outside [0, 1]")
+            one, zero = extend(run, k, 1), extend(run, k, 0)
+            depth += 1
+            f = fa if node.owner == ALICE else fb  # the owner's factors move: f·s, f·(1 − s)
+            f1, f0 = list(map(mul, f, s)), list(map(mul, f, map(sub, repeat(1.0), s)))
+            if node.owner == ALICE:
+                stack += ((node.child1, depth, f1, fb, *one), (node.child0, depth, f0, fb, *zero))
+            else:
+                stack += ((node.child1, depth, fa, f1, *one), (node.child0, depth, fa, f0, *zero))
+        object.__setattr__(self, "path_law", PathLaw(LeafIds(runs, leaves), factors, tuple(outs)))
         object.__setattr__(self, "_depth", deepest)
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path, found while validating."""
         return self._depth
-
-
-def owner_axis(owner: str) -> str:
-    return ROWS if owner == ALICE else COLUMNS
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +251,7 @@ def apply_signal(mu: JointDistribution, owner: str, send_one_prob) -> WalkStep:
     posterior so the returned step is always well-formed.
     """
     s = np.asarray(send_one_prob, dtype=float)
-    axis = owner_axis(owner)
+    axis = ROWS if owner == ALICE else COLUMNS
     if axis == ROWS:
         if s.shape != (mu.nx,):
             raise ProtocolError("signal table length must equal the row count")
@@ -469,14 +532,13 @@ def tree_to_json(tree: ProtocolTree) -> str:
 def tree_from_json(text: str) -> ProtocolTree:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
-    try:
         raw_nodes = obj["nodes"]
         root_index = obj["root"]
         nx, ny = obj["nx"], obj["ny"]
         outputs = tuple(obj["outputs"])
         depth_cap = obj.get("depth_cap", DEFAULT_DEPTH_CAP)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from e
     except KeyError as e:
         raise ParseError(f"protocol JSON missing field: {e}") from e
     except TypeError as e:
@@ -499,6 +561,7 @@ def tree_from_json(text: str) -> ProtocolTree:
             raise ParseError(f"node {i} is missing {name!r}") from None
 
     built: dict[int, Node] = {}
+    paths: dict[int, int] = {}  # transcripts below each built node
     stack = [checked(root_index, "root")]
     expanding = set()
     while stack:
@@ -510,7 +573,7 @@ def tree_from_json(text: str) -> ProtocolTree:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ParseError(f"malformed node {i}")
         if spec["kind"] == "leaf":
-            built[i] = Leaf(entry(i, spec, "output"))
+            built[i], paths[i] = Leaf(entry(i, spec, "output")), 1
             stack.pop()
         elif spec["kind"] == "internal":
             c0 = checked(entry(i, spec, "child0"), f"node {i} child0")
@@ -518,9 +581,10 @@ def tree_from_json(text: str) -> ProtocolTree:
             if c0 in built and c1 in built:
                 try:
                     probs = tuple(float(v) for v in entry(i, spec, "send_one_prob"))
-                except (TypeError, ValueError) as e:
+                except (TypeError, ValueError, OverflowError) as e:
                     raise ParseError(f"node {i} send_one_prob: {e}") from e
                 built[i] = Internal(entry(i, spec, "owner"), probs, built[c0], built[c1])
+                paths[i] = paths[c0] + paths[c1]
                 expanding.discard(i)
                 stack.pop()
             else:
@@ -531,6 +595,9 @@ def tree_from_json(text: str) -> ProtocolTree:
                 stack.append(c0)
         else:
             raise ParseError(f"unknown node kind {spec['kind']!r}")
+        if paths.get(i, 0) * (nx + ny) > JSON_FACTOR_CAP:  # shared nodes multiply paths
+            raise ResourceCapError(f"protocol JSON node {i} expands to {paths[i]} transcripts; "
+                                   f"at most {JSON_FACTOR_CAP // (nx + ny)} fit a {nx}x{ny} tree")
     try:
         return ProtocolTree(nx, ny, outputs, built[root_index], depth_cap)
     except (ProtocolError, DepthCapError):

@@ -40,7 +40,6 @@ from infowalk.protocol import (
     Leaf,
     Task,
     evaluate_error,
-    tree_to_json,
     walk,
 )
 
@@ -548,9 +547,6 @@ def test_completion_random_trees_exact_zero_error():
         completed = complete_to_zero_error(tree, f, prior)
         report = evaluate_error(completed, Task(f, 0.0))
         assert report.max_pointwise == 0.0
-        # a caller that holds the tree's law passes it in: the same tree
-        again = complete_to_zero_error(tree, f, prior, law=law_of(tree, prior))
-        assert tree_to_json(again) == tree_to_json(completed)
 
 
 def test_completion_cost_stays_below_entropy_bound():
@@ -570,8 +566,5 @@ def test_completion_rejects_shape_mismatch():
     tree = random_tree(rng, 2, 2, depth=3)
     with pytest.raises(PreconditionError):
         complete_to_zero_error(tree, [[0, 1, 0], [1, 0, 1]], random_prior(rng, 2, 2))
-    prior, other = random_prior(rng, 2, 2), random_prior(rng, 2, 2)
-    with pytest.raises(PreconditionError):  # a law under another prior
-        complete_to_zero_error(tree, AND_TABLE, prior, law=law_of(tree, other))
     with pytest.raises(PreconditionError):
         complete_to_zero_error(tree, AND_TABLE, random_prior(rng, 2, 3))

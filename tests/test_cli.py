@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,22 @@ def test_disj_exact_cap_is_code_3(capsys):
     code, _, err = run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "exact")
     assert code == 3
     assert "resource cap" in err
+
+
+def test_shared_node_tree_file_is_code_3_at_once(capsys, files):
+    # 40 levels whose two children are one node: 2**40 transcripts
+    nodes = [{"kind": "internal", "owner": "alice", "send_one_prob": [0.5, 0.5],
+              "child0": i + 1, "child1": i + 1} for i in range(40)]
+    nodes.append({"kind": "leaf", "output": 0})
+    _, write = files
+    tree = write("dag40.json", {"nx": 2, "ny": 2, "outputs": [0], "root": 0,
+                                "nodes": nodes})
+    prior = write("u.json", [[0.25, 0.25], [0.25, 0.25]])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ic", "--protocol", tree, "--prior", prior)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "transcripts" in err
 
 
 def test_disj_mc_needs_seed(capsys):

@@ -6,7 +6,8 @@ law itself are bit-identical; ``sim`` agrees to 1e-12 relative; walk
 posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12 absolute;
 completed trees serialize identically.  The entropy sums walk a law in
 blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
-every block size.
+every block size, and so are ``leaf_posteriors``' probabilities and
+posteriors.
 """
 
 import math
@@ -205,6 +206,17 @@ def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
                                   one_sided=(1, 0)))
 
 
+def test_one_tree_prices_under_two_priors_from_its_one_record():
+    rng = np.random.default_rng(31)
+    trees = [tree for tree, _ in INSTANCES[:8]] + [BUZZERS[0][3]]
+    for tree in trees:
+        priors = random_prior(rng, tree.nx, tree.ny), sparse_prior(rng, tree.nx, tree.ny)
+        laws = [law_of(tree, prior) for prior in priors]
+        assert laws[0].leaf_ids is laws[1].leaf_ids
+        for law, prior in zip(laws, priors):
+            assert law.cond.tobytes() == law_of_reference(tree, prior).cond.tobytes()
+
+
 def test_leaf_ids_behave_as_a_tuple_of_strings():
     # the hand-enumerated walk from (2/4, 1/4): four phases, then the corner
     law = law_of(buzzer_grid_tree(GridWalkSpec(4, 2, 1)), JointDistribution.uniform(2, 2))
@@ -220,8 +232,9 @@ def test_leaf_ids_behave_as_a_tuple_of_strings():
 
 @pytest.fixture(scope="module")
 def priced_laws():
-    """(law, decomposition or None, its prices at the default block size) for
-    the random-tree and buzzer-grid cases and their completed trees."""
+    """(law, decomposition or None, its prices and leaf posteriors at the
+    default block size) for the random-tree and buzzer-grid cases and their
+    completed trees."""
     cases = []
     for k, (tree, prior) in enumerate(INSTANCES):
         table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny))
@@ -237,7 +250,8 @@ def prices(law, dec):
     report = cost_report(law)
     values = [report.ic_internal, report.ic_external, report.ci_internal,
               report.ci_external] + ([sim(law, dec)] if dec is not None else [])
-    return [v.hex() for v in values]
+    prob, post = infocost.leaf_posteriors(law)
+    return [v.hex() for v in values] + [prob.tobytes(), post.tobytes()]
 
 
 @pytest.mark.parametrize("transcripts", (1, 3, 7))

@@ -1,21 +1,30 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infowalk import (
     ALICE,
+    AND_TABLE,
     BOB,
     DepthCapError,
+    GridWalkSpec,
     InfeasibleSplitError,
+    InfowalkError,
     Internal,
     JointDistribution,
     Leaf,
     ParseError,
     ProtocolError,
     ProtocolTree,
+    ResourceCapError,
     Task,
     apply_signal,
+    buzzer_grid_tree,
+    complete_to_zero_error,
     evaluate_error,
     internal_ic,
     law_of,
@@ -27,7 +36,7 @@ from infowalk import (
     tree_to_json,
     walk,
 )
-from infowalk.protocol import COLUMNS, ROWS
+from infowalk.protocol import COLUMNS, JSON_FACTOR_CAP, ROWS
 
 from helpers import exchange_tree, random_prior, random_tree
 
@@ -306,3 +315,78 @@ def test_tree_json_rejects_malformed_input():
             tree_from_json(
                 f'{{{sizes}, "outputs": [0], "root": 0, "nodes": [{internal}, {leaf}]}}'
             )
+
+
+def shared_levels(levels):
+    """A tree file of ``levels`` internal nodes whose two children are both
+    the next node: levels + 1 nodes that expand to 2**levels transcripts."""
+    nodes = [{"kind": "internal", "owner": "alice", "send_one_prob": [0.5, 0.25],
+              "child0": i + 1, "child1": i + 1} for i in range(levels)]
+    nodes.append({"kind": "leaf", "output": 0})
+    return json.dumps({"nx": 2, "ny": 2, "outputs": [0], "root": 0, "nodes": nodes})
+
+
+def test_tree_json_caps_the_transcripts_shared_nodes_expand_to():
+    with pytest.raises(ResourceCapError):
+        tree_from_json(shared_levels(40))
+    law = law_of(tree_from_json(shared_levels(4)), JointDistribution.uniform(2, 2))
+    assert law.transcript_count() == 16
+    # trees the library writes share nodes too and must round-trip: a
+    # completed buzzer tree at grid n has 3n + 15 transcripts, so the cap
+    # admits it up to n = 262144
+    spec, _ = GridWalkSpec.from_start(0.5, 0.25, 64)
+    completed = complete_to_zero_error(
+        buzzer_grid_tree(spec), AND_TABLE, JointDistribution.uniform(2, 2)
+    )
+    text = tree_to_json(completed)
+    assert tree_to_json(tree_from_json(text)) == text
+    assert len(completed.path_law.outputs) == 3 * 64 + 15
+    assert (3 * 262144 + 15) * (2 + 2) <= JSON_FACTOR_CAP
+
+
+def _containers(doc):
+    """Every dict and list in a parsed JSON document."""
+    found, stack = [], [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            found.append(item)
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return found
+
+
+FUZZ_BASE = tree_to_json(complete_to_zero_error(
+    alice_reveal_tree(), AND_TABLE, JointDistribution.uniform(2, 2)
+))
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**40, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tree_from_json_raises_only_library_errors(data):
+    # null, negative, string, list, NaN and huge fields, and dropped keys
+    doc = json.loads(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        holder = data.draw(st.sampled_from(_containers(doc)))
+        if not holder:
+            continue
+        key = data.draw(st.sampled_from(
+            list(holder) if isinstance(holder, dict) else range(len(holder))
+        ))
+        if data.draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = data.draw(JUNK)
+    try:
+        tree_from_json(json.dumps(doc))
+    except InfowalkError:
+        pass
