@@ -23,7 +23,6 @@ from .distributions import (  # noqa: F401
 from .errors import (  # noqa: F401
     DecompositionError,
     DecompositionMismatchError,
-    DepthCapError,
     DistributionError,
     InfeasibleSplitError,
     InfowalkError,

@@ -197,9 +197,7 @@ def buzzer_grid_tree(
     node = Leaf(terminal)
     for phase in reversed(phases):  # build the caterpillar bottom-up
         node = Internal(phase.owner, _phase_signal(phase, spec.n), Leaf(0), node)
-    return ProtocolTree(
-        2, 2, (0, 1), node, depth_cap=max(64, len(phases) + 1)
-    )
+    return ProtocolTree(2, 2, (0, 1), node)
 
 
 class GridLeaf(NamedTuple):
@@ -368,19 +366,49 @@ def leaf_mass_below(tree: ProtocolTree, dec: Decomposition, threshold: float) ->
 # The ε-flip, one-sided AND, and zero-error completion
 # ---------------------------------------------------------------------------
 
+def _check_flip(x0: int, x1: int, epsilon: float, nx: int):
+    if not (0.0 <= epsilon <= 1.0):
+        raise PreconditionError(f"epsilon = {epsilon!r} outside [0, 1]")
+    if x0 == x1:
+        raise PreconditionError("flip rows must differ")
+    if not (0 <= x0 < nx and 0 <= x1 < nx):
+        raise PreconditionError("flip rows outside the rectangle")
+
+
+def _copy_paths(tree: ProtocolTree, outputs: tuple, leaf, internal, state) -> ProtocolTree:
+    """A copy of ``tree`` with one node per path, so shared nodes are expanded.
+
+    Leaf t, in law order (preorder, 0-child first), becomes ``leaf(node, t)``.
+    An internal node reached with ``state`` gets the signal and the two child
+    states that ``internal(node, state)`` returns, as (signal, state0, state1)."""
+    built = []
+    t = 0
+    # flat (node, state, signal) entries; a pushed signal marks a node whose
+    # children are built
+    stack = [(tree.root, state, None)]
+    while stack:
+        node, state, signal = stack.pop()
+        if isinstance(node, Leaf):
+            built.append(leaf(node, t))
+            t += 1
+        elif signal is None:
+            signal, state0, state1 = internal(node, state)
+            stack.append((node, None, signal))
+            stack.append((node.child1, state1, None))
+            stack.append((node.child0, state0, None))
+        else:
+            child1, child0 = built.pop(), built.pop()
+            built.append(Internal(node.owner, signal, child0, child1))
+    return ProtocolTree(tree.nx, tree.ny, outputs, built.pop())
+
+
 def flip_transform(
     law: TranscriptLaw, x0: int, x1: int, epsilon: float
 ) -> TranscriptLaw:
     """Alice privately flips an ε-coin; on heads she behaves as if her input
     x1 were x0 for the whole run.  Only row x1 of the conditional law moves:
     Pr'[t|x1,y] = ε·Pr[t|x0,y] + (1−ε)·Pr[t|x1,y]."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise PreconditionError(f"epsilon = {epsilon!r} outside [0, 1]")
-    if x0 == x1:
-        raise PreconditionError("flip rows must differ")
-    nx = law.prior.nx
-    if not (0 <= x0 < nx and 0 <= x1 < nx):
-        raise PreconditionError("flip rows outside the rectangle")
+    _check_flip(x0, x1, epsilon, law.prior.nx)
     cond = np.array(law.cond)
     cond[:, x1, :] = epsilon * law.cond[:, x0, :] + (1 - epsilon) * law.cond[:, x1, :]
     return TranscriptLaw(law.prior, law.leaf_ids, cond, law.outputs)
@@ -392,22 +420,26 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     The private coin folds into the tree because Alice's coin posterior given
     (x1, transcript-so-far) does not depend on Bob's input — his factors
     cancel — so rewriting row x1 of each signal path-dependently reproduces
-    the mixture law on the same tree shape.  Log-weights keep the reweighting
-    stable on very deep trees."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise PreconditionError(f"epsilon = {epsilon!r} outside [0, 1]")
-    if x0 == x1:
-        raise PreconditionError("flip rows must differ")
+    the mixture law on the same tree shape; a node shared by several paths
+    comes back once per path.  Log-weights keep the reweighting stable on
+    very deep trees."""
+    _check_flip(x0, x1, epsilon, tree.nx)
     if epsilon == 0.0:
         return tree
 
     def log_(v: float) -> float:
         return math.log(v) if v > 0.0 else -math.inf
 
-    def mixed(node: Internal, la0: float, la1: float) -> tuple:
+    def internal(node: Internal, state: tuple) -> tuple:
+        # state: the path's log-weights behaving as x0 and as x1
         s = node.send_one_prob
+        if node.owner != ALICE:
+            return s, state, state
+        la0, la1 = state
+        kids = ((la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1])),
+                (la0 + log_(s[x0]), la1 + log_(s[x1])))
         if la0 == -math.inf and la1 == -math.inf:
-            return s  # unreachable under x1 either way
+            return (s, *kids)  # unreachable under x1 either way
         if la1 == -math.inf:
             heads = 1.0
         elif la0 == -math.inf:
@@ -416,35 +448,9 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
             heads = 1.0 / (1.0 + ((1 - epsilon) / epsilon) * math.exp(la1 - la0))
         new = list(s)
         new[x1] = heads * s[x0] + (1.0 - heads) * s[x1]
-        return tuple(new)
+        return (tuple(new), *kids)
 
-    # post-order rebuild over (node, behave-as-x0 log-weight, as-x1 log-weight);
-    # an expanded entry carries its children's keys
-    done: dict = {}
-    stack = [(tree.root, 0.0, 0.0, None)]
-    while stack:
-        node, la0, la1, kids = stack.pop()
-        key = (id(node), la0, la1)
-        if key in done:
-            continue
-        if isinstance(node, Leaf):
-            done[key] = node
-        elif kids is None:
-            s = node.send_one_prob
-            if node.owner == ALICE:
-                kids = ((id(node.child0), la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1])),
-                        (id(node.child1), la0 + log_(s[x0]), la1 + log_(s[x1])))
-            else:
-                kids = ((id(node.child0), la0, la1), (id(node.child1), la0, la1))
-            stack.append((node, la0, la1, kids))
-            stack.append((node.child1, *kids[1][1:], None))
-            stack.append((node.child0, *kids[0][1:], None))
-        else:
-            s = mixed(node, la0, la1) if node.owner == ALICE else node.send_one_prob
-            done[key] = Internal(node.owner, s, done[kids[0]], done[kids[1]])
-    return ProtocolTree(
-        tree.nx, tree.ny, tree.outputs, done[(id(tree.root), 0.0, 0.0)], tree.depth_cap
-    )
+    return _copy_paths(tree, tree.outputs, lambda node, t: node, internal, (0.0, 0.0))
 
 
 def one_sided_and(
@@ -505,27 +511,11 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
                 node = Internal(BOB, reveal_y[y], node, second)
         return node
 
-    # rebuild the tree, replacing each reachable leaf by its verification;
-    # leaves are met in the law's order (preorder, 0-child first)
-    built = []
-    t = 0
-    stack = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            built.append(verification(node, t) if prob[t] > 0.0 else node)
-            t += 1
-        elif expanded:
-            child1, child0 = built.pop(), built.pop()
-            built.append(Internal(node.owner, node.send_one_prob, child0, child1))
-        else:
-            stack.append((node, True))
-            stack.append((node.child1, False))
-            stack.append((node.child0, False))
-    return ProtocolTree(
-        tree.nx,
-        tree.ny,
+    # each reachable leaf is replaced by its verification
+    return _copy_paths(
+        tree,
         outputs,
-        built.pop(),
-        tree.depth_cap + 2 * tree.nx * tree.ny,
+        lambda leaf, t: verification(leaf, t) if prob[t] > 0.0 else leaf,
+        lambda node, state: (node.send_one_prob, None, None),
+        None,
     )

@@ -402,7 +402,7 @@ def _balance_p(epsilon: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def disj_bound_curve(epsilons, opt_p: Optional[float] = None) -> DisjBoundCurve:
+def disj_bound_curve(epsilons) -> DisjBoundCurve:
     """The analytic per-coordinate cost bound along an epsilon grid.
 
     Each round either saves a whole execution (early stop, worth about p/3
@@ -415,7 +415,7 @@ def disj_bound_curve(epsilons, opt_p: Optional[float] = None) -> DisjBoundCurve:
     for eps in epsilons:
         if not (0.0 < eps < 0.5):
             raise PreconditionError("bound curve needs 0 < epsilon < 1/2")
-        p = opt_p if opt_p is not None else _balance_p(eps)
+        p = _balance_p(eps)
         bound = (1.0 - p / 3.0 + eps / 4.0) * (
             ic_star - truncated_entropy(eps / p)
         )

@@ -46,8 +46,4 @@ class DecompositionMismatchError(PreconditionError):
 
 
 class ResourceCapError(InfowalkError):
-    """A configured size or depth cap was exceeded."""
-
-
-class DepthCapError(ResourceCapError):
-    """Protocol tree deeper than the configured cap."""
+    """A configured size cap was exceeded."""

@@ -249,14 +249,13 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
         raise DecompositionMismatchError(
             f"prior is not the recomposition of (reference, pretend): off by {gap:.3e}"
         )
-    lam, mu_t = leaf_posteriors(law, dec.pretend.as_joint())  # pretend world
-    live = lam > 0.0
-    lam, mu_t = lam[live], mu_t[live]
-    nu = dec.reference.mass
-    inner = (nu * mu_t).sum(axis=(1, 2))
+    lam, real = leaf_posteriors(law, dec.pretend.as_joint())  # pretend world
+    real *= dec.reference.mass  # ν·μ_t, in place: the posteriors are not needed again
+    inner = real.sum(axis=(1, 2))  # 0 on a dead transcript's all-zero posterior
     keep = inner > 0.0
-    real = nu * mu_t[keep]
-    real = _snap(real / real.sum(axis=(1, 2))[:, None, None])  # ν ⊙ μ_t
+    real = real[keep]
+    real /= real.sum(axis=(1, 2))[:, None, None]
+    real = _snap(real)  # ν ⊙ μ_t
     # Σ_t λ_t⟨ν,μ_t⟩·(H(X|Y) + H(Y|X)) at ν ⊙ μ_t, summed cell by cell
     weight = (lam[keep] * inner[keep])[:, None, None] * real
     margins = [real.sum(axis=axis, keepdims=True) for axis in (1, 2)]

@@ -27,7 +27,6 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .errors import (
-    DepthCapError,
     InfeasibleSplitError,
     ParseError,
     PreconditionError,
@@ -39,7 +38,6 @@ ALICE = "alice"
 BOB = "bob"
 ROWS = "rows"
 COLUMNS = "columns"
-DEFAULT_DEPTH_CAP = 64
 # A JSON tree may record at most this many factors, nx + ny a transcript: 2**21
 # transcripts of a 2x2 tree, whose construction walk peaks at 69 bytes each (145 MB).
 JSON_FACTOR_CAP = 2**23
@@ -115,8 +113,6 @@ class ProtocolTree:
     """A finite protocol over an nx-by-ny input rectangle.
 
     ``outputs`` is the explicit output alphabet; every leaf must reference it.
-    ``depth_cap`` bounds the number of edges on any root-to-leaf path;
-    constructions that legitimately need deeper trees pass their own cap.
     Building a tree walks it once: the walk checks every node and records
     ``path_law``, from which ``law_of`` prices the tree under any prior.
     """
@@ -125,7 +121,6 @@ class ProtocolTree:
     ny: int
     outputs: tuple
     root: Node
-    depth_cap: int = DEFAULT_DEPTH_CAP
     path_law: PathLaw = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -144,8 +139,6 @@ class ProtocolTree:
         stack = [(self.root, 0, [1.0] * self.nx, [1.0] * self.ny, -1, 0)]
         while stack:
             node, depth, fa, fb, run, k = stack.pop()
-            if depth > self.depth_cap:
-                raise DepthCapError(f"protocol tree exceeds depth cap {self.depth_cap}")
             if isinstance(node, Leaf):
                 deepest = max(deepest, depth)
                 if node.output not in outputs:
@@ -522,7 +515,6 @@ def tree_to_json(tree: ProtocolTree) -> str:
         "nx": tree.nx,
         "ny": tree.ny,
         "outputs": list(tree.outputs),
-        "depth_cap": tree.depth_cap,
         "root": 0,
         "nodes": nodes,
     }
@@ -536,7 +528,6 @@ def tree_from_json(text: str) -> ProtocolTree:
         root_index = obj["root"]
         nx, ny = obj["nx"], obj["ny"]
         outputs = tuple(obj["outputs"])
-        depth_cap = obj.get("depth_cap", DEFAULT_DEPTH_CAP)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
     except KeyError as e:
@@ -599,8 +590,8 @@ def tree_from_json(text: str) -> ProtocolTree:
             raise ResourceCapError(f"protocol JSON node {i} expands to {paths[i]} transcripts; "
                                    f"at most {JSON_FACTOR_CAP // (nx + ny)} fit a {nx}x{ny} tree")
     try:
-        return ProtocolTree(nx, ny, outputs, built[root_index], depth_cap)
-    except (ProtocolError, DepthCapError):
+        return ProtocolTree(nx, ny, outputs, built[root_index])
+    except ProtocolError:
         raise
     except Exception as e:  # malformed scalars and the like
         raise ParseError(f"protocol JSON invalid: {e}") from e

@@ -292,8 +292,7 @@ def complete_reference(tree, f, prior):
         else:
             done[path] = Internal(node.owner, node.send_one_prob,
                                   done[path + "0"], done[path + "1"])
-    return ProtocolTree(tree.nx, tree.ny, outputs, done[""],
-                        tree.depth_cap + 2 * tree.nx * tree.ny)
+    return ProtocolTree(tree.nx, tree.ny, outputs, done[""])
 
 
 def evaluate_error_reference(law, task):

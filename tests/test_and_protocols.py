@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from infowalk.protocol import (
     Leaf,
     Task,
     evaluate_error,
+    tree_to_json,
     walk,
 )
 
@@ -420,15 +422,24 @@ def test_flip_transform_rows():
     assert np.allclose(full.cond[:, 1, :], law.cond[:, 0, :])
 
 
+# (x0, x1, epsilon) on a 2x2 rectangle; a negative row must not alias one
+# counted from the end
+BAD_FLIPS = [(1, 1, 0.1), (0, 1, 1.5), (0, 5, 0.1), (1, -1, 0.1), (0, -1, 0.1)]
+
+
 def test_flip_transform_rejects_bad_arguments():
     rng = np.random.default_rng(7)
     law = law_of(random_tree(rng, 2, 2, depth=3), random_prior(rng, 2, 2))
-    with pytest.raises(PreconditionError):
-        flip_transform(law, 1, 1, 0.1)
-    with pytest.raises(PreconditionError):
-        flip_transform(law, 0, 1, 1.5)
-    with pytest.raises(PreconditionError):
-        flip_transform(law, 0, 5, 0.1)
+    for x0, x1, eps in BAD_FLIPS:
+        with pytest.raises(PreconditionError):
+            flip_transform(law, x0, x1, eps)
+
+
+def test_flip_tree_rejects_bad_arguments():
+    tree = random_tree(np.random.default_rng(7), 2, 2, depth=3)
+    for x0, x1, eps in BAD_FLIPS + [(1, -1, 0.0)]:
+        with pytest.raises(PreconditionError):
+            flip_tree(tree, x0, x1, eps)
 
 
 def test_flip_tree_reproduces_flip_transform():
@@ -441,6 +452,21 @@ def test_flip_tree_reproduces_flip_transform():
         eps = float(rng.uniform(0.01, 0.6))
         a = law_of(flip_tree(tree, int(x0), int(x1), eps), prior)
         b = flip_transform(law_of(tree, prior), int(x0), int(x1), eps)
+        assert a.leaf_ids == b.leaf_ids
+        assert np.max(np.abs(a.cond - b.cond)) < 1e-12
+
+
+def test_flip_tree_expands_shared_nodes():
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        tree = random_tree(rng, 3, 3, depth=4)
+        prior = random_prior(rng, 3, 3)
+        completed = complete_to_zero_error(tree, rng.integers(0, 3, size=(3, 3)), prior)
+        law = law_of(completed, prior)
+        # verification rounds share the node a failed test falls back to
+        assert len(json.loads(tree_to_json(completed))["nodes"]) < 2 * len(law.outputs) - 1
+        a = law_of(flip_tree(completed, 2, 0, 0.1), prior)
+        b = flip_transform(law, 2, 0, 0.1)
         assert a.leaf_ids == b.leaf_ids
         assert np.max(np.abs(a.cond - b.cond)) < 1e-12
 

@@ -308,6 +308,20 @@ def test_shared_node_tree_file_is_code_3_at_once(capsys, files):
     assert "resource cap" in err and "transcripts" in err
 
 
+def test_deep_chain_tree_file_prices(capsys, files):
+    # 100 levels and no depth_cap key: deeper than such a file used to allow
+    nodes = [{"kind": "internal", "owner": ("alice", "bob")[i % 2],
+              "send_one_prob": [0.5, 0.25], "child0": 100, "child1": i + 1}
+             for i in range(100)]
+    nodes.append({"kind": "leaf", "output": 0})
+    _, write = files
+    tree = write("chain100.json", {"nx": 2, "ny": 2, "outputs": [0], "root": 0,
+                                   "nodes": nodes})
+    prior = write("u.json", [[0.25, 0.25], [0.25, 0.25]])
+    code, out, _ = run(capsys, "ic", "--protocol", tree, "--prior", prior)
+    assert code == 0 and "internal" in out
+
+
 def test_disj_mc_needs_seed(capsys):
     assert run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "mc")[0] == 2
 

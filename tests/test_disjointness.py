@@ -221,11 +221,11 @@ def test_bound_curve_shape():
     assert 0.4 <= curve.fitted_exponent <= 0.6
 
 
-def test_bound_curve_explicit_p():
-    pt = disj_bound_curve([1e-3], opt_p=0.2).points[0]
-    assert pt.p_star == 0.2
-    expect = (1 - 0.2 / 3 + 1e-3 / 4) * (
-        0.4827018481689195 - truncated_entropy(1e-3 / 0.2)
+def test_bound_curve_balances_p():
+    pt = disj_bound_curve([1e-3]).points[0]
+    assert abs(pt.p_star - truncated_entropy(1e-3 / pt.p_star)) <= 1e-12
+    expect = (1 - pt.p_star / 3 + 1e-3 / 4) * (
+        0.4827018481689195 - truncated_entropy(1e-3 / pt.p_star)
     )
     assert pt.bound == pytest.approx(expect, abs=1e-10)
     with pytest.raises(PreconditionError):

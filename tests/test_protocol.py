@@ -10,7 +10,6 @@ from infowalk import (
     ALICE,
     AND_TABLE,
     BOB,
-    DepthCapError,
     GridWalkSpec,
     InfeasibleSplitError,
     InfowalkError,
@@ -62,14 +61,11 @@ def test_tree_validation():
         ProtocolTree(2, 2, (0, 1), Internal(ALICE, (0.5, 1.5), Leaf(0), Leaf(1)))
 
 
-def test_depth_cap():
+def test_deep_chain_needs_no_depth_cap():
     node = Leaf(0)
-    for _ in range(65):
+    for _ in range(200):
         node = Internal(ALICE, (0.5, 0.5), node, Leaf(0))
-    with pytest.raises(DepthCapError):
-        ProtocolTree(2, 2, (0, 1), node)
-    tree = ProtocolTree(2, 2, (0, 1), node, depth_cap=65)
-    assert tree.depth() == 65
+    assert ProtocolTree(2, 2, (0, 1), node).depth() == 200
 
 
 def test_walk_single_leaf():
@@ -342,6 +338,14 @@ def test_tree_json_caps_the_transcripts_shared_nodes_expand_to():
     assert tree_to_json(tree_from_json(text)) == text
     assert len(completed.path_law.outputs) == 3 * 64 + 15
     assert (3 * 262144 + 15) * (2 + 2) <= JSON_FACTOR_CAP
+
+
+def test_tree_json_ignores_a_legacy_depth_cap():
+    doc = json.loads(shared_levels(3))
+    doc["depth_cap"] = 1  # older files carry a cap on the edges of any path
+    tree = tree_from_json(json.dumps(doc))
+    assert tree.depth() == 3
+    assert "depth_cap" not in json.loads(tree_to_json(tree))
 
 
 def _containers(doc):
