@@ -20,7 +20,7 @@ prior reweights transitions exactly as the pretend/real conversion predicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -82,17 +82,17 @@ class BuzzerLeafLaw:
     def total_mass(self) -> float:
         return self.atom_axis_mass + self.density_mass() + self.atom_11_mass
 
-    def cdf(self, t: float) -> float:
-        """CDF of the scalar leaf parameter ℓ (both axes collapsed onto max)."""
+    def cdf(self, t):
+        """CDF of the scalar leaf parameter ℓ (both axes collapsed onto max),
+        elementwise over an array of points; a float at a scalar point."""
+        t = np.asarray(t, dtype=float)
         pq = self.start.p * self.start.q
-        out = 0.0
-        if t >= self.hi:
-            out += self.atom_axis_mass
-            top = min(t, 1.0)
-            out += pq * (1.0 / self.hi**2 - 1.0 / top**2)
-        if t >= 1.0:
-            out += self.atom_11_mass
-        return out
+        hi = self.hi
+        # libm's pow, as float ** is; numpy's ** squares by one multiply
+        top_sq = np.float_power(np.clip(t, hi, 1.0), 2)  # masked below hi
+        axis = self.atom_axis_mass + pq * (1.0 / hi**2 - 1.0 / top_sq)
+        out = np.where(t >= hi, axis, 0.0) + np.where(t >= 1.0, self.atom_11_mass, 0.0)
+        return out if out.ndim else float(out)
 
 
 def buzzer_leaf_law(p: float, q: float) -> BuzzerLeafLaw:
@@ -114,17 +114,47 @@ def buzzer_leaf_law(p: float, q: float) -> BuzzerLeafLaw:
 
 @dataclass(frozen=True)
 class GridWalkSpec:
-    """A start point (a/n, b/n) on the resolution-n grid."""
+    """A start point (a/n, b/n) on the resolution-n grid, with the phases of
+    its collapsed walk.
+
+    From (a, b): when a >= b Bob's coordinate runs over [0, min(a+1, n)];
+    otherwise Alice's runs over [0, b], exiting on the diagonal.  The walk
+    absorbs on the axes (output 0) and at (n, n) (output 1).  Phase k is
+    ``bob[k]`` (Bob moves), ``mover[k]`` (the moving coordinate's lattice
+    value), ``high[k]`` (the gambler's-ruin ceiling; the floor is always 0)
+    and ``other[k]`` (the resting coordinate's lattice value); ``terminal`` is
+    the output reached when no phase gives up.  The phases are derived from
+    (n, a, b), which alone decide equality."""
 
     n: int
     a: int
     b: int
+    bob: np.ndarray = field(init=False, compare=False, repr=False)
+    mover: np.ndarray = field(init=False, compare=False, repr=False)
+    high: np.ndarray = field(init=False, compare=False, repr=False)
+    other: np.ndarray = field(init=False, compare=False, repr=False)
+    terminal: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise PreconditionError("grid resolution must be at least 2")
         if not (0 <= self.a <= self.n and 0 <= self.b <= self.n):
             raise PreconditionError("grid start off-lattice: need 0 <= a, b <= n")
+        a, b, n = self.a, self.b, self.n
+        phases = []  # flat (Bob moves, mover, ceiling, resting value) quadruples
+        while a and b and (a, b) != (n, n):
+            if a >= b:
+                high = min(a + 1, n)
+                phases += (1, b, high, a)
+                b = high
+            else:
+                phases += (0, a, b, b)
+                a = b
+        bob, mover, ceiling, other = np.array(phases, np.int32).reshape(-1, 4).T.copy()
+        derived = dict(bob=bob.astype(bool), mover=mover, high=ceiling, other=other,
+                       terminal=int(a == b == n))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_start(cls, p: float, q: float, n: int = 1024):
@@ -132,6 +162,8 @@ class GridWalkSpec:
 
         Returns (spec, snap distance) so callers can report how far the
         requested start moved."""
+        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+            raise PreconditionError(f"grid start ({p!r}, {q!r}) outside [0, 1]²")
         a, b = round(p * n), round(q * n)
         spec = cls(n, a, b)
         return spec, max(abs(a / n - p), abs(b / n - q))
@@ -139,48 +171,6 @@ class GridWalkSpec:
     @property
     def start(self) -> ProductDistribution:
         return ProductDistribution(self.a / self.n, self.b / self.n)
-
-
-class _Phase(NamedTuple):
-    owner: str
-    mover: int  # the moving coordinate's current lattice value
-    high: int  # gambler's-ruin ceiling; the floor is always 0
-    other: int  # the resting coordinate's lattice value
-
-
-def _grid_phases(spec: GridWalkSpec):
-    """Phases of the collapsed walk plus the terminal outcome.
-
-    From (a, b): when a >= b Bob's coordinate runs over [0, min(a+1, n)];
-    otherwise Alice's runs over [0, b], exiting on the diagonal.  The walk
-    absorbs on the axes (output 0) and at (n, n) (output 1)."""
-    a, b, n = spec.a, spec.b, spec.n
-    phases = []
-    while True:
-        if a == 0 or b == 0:
-            return phases, 0
-        if a == n and b == n:
-            return phases, 1
-        if a >= b:
-            high = min(a + 1, n)
-            phases.append(_Phase(BOB, b, high, a))
-            b = high
-        else:
-            high = b
-            phases.append(_Phase(ALICE, a, high, b))
-            a = high
-
-
-def _phase_signal(phase: _Phase, n: int) -> tuple:
-    """Bayes-converted send probabilities for one collapsed phase.
-
-    Under the pretend walk the mover m exits up with probability m/high,
-    landing at posterior high/n.  Conditioning on the owner's input: a 1
-    never gives up (posterior ratio (m/high)·(high/n)/(m/n) = 1); a 0
-    continues with probability m(n−high)/(high(n−m))."""
-    m, high = phase.mover, phase.high
-    up_given_zero = 0.0 if m >= n else (m * (n - high)) / (high * (n - m))
-    return (up_given_zero, 1.0)
 
 
 def buzzer_grid_tree(
@@ -192,11 +182,19 @@ def buzzer_grid_tree(
     The tree errs on no input: a player holding 1 never takes a give-up
     branch, and the corner is reached only when both posteriors are certain.
     The signals are measure-independent; ``dec`` (when given) only fixes the
-    symmetric-reference context the tree is meant to run under."""
-    phases, terminal = _grid_phases(spec)
-    node = Leaf(terminal)
-    for phase in reversed(phases):  # build the caterpillar bottom-up
-        node = Internal(phase.owner, _phase_signal(phase, spec.n), Leaf(0), node)
+    symmetric-reference context the tree is meant to run under.
+
+    A phase's signal is its Bayes-converted send probabilities.  Under the
+    pretend walk the mover m exits up with probability m/high, landing at
+    posterior high/n.  Conditioning on the owner's input: a 1 never gives up
+    (posterior ratio (m/high)·(high/n)/(m/n) = 1); a 0 continues with
+    probability m(n−high)/(high(n−m)), where m < n on every phase."""
+    m, high, n = spec.mover.astype(np.int64), spec.high, spec.n  # products reach n²/4
+    up_given_zero = (m * (n - high) / (high * (n - m))).tolist()
+    node = Leaf(spec.terminal)
+    for bob, s in zip(reversed(spec.bob.tolist()), reversed(up_given_zero)):
+        # the module's owner constants, not a fresh string per node
+        node = Internal(BOB if bob else ALICE, (s, 1.0), Leaf(0), node)
     return ProtocolTree(2, 2, (0, 1), node)
 
 
@@ -213,40 +211,39 @@ class GridLeaf(NamedTuple):
         return "1" * self.index + ("" if self.final else "0")
 
 
+def _grid_leaf_arrays(spec: GridWalkSpec) -> tuple:
+    """(ℓ, pretend mass) of every leaf in leaf order: one give-up exit per
+    phase, then the final leaf."""
+    p_up = spec.mover / spec.high
+    reach = np.cumprod(np.append(1.0, p_up))  # left to right, as the walk runs
+    final_ell = 1.0 if spec.terminal else max(spec.a, spec.b) / spec.n
+    ell = np.append(spec.other / spec.n, final_ell)
+    return ell, np.append(reach[:-1] * (1.0 - p_up), reach[-1])
+
+
 def grid_leaf_law(spec: GridWalkSpec) -> list:
     """Exact pretend-measure leaf law of the collapsed grid walk."""
-    phases, terminal = _grid_phases(spec)
-    out = []
-    reach = 1.0
-    for k, phase in enumerate(phases):
-        p_up = phase.mover / phase.high
-        axis = "x" if phase.owner == BOB else "y"  # the survivor names the axis
-        out.append(
-            GridLeaf(k, phase.other / spec.n, axis, reach * (1.0 - p_up), False)
-        )
-        reach *= p_up
-    if terminal == 1:
-        out.append(GridLeaf(len(phases), 1.0, "one", reach, True))
+    ell, mass = (values.tolist() for values in _grid_leaf_arrays(spec))
+    axes = ["x" if bob else "y" for bob in spec.bob.tolist()]  # the survivor names the axis
+    out = [GridLeaf(k, *leaf, False) for k, leaf in enumerate(zip(ell, axes, mass))]
+    if spec.terminal:
+        final_axis = "one"
     else:
-        ell = max(spec.a, spec.b) / spec.n
-        axis = "x" if spec.a >= spec.b else "y"
-        out.append(GridLeaf(len(phases), ell, axis, reach, True))
+        final_axis = "x" if spec.a >= spec.b else "y"
+    out.append(GridLeaf(len(axes), ell[-1], final_axis, mass[-1], True))
     return out
 
 
 def grid_law_kolmogorov(spec: GridWalkSpec, law: BuzzerLeafLaw) -> float:
     """Kolmogorov distance between the grid walk's scalar ℓ-law and the
     continuous law's CDF (evaluated just below and at each grid atom)."""
-    mass = {}
-    for leaf in grid_leaf_law(spec):
-        mass[leaf.ell] = mass.get(leaf.ell, 0.0) + leaf.pretend_mass
-    worst = 0.0
-    running = 0.0
-    for ell in sorted(mass):
-        worst = max(worst, abs(running - law.cdf(ell - 1e-12)))
-        running += mass[ell]
-        worst = max(worst, abs(running - law.cdf(ell)))
-    return worst
+    ell, mass = _grid_leaf_arrays(spec)
+    atoms, slot = np.unique(ell, return_inverse=True)
+    after = np.cumsum(np.bincount(slot, weights=mass))  # each atom's mass adds in leaf order
+    before = np.append(0.0, after[:-1])
+    below = np.abs(before - law.cdf(atoms - 1e-12))
+    at = np.abs(after - law.cdf(atoms))
+    return float(max(below.max(), at.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ use compensated summation so the stated tolerances hold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import (
     DecompositionError,
     DistributionError,
-    ParseError,
     PreconditionError,
     ShapeMismatchError,
     UndefinedProductError,
@@ -33,17 +31,17 @@ def _xlog2(t: float) -> float:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2(x) - (1-x) log2(1-x); the entropy of a coin with bias x."""
-    if x < 0.0 or x > 1.0:
-        if x < -MASS_TOLERANCE or x > 1.0 + MASS_TOLERANCE:
+    if not (0.0 <= x <= 1.0):  # NaN included
+        if not (-MASS_TOLERANCE <= x <= 1.0 + MASS_TOLERANCE):
             raise PreconditionError(f"binary_entropy argument {x!r} outside [0, 1]")
         x = min(max(x, 0.0), 1.0)
-    return -_xlog2(x) - _xlog2(1.0 - x)
+    return 0.0 - _xlog2(x) - _xlog2(1.0 - x)  # +0.0, not -0.0, at 0 and 1
 
 
 def truncated_entropy(x: float) -> float:
     """hbar(x) = h(min(x, 1/2)): nondecreasing, concave, subadditive."""
-    if x < 0.0:
-        if x < -MASS_TOLERANCE:
+    if not x >= 0.0:  # NaN included
+        if not x >= -MASS_TOLERANCE:
             raise PreconditionError(f"truncated_entropy argument {x!r} is negative")
         x = 0.0
     return binary_entropy(min(x, 0.5))
@@ -102,36 +100,6 @@ class JointDistribution:
     def support(self) -> np.ndarray:
         return self.mass > 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"nx": self.nx, "ny": self.ny, "mass": self.mass.tolist()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointDistribution":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
-        if not isinstance(obj, dict) or not {"nx", "ny", "mass"} <= obj.keys():
-            raise ParseError('distribution JSON needs keys "nx", "ny", "mass"')
-        mass = obj["mass"]
-        try:
-            m = np.array(mass, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"mass is not a numeric matrix: {e}") from e
-        if m.ndim != 2 or m.shape != (obj["nx"], obj["ny"]):
-            raise ParseError("mass shape does not match nx/ny")
-        if not np.all(np.isfinite(m)):
-            raise ParseError("mass entries must be finite (no NaN/inf)")
-        if np.any(m < 0.0):
-            raise ParseError("mass entries must be nonnegative")
-        try:
-            return cls(obj["nx"], obj["ny"], m)
-        except DistributionError as e:
-            raise ParseError(str(e)) from e
-
 
 @dataclass(frozen=True)
 class ProductDistribution:
@@ -143,7 +111,7 @@ class ProductDistribution:
     def __post_init__(self):
         for name in ("p", "q"):
             v = getattr(self, name)
-            if v < -MASS_TOLERANCE or v > 1.0 + MASS_TOLERANCE:
+            if not (-MASS_TOLERANCE <= v <= 1.0 + MASS_TOLERANCE):  # NaN included
                 raise DistributionError(f"{name} = {v!r} outside [0, 1]")
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
@@ -216,15 +184,6 @@ class EntropyProfile:
     h_xy: float
     h_x_given_y: float
     h_y_given_x: float
-
-    def to_dict(self) -> dict:
-        return {
-            "H(X)": self.h_x,
-            "H(Y)": self.h_y,
-            "H(XY)": self.h_xy,
-            "H(X|Y)": self.h_x_given_y,
-            "H(Y|X)": self.h_y_given_x,
-        }
 
 
 def _entropy(terms) -> float:

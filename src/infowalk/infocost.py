@@ -13,7 +13,6 @@ the law.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -22,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__ as _version
 from .distributions import (
     SNAP_EPS,
     Decomposition,
@@ -141,18 +139,6 @@ class CostReport:
     ic_external: float
     ci_internal: float
     ci_external: float
-
-    def to_json(self, prior: JointDistribution = None) -> str:
-        payload = {
-            "ic_internal": self.ic_internal,
-            "ic_external": self.ic_external,
-            "ci_internal": self.ci_internal,
-            "ci_external": self.ci_external,
-            "version": _version,
-        }
-        if prior is not None:
-            payload["prior_entropy_profile"] = entropy_profile(prior).to_dict()
-        return json.dumps(payload, sort_keys=True)
 
 
 def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:

@@ -18,6 +18,7 @@ from infowalk import (
     entropy_profile,
     odot,
 )
+from infowalk.and_protocols import GridLeaf
 
 
 def random_prior(rng, nx, ny, floor=0.02):
@@ -293,6 +294,83 @@ def complete_reference(tree, f, prior):
             done[path] = Internal(node.owner, node.send_one_prob,
                                   done[path + "0"], done[path + "1"])
     return ProtocolTree(tree.nx, tree.ny, outputs, done[""])
+
+
+def grid_phases_reference(spec):
+    """The collapsed grid walk one phase at a time: a list of (owner, mover,
+    ceiling, resting value) and the terminal output."""
+    a, b, n = spec.a, spec.b, spec.n
+    phases = []
+    while True:
+        if a == 0 or b == 0:
+            return phases, 0
+        if a == n and b == n:
+            return phases, 1
+        if a >= b:
+            high = min(a + 1, n)
+            phases.append((BOB, b, high, a))
+            b = high
+        else:
+            high = b
+            phases.append((ALICE, a, high, b))
+            a = high
+
+
+def buzzer_grid_tree_reference(spec):
+    """The caterpillar built phase by phase, each signal from scalar ints."""
+    phases, terminal = grid_phases_reference(spec)
+    n = spec.n
+    node = Leaf(terminal)
+    for owner, m, high, _ in reversed(phases):
+        up_given_zero = 0.0 if m >= n else (m * (n - high)) / (high * (n - m))
+        node = Internal(owner, (up_given_zero, 1.0), Leaf(0), node)
+    return ProtocolTree(2, 2, (0, 1), node)
+
+
+def grid_leaf_law_reference(spec):
+    """The pretend leaf law with the reach multiplied in phase by phase."""
+    phases, terminal = grid_phases_reference(spec)
+    out = []
+    reach = 1.0
+    for k, (owner, m, high, other) in enumerate(phases):
+        p_up = m / high
+        axis = "x" if owner == BOB else "y"
+        out.append(GridLeaf(k, other / spec.n, axis, reach * (1.0 - p_up), False))
+        reach *= p_up
+    if terminal == 1:
+        out.append(GridLeaf(len(phases), 1.0, "one", reach, True))
+    else:
+        axis = "x" if spec.a >= spec.b else "y"
+        out.append(GridLeaf(len(phases), max(spec.a, spec.b) / spec.n, axis, reach, True))
+    return out
+
+
+def leaf_law_cdf_reference(law, t):
+    """The continuous buzzer's ℓ-CDF at one point, branch by branch."""
+    pq = law.start.p * law.start.q
+    out = 0.0
+    if t >= law.hi:
+        out += law.atom_axis_mass
+        top = min(t, 1.0)
+        out += pq * (1.0 / law.hi**2 - 1.0 / top**2)
+    if t >= 1.0:
+        out += law.atom_11_mass
+    return out
+
+
+def grid_law_kolmogorov_reference(spec, law):
+    """The Kolmogorov distance with the atoms merged in a dict, visited in
+    sorted order, and the CDF evaluated one point at a time."""
+    mass = {}
+    for leaf in grid_leaf_law_reference(spec):
+        mass[leaf.ell] = mass.get(leaf.ell, 0.0) + leaf.pretend_mass
+    worst = 0.0
+    running = 0.0
+    for ell in sorted(mass):
+        worst = max(worst, abs(running - leaf_law_cdf_reference(law, ell - 1e-12)))
+        running += mass[ell]
+        worst = max(worst, abs(running - leaf_law_cdf_reference(law, ell)))
+    return worst
 
 
 def evaluate_error_reference(law, task):

@@ -141,6 +141,13 @@ def test_spec_rejects_off_lattice():
         GridWalkSpec(1, 0, 0)
 
 
+@pytest.mark.parametrize("p, q", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                  (0.5, -math.inf), (1.5, 0.5)])
+def test_spec_rejects_starts_outside_the_square(p, q):
+    with pytest.raises(PreconditionError):
+        GridWalkSpec.from_start(p, q, 64)
+
+
 def test_grid_leaf_law_hand_enumeration():
     # from (2/4, 1/4): Bob runs [0,3], then Alice [0,3], Bob [0,4], Alice [0,4]
     leaves = grid_leaf_law(GridWalkSpec(4, 2, 1))

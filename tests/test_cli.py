@@ -47,6 +47,19 @@ def test_entropy_domain_error_is_code_2(capsys):
     assert "precondition" in err
 
 
+def test_entropy_of_nan_is_code_2(capsys):
+    code, _, err = run(capsys, "entropy", "nan")
+    assert code == 2
+    assert "precondition" in err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_entropy_at_the_ends_prints_zero(capsys, value):
+    code, out, _ = run(capsys, "entropy", value)
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_parse_failures_are_code_1(capsys, files):
     tmp, write = files
     assert run(capsys, "entropy")[0] == 1

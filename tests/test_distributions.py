@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 from infowalk import (
     DistributionError,
     JointDistribution,
-    ParseError,
     PreconditionError,
     ProductDistribution,
     ShapeMismatchError,
@@ -39,6 +37,24 @@ def test_binary_entropy_domain():
     # inside the slack the argument is clamped
     assert binary_entropy(1.0 + 1e-13) == 0.0
     assert binary_entropy(-1e-13) == 0.0
+
+
+def test_binary_entropy_is_positive_zero_at_the_ends():
+    for x in (0.0, 1.0):
+        assert math.copysign(1.0, binary_entropy(x)) == 1.0
+        assert math.copysign(1.0, truncated_entropy(x)) == 1.0
+
+
+def test_nan_is_outside_every_probability_range():
+    nan = float("nan")
+    with pytest.raises(PreconditionError):
+        binary_entropy(nan)
+    with pytest.raises(PreconditionError):
+        truncated_entropy(nan)
+    with pytest.raises(PreconditionError):
+        ProductDistribution(nan, 0.5)
+    with pytest.raises(PreconditionError):
+        ProductDistribution(0.5, nan)
 
 
 @given(st.floats(min_value=1e-9, max_value=0.5))
@@ -213,27 +229,3 @@ def test_symmetric_decomposition_requires_positive_corner_entries():
         JointDistribution.from_mass([[0.4, 0.3], [0.3, 0.0]])
     )
     assert dec.z == 0.0
-
-
-def test_json_round_trip():
-    d = JointDistribution.from_mass([[0.125, 0.375], [0.25, 0.25]])
-    again = JointDistribution.from_json(d.to_json())
-    assert total_variation(d, again) == 0.0
-    assert d.to_json() == again.to_json()
-
-
-def test_json_rejects_bad_input():
-    with pytest.raises(ParseError):
-        JointDistribution.from_json("not json at all {")
-    with pytest.raises(ParseError):
-        JointDistribution.from_json('{"nx": 2, "ny": 2}')
-    with pytest.raises(ParseError):
-        JointDistribution.from_json(
-            '{"nx": 2, "ny": 2, "mass": [[0.5, 0.5], [NaN, 0.0]]}'
-        )
-    with pytest.raises(ParseError):
-        JointDistribution.from_json(
-            '{"nx": 2, "ny": 2, "mass": [[0.7, 0.5], [-0.2, 0.0]]}'
-        )
-    with pytest.raises(ParseError):
-        JointDistribution.from_json('{"nx": 2, "ny": 3, "mass": [[0.5, 0.5]]}')

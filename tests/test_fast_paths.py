@@ -7,7 +7,9 @@ posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12 absolute;
 completed trees serialize identically.  The entropy sums walk a law in
 blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
 every block size, and so are ``leaf_posteriors``' probabilities and
-posteriors.
+posteriors.  The grid walk's tree, leaf law and Kolmogorov distance, and
+the continuous leaf law's CDF on arrays, are bit-identical to phase-by-phase
+and point-by-point loops.
 """
 
 import math
@@ -26,10 +28,13 @@ from infowalk import (
     ProtocolTree,
     Task,
     buzzer_grid_tree,
+    buzzer_leaf_law,
     complete_to_zero_error,
     cost_report,
     evaluate_error_law,
     flip_tree,
+    grid_law_kolmogorov,
+    grid_leaf_law,
     law_of,
     potential_of_tree,
     sim,
@@ -40,10 +45,14 @@ from infowalk import (
 from infowalk import infocost
 
 from helpers import (
+    buzzer_grid_tree_reference,
     complete_reference,
     cost_report_reference,
     evaluate_error_reference,
+    grid_law_kolmogorov_reference,
+    grid_leaf_law_reference,
     law_of_reference,
+    leaf_law_cdf_reference,
     potential_reference,
     random_law,
     random_prior,
@@ -204,6 +213,73 @@ def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
     assert cost_report(law_c) == cost_report_reference(law_c)
     assert_same_error(law_c, Task(AND_TABLE, 1.0, "distributional", measure=w,
                                   one_sided=(1, 0)))
+
+
+def grid_starts(n):
+    """Starts on either axis, at the corner, and with a < b, a > b, a = b
+    and a = n: all 36 pairs up to n = 2048, one of each kind above."""
+    if n > 2048:
+        return [(0, n // 4), (n // 2, 0), (n, n), (n // 3, n // 2), (n // 2, n // 4),
+                (n // 2, n // 2), (n, 1)]
+    return [(a, b) for a in sorted({0, 1, n // 3, n // 2, n - 1, n})
+            for b in sorted({0, 1, n // 4, n // 2, n - 1, n})]
+
+
+def assert_same_caterpillar(tree, ref):
+    node, want = tree.root, ref.root
+    while isinstance(want, Internal):
+        # the owner constants themselves: a fresh string per node costs memory
+        assert node.owner is want.owner
+        assert node.send_one_prob == want.send_one_prob
+        assert node.child0 == want.child0
+        node, want = node.child1, want.child1
+    assert node == want
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 8, 64, 512, 2048, 16384))
+def test_grid_walk_matches_the_phase_loops(n):
+    for a, b in grid_starts(n):
+        spec = GridWalkSpec(n, a, b)
+        assert_same_caterpillar(buzzer_grid_tree(spec), buzzer_grid_tree_reference(spec))
+        # repr tells float from np.float64 and -0.0 from 0.0
+        assert [repr(leaf) for leaf in grid_leaf_law(spec)] == \
+            [repr(leaf) for leaf in grid_leaf_law_reference(spec)]
+        if 0 < a < n and 0 < b < n:
+            law = buzzer_leaf_law(a / n, b / n)
+            assert repr(grid_law_kolmogorov(spec, law)) == \
+                repr(grid_law_kolmogorov_reference(spec, law))
+
+
+def test_grid_signals_multiply_past_32_bits():
+    # the first phase's high·(n − m) is about n²/2, past 2³¹ at this n
+    n = 100003
+    m, high = 1, n // 2 + 1
+    root = buzzer_grid_tree(GridWalkSpec(n, n // 2, 1)).root
+    assert root.send_one_prob == ((m * (n - high)) / (high * (n - m)), 1.0)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.25), (0.2, 0.7), (0.4, 0.4), (0.01, 0.99)])
+def test_leaf_law_cdf_on_arrays_matches_each_point(p, q):
+    law = buzzer_leaf_law(p, q)
+    rng = np.random.default_rng(5)
+    points = np.concatenate((
+        [-1.0, 0.0, law.hi - 1e-12, law.hi, 1.0, 1.5],
+        rng.uniform(0.0, law.hi, 50),  # below hi
+        rng.uniform(law.hi, 1.0, 5000),  # inside (hi, 1)
+        rng.uniform(1.0, 2.0, 50),
+    ))
+    got = law.cdf(points)
+    assert [law.cdf(t) for t in points.tolist()] == got.tolist()
+    assert [leaf_law_cdf_reference(law, t) for t in points.tolist()] == got.tolist()
+    assert type(law.cdf(0.5)) is float
+
+
+def test_grid_specs_with_equal_arguments_are_equal():
+    spec = GridWalkSpec(64, 32, 16)
+    assert spec == GridWalkSpec(64, 32, 16)
+    assert hash(spec) == hash(GridWalkSpec(64, 32, 16))
+    assert spec != GridWalkSpec(64, 16, 32)
+    assert "mover" not in repr(spec)
 
 
 def test_one_tree_prices_under_two_priors_from_its_one_record():

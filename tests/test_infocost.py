@@ -112,16 +112,6 @@ def test_costs_match_slow_reference_and_identities():
         assert report.ic_external <= 2 * math.log2(nx * ny) + 1e-9
 
 
-def test_cost_report_json_embeds_profile_and_version():
-    import json
-
-    law = law_of(alice_reveal_tree(), JointDistribution.uniform(2, 2))
-    payload = json.loads(cost_report(law).to_json(law.prior))
-    assert "version" in payload
-    assert "H(XY)" in payload["prior_entropy_profile"]
-    assert abs(payload["ic_internal"] - 1.0) < 1e-12
-
-
 def test_sim_constant_and_full_reveal():
     rng = np.random.default_rng(41)
     dec = random_symmetric_decomposition(rng)
