@@ -166,7 +166,7 @@ class GridWalkSpec:
             raise PreconditionError(f"grid start ({p!r}, {q!r}) outside [0, 1]²")
         a, b = round(p * n), round(q * n)
         spec = cls(n, a, b)
-        return spec, max(abs(a / n - p), abs(b / n - q))
+        return spec, float(max(abs(a / n - p), abs(b / n - q)))
 
     @property
     def start(self) -> ProductDistribution:

@@ -1,23 +1,24 @@
 """Command-line front end.
 
-One binary, one subcommand per experiment.  Every artifact written to disk
+One binary, one subcommand per experiment.  Every JSON or CSV artifact
 embeds the invoking configuration and the library version, so a file always
 identifies the run that produced it; rerunning a command with the same
-configuration and seed rewrites artifacts byte for byte.  Exit codes separate
-the three failure families: 1 for inputs that do not parse, 2 for calls
-outside an operation's domain, 3 for blown resource caps.
+configuration and seed rewrites artifacts byte for byte.  The one exception
+is the completed tree of ``complete --out-tree``: a plain protocol file, so
+that ``ic --protocol`` reads it back.  Exit codes separate the three failure
+families: 1 for inputs that do not parse, 2 for calls outside an operation's
+domain, 3 for blown resource caps.
 
 Randomized modes (``disj --mode mc``, ``xor --search``) require an explicit
-``--seed``; every per-sample generator is derived from that master seed, so
-a rerun repeats its samples exactly.
+``--seed``; the library refuses a seedless call before any output, and every
+per-sample generator is derived from that master seed, so a rerun repeats
+its samples exactly.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,62 +75,41 @@ EXIT_RESOURCE = 3
 _CONSTRAINTS = {"zero11": ZERO_AT_11, "full": FULL_SUPPORT}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one invocation.
-
-    ``inputs`` are the file paths read, ``outputs`` the artifacts written,
-    ``params`` the remaining knobs; all three are name/value tuples so the
-    echo serializes stably.
-    """
-
-    command: str
-    inputs: tuple = ()
-    outputs: tuple = ()
-    params: tuple = ()
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        params = dict(self.params)
-        sampled = params.get("mode") == "mc" or params.get("search", False)
-        if sampled and self.seed is None:
-            raise PreconditionError(
-                f"{self.command}: sampled mode selected without --seed"
-            )
-
-    def echo(self, fmt: str) -> dict:
-        return {
-            "command": self.command,
-            "format": fmt,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "version": __version__,
-        }
+# the arguments that name a file a command reads
+_INPUT_ARGS = ("coord_prior", "mu", "nu_file", "prior", "protocol", "table")
 
 
-def _render(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _echo(args, fmt: str) -> dict:
+    """The configuration an artifact embeds, read off the parsed arguments:
+    ``inputs`` the files read, ``outputs`` the ``--out*`` artifacts written
+    (both only when given), ``params`` every other argument that has a
+    value, apart from the seed, which has its own key."""
+    skip = ("func", "command", "seed")
+    given = {k: v for k, v in vars(args).items() if k not in skip}
+    files = {k for k in given if k in _INPUT_ARGS or k.startswith("out")}
+    return {
+        "command": args.command,
+        "format": fmt,
+        "inputs": {k: v for k, v in given.items() if k in _INPUT_ARGS and v},
+        "outputs": {k: v for k, v in given.items() if k.startswith("out") and v},
+        "params": {k: v for k, v in given.items() if k not in files and v is not None},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+    }
 
 
-def _write_json(path: str, config: ExperimentConfig, result: dict) -> None:
-    payload = {"config": config.echo("json"), "result": result}
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_render) + "\n"
+def _write_json(path: str, args, result: dict) -> None:
+    payload = {"config": _echo(args, "json"), "result": result}
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, config: ExperimentConfig, header, rows, notes=()) -> None:
+def _write_csv(path: str, args, header, rows, notes=()) -> None:
     lines = [f"# infowalk {__version__}"]
-    lines.append("# config " + json.dumps(config.echo("csv"), sort_keys=True))
+    lines.append("# config " + json.dumps(_echo(args, "csv"), sort_keys=True))
     lines.extend(f"# {note}" for note in notes)
     lines.append(",".join(header))
-    lines.extend(",".join(_render(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -184,28 +164,6 @@ def _parse_eps_list(raw: str):
     return values
 
 
-def _config_from(args, inputs=(), outputs=()) -> ExperimentConfig:
-    skip = {"func", "command", "seed", *inputs, *outputs}
-    params = tuple(
-        sorted(
-            (name, value)
-            for name, value in vars(args).items()
-            if name not in skip and value is not None
-        )
-    )
-    return ExperimentConfig(
-        command=args.command,
-        inputs=tuple(
-            sorted((n, getattr(args, n)) for n in inputs if getattr(args, n))
-        ),
-        outputs=tuple(
-            sorted((n, getattr(args, n)) for n in outputs if getattr(args, n))
-        ),
-        params=params,
-        seed=getattr(args, "seed", None),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -217,7 +175,6 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_ic(args) -> int:
-    config = _config_from(args, inputs=("protocol", "prior"), outputs=("out",))
     tree = _load_tree(args.protocol)
     prior = _load_prior(args.prior)
     report = cost_report(law_of(tree, prior))
@@ -226,7 +183,7 @@ def _cmd_ic(args) -> int:
     if args.out:
         _write_json(
             args.out,
-            config,
+            args,
             {
                 "ic_internal": report.ic_internal,
                 "ic_external": report.ic_external,
@@ -239,14 +196,15 @@ def _cmd_ic(args) -> int:
 
 def _buzzer_pieces(args):
     """Shared setup: (spec, snap, dec, prior) from --p/--q or --nu-file."""
+    start = (args.p, args.q)
+    if (args.nu_file and start != (None, None)) or (not args.nu_file and None in start):
+        raise PreconditionError("need either --nu-file or both --p and --q, not both")
     if args.nu_file:
         prior = _load_prior(args.nu_file)
         dec = symmetric_decomposition(prior)
         p, q = dec.pretend.p, dec.pretend.q
     else:
-        if args.p is None or args.q is None:
-            raise PreconditionError("need either --nu-file or both --p and --q")
-        p, q = args.p, args.q
+        p, q = start
         dec = None
         outer = np.outer([1.0 - p, p], [1.0 - q, q])
         prior = JointDistribution.from_mass(outer)
@@ -255,9 +213,6 @@ def _buzzer_pieces(args):
 
 
 def _cmd_buzzer(args) -> int:
-    config = _config_from(
-        args, inputs=("nu_file",), outputs=("out_law", "out_report")
-    )
     spec, snap, dec, prior = _buzzer_pieces(args)
     tree = buzzer_grid_tree(spec, dec)
     law = law_of(tree, prior)
@@ -272,7 +227,7 @@ def _cmd_buzzer(args) -> int:
     if args.out_law:
         leaves = grid_leaf_law(spec)
         rows = [(leaf.ell, leaf.axis, leaf.pretend_mass) for leaf in leaves]
-        _write_csv(args.out_law, config, ("ell", "axis", "mass"), rows)
+        _write_csv(args.out_law, args, ("ell", "axis", "mass"), rows)
     if args.out_report:
         result = {
             "n": spec.n,
@@ -284,12 +239,11 @@ def _cmd_buzzer(args) -> int:
         }
         if dec is not None:
             result["ic_closed_form"] = ic_and_zero(prior)
-        _write_json(args.out_report, config, result)
+        _write_json(args.out_report, args, result)
     return EXIT_OK
 
 
 def _cmd_flip(args) -> int:
-    config = _config_from(args, inputs=("nu_file",), outputs=("out",))
     prior = _load_prior(args.nu_file)
     flipped = one_sided_and(args.eps, prior, n=args.n)
     base = one_sided_and(0.0, prior, n=args.n)
@@ -299,7 +253,7 @@ def _cmd_flip(args) -> int:
     if args.out:
         _write_json(
             args.out,
-            config,
+            args,
             {
                 "epsilon": args.eps,
                 "ic_base": ic_base,
@@ -311,11 +265,6 @@ def _cmd_flip(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    config = _config_from(
-        args,
-        inputs=("protocol", "table", "prior"),
-        outputs=("out_tree", "out_report"),
-    )
     tree = _load_tree(args.protocol)
     table = _load_table(args.table)
     prior = _load_prior(args.prior)
@@ -337,7 +286,7 @@ def _cmd_complete(args) -> int:
     if args.out_report:
         _write_json(
             args.out_report,
-            config,
+            args,
             {
                 "max_pointwise_before": before.max_pointwise,
                 "max_pointwise_after": after.max_pointwise,
@@ -352,7 +301,6 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _config_from(args, outputs=("out",))
     opt = maximize_ic_and(
         _CONSTRAINTS[args.constraint], levels=args.levels, divisions=args.divisions
     )
@@ -360,7 +308,7 @@ def _cmd_optimize(args) -> int:
     if args.out:
         _write_json(
             args.out,
-            config,
+            args,
             {
                 "constraint": opt.constraint,
                 "value": opt.value,
@@ -375,22 +323,25 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    config = _config_from(args, outputs=("out",))
     eps = _parse_eps_list(args.eps_list)
     curve = and_tradeoff_curve(
         eps, _CONSTRAINTS[args.constraint], n=args.n, levels=args.levels
     )
     header = ("epsilon", "flip_cost", "completed_cost", "gain", "gain_per_h")
     for point in curve:
-        print(" ".join(f"{name}={_render(value)}" for name, value in zip(header, point)))
+        print(" ".join(f"{name}={value}" for name, value in zip(header, point)))
     if args.out:
-        _write_csv(args.out, config, header, curve)
+        _write_csv(args.out, args, header, curve)
     return EXIT_OK
 
 
 def _cmd_xor(args) -> int:
-    config = _config_from(args, outputs=("out", "out_search"))
     rows = xor_external_experiment(_parse_eps_list(args.eps_list))
+    # searched before the first print, so a refused search leaves no output
+    results = [
+        xor_floor_search(row.epsilon, samples=args.samples, seed=args.seed)
+        for row in rows
+    ] if args.search else []
     for row in rows:
         print(
             f"epsilon={row.epsilon!r} external={row.external_cost!r} "
@@ -398,45 +349,39 @@ def _cmd_xor(args) -> int:
         )
     if args.out:
         _write_csv(
-            args.out, config, ("epsilon", "external_cost", "floor"), rows
+            args.out, args, ("epsilon", "external_cost", "floor"), rows
         )
-    if args.search:
-        results = [
-            xor_floor_search(row.epsilon, samples=args.samples, seed=args.seed)
-            for row in rows
-        ]
-        for res in results:
-            print(
-                f"search epsilon={res.epsilon!r} valid={res.valid} "
-                f"min_external={res.min_external!r} floor={res.floor!r}"
-            )
-        if args.out_search:
-            _write_json(
-                args.out_search,
-                config,
-                {
-                    "samples": args.samples,
-                    "results": [
-                        {
-                            "epsilon": r.epsilon,
-                            "floor": r.floor,
-                            "sampled": r.sampled,
-                            "valid": r.valid,
-                            "min_external": None
-                            if math.isinf(r.min_external)
-                            else r.min_external,
-                        }
-                        for r in results
-                    ],
-                },
-            )
+    for res in results:
+        print(
+            f"search epsilon={res.epsilon!r} valid={res.valid} "
+            f"min_external={res.min_external!r} floor={res.floor!r}"
+        )
+    if results and args.out_search:
+        _write_json(
+            args.out_search,
+            args,
+            {
+                "samples": args.samples,
+                "results": [
+                    {
+                        "epsilon": r.epsilon,
+                        "floor": r.floor,
+                        "sampled": r.sampled,
+                        "valid": r.valid,
+                        "min_external": None
+                        if math.isinf(r.min_external)
+                        else r.min_external,
+                    }
+                    for r in results
+                ],
+            },
+        )
     return EXIT_OK
 
 
 def _cmd_disj(args) -> int:
-    config = _config_from(
-        args, inputs=("coord_prior",), outputs=("out_audit", "out_curve")
-    )
+    if args.hardest and args.coord_prior:
+        raise PreconditionError("need at most one of --hardest and --coord-prior")
     if args.coord_prior:
         coord = _load_prior(args.coord_prior)
     elif args.hardest:
@@ -469,21 +414,20 @@ def _cmd_disj(args) -> int:
         }
         if ic_internal is not None:
             result["ic_internal"] = ic_internal
-        _write_json(args.out_audit, config, result)
+        _write_json(args.out_audit, args, result)
     if args.out_curve:
         curve = disj_bound_curve(_parse_eps_list(args.curve_eps))
         _write_csv(
             args.out_curve,
-            config,
+            args,
             ("epsilon", "p_star", "bound", "gain"),
             [(p.epsilon, p.p_star, p.bound, p.gain) for p in curve],
-            notes=(f"fitted_exponent {_render(curve.fitted_exponent)}",),
+            notes=(f"fitted_exponent {curve.fitted_exponent}",),
         )
     return EXIT_OK
 
 
 def _cmd_trivial_check(args) -> int:
-    config = _config_from(args, inputs=("table", "mu"), outputs=("out",))
     table = _load_table(args.table)
     mu = _load_prior(args.mu)
     internal, blocks = is_structurally_internal_trivial(table, mu)
@@ -520,7 +464,7 @@ def _cmd_trivial_check(args) -> int:
                 "support_error": report.distributional,
             }
     if args.out:
-        _write_json(args.out, config, result)
+        _write_json(args.out, args, result)
     return EXIT_OK
 
 

@@ -451,7 +451,7 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
     return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
 
 
-def mix_with_exchange(law, delta: float, prior: JointDistribution = None, f=None):
+def mix_with_exchange(law, delta: float, f=None):
     """Public-coin mixture: with probability δ the players exchange inputs
     outright (one transcript per input cell); otherwise run the protocol.
 
@@ -465,9 +465,7 @@ def mix_with_exchange(law, delta: float, prior: JointDistribution = None, f=None
         raise PreconditionError(f"delta = {delta!r} outside [0, 1]")
     if delta == 0.0:
         return law
-    if prior is None:
-        prior = law.prior
-    nx, ny = prior.nx, prior.ny
+    nx, ny = law.prior.nx, law.prior.ny
     table = None if f is None else np.asarray(f, dtype=object)
     cells = [(x, y) for x in range(nx) for y in range(ny)]  # one transcript each
     extra = delta * np.eye(nx * ny).reshape(nx * ny, nx, ny)
@@ -475,7 +473,7 @@ def mix_with_exchange(law, delta: float, prior: JointDistribution = None, f=None
     leaf_ids = tuple(law.leaf_ids) + tuple(f"exchange:{x},{y}" for x, y in cells)
     outs = tuple(None if table is None else table[c] for c in cells)
     outputs = None if law.outputs is None else law.outputs + outs
-    return TranscriptLaw(prior, leaf_ids, cond, outputs)
+    return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
 
 
 # ---------------------------------------------------------------------------

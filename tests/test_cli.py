@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -167,6 +168,33 @@ def test_buzzer_needs_start_or_prior(capsys):
     assert "precondition" in err
 
 
+def test_buzzer_from_a_prior_file_prints_plain_floats(capsys, files):
+    _, write = files
+    w = write("w.json", {"mass": [[0.5, 0.2], [0.3, 0.0]]})
+    code, out, _ = run(capsys, "buzzer", "--nu-file", w, "--n", "64")
+    assert code == 0
+    for token in out.split():
+        key, value = token.split("=")
+        if key == "start":
+            assert value == "(32,26)"  # the pretend start is off the lattice
+        else:
+            float(value)
+    assert "snap=0.00624" in out
+
+
+def test_buzzer_refuses_two_prior_sources(capsys, files):
+    tmp, write = files
+    w = write("w.json", {"mass": [[0.5, 0.2], [0.3, 0.0]]})
+    report = tmp / "r.json"
+    code, out, err = run(
+        capsys, "buzzer", "--nu-file", w, "--p", "0.9", "--q", "0.9", "--n", "64",
+        "--out-report", str(report),
+    )
+    assert code == 2 and out == ""
+    assert "precondition" in err and "--nu-file" in err
+    assert not report.exists()
+
+
 def test_flip_reports_positive_gain(capsys, files):
     tmp, write = files
     w = write("w.json", {"mass": [[0.4, 0.3], [0.3, 0.0]]})
@@ -260,6 +288,19 @@ def test_xor_search_without_seed_is_code_2(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("xor", "--eps-list", "0.1", "--search", "--out", "x.csv"),
+    ("disj", "--n", "2", "--eps", "0.1", "--mode", "mc", "--and-grid", "16",
+     "--out-audit", "a.json"),
+])
+def test_seedless_sampled_modes_leave_no_output(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "seed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # disj / trivial-check
 # ---------------------------------------------------------------------------
@@ -297,6 +338,19 @@ def test_disj_ic_at_the_default_grid(capsys, files):
     assert code == 0, err
     result = json.loads((tmp / "audit.json").read_text())["result"]
     assert 0.0 < result["ic_internal"] < 4.0
+
+
+def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
+    tmp, write = files
+    w = write("w.json", {"mass": [[0.4, 0.3], [0.3, 0.0]]})
+    audit = tmp / "a.json"
+    code, out, err = run(
+        capsys, "disj", "--n", "2", "--eps", "0.1", "--hardest", "--coord-prior", w,
+        "--and-grid", "16", "--out-audit", str(audit),
+    )
+    assert code == 2 and out == ""
+    assert "--hardest" in err and "--coord-prior" in err
+    assert not audit.exists()
 
 
 def test_disj_exact_cap_is_code_3(capsys):
@@ -409,6 +463,94 @@ def test_trivial_check_requested_kind_unavailable(capsys, files):
     payload = json.loads((tmp / "verdict.json").read_text())
     assert payload["result"]["internal"] is False
     assert payload["result"]["witness"] is None
+
+
+# ---------------------------------------------------------------------------
+# the configuration every artifact embeds
+# ---------------------------------------------------------------------------
+
+ECHO_INPUTS = {
+    "exchange.json": tree_to_json(exchange_tree(2, 2, [["00", "01"], ["10", "11"]])),
+    "t.json": tree_to_json(exchange_tree(2, 2, [[9, 9], [9, 9]])),
+    "f.json": json.dumps([[0, 0], [0, 1]]),
+    "u.json": json.dumps([[0.25, 0.25], [0.25, 0.25]]),
+    "w.json": json.dumps({"mass": [[0.4, 0.3], [0.3, 0.0]]}),
+    "xor.json": json.dumps([[0, 1], [1, 0]]),
+    "diag.json": json.dumps({"mass": [[0.5, 0.0], [0.0, 0.5]]}),
+}
+
+# (command line, artifact, inputs, outputs, params, seed)
+ECHO_CASES = [
+    ("ic --protocol exchange.json --prior u.json --out ic.json", "ic.json",
+     {"protocol": "exchange.json", "prior": "u.json"}, {"out": "ic.json"}, {}, None),
+    ("buzzer --p 0.5 --q 0.25 --n 64 --out-law law.csv --out-report r.json", "law.csv",
+     {}, {"out_law": "law.csv", "out_report": "r.json"},
+     {"n": 64, "p": 0.5, "q": 0.25}, None),
+    ("buzzer --p 0.5 --q 0.25 --n 64 --out-law law.csv --out-report ''", "law.csv",
+     {}, {"out_law": "law.csv"}, {"n": 64, "p": 0.5, "q": 0.25}, None),
+    ("buzzer --nu-file w.json --n 64 --out-report r.json", "r.json",
+     {"nu_file": "w.json"}, {"out_report": "r.json"}, {"n": 64}, None),
+    ("flip --eps 0.01 --nu-file w.json --n 64 --out flip.json", "flip.json",
+     {"nu_file": "w.json"}, {"out": "flip.json"}, {"eps": 0.01, "n": 64}, None),
+    ("complete --protocol t.json --table f.json --prior u.json --out-tree c.json "
+     "--out-report comp.json", "comp.json",
+     {"protocol": "t.json", "table": "f.json", "prior": "u.json"},
+     {"out_tree": "c.json", "out_report": "comp.json"}, {}, None),
+    ("optimize --levels 2 --divisions 4 --out opt.json", "opt.json",
+     {}, {"out": "opt.json"},
+     {"constraint": "zero11", "levels": 2, "divisions": 4}, None),
+    ("tradeoff --eps-list 1e-2 --n 64 --levels 2 --out curve.csv", "curve.csv",
+     {}, {"out": "curve.csv"},
+     {"eps_list": "1e-2", "constraint": "zero11", "n": 64, "levels": 2}, None),
+    ("xor --eps-list 0.1 --out x.csv", "x.csv",
+     {}, {"out": "x.csv"}, {"eps_list": "0.1", "search": False, "samples": 500}, None),
+    ("xor --eps-list 0.1 --search --samples 20 --seed 3 --out x.csv "
+     "--out-search s.json", "s.json",
+     {}, {"out": "x.csv", "out_search": "s.json"},
+     {"eps_list": "0.1", "search": True, "samples": 20}, 3),
+    ("disj --n 2 --eps 0.1 --hardest --and-grid 16 --curve-eps 1e-3,1e-2 "
+     "--out-audit a.json --out-curve dc.csv", "dc.csv",
+     {}, {"out_audit": "a.json", "out_curve": "dc.csv"},
+     {"n": 2, "eps": 0.1, "hardest": True, "mode": "exact", "samples": 400,
+      "with_ic": False, "and_grid": 16, "curve_eps": "1e-3,1e-2"}, None),
+    ("disj --n 2 --eps 0.1 --coord-prior w.json --mode mc --seed 1 --samples 5 "
+     "--and-grid 16 --with-ic --out-audit a.json", "a.json",
+     {"coord_prior": "w.json"}, {"out_audit": "a.json"},
+     {"n": 2, "eps": 0.1, "hardest": False, "mode": "mc", "samples": 5,
+      "with_ic": True, "and_grid": 16, "curve_eps": "1e-4,1e-3,1e-2,5e-2,1e-1"}, 1),
+    ("trivial-check --table xor.json --mu diag.json --out v.json", "v.json",
+     {"table": "xor.json", "mu": "diag.json"}, {"out": "v.json"}, {"kind": "auto"}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "line, artifact, inputs, outputs, params, seed", ECHO_CASES,
+    ids=[case[0].split()[0] + ":" + case[1] for case in ECHO_CASES],
+)
+def test_artifact_echoes_its_configuration(
+    capsys, tmp_path, monkeypatch, line, artifact, inputs, outputs, params, seed
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ECHO_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = shlex.split(line)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    text = (tmp_path / artifact).read_text()
+    if artifact.endswith(".csv"):
+        config_line = next(l for l in text.splitlines() if l.startswith("# config "))
+        echo, fmt = json.loads(config_line[len("# config "):]), "csv"
+    else:
+        echo, fmt = json.loads(text)["config"], "json"
+    assert echo == {
+        "command": argv[0],
+        "format": fmt,
+        "inputs": inputs,
+        "outputs": outputs,
+        "params": params,
+        "seed": seed,
+        "version": infowalk.__version__,
+    }
 
 
 # ---------------------------------------------------------------------------
