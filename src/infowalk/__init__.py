@@ -17,14 +17,12 @@ from .distributions import (  # noqa: F401
     entropy_profile,
     odot,
     symmetric_decomposition,
-    total_variation,
     truncated_entropy,
 )
 from .errors import (  # noqa: F401
     DecompositionError,
     DecompositionMismatchError,
     DistributionError,
-    InfeasibleSplitError,
     InfowalkError,
     ParseError,
     PreconditionError,
@@ -46,8 +44,6 @@ from .protocol import (  # noqa: F401
     evaluate_error,
     evaluate_error_law,
     mix_with_abort,
-    mix_with_exchange,
-    step_from_split,
     tree_from_json,
     tree_to_json,
     walk,
@@ -59,7 +55,6 @@ from .infocost import (  # noqa: F401
     external_ic,
     internal_ic,
     law_of,
-    pretend_prob,
     pretend_step,
     sim,
 )
@@ -75,7 +70,6 @@ from .and_protocols import (  # noqa: F401
     grid_law_kolmogorov,
     grid_leaf_law,
     ic_and_zero,
-    leaf_mass_below,
     one_sided_and,
     potential_of_tree,
     potential_phi_closed,
@@ -100,7 +94,6 @@ from .trivial import (  # noqa: F401
     Component,
     SupportGraph,
     build_support_graph,
-    deterministic_ic_floor,
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
     trivial_witness_protocol,

@@ -221,17 +221,22 @@ def _grid_leaf_arrays(spec: GridWalkSpec) -> tuple:
     return ell, np.append(reach[:-1] * (1.0 - p_up), reach[-1])
 
 
-def grid_leaf_law(spec: GridWalkSpec) -> list:
-    """Exact pretend-measure leaf law of the collapsed grid walk."""
+def _grid_leaf_columns(spec: GridWalkSpec) -> tuple:
+    """(ℓ, axis, pretend mass) lists over the leaves, in leaf order."""
     ell, mass = (values.tolist() for values in _grid_leaf_arrays(spec))
     axes = ["x" if bob else "y" for bob in spec.bob.tolist()]  # the survivor names the axis
-    out = [GridLeaf(k, *leaf, False) for k, leaf in enumerate(zip(ell, axes, mass))]
     if spec.terminal:
-        final_axis = "one"
+        axes.append("one")
     else:
-        final_axis = "x" if spec.a >= spec.b else "y"
-    out.append(GridLeaf(len(axes), ell[-1], final_axis, mass[-1], True))
-    return out
+        axes.append("x" if spec.a >= spec.b else "y")
+    return ell, axes, mass
+
+
+def grid_leaf_law(spec: GridWalkSpec) -> list:
+    """Exact pretend-measure leaf law of the collapsed grid walk."""
+    ell, axes, mass = _grid_leaf_columns(spec)
+    final = len(ell) - 1
+    return [GridLeaf(k, *leaf, k == final) for k, leaf in enumerate(zip(ell, axes, mass))]
 
 
 def grid_law_kolmogorov(spec: GridWalkSpec, law: BuzzerLeafLaw) -> float:
@@ -324,9 +329,12 @@ def potential_phi_closed(c: float, p: float, q: float) -> float:
     return axis + rays
 
 
-def _pretend_leaf_marginals(tree: ProtocolTree, dec: Decomposition):
-    """(pretend mass, P[x=1], P[y=1]) arrays over the leaves the pretend
-    product prior reaches; rejects non-product leaves."""
+def potential_of_tree(tree: ProtocolTree, c: float, dec: Decomposition) -> float:
+    """E[((c − max(ℓp, ℓq))₊)²] over the tree's pretend leaf law, where
+    (ℓp, ℓq) = (P[x=1], P[y=1]) at each leaf the pretend product prior
+    reaches; rejects non-product leaves."""
+    if not (0.0 < c < 1.0):
+        raise PreconditionError("threshold must satisfy 0 < c < 1")
     law = law_of(tree, dec.pretend.as_joint())
     prob, post = leaf_posteriors(law)
     live = np.flatnonzero(prob > 0.0)
@@ -341,22 +349,8 @@ def _pretend_leaf_marginals(tree: ProtocolTree, dec: Decomposition):
             f"leaf {law.leaf_ids[live[bad]]} posterior is not a product "
             f"distribution (off by {gap[bad]:.3e})"
         )
-    return prob[live], lp, lq
-
-
-def potential_of_tree(tree: ProtocolTree, c: float, dec: Decomposition) -> float:
-    """E[((c − max(ℓp, ℓq))₊)²] over the tree's pretend leaf law."""
-    if not (0.0 < c < 1.0):
-        raise PreconditionError("threshold must satisfy 0 < c < 1")
-    mass, lp, lq = _pretend_leaf_marginals(tree, dec)
-    terms = mass * np.maximum(c - np.maximum(lp, lq), 0.0) ** 2
+    terms = prob[live] * np.maximum(c - np.maximum(lp, lq), 0.0) ** 2
     return math.fsum(terms.tolist())
-
-
-def leaf_mass_below(tree: ProtocolTree, dec: Decomposition, threshold: float) -> float:
-    """Pretend-law probability that max(ℓp, ℓq) ≤ threshold at the leaf."""
-    mass, lp, lq = _pretend_leaf_marginals(tree, dec)
-    return math.fsum(mass[np.maximum(lp, lq) <= threshold].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .and_protocols import (
     GridWalkSpec,
+    _grid_leaf_columns,
     buzzer_grid_tree,
     buzzer_leaf_law,
     complete_to_zero_error,
     grid_law_kolmogorov,
-    grid_leaf_law,
     ic_and_zero,
     one_sided_and,
 )
@@ -225,8 +225,7 @@ def _cmd_buzzer(args) -> int:
         f"internal={report.ic_internal!r} kolmogorov={kolmogorov!r}"
     )
     if args.out_law:
-        leaves = grid_leaf_law(spec)
-        rows = [(leaf.ell, leaf.axis, leaf.pretend_mass) for leaf in leaves]
+        rows = zip(*_grid_leaf_columns(spec))
         _write_csv(args.out_law, args, ("ell", "axis", "mass"), rows)
     if args.out_report:
         result = {
@@ -336,6 +335,8 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_xor(args) -> int:
+    if args.out_search and not args.search:
+        raise PreconditionError("--out-search needs --search")
     rows = xor_external_experiment(_parse_eps_list(args.eps_list))
     # searched before the first print, so a refused search leaves no output
     results = [
@@ -356,7 +357,7 @@ def _cmd_xor(args) -> int:
             f"search epsilon={res.epsilon!r} valid={res.valid} "
             f"min_external={res.min_external!r} floor={res.floor!r}"
         )
-    if results and args.out_search:
+    if args.out_search:
         _write_json(
             args.out_search,
             args,

@@ -368,8 +368,10 @@ def disj_ic_exact(
     if eps_round is None:
         return 0.0
     laws = _coordinate_laws(inst, eps_round, and_factory)
+    distinct = {id(law): law for law in laws}  # coordinates with one prior share one law
+    cost = {key: internal_ic(law) for key, law in distinct.items()}
     return math.fsum(
-        float(r) * internal_ic(law) for r, law in zip(_reach(inst, laws), laws)
+        float(r) * cost[id(law)] for r, law in zip(_reach(inst, laws), laws)
     )
 
 

@@ -216,12 +216,6 @@ def entropy_profile(d: JointDistribution) -> EntropyProfile:
     return EntropyProfile(h_x, h_y, h_xy, h_x_given_y, h_y_given_x)
 
 
-def total_variation(a: JointDistribution, b: JointDistribution) -> float:
-    if (a.nx, a.ny) != (b.nx, b.ny):
-        raise ShapeMismatchError(f"shapes ({a.nx},{a.ny}) and ({b.nx},{b.ny}) differ")
-    return 0.5 * math.fsum(np.abs(a.mass - b.mass).flat)
-
-
 def symmetric_decomposition(w: JointDistribution) -> Decomposition:
     """Split a 2x2 prior as odot(nu, (1/2, q)) with nu symmetric.
 

@@ -37,10 +37,6 @@ class ProtocolError(PreconditionError):
     """Structurally invalid protocol tree or signal."""
 
 
-class InfeasibleSplitError(ProtocolError):
-    """A requested one-step posterior split is not a mixture/scaling of the parent."""
-
-
 class DecompositionMismatchError(PreconditionError):
     """A prior does not recompose from the supplied reference/pretend pair."""
 

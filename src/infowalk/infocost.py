@@ -247,22 +247,3 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
     margins = [real.sum(axis=axis, keepdims=True) for axis in (1, 2)]
     return sum(_neg_plogq_sums(weight, real, margins))
 
-
-def pretend_prob(
-    lambda_real: float, dec_parent: Decomposition, dec_child: Decomposition
-) -> float:
-    """Convert a real transition/transcript probability to its pretend value.
-
-    λ_pretend = λ_real · ⟨ν, μ_parent⟩ / ⟨ν, μ_child⟩.  The inverse conversion
-    is the same call with the decompositions swapped.  Converting every
-    branch of one step preserves Σλ = 1 because ⟨ν, ·⟩ is linear and the walk
-    is drift-free.
-    """
-    if (
-        np.max(np.abs(dec_parent.reference.mass - dec_child.reference.mass))
-        > PRIOR_MATCH_TOLERANCE
-    ):
-        raise PreconditionError(
-            "pretend_prob needs parent and child to share one reference measure"
-        )
-    return lambda_real * dec_parent.inner() / dec_child.inner()

@@ -27,7 +27,6 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .errors import (
-    InfeasibleSplitError,
     ParseError,
     PreconditionError,
     ProtocolError,
@@ -41,7 +40,6 @@ COLUMNS = "columns"
 # A JSON tree may record at most this many factors, nx + ny a transcript: 2**21
 # transcripts of a 2x2 tree, whose construction walk peaks at 69 bytes each (145 MB).
 JSON_FACTOR_CAP = 2**23
-SPLIT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,70 +259,6 @@ def apply_signal(mu: JointDistribution, owner: str, send_one_prob) -> WalkStep:
     return WalkStep(lam0, lam1, mu0, mu1, axis, tuple(float(v) for v in s))
 
 
-def step_from_split(
-    mu: JointDistribution,
-    mu0: JointDistribution,
-    mu1: JointDistribution,
-    lambda0: float,
-    axis: str,
-) -> WalkStep:
-    """Converse direction: a drift-free, axis-aligned split is realizable.
-
-    Checks the two defining conditions and recovers the signal that realizes
-    the split:
-
-    * mixture:  λ₀μ₀ + λ₁μ₁ = μ entrywise;
-    * scaling:  each μ_b is the parent rescaled along ``axis`` only.
-
-    Raises InfeasibleSplitError naming whichever condition fails.
-    """
-    if axis not in (ROWS, COLUMNS):
-        raise PreconditionError(f"axis must be {ROWS!r} or {COLUMNS!r}")
-    if not (0.0 <= lambda0 <= 1.0):
-        raise PreconditionError(f"lambda0 = {lambda0!r} outside [0, 1]")
-    lambda1 = 1.0 - lambda0
-    mix = lambda0 * mu0.mass + lambda1 * mu1.mass
-    gap = np.max(np.abs(mix - mu.mass))
-    if gap > SPLIT_TOLERANCE:
-        raise InfeasibleSplitError(
-            f"mixture condition violated: |λ0·μ0 + λ1·μ1 − μ| = {gap:.3e}"
-        )
-
-    def line(mass, index):  # the slice that must be scaled as one block
-        return mass[index, :] if axis == ROWS else mass[:, index]
-
-    size = mu.nx if axis == ROWS else mu.ny
-    send_one = np.full(size, 0.5)
-    for b, child, lam in ((0, mu0, lambda0), (1, mu1, lambda1)):
-        if lam <= 0.0:
-            continue
-        for i in range(size):
-            parent_line = line(mu.mass, i)
-            child_line = line(child.mass, i)
-            total = parent_line.sum()
-            if total <= 0.0:
-                if child_line.sum() > SPLIT_TOLERANCE:
-                    raise InfeasibleSplitError(
-                        "scaling condition violated: child has mass on a "
-                        f"zero-mass parent {axis[:-1]} {i}"
-                    )
-                continue
-            scale = child_line.sum() / total
-            worst = np.max(np.abs(child_line - scale * parent_line))
-            if worst > SPLIT_TOLERANCE:
-                raise InfeasibleSplitError(
-                    f"scaling condition violated on {axis[:-1]} {i}: "
-                    f"not a rescaling of the parent (off by {worst:.3e})"
-                )
-            if b == 1:
-                send_one[i] = min(max(lam * scale, 0.0), 1.0)
-    if lambda1 <= 0.0:
-        send_one[:] = 0.0
-    return WalkStep(
-        lambda0, lambda1, mu0, mu1, axis, tuple(float(v) for v in send_one)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Task:
     """A computation target: a function table plus an error budget.
@@ -448,31 +382,6 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
     )
     leaf_ids = tuple(law.leaf_ids) + ("abort",)
     outputs = None if law.outputs is None else law.outputs + (abort_output,)
-    return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
-
-
-def mix_with_exchange(law, delta: float, f=None):
-    """Public-coin mixture: with probability δ the players exchange inputs
-    outright (one transcript per input cell); otherwise run the protocol.
-
-    Pointwise error scales by exactly (1 − δ) when ``f`` labels the exchange
-    leaves with the correct answers; the internal-IC increase is at most
-    δ·log₂|X×Y| plus the (1−δ) scaling of the original cost.
-    """
-    from .infocost import TranscriptLaw
-
-    if not (0.0 <= delta <= 1.0):
-        raise PreconditionError(f"delta = {delta!r} outside [0, 1]")
-    if delta == 0.0:
-        return law
-    nx, ny = law.prior.nx, law.prior.ny
-    table = None if f is None else np.asarray(f, dtype=object)
-    cells = [(x, y) for x in range(nx) for y in range(ny)]  # one transcript each
-    extra = delta * np.eye(nx * ny).reshape(nx * ny, nx, ny)
-    cond = np.concatenate([(1.0 - delta) * law.cond, extra], axis=0)
-    leaf_ids = tuple(law.leaf_ids) + tuple(f"exchange:{x},{y}" for x, y in cells)
-    outs = tuple(None if table is None else table[c] for c in cells)
-    outputs = None if law.outputs is None else law.outputs + outs
     return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
 
 

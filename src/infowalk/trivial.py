@@ -14,13 +14,12 @@ determined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import JointDistribution, binary_entropy
+from .distributions import JointDistribution
 from .errors import PreconditionError
 from .protocol import ALICE, Internal, Leaf, ProtocolTree
 
@@ -152,89 +151,3 @@ def trivial_witness_protocol(f, mu: JointDistribution, kind: str) -> ProtocolTre
     outputs = tuple(dict.fromkeys(block.value for block in blocks))
     return ProtocolTree(mu.nx, mu.ny, outputs, node)
 
-
-def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
-    """Minimum internal cost over deterministic trees, up to a depth budget,
-    that answer correctly on every input (not just the support).
-
-    Searches every protocol in which each signal is a subset-membership
-    question, by dynamic programming over input rectangles: a subtree's cost
-    depends only on the rectangle it is reached with, and counts in
-    proportion to the prior chance of reaching it (the chain rule).  Bits
-    that are already determined by the conditioning cost nothing, which is
-    how block announcements stay free; separating a mixed rectangle that the
-    prior still straddles cannot be free.  Returns inf when no such tree
-    exists within the budget.  This is a diagnostic floor for
-    non-triviality, not a certified bound: randomized protocols are not
-    covered.
-    """
-    table = _table(f, mu)
-
-    def monochromatic(rows, cols):
-        values = {table[x, y] for x in rows for y in cols}
-        return len(values) <= 1
-
-    def splits(indices):
-        items = list(indices)
-        for mask in range(1, 2 ** len(items) - 1, 2):  # fix item 0 on side 1
-            side = tuple(items[i] for i in range(len(items)) if mask >> i & 1)
-            rest = tuple(items[i] for i in range(len(items)) if not mask >> i & 1)
-            yield side, rest
-
-    cache: dict = {}
-
-    def tail(p_side, p_rest, side_rect, rest_rect, budget):
-        """The children's costs weighted by the chance of each side.  A side
-        the prior never reaches must still be answered on every input, so
-        an inf there rules the split out rather than meeting a zero weight."""
-        side_cost = best(*side_rect, budget - 1)
-        if side_cost == math.inf:
-            return math.inf
-        rest_cost = best(*rest_rect, budget - 1)
-        if rest_cost == math.inf:
-            return math.inf
-        return p_side * side_cost + p_rest * rest_cost
-
-    def best(rows, cols, budget):
-        if monochromatic(rows, cols):
-            return 0.0
-        if budget == 0:
-            return math.inf
-        key = (rows, cols, budget)
-        if key in cache:
-            return cache[key]
-        sub = mu.mass[np.ix_(rows, cols)]
-        total = sub.sum()
-        cond = sub / total if total > 0.0 else np.zeros_like(sub)
-        reached = cond.sum()
-        value = math.inf
-        # Alice splits her rows: she reveals one bit; Bob learns
-        # E_y h(P[side | y]) about X and nothing flows the other way
-        for side, rest in splits(rows):
-            keep = [rows.index(x) for x in side]
-            py = cond.sum(axis=0)
-            info = sum(
-                py[j] * binary_entropy(cond[keep, j].sum() / py[j])
-                for j in range(len(cols))
-                if py[j] > 0.0
-            )
-            p_side = cond[keep, :].sum()
-            value = min(value, info + tail(
-                p_side, reached - p_side, (side, cols), (rest, cols), budget
-            ))
-        for side, rest in splits(cols):
-            keep = [cols.index(y) for y in side]
-            px = cond.sum(axis=1)
-            info = sum(
-                px[i] * binary_entropy(cond[i, keep].sum() / px[i])
-                for i in range(len(rows))
-                if px[i] > 0.0
-            )
-            p_side = cond[:, keep].sum()
-            value = min(value, info + tail(
-                p_side, reached - p_side, (rows, side), (rows, rest), budget
-            ))
-        cache[key] = value
-        return value
-
-    return best(tuple(range(mu.nx)), tuple(range(mu.ny)), depth)

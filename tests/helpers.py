@@ -12,13 +12,20 @@ from infowalk import (
     Internal,
     JointDistribution,
     Leaf,
+    PreconditionError,
     ProductDistribution,
+    ProtocolError,
     ProtocolTree,
+    ShapeMismatchError,
     TranscriptLaw,
+    WalkStep,
+    binary_entropy,
     entropy_profile,
     odot,
 )
 from infowalk.and_protocols import GridLeaf
+from infowalk.infocost import PRIOR_MATCH_TOLERANCE
+from infowalk.protocol import COLUMNS, ROWS
 
 
 def random_prior(rng, nx, ny, floor=0.02):
@@ -420,3 +427,194 @@ def disj_mc_audit_reference(inst, laws, seed, samples):
                 rounds_sum += rounds * mass[x, y]
             err[x, y] = wrong / samples
     return err, rounds_sum / samples
+
+
+# ---------------------------------------------------------------------------
+# Oracles that left `src/`: no command, acceptance claim or bench layer uses
+# them, but tests still check library results against them.
+# ---------------------------------------------------------------------------
+
+class InfeasibleSplitError(ProtocolError):
+    """A requested one-step posterior split is not a mixture/scaling of the parent."""
+
+
+SPLIT_TOLERANCE = 1e-9
+
+
+def total_variation(a: JointDistribution, b: JointDistribution) -> float:
+    if (a.nx, a.ny) != (b.nx, b.ny):
+        raise ShapeMismatchError(f"shapes ({a.nx},{a.ny}) and ({b.nx},{b.ny}) differ")
+    return 0.5 * math.fsum(np.abs(a.mass - b.mass).flat)
+
+
+def step_from_split(
+    mu: JointDistribution,
+    mu0: JointDistribution,
+    mu1: JointDistribution,
+    lambda0: float,
+    axis: str,
+) -> WalkStep:
+    """Converse direction: a drift-free, axis-aligned split is realizable.
+
+    Checks the two defining conditions and recovers the signal that realizes
+    the split:
+
+    * mixture:  λ₀μ₀ + λ₁μ₁ = μ entrywise;
+    * scaling:  each μ_b is the parent rescaled along ``axis`` only.
+
+    Raises InfeasibleSplitError naming whichever condition fails.
+    """
+    if axis not in (ROWS, COLUMNS):
+        raise PreconditionError(f"axis must be {ROWS!r} or {COLUMNS!r}")
+    if not (0.0 <= lambda0 <= 1.0):
+        raise PreconditionError(f"lambda0 = {lambda0!r} outside [0, 1]")
+    lambda1 = 1.0 - lambda0
+    mix = lambda0 * mu0.mass + lambda1 * mu1.mass
+    gap = np.max(np.abs(mix - mu.mass))
+    if gap > SPLIT_TOLERANCE:
+        raise InfeasibleSplitError(
+            f"mixture condition violated: |λ0·μ0 + λ1·μ1 − μ| = {gap:.3e}"
+        )
+
+    def line(mass, index):  # the slice that must be scaled as one block
+        return mass[index, :] if axis == ROWS else mass[:, index]
+
+    size = mu.nx if axis == ROWS else mu.ny
+    send_one = np.full(size, 0.5)
+    for b, child, lam in ((0, mu0, lambda0), (1, mu1, lambda1)):
+        if lam <= 0.0:
+            continue
+        for i in range(size):
+            parent_line = line(mu.mass, i)
+            child_line = line(child.mass, i)
+            total = parent_line.sum()
+            if total <= 0.0:
+                if child_line.sum() > SPLIT_TOLERANCE:
+                    raise InfeasibleSplitError(
+                        "scaling condition violated: child has mass on a "
+                        f"zero-mass parent {axis[:-1]} {i}"
+                    )
+                continue
+            scale = child_line.sum() / total
+            worst = np.max(np.abs(child_line - scale * parent_line))
+            if worst > SPLIT_TOLERANCE:
+                raise InfeasibleSplitError(
+                    f"scaling condition violated on {axis[:-1]} {i}: "
+                    f"not a rescaling of the parent (off by {worst:.3e})"
+                )
+            if b == 1:
+                send_one[i] = min(max(lam * scale, 0.0), 1.0)
+    if lambda1 <= 0.0:
+        send_one[:] = 0.0
+    return WalkStep(
+        lambda0, lambda1, mu0, mu1, axis, tuple(float(v) for v in send_one)
+    )
+
+
+def pretend_prob(
+    lambda_real: float, dec_parent: Decomposition, dec_child: Decomposition
+) -> float:
+    """Convert a real transition/transcript probability to its pretend value.
+
+    λ_pretend = λ_real · ⟨ν, μ_parent⟩ / ⟨ν, μ_child⟩.  The inverse conversion
+    is the same call with the decompositions swapped.  Converting every
+    branch of one step preserves Σλ = 1 because ⟨ν, ·⟩ is linear and the walk
+    is drift-free.
+    """
+    if (
+        np.max(np.abs(dec_parent.reference.mass - dec_child.reference.mass))
+        > PRIOR_MATCH_TOLERANCE
+    ):
+        raise PreconditionError(
+            "pretend_prob needs parent and child to share one reference measure"
+        )
+    return lambda_real * dec_parent.inner() / dec_child.inner()
+
+
+def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
+    """Minimum internal cost over deterministic trees, up to a depth budget,
+    that answer correctly on every input (not just the support).
+
+    Searches every protocol in which each signal is a subset-membership
+    question, by dynamic programming over input rectangles: a subtree's cost
+    depends only on the rectangle it is reached with, and counts in
+    proportion to the prior chance of reaching it (the chain rule).  Bits
+    that are already determined by the conditioning cost nothing, which is
+    how block announcements stay free; separating a mixed rectangle that the
+    prior still straddles cannot be free.  Returns inf when no such tree
+    exists within the budget.  This is a diagnostic floor for
+    non-triviality, not a certified bound: randomized protocols are not
+    covered.
+    """
+    table = np.array(f, dtype=object)
+    if table.shape != (mu.nx, mu.ny):
+        raise PreconditionError("function table shape does not match the prior")
+
+    def monochromatic(rows, cols):
+        values = {table[x, y] for x in rows for y in cols}
+        return len(values) <= 1
+
+    def splits(indices):
+        items = list(indices)
+        for mask in range(1, 2 ** len(items) - 1, 2):  # fix item 0 on side 1
+            side = tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+            rest = tuple(items[i] for i in range(len(items)) if not mask >> i & 1)
+            yield side, rest
+
+    cache: dict = {}
+
+    def tail(p_side, p_rest, side_rect, rest_rect, budget):
+        """The children's costs weighted by the chance of each side.  A side
+        the prior never reaches must still be answered on every input, so
+        an inf there rules the split out rather than meeting a zero weight."""
+        side_cost = best(*side_rect, budget - 1)
+        if side_cost == math.inf:
+            return math.inf
+        rest_cost = best(*rest_rect, budget - 1)
+        if rest_cost == math.inf:
+            return math.inf
+        return p_side * side_cost + p_rest * rest_cost
+
+    def best(rows, cols, budget):
+        if monochromatic(rows, cols):
+            return 0.0
+        if budget == 0:
+            return math.inf
+        key = (rows, cols, budget)
+        if key in cache:
+            return cache[key]
+        sub = mu.mass[np.ix_(rows, cols)]
+        total = sub.sum()
+        cond = sub / total if total > 0.0 else np.zeros_like(sub)
+        reached = cond.sum()
+        value = math.inf
+        # Alice splits her rows: she reveals one bit; Bob learns
+        # E_y h(P[side | y]) about X and nothing flows the other way
+        for side, rest in splits(rows):
+            keep = [rows.index(x) for x in side]
+            py = cond.sum(axis=0)
+            info = sum(
+                py[j] * binary_entropy(cond[keep, j].sum() / py[j])
+                for j in range(len(cols))
+                if py[j] > 0.0
+            )
+            p_side = cond[keep, :].sum()
+            value = min(value, info + tail(
+                p_side, reached - p_side, (side, cols), (rest, cols), budget
+            ))
+        for side, rest in splits(cols):
+            keep = [cols.index(y) for y in side]
+            px = cond.sum(axis=1)
+            info = sum(
+                px[i] * binary_entropy(cond[i, keep].sum() / px[i])
+                for i in range(len(rows))
+                if px[i] > 0.0
+            )
+            p_side = cond[:, keep].sum()
+            value = min(value, info + tail(
+                p_side, reached - p_side, (rows, side), (rows, rest), budget
+            ))
+        cache[key] = value
+        return value
+
+    return best(tuple(range(mu.nx)), tuple(range(mu.ny)), depth)

@@ -18,7 +18,6 @@ from infowalk.and_protocols import (
     grid_law_kolmogorov,
     grid_leaf_law,
     ic_and_zero,
-    leaf_mass_below,
     one_sided_and,
     potential_of_tree,
     potential_phi_closed,
@@ -33,7 +32,7 @@ from infowalk.distributions import (
     symmetric_decomposition,
 )
 from infowalk.errors import PreconditionError
-from infowalk.infocost import internal_ic, law_of, pretend_prob, sim
+from infowalk.infocost import internal_ic, law_of, sim
 from infowalk.protocol import (
     ALICE,
     BOB,
@@ -45,7 +44,7 @@ from infowalk.protocol import (
     walk,
 )
 
-from helpers import random_prior, random_tree
+from helpers import pretend_prob, random_prior, random_tree
 
 W_STAR = JointDistribution.from_mass(
     [[0.3653203272016804, 0.31733983639915976], [0.31733983639915976, 0.0]]
@@ -397,17 +396,6 @@ def test_potential_of_tree_converges_to_closed_form():
         gaps.append(abs(potential_of_tree(buzzer_grid_tree(spec, dec), 0.7, dec) - closed))
     assert gaps[0] < 5e-3
     assert gaps[1] < gaps[0]
-
-
-def test_leaf_mass_below_tracks_cdf():
-    w = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
-    dec = symmetric_decomposition(w)
-    spec, _ = GridWalkSpec.from_start(0.5, 0.4, 512)
-    tree = buzzer_grid_tree(spec, dec)
-    got = leaf_mass_below(tree, dec, 0.7)
-    assert got == pytest.approx(buzzer_leaf_law(0.5, 0.4).cdf(0.7), abs=5e-3)
-    assert leaf_mass_below(tree, dec, 0.0) == 0.0
-    assert leaf_mass_below(tree, dec, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,16 @@ def test_xor_search_without_seed_is_code_2(capsys):
     assert "seed" in err
 
 
+def test_xor_out_search_without_search_leaves_no_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "xor", "--eps-list", "0.1", "--out", "x.csv", "--out-search", "s.json"
+    )
+    assert code == 2 and out == ""
+    assert "precondition" in err and "--search" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("xor", "--eps-list", "0.1", "--search", "--out", "x.csv"),
     ("disj", "--n", "2", "--eps", "0.1", "--mode", "mc", "--and-grid", "16",

@@ -504,3 +504,22 @@ def test_factory_runs_once_per_distinct_prior():
 
     with pytest.raises(ProtocolError, match="coordinate 1: unsupported prior"):
         disj_error_audit(mixed, 0.1, fails_off_w)
+
+
+@pytest.mark.parametrize("priors", [(W,) * 64, (W, UNIFORM, THIN, W, UNIFORM, W)],
+                         ids=["iid", "mixed"])
+def test_ic_prices_each_distinct_law_once(monkeypatch, priors):
+    inst = DisjInstance.from_priors(priors)
+    laws = disjointness._coordinate_laws(inst, disjointness._round_budget(inst, 0.1), grid8)
+    per_coordinate = math.fsum(
+        float(r) * internal_ic(law) for r, law in zip(disjointness._reach(inst, laws), laws)
+    )
+    priced = []
+
+    def counting(law):
+        priced.append(law)
+        return internal_ic(law)
+
+    monkeypatch.setattr(disjointness, "internal_ic", counting)
+    assert disj_ic_exact(inst, 0.1, grid8) == per_coordinate  # bit for bit
+    assert len(priced) == len(set(map(id, laws))) == len(set(priors))

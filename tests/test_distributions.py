@@ -15,11 +15,10 @@ from infowalk import (
     entropy_profile,
     odot,
     symmetric_decomposition,
-    total_variation,
     truncated_entropy,
 )
 
-from helpers import random_prior
+from helpers import random_prior, total_variation
 
 
 def test_binary_entropy_values():

@@ -2,6 +2,7 @@
 ``ast`` only: no import goes unused and no private name goes unreferenced."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "infowalk"
@@ -17,6 +18,16 @@ def _loaded_names(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _defined(node):
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
 
 
 def test_every_import_is_used():
@@ -46,15 +57,70 @@ def test_every_private_top_level_name_is_referenced():
     unreferenced = []
     for name, tree in TREES.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
             unreferenced.extend(
-                f"{name}: {d}" for d in defined
+                f"{name}: {d}" for d in _defined(node)
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             )
     assert unreferenced == []
+
+
+# ---------------------------------------------------------------------------
+# What may live in src/: a top-level name stays only if the CLI, a numbered
+# acceptance claim or the benchmark's layers reach it, directly or through
+# other kept names.  bench/ is read as text and never edited.
+# ---------------------------------------------------------------------------
+
+ROOT = SRC.parent.parent
+BENCH = ROOT / "bench"
+
+
+def _definitions():
+    """Each top-level name defined in src/ with the statements defining it."""
+    defs = {}
+    for tree in TREES.values():
+        for node in tree.body:
+            for name in _defined(node):
+                defs.setdefault(name, []).append(node)
+    return defs
+
+
+def _bench_layer_names():
+    """The functions named in bench/spans.py's ``LAYERS``."""
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return {elt.value for group in node.value.values for elt in group.elts}
+    raise AssertionError("bench/spans.py defines no LAYERS")
+
+
+def _kept_names():
+    roots = set()
+    roots |= _loaded_names(TREES["cli.py"])
+    roots |= _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    roots |= _bench_layer_names()
+    # bench/ops.py calls the package as ``iw.<name>``; it is a root only
+    # until the benchmark itself changes
+    roots |= set(re.findall(r"\biw\.(\w+)", (BENCH / "ops.py").read_text()))
+    defs = _definitions()
+    kept, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in kept or name not in defs:
+            continue
+        kept.add(name)
+        for node in defs[name]:
+            todo.extend(_loaded_names(node))
+    return kept, defs
+
+
+def test_every_public_name_serves_a_command_claim_or_bench_layer():
+    kept, defs = _kept_names()
+    exported = set()
+    for node in TREES["__init__.py"].body:
+        if isinstance(node, ast.ImportFrom):
+            exported.update(alias.asname or alias.name for alias in node.names)
+    public = {name for name in defs if not name.startswith("_")}
+    unserved = sorted((public | exported) - kept)
+    assert not unserved, f"no command, claim or bench layer uses {unserved}"

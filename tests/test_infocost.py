@@ -20,7 +20,6 @@ from infowalk import (
     external_ic,
     internal_ic,
     law_of,
-    pretend_prob,
     pretend_step,
     sim,
     walk,
@@ -30,6 +29,7 @@ from helpers import (
     exchange_tree,
     external_reference,
     ic_reference,
+    pretend_prob,
     random_law,
     random_prior,
     random_symmetric_decomposition,

@@ -11,7 +11,6 @@ from infowalk import (
     AND_TABLE,
     BOB,
     GridWalkSpec,
-    InfeasibleSplitError,
     InfowalkError,
     Internal,
     JointDistribution,
@@ -28,16 +27,20 @@ from infowalk import (
     internal_ic,
     law_of,
     mix_with_abort,
-    mix_with_exchange,
-    step_from_split,
-    total_variation,
     tree_from_json,
     tree_to_json,
     walk,
 )
 from infowalk.protocol import COLUMNS, JSON_FACTOR_CAP, ROWS
 
-from helpers import exchange_tree, random_prior, random_tree
+from helpers import (
+    InfeasibleSplitError,
+    exchange_tree,
+    random_prior,
+    random_tree,
+    step_from_split,
+    total_variation,
+)
 
 AND_TABLE = [[0, 0], [0, 1]]
 
@@ -215,32 +218,6 @@ def test_mix_with_abort_identity_and_scaling():
         t = random_tree(rng, 2, 2, depth=4)
         lw = law_of(t, random_prior(rng, 2, 2))
         assert abs(internal_ic(mix_with_abort(lw, eps)) - (1 - eps) * internal_ic(lw)) < 1e-10
-
-
-def test_mix_with_exchange_error_and_cost():
-    # a protocol wrong with probability exactly .2 on every input
-    junk = Leaf(2)
-    exact = exchange_tree(2, 2, AND_TABLE, outputs=(0, 1, 2)).root
-    tree = ProtocolTree(2, 2, (0, 1, 2), Internal(ALICE, (0.2, 0.2), exact, junk))
-    task = Task(AND_TABLE, epsilon=0.2)
-    assert abs(evaluate_error(tree, task).max_pointwise - 0.2) < 1e-12
-
-    prior = JointDistribution.uniform(2, 2)
-    law = law_of(tree, prior)
-    assert mix_with_exchange(law, 0.0) is law
-    mixed = mix_with_exchange(law, 0.5, f=AND_TABLE)
-    report_task = Task(AND_TABLE, epsilon=0.1)
-    from infowalk import evaluate_error_law
-
-    assert abs(evaluate_error_law(mixed, report_task).max_pointwise - 0.1) < 1e-12
-
-    full = mix_with_exchange(law, 1.0, f=AND_TABLE)
-    assert evaluate_error_law(full, Task(AND_TABLE, epsilon=0.0)).max_pointwise == 0.0
-    assert internal_ic(full) <= math.log2(4) + 1e-12
-    # cost increase bounded by delta * log2|X x Y| beyond the (1-delta) scaling
-    for delta in (0.1, 0.5, 0.9):
-        got = internal_ic(mix_with_exchange(law, delta, f=AND_TABLE))
-        assert got <= (1 - delta) * internal_ic(law) + delta * math.log2(4) + 1e-10
 
 
 def test_tree_json_round_trip_bit_exact():

@@ -10,11 +10,12 @@ from infowalk.infocost import external_ic, internal_ic, law_of
 from infowalk.protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, evaluate_error
 from infowalk.trivial import (
     build_support_graph,
-    deterministic_ic_floor,
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
     trivial_witness_protocol,
 )
+
+from helpers import deterministic_ic_floor
 
 AND = [[0, 0], [0, 1]]
 XOR = [[0, 1], [1, 0]]
