@@ -20,6 +20,7 @@ prior reweights transitions exactly as the pretend/real conversion predicts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -34,9 +35,10 @@ from .distributions import (
 )
 from .errors import PreconditionError, ProtocolError
 from .infocost import TranscriptLaw, law_of, leaf_posteriors
-from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, evaluate_error_law
+from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, _plan, _scan, evaluate_error_law
 
 LN2 = math.log(2.0)
+EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
 AND_TABLE = ((0, 0), (0, 1))
 
 
@@ -189,13 +191,16 @@ def buzzer_grid_tree(
     posterior high/n.  Conditioning on the owner's input: a 1 never gives up
     (posterior ratio (m/high)·(high/n)/(m/n) = 1); a 0 continues with
     probability m(n−high)/(high(n−m)), where m < n on every phase."""
-    m, high, n = spec.mover.astype(np.int64), spec.high, spec.n  # products reach n²/4
-    up_given_zero = (m * (n - high) / (high * (n - m))).tolist()
-    node = Leaf(spec.terminal)
-    for bob, s in zip(reversed(spec.bob.tolist()), reversed(up_given_zero)):
-        # the module's owner constants, not a fresh string per node
-        node = Internal(BOB if bob else ALICE, (s, 1.0), Leaf(0), node)
-    return ProtocolTree(2, 2, (0, 1), node)
+    m, high, n, bob = spec.mover.astype(np.int64), spec.high, spec.n, spec.bob  # m·n reaches n²
+    signals = np.column_stack((m * (n - high) / (high * (n - m)), np.ones(len(m))))
+    k = 2 * len(bob)  # phase i: its node at entry 2i, its give-up leaf (output 0) at 2i + 1
+    owner, signal, child1 = (np.full(k + 1, v, t) for v, t in ((-1, np.int8), (0, np.int32),
+                                                                (-1, np.int32)))
+    owner[:k:2], child1[:k:2], signal[k] = bob, np.arange(2, k + 1, 2), spec.terminal
+    signal[:k:2] = np.where(bob, bob.cumsum(), (~bob).cumsum()) - 1  # the owner's table row
+    return ProtocolTree(2, 2, (0, 1), arrays=(owner, signal, child1,
+                                              np.arange(k + 1, dtype=np.int32),
+                                              signals[~bob], signals[bob]))
 
 
 class GridLeaf(NamedTuple):
@@ -366,33 +371,6 @@ def _check_flip(x0: int, x1: int, epsilon: float, nx: int):
         raise PreconditionError("flip rows outside the rectangle")
 
 
-def _copy_paths(tree: ProtocolTree, outputs: tuple, leaf, internal, state) -> ProtocolTree:
-    """A copy of ``tree`` with one node per path, so shared nodes are expanded.
-
-    Leaf t, in law order (preorder, 0-child first), becomes ``leaf(node, t)``.
-    An internal node reached with ``state`` gets the signal and the two child
-    states that ``internal(node, state)`` returns, as (signal, state0, state1)."""
-    built = []
-    t = 0
-    # flat (node, state, signal) entries; a pushed signal marks a node whose
-    # children are built
-    stack = [(tree.root, state, None)]
-    while stack:
-        node, state, signal = stack.pop()
-        if isinstance(node, Leaf):
-            built.append(leaf(node, t))
-            t += 1
-        elif signal is None:
-            signal, state0, state1 = internal(node, state)
-            stack.append((node, None, signal))
-            stack.append((node.child1, state1, None))
-            stack.append((node.child0, state0, None))
-        else:
-            child1, child0 = built.pop(), built.pop()
-            built.append(Internal(node.owner, signal, child0, child1))
-    return ProtocolTree(tree.nx, tree.ny, outputs, built.pop())
-
-
 def flip_transform(
     law: TranscriptLaw, x0: int, x1: int, epsilon: float
 ) -> TranscriptLaw:
@@ -412,36 +390,36 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     (x1, transcript-so-far) does not depend on Bob's input — his factors
     cancel — so rewriting row x1 of each signal path-dependently reproduces
     the mixture law on the same tree shape; a node shared by several paths
-    comes back once per path.  Log-weights keep the reweighting stable on
-    very deep trees."""
+    comes back once per path.  Log-weights (libm's, summed down each path)
+    keep the reweighting stable on very deep trees; a posterior whose odds
+    overflow is 0, or 1 at ε = 1."""
     _check_flip(x0, x1, epsilon, tree.nx)
     if epsilon == 0.0:
         return tree
-
-    def log_(v: float) -> float:
-        return math.log(v) if v > 0.0 else -math.inf
-
-    def internal(node: Internal, state: tuple) -> tuple:
-        # state: the path's log-weights behaving as x0 and as x1
-        s = node.send_one_prob
-        if node.owner != ALICE:
-            return s, state, state
-        la0, la1 = state
-        kids = ((la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1])),
-                (la0 + log_(s[x0]), la1 + log_(s[x1])))
-        if la0 == -math.inf and la1 == -math.inf:
-            return (s, *kids)  # unreachable under x1 either way
-        if la1 == -math.inf:
-            heads = 1.0
-        elif la0 == -math.inf:
-            heads = 0.0
-        else:
-            heads = 1.0 / (1.0 + ((1 - epsilon) / epsilon) * math.exp(la1 - la0))
-        new = list(s)
-        new[x1] = heads * s[x0] + (1.0 - heads) * s[x1]
-        return (tuple(new), *kids)
-
-    return _copy_paths(tree, tree.outputs, lambda node, t: node, internal, (0.0, 0.0))
+    owner, child1, n = tree.owner, tree.child1, len(tree.owner)
+    at = (owner == 0).nonzero()[0]
+    s = tree.alice[tree.signal[at]]
+    logs = np.zeros((n + 2, 2))  # the path's log-weight behaving as x0 and as x1
+    for kids, p in ((at + 1, 1.0 - s[:, [x0, x1]]), (child1[at], s[:, [x0, x1]])):
+        log_p = np.full(p.shape, -math.inf)
+        log_p[p > 0.0] = np.fromiter(map(math.log, p[p > 0.0].tolist()), float)
+        logs[kids] = log_p
+    la0, la1 = _scan(_plan(owner, child1), np.add, logs, 0.0)[at].T
+    moved = (la0 > -math.inf) | (la1 > -math.inf)  # x1 cannot reach the others either way
+    gap = la1[moved] - la0[moved]  # −inf where x1 cannot reach the node: heads = 1
+    odds = np.full(len(gap), math.inf if epsilon < 1.0 else 0.0)  # where exp overflows
+    odds[gap == math.inf] = math.inf  # x0 cannot reach the node: heads = 0
+    fits = gap <= EXP_MAX
+    with np.errstate(over="ignore"):  # an infinite product gives heads = 0, as it should
+        odds[fits] = ((1 - epsilon) / epsilon) * np.fromiter(map(math.exp, gap[fits].tolist()),
+                                                           float)
+    heads, rows = 1.0 / (1.0 + odds), s.copy()
+    rows[moved, x1] = heads * s[moved, x0] + (1.0 - heads) * s[moved, x1]
+    signal = tree.signal.copy()
+    signal[at] = np.arange(len(at))
+    copy_of = np.where(owner >= 0, np.arange(n), tree.copy_of)  # leaves stay shared
+    return ProtocolTree(tree.nx, tree.ny, tree.outputs,
+                        arrays=(owner, signal, child1, copy_of, rows, tree.bob))
 
 
 def one_sided_and(
@@ -475,38 +453,64 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     posterior marginal of the tested value is smaller reveals first (ties to
     Alice); a confirmed match ends with the true value f(x, y), and if every
     test fails the original output stands.  Over a full-support prior the
-    completed tree has pointwise error exactly zero."""
+    completed tree has pointwise error exactly zero.  The rounds are built
+    once per output and order of asking, and spliced into the arrays below
+    every reached leaf of that kind."""
     table = np.asarray(f, dtype=object)
     if table.shape != (tree.nx, tree.ny):
         raise PreconditionError("function table shape does not match the tree")
+    nx, ny, n = tree.nx, tree.ny, len(tree.owner)
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
     prob, post = leaf_posteriors(law_of(tree, prior))
-    px = post.sum(axis=2).tolist()
-    py = post.sum(axis=1).tolist()
-    support = prior.support()
-    reveal_x = [tuple(row) for row in np.eye(tree.nx).tolist()]  # "is x yours?"
-    reveal_y = [tuple(row) for row in np.eye(tree.ny).tolist()]
-    cells = [(x, y) for x in range(tree.nx) for y in range(tree.ny) if support[x, y]]
-    tests = {out: [c for c in cells if table[c] != out] for out in tree.outputs}
-
-    def verification(leaf: Leaf, t: int):
-        node = leaf  # all tests failed: the original answer stands
-        for x, y in reversed(tests[leaf.output]):
-            confirm = Leaf(table[x, y])
-            # each question's 1-branch is the match; the smaller marginal asks first
-            if px[t][x] <= py[t][y]:
-                second = Internal(BOB, reveal_y[y], node, confirm)
-                node = Internal(ALICE, reveal_x[x], node, second)
-            else:
-                second = Internal(ALICE, reveal_x[x], node, confirm)
-                node = Internal(BOB, reveal_y[y], node, second)
-        return node
-
-    # each reachable leaf is replaced by its verification
-    return _copy_paths(
-        tree,
-        outputs,
-        lambda leaf, t: verification(leaf, t) if prob[t] > 0.0 else leaf,
-        lambda node, state: (node.send_one_prob, None, None),
-        None,
-    )
+    px, py = post.sum(axis=2), post.sum(axis=1)
+    del post
+    cells = [(x, y) for x in range(nx) for y in range(ny) if prior.support()[x, y]]
+    leaves = (tree.owner < 0).nonzero()[0]
+    kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
+    groups = []  # (reached leaves, tests, the arrays of their rounds)
+    for k, z in enumerate(tree.outputs):
+        tests = [c for c in cells if table[c] != z]
+        reached = ((prob > 0.0) & (tree.signal[leaves] == k)).nonzero()[0]
+        if not (tests and len(reached)):
+            continue
+        xs, ys = np.array(tests).T
+        orders, which = np.unique(px[reached][:, xs] <= py[reached][:, ys], axis=0,
+                                  return_inverse=True)  # the smaller marginal asks first
+        for j, alice_first in enumerate(orders.tolist()):
+            node = Leaf(outputs[kept[reached[0]]])  # stands for the leaf: all tests failed
+            for (x, y), alice in reversed(list(zip(tests, alice_first))):
+                # each question's 1-branch is the match
+                rx, ry = tuple(np.eye(nx)[x].tolist()), tuple(np.eye(ny)[y].tolist())
+                confirm = Leaf(table[x, y])
+                node = (Internal(ALICE, rx, node, Internal(BOB, ry, node, confirm)) if alice
+                        else Internal(BOB, ry, node, Internal(ALICE, rx, node, confirm)))
+            groups.append((reached[which.ravel() == j], len(tests),
+                           ProtocolTree(nx, ny, outputs, node)))
+    # entry i moves down by the entries that the rounds of the leaves before it add
+    grow = np.zeros(n, np.intp)
+    for reached, _, rounds in groups:
+        grow[leaves[reached]] = len(rounds.owner) - 1
+    moved = np.arange(n) + grow.cumsum() - grow
+    owner, signal, child1, copy_of = (np.full(n + grow.sum(), -1, np.int32) for _ in range(4))
+    inner = (tree.owner >= 0).nonzero()[0]
+    owner[moved], signal[moved], signal[moved[leaves]] = tree.owner, tree.signal, kept
+    child1[moved[inner]], copy_of[moved[inner]] = moved[tree.child1[inner]], moved[inner]
+    # a leaf stays itself, and so stays shared: where it was, or first reached
+    # at the bottom of its rounds, below one question per test
+    own = moved.copy()
+    for reached, tests, _ in groups:
+        own[leaves[reached]] += tests
+    copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
+    tables = [tree.alice], [tree.bob]
+    for reached, tests, rounds in groups:
+        start = moved[leaves[reached]][:, None]
+        at = start + np.arange(len(rounds.owner))
+        shift = np.choose(rounds.owner + 1, (0, *map(sum, (map(len, t) for t in tables))))
+        owner[at], signal[at] = rounds.owner, rounds.signal + shift
+        child1[at] = np.where(rounds.child1 < 0, -1, start + rounds.child1)
+        copy_of[at] = np.where(rounds.copy_of == tests, own[tree.copy_of[leaves[reached]]][:, None],
+                               start + rounds.copy_of)
+        tables[0].append(rounds.alice)
+        tables[1].append(rounds.bob)
+    return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
+                                                 *map(np.vstack, tables)))

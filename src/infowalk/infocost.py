@@ -100,7 +100,7 @@ def law_of(tree: ProtocolTree, prior: JointDistribution) -> TranscriptLaw:
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree rectangle")
     paths = tree.path_law
-    f = np.frombuffer(paths.factors).reshape(-1, tree.nx + tree.ny)
+    f = paths.factors
     cond = f[:, :tree.nx, None] * f[:, None, tree.nx:]
     return TranscriptLaw(prior, paths.leaf_ids, cond, paths.outputs)
 

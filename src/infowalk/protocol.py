@@ -19,8 +19,6 @@ import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import mul, sub
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -63,25 +61,37 @@ Node = Union[Leaf, Internal]
 
 class LeafIds(Sequence):
     """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
-    preorder, 0-child first (their sorted order), rendered on demand.  A path
-    is a handle (run, k): k copies of run ``run``'s bit appended to the path
-    that run extends, itself a handle.  ``runs`` holds flat integer triples
-    (bit, run, k) and ``leaves`` flat handles: a few bytes a node, where the
-    strings take Σ depth characters (quadratic on the buzzer caterpillar)."""
+    preorder, 0-child first (their sorted order), rendered on demand from
+    run-length handles that are derived from the tree's arrays when first
+    read.  A path is a handle (run, k): k copies of run ``run``'s bit appended
+    to the path that run extends, itself a handle.  ``runs`` holds flat
+    integer triples (bit, run, k) and ``leaves`` flat handles: a few bytes a
+    node, where the strings take Σ depth characters (quadratic on the buzzer
+    caterpillar)."""
 
-    __slots__ = ("_runs", "_leaves")
+    __slots__ = ("_count", "_arrays", "_runs", "_leaves")
 
-    def __init__(self, runs: array, leaves: array):
-        self._runs, self._leaves = runs, leaves
+    def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray):
+        self._count, self._arrays, self._runs = count, (owner, child1), None
 
     def __len__(self):
-        return len(self._leaves) // 2
+        return self._count
 
-    def __getitem__(self, i):  # a negative i counts both halves from the end
-        return self._path(self._leaves[2 * i], self._leaves[2 * i + 1])
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # an index or, for a slice, a range
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        leaves = self._handles()
+        return self._path(leaves[2 * at], leaves[2 * at + 1])
 
     def __iter__(self):
-        return map(self._path, self._leaves[::2], self._leaves[1::2])
+        leaves = self._handles()
+        return map(self._path, leaves[::2], leaves[1::2])
+
+    def _handles(self) -> array:
+        if self._runs is None:
+            self._runs, self._leaves = _leaf_runs(*self._arrays)
+        return self._leaves
 
     def _path(self, run, k):
         runs, parts = self._runs, []
@@ -98,77 +108,233 @@ class LeafIds(Sequence):
 
 class PathLaw(NamedTuple):
     """A tree's prior-free law, leaf by leaf: its id, its output, and its
-    factors, Alice's nx and Bob's ny edge-probability products along the path
-    (flat in one array), so that Pr[leaf | x, y] = alice[x] · bob[y]."""
+    factors, one row of Alice's nx and Bob's ny edge-probability products along
+    the path, so that Pr[leaf | x, y] = alice[x] · bob[y]."""
 
     leaf_ids: LeafIds
-    factors: array
+    factors: np.ndarray
     outputs: tuple
 
 
-@dataclass(frozen=True, eq=False)
 class ProtocolTree:
-    """A finite protocol over an nx-by-ny input rectangle.
+    """A finite protocol over an nx-by-ny input rectangle, stored as arrays
+    over its nodes in depth-first preorder, 0-child first, one entry per path
+    through a node: ``owner`` (0 Alice, 1 Bob, −1 at a leaf); ``signal``, the
+    row of the owner's send-probability table ``alice`` (nx wide) or ``bob``
+    (ny wide), or at a leaf the index of its output in the alphabet
+    ``outputs``; ``child1``, the 1-child (the 0-child of entry i is i + 1);
+    and ``copy_of``, the first entry of the same node, so that a node shared
+    by several paths is written once.
 
-    ``outputs`` is the explicit output alphabet; every leaf must reference it.
-    Building a tree walks it once: the walk checks every node and records
-    ``path_law``, from which ``law_of`` prices the tree under any prior.
+    ``ProtocolTree(nx, ny, outputs, root)`` flattens a tree of ``Leaf`` and
+    ``Internal`` nodes once; builders pass those six arrays as ``arrays``.
+    Building checks the tree; ``path_law``, from which ``law_of`` prices it
+    under any prior, is derived from the arrays when first read.
     """
 
-    nx: int
-    ny: int
-    outputs: tuple
-    root: Node
-    path_law: PathLaw = field(init=False, repr=False)
+    __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
+                 "alice", "bob", "_law")
 
-    def __post_init__(self):
-        outputs = tuple(self.outputs)
-        object.__setattr__(self, "outputs", outputs)
-        arity_of = {ALICE: self.nx, BOB: self.ny}
-        runs, leaves, factors, outs = array("i"), array("i"), array("d"), []
-        deepest = 0
+    def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None):
+        self.nx, self.ny, self.outputs, self._law = nx, ny, tuple(outputs), None
+        owner, signal, child1, copy_of, alice, bob = arrays or _flatten(root, nx, ny, self.outputs)
+        self.owner, self.alice, self.bob = (np.asarray(owner, np.int8), np.asarray(alice, float),
+                                            np.asarray(bob, float))
+        self.signal, self.child1, self.copy_of = (np.asarray(a, np.int32)
+                                                  for a in (signal, child1, copy_of))
+        for table in (self.alice, self.bob):
+            bad = ~((table >= 0.0) & (table <= 1.0))  # NaN too
+            if bad.any():
+                raise ProtocolError(f"send probability {float(table[bad][0])!r} outside [0, 1]")
+        for a in (self.owner, self.signal, self.child1, self.copy_of, self.alice, self.bob):
+            a.flags.writeable = False
 
-        def extend(run, k, bit):  # the handle of path (run, k) plus one bit
-            if run >= 0 and runs[3 * run] == bit:
-                return run, k + 1
-            runs.fromlist([bit, run, k])
-            return len(runs) // 3 - 1, 1
-
-        stack = [(self.root, 0, [1.0] * self.nx, [1.0] * self.ny, -1, 0)]
-        while stack:
-            node, depth, fa, fb, run, k = stack.pop()
-            if isinstance(node, Leaf):
-                deepest = max(deepest, depth)
-                if node.output not in outputs:
-                    raise ProtocolError(f"leaf output {node.output!r} not in alphabet {outputs!r}")
-                leaves.fromlist([run, k])
-                factors.fromlist(fa + fb)
-                outs.append(node.output)
-                continue
-            if not isinstance(node, Internal):
-                raise ProtocolError(f"unknown node type {type(node).__name__}")
-            s, arity = node.send_one_prob, arity_of.get(node.owner)
-            if arity is None:
-                raise ProtocolError(f"unknown owner {node.owner!r}")
-            if len(s) != arity:
-                raise ProtocolError(f"{node.owner} needs {arity} send probabilities, not {len(s)}")
-            for v in s:
-                if not (0.0 <= v <= 1.0):
-                    raise ProtocolError(f"send probability {v!r} outside [0, 1]")
-            one, zero = extend(run, k, 1), extend(run, k, 0)
-            depth += 1
-            f = fa if node.owner == ALICE else fb  # the owner's factors move: f·s, f·(1 − s)
-            f1, f0 = list(map(mul, f, s)), list(map(mul, f, map(sub, repeat(1.0), s)))
-            if node.owner == ALICE:
-                stack += ((node.child1, depth, f1, fb, *one), (node.child0, depth, f0, fb, *zero))
-            else:
-                stack += ((node.child1, depth, fa, f1, *one), (node.child0, depth, fa, f0, *zero))
-        object.__setattr__(self, "path_law", PathLaw(LeafIds(runs, leaves), factors, tuple(outs)))
-        object.__setattr__(self, "_depth", deepest)
+    @property
+    def path_law(self) -> PathLaw:
+        if self._law is None:
+            self._law = _path_law(self)
+        return self._law
 
     def depth(self) -> int:
-        """Edges on the longest root-to-leaf path, found while validating."""
-        return self._depth
+        """Edges on the longest root-to-leaf path."""
+        end = _structure(self.owner, self.child1)[4]
+        return int(_cover(np.ones(len(end), bool), end).max()) - 1
+
+
+_SIDES = {ALICE: 0, BOB: 1}
+
+
+def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
+    """The arrays of a ``Leaf``/``Internal`` tree, checked node by node in one
+    walk over its paths; a node reached again is laid out again, as a copy."""
+    owner, signal, child1, copy_of = (array("i") for _ in range(4))
+    tables, first, stack = ([], []), {}, [(root, -1)]  # (node, entry whose 1-child it is)
+    while stack:
+        node, parent = stack.pop()
+        i = len(owner)
+        if parent >= 0:
+            child1[parent] = i
+        c = first.setdefault(id(node), i)
+        copy_of.append(c)
+        child1.append(-1)
+        if isinstance(node, Leaf):
+            if node.output not in outputs:
+                raise ProtocolError(f"leaf output {node.output!r} not in alphabet {outputs!r}")
+            owner.append(-1)
+            signal.append(outputs.index(node.output))
+            continue
+        if not isinstance(node, Internal):
+            raise ProtocolError(f"unknown node type {type(node).__name__}")
+        side = _SIDES.get(node.owner)
+        if side is None:
+            raise ProtocolError(f"unknown owner {node.owner!r}")
+        s, arity = node.send_one_prob, (nx, ny)[side]
+        if c == i and len(s) != arity:
+            raise ProtocolError(f"{node.owner} needs {arity} send probabilities, not {len(s)}")
+        if c == i:
+            tables[side].append(s)
+        owner.append(side)
+        signal.append(len(tables[side]) - 1 if c == i else signal[c])
+        stack += ((node.child1, i), (node.child0, -1))
+    return (owner, *(np.array(a, np.int32) for a in (signal, child1, copy_of)),
+            *(np.array(rows or np.empty((0, size))) for rows, size in zip(tables, (nx, ny))))
+
+
+# ---------------------------------------------------------------------------
+# Scans down the paths of a tree's arrays.  A value that each edge updates
+# from its parent's, left to right from the root, is computed a group of
+# paths at a time by ``ufunc.accumulate`` or a step at a time, both in path
+# order as a walk would, so the result is bit-identical to one.  A shallow
+# tree is one group: every root-to-leaf path.  Otherwise the groups are heavy
+# paths (each node goes on to its larger subtree); the paths that hang off
+# earlier ones' nodes form the next batch, and there are O(log nodes) batches.
+# ---------------------------------------------------------------------------
+
+def _parents(owner: np.ndarray, child1: np.ndarray) -> tuple:
+    """(each entry's parent and n above the root, n + 1 long; the internal
+    entries; their 1-children)."""
+    inner = (owner >= 0).nonzero()[0].astype(np.int32)
+    ones = child1[inner]
+    parent = np.full(len(owner) + 1, len(owner), np.int32)
+    parent[inner + 1], parent[ones] = inner, inner
+    return parent, inner, ones
+
+
+def _chains(level: np.ndarray, head: np.ndarray) -> tuple:
+    """Chains that start at each ``head`` entry and go on below it through
+    the entries of its ``level`` (the others below have larger levels): the
+    entries by level, then position, where each chain is a run in path order;
+    the index there of each chain's first entry; and each entry's chain."""
+    order = np.argsort(level.astype(np.min_scalar_type(level.max())), kind="stable")  # radix
+    order = order.astype(np.int32)
+    starts = head[order]
+    chain = np.empty(len(order), np.int32)
+    chain[order] = starts.cumsum(dtype=np.int32) - 1
+    return order, starts.nonzero()[0].astype(np.int32), chain
+
+
+def _cover(mask: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """How many ``mask`` entries are each entry or above it: entry i is above
+    the entries i + 1 to end[i] − 1."""
+    return (mask - np.bincount(end[mask], minlength=len(end) + 1)[:-1]).cumsum(dtype=np.int32)
+
+
+def _structure(owner: np.ndarray, child1: np.ndarray) -> tuple:
+    """(``_parents``, whether each entry is a 1-child, one past the end of its
+    subtree, and the 1-chains as ``_chains`` gives them)."""
+    n = len(owner)
+    parent, inner, ones = _parents(owner, child1)
+    bit = np.zeros(n, bool)
+    bit[ones] = True
+    # +1 at an internal entry and −1 at a leaf, summed before each entry, grows
+    # by one down a 0-edge and stays along a 1-edge: the 1-chains that start at
+    # the root and at the 0-children are the runs of equal level
+    step = (owner >= 0).view(np.int8) * 2 - 1
+    order, first, chain = _chains(step.cumsum(dtype=np.int32) - step, ~bit)
+    end = order[np.append(first[1:], n) - 1][chain] + 1  # after the subtree's 1-chain
+    return parent, inner, ones, bit, end, (order, first, chain)
+
+
+def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
+    """The groups of paths a scan takes in turn: (the entry above each path,
+    its entries padded with n above the root or n + 1 below a leaf)."""
+    n = len(owner)
+    up = [(owner < 0).nonzero()[0]]
+    parent = _parents(owner, child1)[0]
+    while len(up) * len(up[0]) <= 2 * n + 64:  # root-to-leaf paths while they are short
+        if (up[-1] == n).all():
+            return [(up[-1], np.stack(up[-2::-1], axis=1))]
+        up.append(parent[up[-1]])
+    del up
+    parent, inner, ones, _, end, _ = _structure(owner, child1)
+    size = end - np.arange(n, dtype=np.int32)
+    head = np.zeros(n, bool)
+    head[0], head[np.where(size[ones] > size[inner + 1], inner + 1, ones)] = True, True
+    del size, inner, ones
+    above = _cover(head, end)
+    order, first, _ = _chains(above, head)
+    length = np.diff(np.append(first, n))
+    plan, start = [], parent[order[first]]
+    for paths in np.split(np.arange(len(first)), np.diff(above[order[first]]).nonzero()[0] + 1):
+        groups = [paths]
+        if len(paths) * length[paths].max() > 2 * length[paths].sum() + 64:  # pad like lengths
+            scale = np.frexp(length[paths])[1]
+            groups = [paths[scale == k] for k in np.unique(scale)]
+        for g in groups:
+            cols = np.arange(length[g].max(), dtype=np.int32)
+            at = order[np.minimum(first[g][:, None] + cols, n - 1)]
+            plan.append((start[g], np.where(cols < length[g][:, None], at, np.int32(n + 1))))
+    return plan
+
+
+def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.ndarray:
+    """Turns ``edges`` (n + 2 rows) in place into op(value at the parent,
+    edges[j]) at each entry j, from the identity above the root, and returns
+    its first n rows."""
+    edges[-2] = identity
+    for start, entries in plan:
+        run = edges[entries.T]  # a row per step down the paths
+        op(edges[start], run[0], out=run[0])
+        if len(run) > len(start):  # a few long paths
+            op.accumulate(run, axis=0, out=run)
+        else:  # many short ones, a step at a time (accumulate loops per path)
+            for i in range(1, len(run)):
+                op(run[i - 1], run[i], out=run[i])
+        edges[entries.T] = run
+    return edges[:-2]
+
+
+def _path_law(tree: ProtocolTree) -> PathLaw:
+    owner, signal, child1 = tree.owner, tree.signal, tree.child1
+    plan, leaves = _plan(owner, child1), (owner < 0).nonzero()[0]
+    factors = np.empty((len(leaves), tree.nx + tree.ny))
+    for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
+                              (1, tree.bob, slice(tree.nx, None))):
+        at = (owner == side).nonzero()[0]
+        s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
+        edges = np.ones((len(owner) + 2, s.shape[1]))
+        edges[at + 1], edges[child1[at]] = 1.0 - s, s
+        factors[:, cols] = _scan(plan, np.multiply, edges, 1.0)[leaves]
+    outputs = tuple(map(tree.outputs.__getitem__, signal[leaves].tolist()))
+    return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
+
+
+def _leaf_runs(owner: np.ndarray, child1: np.ndarray) -> tuple:
+    """(runs, leaves) of ``LeafIds``.  A run of equal bits starts where the
+    parent is the root or has the other bit; a 0-run is a block of consecutive
+    entries, and a 1-run is a 1-chain after its first entry."""
+    n = len(owner)
+    parent, _, _, bit, end, (order, first, chain) = _structure(owner, child1)
+    depth, parent = _cover(np.ones(n, bool), end) - 1, parent[:n]
+    second = order[np.minimum(first[chain] + 1, n - 1)]
+    starts = np.append(False, (parent[1:] == 0) | (bit[1:] != bit[parent[1:]]))
+    head = np.where(bit, second, np.maximum.accumulate(np.where(starts & ~bit, np.arange(n), 0)))
+    run, k = (starts.cumsum() - 1)[head], depth - depth[head] + 1
+    run[0], k[0] = -1, 0  # the root's path is empty
+    at, leaves = starts.nonzero()[0], (owner < 0).nonzero()[0]
+    return tuple(array("i", np.ascontiguousarray(a, np.int32).tobytes()) for a in (
+        np.column_stack((bit[at], run[parent[at]], k[parent[at]])),
+        np.column_stack((run[leaves], k[leaves]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,30 +558,25 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
 # ---------------------------------------------------------------------------
 
 def tree_to_json(tree: ProtocolTree) -> str:
+    n = len(tree.owner)
+    written = np.flatnonzero(tree.copy_of == np.arange(n))  # each node once, in preorder
+    index = np.zeros(n, np.intp)
+    index[written] = np.arange(len(written))
+    ref = index[tree.copy_of].tolist()  # the node index each entry writes
+    rows = (tree.alice.tolist(), tree.bob.tolist())
     nodes = []
-    index = {}
-    order = []
-    stack = [tree.root]
-    while stack:  # preorder indexing
-        node = stack.pop()
-        if id(node) in index:
-            continue
-        index[id(node)] = len(order)
-        order.append(node)
-        if isinstance(node, Internal):
-            stack.append(node.child1)
-            stack.append(node.child0)
-    for node in order:
-        if isinstance(node, Leaf):
-            nodes.append({"kind": "leaf", "output": node.output})
+    for i, side, k, one in zip(written.tolist(), *(a[written].tolist() for a in (
+            tree.owner, tree.signal, tree.child1))):
+        if side < 0:
+            nodes.append({"kind": "leaf", "output": tree.outputs[k]})
         else:
             nodes.append(
                 {
                     "kind": "internal",
-                    "owner": node.owner,
-                    "send_one_prob": list(node.send_one_prob),
-                    "child0": index[id(node.child0)],
-                    "child1": index[id(node.child1)],
+                    "owner": (ALICE, BOB)[side],
+                    "send_one_prob": rows[side][k],
+                    "child0": ref[i + 1],
+                    "child1": ref[one],
                 }
             )
     payload = {

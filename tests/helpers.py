@@ -149,11 +149,75 @@ def external_reference(law):
 # transcript or one path at a time.
 # ---------------------------------------------------------------------------
 
+def root_of(tree):
+    """The tree as ``Leaf``/``Internal`` nodes: its root.  An entry that
+    copies another (``copy_of``) is the same node object, so shared nodes
+    stay shared."""
+    built = {}
+    rows = (tree.alice.tolist(), tree.bob.tolist())
+    owner, signal, child1, copy_of = (a.tolist() for a in (
+        tree.owner, tree.signal, tree.child1, tree.copy_of))
+    for i in reversed(range(len(owner))):  # children before their parents
+        if copy_of[i] in built:
+            continue
+        if owner[i] < 0:
+            node = Leaf(tree.outputs[signal[i]])
+        else:
+            node = Internal((ALICE, BOB)[owner[i]], tuple(rows[owner[i]][signal[i]]),
+                            built[copy_of[i + 1]], built[copy_of[child1[i]]])
+        built[copy_of[i]] = node
+    return built[0]
+
+
+def flip_tree_reference(tree, x0, x1, epsilon):
+    """The ε-flip by a copy of every path that carries the path's log-weights
+    as x0 and as x1 down from node to node; leaves are kept as they are."""
+    if epsilon == 0.0:
+        return tree
+
+    def log_(v):
+        return math.log(v) if v > 0.0 else -math.inf
+
+    def signal(node, la0, la1):
+        s = node.send_one_prob
+        if node.owner != ALICE or (la0 == -math.inf and la1 == -math.inf):
+            return s
+        if la1 == -math.inf:
+            heads = 1.0
+        elif la0 == -math.inf:
+            heads = 0.0
+        else:
+            heads = 1.0 / (1.0 + ((1 - epsilon) / epsilon) * math.exp(la1 - la0))
+        new = list(s)
+        new[x1] = heads * s[x0] + (1.0 - heads) * s[x1]
+        return tuple(new)
+
+    built = []
+    stack = [(root_of(tree), (0.0, 0.0), None)]
+    while stack:
+        node, (la0, la1), done = stack.pop()
+        if isinstance(node, Leaf):
+            built.append(node)
+        elif done is None:
+            s = node.send_one_prob
+            kids = [(la0, la1), (la0, la1)]
+            if node.owner == ALICE:
+                kids = [(la0 + log_(1 - s[x0]), la1 + log_(1 - s[x1])),
+                        (la0 + log_(s[x0]), la1 + log_(s[x1]))]
+            stack.append((node, (la0, la1), signal(node, la0, la1)))
+            stack.append((node.child1, kids[1], None))
+            stack.append((node.child0, kids[0], None))
+        else:
+            child1, child0 = built.pop(), built.pop()
+            built.append(Internal(node.owner, done, child0, child1))
+    return ProtocolTree(tree.nx, tree.ny, tree.outputs, built.pop())
+
+
 def law_of_reference(tree, prior):
     """The transcript law by a walk that builds every path string and sorts
     by it; ``law_of``'s preorder must give the same ids, tables and outputs."""
     ids, tables, outs = [], [], []
-    stack = [(tree.root, "", np.ones(tree.nx), np.ones(tree.ny))]
+    stack = [(root_of(tree), "", np.ones(tree.nx), np.ones(tree.ny))]
     while stack:
         node, path, fa, fb = stack.pop()
         if isinstance(node, Leaf):
@@ -233,7 +297,7 @@ def walk_reference(tree, prior):
     """The walk by sequential Bayes updates along every path:
     ([(id, posterior, prob, output)] sorted by id, pruned ids)."""
     leaves, pruned = [], []
-    stack = [(tree.root, "", prior.mass)]
+    stack = [(root_of(tree), "", prior.mass)]
     while stack:
         node, path, mass = stack.pop()
         if isinstance(node, Leaf):
@@ -287,7 +351,7 @@ def complete_reference(tree, f, prior):
         return node
 
     done = {}
-    stack = [(tree.root, "", False)]
+    stack = [(root_of(tree), "", False)]
     while stack:
         node, path, expanded = stack.pop()
         if isinstance(node, Leaf):

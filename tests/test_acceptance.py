@@ -57,7 +57,7 @@ from infowalk import (
     xor_floor_search,
 )
 
-from helpers import random_law, random_prior, random_tree
+from helpers import random_law, random_prior, random_tree, root_of
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +177,14 @@ def test_04_conservation_suite():
     for _ in range(120):
         nx, ny = rng.integers(2, 4), rng.integers(2, 4)
         tree = random_tree(rng, nx, ny, depth=4)
-        _check_ci_conservation(tree, tree.root, random_prior(rng, nx, ny))
+        _check_ci_conservation(tree, root_of(tree), random_prior(rng, nx, ny))
     for _ in range(80):
         tree = random_tree(rng, 2, 2, depth=4)
         raw = rng.uniform(0.05, 1.0, size=3)
         x, y, z = raw / (raw[0] + 2 * raw[1] + raw[2])
         nu = JointDistribution.from_mass([[x, y], [y, z]])
         pretend = symmetric_decomposition(random_prior(rng, 2, 2)).pretend
-        _check_sim_martingale(tree, tree.root, Decomposition(nu, pretend))
+        _check_sim_martingale(tree, root_of(tree), Decomposition(nu, pretend))
     for _ in range(50):
         one, other = _product_pair(rng)
         w = random_prior(rng, 2, 2)

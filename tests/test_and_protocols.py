@@ -44,7 +44,7 @@ from infowalk.protocol import (
     walk,
 )
 
-from helpers import pretend_prob, random_prior, random_tree
+from helpers import pretend_prob, random_prior, random_tree, root_of
 
 W_STAR = JointDistribution.from_mass(
     [[0.3653203272016804, 0.31733983639915976], [0.31733983639915976, 0.0]]
@@ -205,9 +205,9 @@ def test_buzzer_tree_zero_error_and_depth():
 
 
 def test_buzzer_tree_absorbing_starts():
-    assert isinstance(buzzer_grid_tree(GridWalkSpec(8, 3, 0)).root, Leaf)
-    assert buzzer_grid_tree(GridWalkSpec(8, 3, 0)).root.output == 0
-    assert buzzer_grid_tree(GridWalkSpec(8, 8, 8)).root.output == 1
+    assert isinstance(root_of(buzzer_grid_tree(GridWalkSpec(8, 3, 0))), Leaf)
+    assert root_of(buzzer_grid_tree(GridWalkSpec(8, 3, 0))).output == 0
+    assert root_of(buzzer_grid_tree(GridWalkSpec(8, 8, 8))).output == 1
 
 
 def test_buzzer_tree_real_transitions_are_pretend_converted():
@@ -548,7 +548,7 @@ def test_completion_initiator_tie_goes_to_alice():
     spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, 16)
     tree = buzzer_grid_tree(spec, dec)
     completed = complete_to_zero_error(tree, AND_TABLE, w)
-    node = completed.root
+    node = root_of(completed)
     for _ in range(tree.depth()):  # all-up path ends at the corner leaf
         node = node.child1
     # the corner leaf's posterior is a point mass: every marginal comparison

@@ -58,6 +58,7 @@ from helpers import (
     random_prior,
     random_symmetric_decomposition,
     random_tree,
+    root_of,
     sim_reference,
     walk_reference,
 )
@@ -226,7 +227,7 @@ def grid_starts(n):
 
 
 def assert_same_caterpillar(tree, ref):
-    node, want = tree.root, ref.root
+    node, want = root_of(tree), root_of(ref)
     while isinstance(want, Internal):
         # the owner constants themselves: a fresh string per node costs memory
         assert node.owner is want.owner
@@ -254,7 +255,7 @@ def test_grid_signals_multiply_past_32_bits():
     # the first phase's high·(n − m) is about n²/2, past 2³¹ at this n
     n = 100003
     m, high = 1, n // 2 + 1
-    root = buzzer_grid_tree(GridWalkSpec(n, n // 2, 1)).root
+    root = root_of(buzzer_grid_tree(GridWalkSpec(n, n // 2, 1)))
     assert root.send_one_prob == ((m * (n - high)) / (high * (n - m)), 1.0)
 
 

@@ -15,7 +15,7 @@ from infowalk.trivial import (
     trivial_witness_protocol,
 )
 
-from helpers import deterministic_ic_floor
+from helpers import deterministic_ic_floor, root_of
 
 AND = [[0, 0], [0, 1]]
 XOR = [[0, 1], [1, 0]]
@@ -167,7 +167,7 @@ def test_constant_witness_is_single_leaf():
     mu = JointDistribution.uniform(2, 2)
     f = [[1, 1], [1, 1]]
     tree = trivial_witness_protocol(f, mu, "internal")
-    assert isinstance(tree.root, Leaf) and tree.root.output == 1
+    assert isinstance(root_of(tree), Leaf) and root_of(tree).output == 1
     assert internal_ic(law_of(tree, mu)) == 0.0
 
 
@@ -181,7 +181,7 @@ def test_xor_diag_internal_witness():
 def test_one_row_support_witness():
     mu = JointDistribution.from_mass([[0.6, 0.4], [0.0, 0.0]])
     tree = trivial_witness_protocol(AND, mu, "internal")
-    assert isinstance(tree.root, Leaf)
+    assert isinstance(root_of(tree), Leaf)
     assert evaluate_error(
         tree, Task(AND, 0.0, "distributional", measure=mu)
     ).distributional == 0.0
@@ -191,7 +191,7 @@ def test_external_witness():
     f = [[5, 5], [5, 7]]
     mu = JointDistribution.from_mass([[0.5, 0.5], [0.0, 0.0]])
     tree = trivial_witness_protocol(f, mu, "external")
-    assert isinstance(tree.root, Leaf) and tree.root.output == 5
+    assert isinstance(root_of(tree), Leaf) and root_of(tree).output == 5
     assert external_ic(law_of(tree, mu)) == 0.0
 
 
