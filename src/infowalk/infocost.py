@@ -67,7 +67,7 @@ class TranscriptLaw:
             )
         if np.any(cond < -COND_TOLERANCE) or np.any(cond > 1.0 + COND_TOLERANCE):
             raise DistributionError("conditional probabilities outside [0, 1]")
-        cond = np.clip(cond, 0.0, 1.0)
+        np.clip(cond, 0.0, 1.0, out=cond)
         sums = cond.sum(axis=0)
         live = self.prior.mass > 0.0
         if np.any(np.abs(sums[live] - 1.0) > COND_TOLERANCE):

@@ -62,17 +62,16 @@ Node = Union[Leaf, Internal]
 class LeafIds(Sequence):
     """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
     preorder, 0-child first (their sorted order), rendered on demand from
-    run-length handles that are derived from the tree's arrays when first
-    read.  A path is a handle (run, k): k copies of run ``run``'s bit appended
-    to the path that run extends, itself a handle.  ``runs`` holds flat
-    integer triples (bit, run, k) and ``leaves`` flat handles: a few bytes a
-    node, where the strings take Σ depth characters (quadratic on the buzzer
-    caterpillar)."""
+    run-length handles derived from the tree's arrays when first read.  A path
+    is a handle (run, k): k copies of run ``run``'s bit appended to the path
+    that run extends, itself a handle.  ``runs`` holds flat integer triples
+    (bit, run, k) and ``leaves`` flat handles: a few bytes a node, where the
+    strings take Σ depth characters (quadratic on the buzzer caterpillar)."""
 
-    __slots__ = ("_count", "_arrays", "_runs", "_leaves")
+    __slots__ = ("_count", "_tree", "_runs", "_leaves")
 
     def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray):
-        self._count, self._arrays, self._runs = count, (owner, child1), None
+        self._count, self._tree, self._runs = count, (owner, child1), None
 
     def __len__(self):
         return self._count
@@ -81,8 +80,7 @@ class LeafIds(Sequence):
         at = range(len(self))[i]  # an index or, for a slice, a range
         if isinstance(at, range):
             return tuple(map(self.__getitem__, at))
-        leaves = self._handles()
-        return self._path(leaves[2 * at], leaves[2 * at + 1])
+        return self._path(*self._handles()[2 * at:2 * at + 2])
 
     def __iter__(self):
         leaves = self._handles()
@@ -90,7 +88,7 @@ class LeafIds(Sequence):
 
     def _handles(self) -> array:
         if self._runs is None:
-            self._runs, self._leaves = _leaf_runs(*self._arrays)
+            self._runs, self._leaves = _leaf_runs(*self._tree)
         return self._leaves
 
     def _path(self, run, k):
@@ -126,10 +124,10 @@ class ProtocolTree:
     and ``copy_of``, the first entry of the same node, so that a node shared
     by several paths is written once.
 
-    ``ProtocolTree(nx, ny, outputs, root)`` flattens a tree of ``Leaf`` and
-    ``Internal`` nodes once; builders pass those six arrays as ``arrays``.
-    Building checks the tree; ``path_law``, from which ``law_of`` prices it
-    under any prior, is derived from the arrays when first read.
+    ``ProtocolTree(nx, ny, outputs, root)`` checks and flattens a tree of
+    ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
+    ``arrays``.  ``path_law``, from which ``law_of`` prices the tree under any
+    prior, is derived from the arrays when first read.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
@@ -137,17 +135,11 @@ class ProtocolTree:
 
     def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None):
         self.nx, self.ny, self.outputs, self._law = nx, ny, tuple(outputs), None
-        owner, signal, child1, copy_of, alice, bob = arrays or _flatten(root, nx, ny, self.outputs)
-        self.owner, self.alice, self.bob = (np.asarray(owner, np.int8), np.asarray(alice, float),
-                                            np.asarray(bob, float))
-        self.signal, self.child1, self.copy_of = (np.asarray(a, np.int32)
-                                                  for a in (signal, child1, copy_of))
-        for table in (self.alice, self.bob):
-            bad = ~((table >= 0.0) & (table <= 1.0))  # NaN too
-            if bad.any():
-                raise ProtocolError(f"send probability {float(table[bad][0])!r} outside [0, 1]")
-        for a in (self.owner, self.signal, self.child1, self.copy_of, self.alice, self.bob):
-            a.flags.writeable = False
+        arrays = arrays or _flatten(root, nx, ny, self.outputs)
+        for name, a, dtype in zip(self.__slots__[3:9], arrays, (np.int8,) + (np.int32,) * 3
+                                  + (float,) * 2):
+            setattr(self, name, np.asarray(a, dtype))
+            getattr(self, name).flags.writeable = False
 
     @property
     def path_law(self) -> PathLaw:
@@ -157,8 +149,7 @@ class ProtocolTree:
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
-        end = _structure(self.owner, self.child1)[4]
-        return int(_cover(np.ones(len(end), bool), end).max()) - 1
+        return int(_depths(self.owner, self.child1).max())
 
 
 _SIDES = {ALICE: 0, BOB: 1}
@@ -189,9 +180,12 @@ def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
         if side is None:
             raise ProtocolError(f"unknown owner {node.owner!r}")
         s, arity = node.send_one_prob, (nx, ny)[side]
-        if c == i and len(s) != arity:
-            raise ProtocolError(f"{node.owner} needs {arity} send probabilities, not {len(s)}")
         if c == i:
+            if len(s) != arity:
+                raise ProtocolError(f"{node.owner} needs {arity} send probabilities, not {len(s)}")
+            for v in s:
+                if not (0.0 <= v <= 1.0):
+                    raise ProtocolError(f"send probability {v!r} outside [0, 1]")
             tables[side].append(s)
         owner.append(side)
         signal.append(len(tables[side]) - 1 if c == i else signal[c])
@@ -210,69 +204,44 @@ def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
 # earlier ones' nodes form the next batch, and there are O(log nodes) batches.
 # ---------------------------------------------------------------------------
 
-def _parents(owner: np.ndarray, child1: np.ndarray) -> tuple:
-    """(each entry's parent and n above the root, n + 1 long; the internal
-    entries; their 1-children)."""
-    inner = (owner >= 0).nonzero()[0].astype(np.int32)
-    ones = child1[inner]
-    parent = np.full(len(owner) + 1, len(owner), np.int32)
-    parent[inner + 1], parent[ones] = inner, inner
-    return parent, inner, ones
-
-
-def _chains(level: np.ndarray, head: np.ndarray) -> tuple:
-    """Chains that start at each ``head`` entry and go on below it through
-    the entries of its ``level`` (the others below have larger levels): the
-    entries by level, then position, where each chain is a run in path order;
-    the index there of each chain's first entry; and each entry's chain."""
-    order = np.argsort(level.astype(np.min_scalar_type(level.max())), kind="stable")  # radix
-    order = order.astype(np.int32)
-    starts = head[order]
-    chain = np.empty(len(order), np.int32)
-    chain[order] = starts.cumsum(dtype=np.int32) - 1
-    return order, starts.nonzero()[0].astype(np.int32), chain
-
-
-def _cover(mask: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """How many ``mask`` entries are each entry or above it: entry i is above
-    the entries i + 1 to end[i] − 1."""
-    return (mask - np.bincount(end[mask], minlength=len(end) + 1)[:-1]).cumsum(dtype=np.int32)
-
-
-def _structure(owner: np.ndarray, child1: np.ndarray) -> tuple:
-    """(``_parents``, whether each entry is a 1-child, one past the end of its
-    subtree, and the 1-chains as ``_chains`` gives them)."""
-    n = len(owner)
-    parent, inner, ones = _parents(owner, child1)
-    bit = np.zeros(n, bool)
-    bit[ones] = True
-    # +1 at an internal entry and −1 at a leaf, summed before each entry, grows
-    # by one down a 0-edge and stays along a 1-edge: the 1-chains that start at
-    # the root and at the 0-children are the runs of equal level
-    step = (owner >= 0).view(np.int8) * 2 - 1
-    order, first, chain = _chains(step.cumsum(dtype=np.int32) - step, ~bit)
-    end = order[np.append(first[1:], n) - 1][chain] + 1  # after the subtree's 1-chain
-    return parent, inner, ones, bit, end, (order, first, chain)
+def _runs_in(level: np.ndarray, head: np.ndarray) -> tuple:
+    """Entries sorted by ``level``, then position, and where each ``head``
+    entry falls there: a chain from a head down through the entries of its
+    level is one run, in path order, when every other entry below it has a
+    larger level."""
+    order = np.argsort(level.astype(np.min_scalar_type(level.max())), kind="stable")
+    return order.astype(np.int32), head[order].nonzero()[0]
 
 
 def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
     """The groups of paths a scan takes in turn: (the entry above each path,
     its entries padded with n above the root or n + 1 below a leaf)."""
     n = len(owner)
+    inner = (owner >= 0).nonzero()[0].astype(np.int32)
+    ones = child1[inner]
+    parent = np.full(n + 1, n, np.int32)
+    parent[inner + 1], parent[ones] = inner, inner
     up = [(owner < 0).nonzero()[0]]
-    parent = _parents(owner, child1)[0]
     while len(up) * len(up[0]) <= 2 * n + 64:  # root-to-leaf paths while they are short
-        if (up[-1] == n).all():
+        if up[-1].min() == n:
             return [(up[-1], np.stack(up[-2::-1], axis=1))]
         up.append(parent[up[-1]])
     del up
-    parent, inner, ones, _, end, _ = _structure(owner, child1)
+    # +1 at an internal entry and −1 at a leaf, summed before each entry, grows
+    # by one down a 0-edge and stays along a 1-edge; so a subtree ends after
+    # the last entry of its 1-chain, a run of equal level
+    step = (owner >= 0).view(np.int8) * 2 - 1
+    is_zero = np.ones(n, bool)
+    is_zero[ones] = False
+    order, first = _runs_in(step.cumsum(dtype=np.int32) - step, is_zero)
+    end = np.empty(n, np.int32)
+    end[order] = np.repeat(order[np.append(first[1:], n) - 1] + 1, np.diff(np.append(first, n)))
     size = end - np.arange(n, dtype=np.int32)
     head = np.zeros(n, bool)
     head[0], head[np.where(size[ones] > size[inner + 1], inner + 1, ones)] = True, True
-    del size, inner, ones
-    above = _cover(head, end)
-    order, first, _ = _chains(above, head)
+    del size, is_zero, inner, ones
+    above = (head - np.bincount(end[head], minlength=n + 1)[:-1]).cumsum(dtype=np.int32)
+    order, first = _runs_in(above, head)
     length = np.diff(np.append(first, n))
     plan, start = [], parent[order[first]]
     for paths in np.split(np.arange(len(first)), np.diff(above[order[first]]).nonzero()[0] + 1):
@@ -319,16 +288,25 @@ def _path_law(tree: ProtocolTree) -> PathLaw:
     return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
 
 
+def _depths(owner: np.ndarray, child1: np.ndarray, plan: Optional[list] = None) -> np.ndarray:
+    edges = np.ones((len(owner) + 2, 1))
+    edges[0] = 0.0  # the root
+    return _scan(plan or _plan(owner, child1), np.add, edges, 0.0)[:, 0].astype(np.intp)
+
+
 def _leaf_runs(owner: np.ndarray, child1: np.ndarray) -> tuple:
-    """(runs, leaves) of ``LeafIds``.  A run of equal bits starts where the
-    parent is the root or has the other bit; a 0-run is a block of consecutive
-    entries, and a 1-run is a 1-chain after its first entry."""
-    n = len(owner)
-    parent, _, _, bit, end, (order, first, chain) = _structure(owner, child1)
-    depth, parent = _cover(np.ones(n, bool), end) - 1, parent[:n]
-    second = order[np.minimum(first[chain] + 1, n - 1)]
-    starts = np.append(False, (parent[1:] == 0) | (bit[1:] != bit[parent[1:]]))
-    head = np.where(bit, second, np.maximum.accumulate(np.where(starts & ~bit, np.arange(n), 0)))
+    """(runs, leaves) of ``LeafIds``: a run of equal bits starts at each
+    entry whose parent is the root or has the other bit, and each entry's run
+    starts at the deepest such entry at or above it."""
+    n, plan = len(owner), _plan(owner, child1)
+    inner = (owner >= 0).nonzero()[0]
+    parent, bit = np.zeros(n, np.intp), np.zeros(n, bool)
+    parent[inner + 1], parent[child1[inner]], bit[child1[inner]] = inner, inner, True
+    starts = (parent == 0) | (bit != bit[parent])
+    starts[0] = False
+    heads = np.append(np.where(starts, np.arange(n), 0), (0, 0)).astype(float)[:, None]
+    head = _scan(plan, np.maximum, heads, 0.0)[:, 0].astype(np.intp)
+    depth = _depths(owner, child1, plan)
     run, k = (starts.cumsum() - 1)[head], depth - depth[head] + 1
     run[0], k[0] = -1, 0  # the root's path is empty
     at, leaves = starts.nonzero()[0], (owner < 0).nonzero()[0]
@@ -558,43 +536,25 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
 # ---------------------------------------------------------------------------
 
 def tree_to_json(tree: ProtocolTree) -> str:
-    n = len(tree.owner)
-    written = np.flatnonzero(tree.copy_of == np.arange(n))  # each node once, in preorder
+    n, rows = len(tree.owner), (tree.alice.tolist(), tree.bob.tolist())
+    written = (tree.copy_of == np.arange(n)).nonzero()[0]  # each node once, in preorder
     index = np.zeros(n, np.intp)
     index[written] = np.arange(len(written))
-    ref = index[tree.copy_of].tolist()  # the node index each entry writes
-    rows = (tree.alice.tolist(), tree.bob.tolist())
-    nodes = []
-    for i, side, k, one in zip(written.tolist(), *(a[written].tolist() for a in (
-            tree.owner, tree.signal, tree.child1))):
-        if side < 0:
-            nodes.append({"kind": "leaf", "output": tree.outputs[k]})
-        else:
-            nodes.append(
-                {
-                    "kind": "internal",
-                    "owner": (ALICE, BOB)[side],
-                    "send_one_prob": rows[side][k],
-                    "child0": ref[i + 1],
-                    "child1": ref[one],
-                }
-            )
-    payload = {
-        "nx": tree.nx,
-        "ny": tree.ny,
-        "outputs": list(tree.outputs),
-        "root": 0,
-        "nodes": nodes,
-    }
+    ref = index[tree.copy_of].tolist()  # the node each entry writes
+    nodes = [{"kind": "leaf", "output": tree.outputs[k]} if side < 0 else
+             {"kind": "internal", "owner": (ALICE, BOB)[side], "send_one_prob": rows[side][k],
+              "child0": ref[i + 1], "child1": ref[one]}
+             for i, side, k, one in zip(written.tolist(), *(a[written].tolist() for a in (
+                 tree.owner, tree.signal, tree.child1)))]
+    payload = {"nx": tree.nx, "ny": tree.ny, "outputs": list(tree.outputs), "root": 0,
+               "nodes": nodes}
     return json.dumps(payload, sort_keys=True)
 
 
 def tree_from_json(text: str) -> ProtocolTree:
     try:
         obj = json.loads(text)
-        raw_nodes = obj["nodes"]
-        root_index = obj["root"]
-        nx, ny = obj["nx"], obj["ny"]
+        raw, root, nx, ny = (obj[key] for key in ("nodes", "root", "nx", "ny"))
         outputs = tuple(obj["outputs"])
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
@@ -602,63 +562,53 @@ def tree_from_json(text: str) -> ProtocolTree:
         raise ParseError(f"protocol JSON missing field: {e}") from e
     except TypeError as e:
         raise ParseError(f"protocol JSON malformed: {e}") from e
-
-    if not isinstance(raw_nodes, list):
+    if not isinstance(raw, list):
         raise ParseError("protocol JSON nodes must be a list")
     if any(type(size) is not int or size < 1 for size in (nx, ny)):
         raise ParseError(f"nx = {nx!r} and ny = {ny!r} must be positive integers")
 
     def checked(index, what):  # a node index must name a listed node
-        if type(index) is not int or not 0 <= index < len(raw_nodes):
+        if type(index) is not int or not 0 <= index < len(raw):
             raise ParseError(f"{what} {index!r} is not a node index")
         return index
 
-    def entry(i, spec, name):
-        try:
-            return spec[name]
-        except KeyError:
-            raise ParseError(f"node {i} is missing {name!r}") from None
+    def entry(i, name):
+        if not isinstance(raw[i], dict) or name not in raw[i]:
+            raise ParseError(f"node {i} is malformed or missing {name!r}")
+        return raw[i][name]
 
-    built: dict[int, Node] = {}
-    paths: dict[int, int] = {}  # transcripts below each built node
-    stack = [checked(root_index, "root")]
-    expanding = set()
+    built, paths = {}, {}  # the node and the transcripts below each index built
+    stack, expanding = [checked(root, "root")], set()
     while stack:
         i = stack[-1]
         if i in built:
             stack.pop()
             continue
-        spec = raw_nodes[i]
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ParseError(f"malformed node {i}")
-        if spec["kind"] == "leaf":
-            built[i], paths[i] = Leaf(entry(i, spec, "output")), 1
-            stack.pop()
-        elif spec["kind"] == "internal":
-            c0 = checked(entry(i, spec, "child0"), f"node {i} child0")
-            c1 = checked(entry(i, spec, "child1"), f"node {i} child1")
-            if c0 in built and c1 in built:
-                try:
-                    probs = tuple(float(v) for v in entry(i, spec, "send_one_prob"))
-                except (TypeError, ValueError, OverflowError) as e:
-                    raise ParseError(f"node {i} send_one_prob: {e}") from e
-                built[i] = Internal(entry(i, spec, "owner"), probs, built[c0], built[c1])
-                paths[i] = paths[c0] + paths[c1]
-                expanding.discard(i)
-                stack.pop()
-            else:
+        kind = entry(i, "kind")
+        if kind == "leaf":
+            built[i], paths[i] = Leaf(entry(i, "output")), 1
+        elif kind == "internal":
+            c0, c1 = (checked(entry(i, f"child{b}"), f"node {i} child{b}") for b in (0, 1))
+            if c0 not in built or c1 not in built:
                 if i in expanding:
                     raise ParseError(f"node {i} is part of a reference cycle")
                 expanding.add(i)
-                stack.append(c1)
-                stack.append(c0)
+                stack += (c1, c0)
+                continue
+            try:
+                probs = tuple(float(v) for v in entry(i, "send_one_prob"))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ParseError(f"node {i} send_one_prob: {e}") from e
+            built[i] = Internal(entry(i, "owner"), probs, built[c0], built[c1])
+            paths[i] = paths[c0] + paths[c1]
         else:
-            raise ParseError(f"unknown node kind {spec['kind']!r}")
-        if paths.get(i, 0) * (nx + ny) > JSON_FACTOR_CAP:  # shared nodes multiply paths
+            raise ParseError(f"unknown node kind {kind!r}")
+        stack.pop()
+        if paths[i] * (nx + ny) > JSON_FACTOR_CAP:  # shared nodes multiply paths
             raise ResourceCapError(f"protocol JSON node {i} expands to {paths[i]} transcripts; "
                                    f"at most {JSON_FACTOR_CAP // (nx + ny)} fit a {nx}x{ny} tree")
     try:
-        return ProtocolTree(nx, ny, outputs, built[root_index])
+        return ProtocolTree(nx, ny, outputs, built[root])
     except ProtocolError:
         raise
     except Exception as e:  # malformed scalars and the like

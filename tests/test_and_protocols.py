@@ -38,6 +38,7 @@ from infowalk.protocol import (
     BOB,
     Internal,
     Leaf,
+    ProtocolTree,
     Task,
     evaluate_error,
     tree_to_json,
@@ -473,6 +474,20 @@ def test_flip_tree_stable_on_deep_caterpillar():
     a = law_of(flip_tree(tree, 0, 1, 0.03), W_STAR)
     b = flip_transform(law_of(tree, W_STAR), 0, 1, 0.03)
     assert np.max(np.abs(a.cond - b.cond)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_flip_tree_survives_log_weight_gaps_past_exp_overflow(eps):
+    # down the all-1 path x0's log-weight falls by 460.5 a node and x1's stays
+    # 0, so by the third node the gap is past 709, where exp overflows
+    node = Leaf(1)
+    for _ in range(4):
+        node = Internal(ALICE, (1e-200, 1.0), Leaf(0), node)
+    tree, prior = ProtocolTree(2, 2, (0, 1), node), JointDistribution.uniform(2, 2)
+    a = law_of(flip_tree(tree, 0, 1, eps), prior)
+    b = flip_transform(law_of(tree, prior), 0, 1, eps)
+    assert a.leaf_ids == b.leaf_ids
+    assert np.max(np.abs(a.cond - b.cond)) <= 1e-12
 
 
 def test_flip_tree_identity_at_zero():

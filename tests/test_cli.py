@@ -594,14 +594,20 @@ def test_module_entry_point():
     assert bad.returncode == 2
 
 
-def test_buzzer_at_65536_runs_direct_within_200_mb(tmp_path):
-    # 65537 transcripts × 4 inputs, summed directly block by block
+def run_buzzer(tmp_path, n, *extra):
+    """(IC, exit code, peak RSS in MB) of ``buzzer --p 0.5 --q 0.25 --n n``
+    run in a fresh process.  The peak is the process's own high-water mark:
+    Linux carries the spawning process's peak into a child's ``ru_maxrss``,
+    so under pytest that reads as the test process's size."""
     script = (
         "import resource, sys\n"
         "from infowalk.cli import main\n"
-        "code = main(['buzzer', '--p', '0.5', '--q', '0.25', '--n', '65536',\n"
-        "             '--out-report', 'report.json'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        f"code = main(['buzzer', '--p', '0.5', '--q', '0.25', '--n', '{n}', *{list(extra)!r}])\n"
+        "try:\n"
+        "    peak = int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, peak)\n"
     )
     package_root = str(Path(infowalk.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": package_root}
@@ -612,10 +618,24 @@ def test_buzzer_at_65536_runs_direct_within_200_mb(tmp_path):
     assert done.returncode == 0, done.stderr
     summary, status = done.stdout.splitlines()
     code, max_rss_kb = map(int, status.split())
-    assert code == 0
-    assert max_rss_kb < 200 * 1024
     internal = float(summary.split("internal=")[1].split()[0])
     prior = JointDistribution.from_mass(np.outer([0.5, 0.5], [0.75, 0.25]))
-    assert abs(internal - ic_and_zero(prior)) <= 8.0 / 65536**2
+    assert abs(internal - ic_and_zero(prior)) <= 8.0 / n**2
+    return internal, code, max_rss_kb / 1024
+
+
+def test_buzzer_at_65536_runs_direct_within_60_mb(tmp_path):
+    # 65537 transcripts × 4 inputs, summed directly block by block.  The
+    # process peaks at 48.4 MB (Python 3.11, numpy 2.4); 60 MB leaves 24%.
+    internal, code, max_rss_mb = run_buzzer(tmp_path, 65536, "--out-report", "report.json")
+    assert code == 0
+    assert max_rss_mb < 60
     report = json.loads((tmp_path / "report.json").read_text())["result"]
     assert report["ic_internal"] == internal
+
+
+def test_buzzer_at_262144_runs_within_100_mb(tmp_path):
+    # 262145 transcripts; the process peaks at 91 MB (Python 3.11, numpy 2.4)
+    _, code, max_rss_mb = run_buzzer(tmp_path, 262144)
+    assert code == 0
+    assert max_rss_mb < 100

@@ -12,6 +12,7 @@ the continuous leaf law's CDF on arrays, are bit-identical to phase-by-phase
 and point-by-point loops.
 """
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from infowalk import (
     cost_report,
     evaluate_error_law,
     flip_tree,
+    tree_from_json,
     grid_law_kolmogorov,
     grid_leaf_law,
     law_of,
@@ -49,6 +51,7 @@ from helpers import (
     complete_reference,
     cost_report_reference,
     evaluate_error_reference,
+    flip_tree_reference,
     grid_law_kolmogorov_reference,
     grid_leaf_law_reference,
     law_of_reference,
@@ -305,6 +308,88 @@ def test_leaf_ids_behave_as_a_tuple_of_strings():
     assert "110" in ids and ids.index("1110") == 3
     with pytest.raises(IndexError):
         ids[5]
+
+
+def test_leaf_ids_slice_and_index_as_a_tuple_does():
+    law = law_of(buzzer_grid_tree(GridWalkSpec(64, 32, 16)), JointDistribution.uniform(2, 2))
+    ids, as_tuple = law.leaf_ids, tuple(law.leaf_ids)
+    for part in (slice(None, 2), slice(-3, None), slice(1, 40, 3), slice(None, None, -2),
+                 slice(500, 600), slice(0, 0)):
+        assert ids[part] == as_tuple[part]
+    for i in (0, 7, -1, -2, -len(ids)):
+        assert ids[i] == as_tuple[i]
+    for i in (len(ids), -len(ids) - 1):
+        with pytest.raises(IndexError):
+            ids[i]
+
+
+# Trees that ``buzzer_grid_tree``, ``flip_tree`` and ``complete_to_zero_error``
+# write as arrays, against the same trees built from nodes by the references
+# in ``tests/helpers.py`` and flattened: ids, ``cond`` bytes, outputs and JSON.
+
+def assert_same_tree(tree, ref, prior):
+    law, want = law_of(tree, prior), law_of(ref, prior)
+    assert tuple(law.leaf_ids) == tuple(want.leaf_ids)
+    assert law.cond.tobytes() == want.cond.tobytes()
+    assert law.outputs == want.outputs
+    assert tree_to_json(tree) == tree_to_json(ref)
+
+
+def assert_flip_and_completion_match(tree, prior, table, x0=0, x1=1, eps=0.05):
+    flipped, want = flip_tree(tree, x0, x1, eps), flip_tree_reference(tree, x0, x1, eps)
+    assert_same_tree(flipped, want, prior)
+    assert_same_tree(complete_to_zero_error(flipped, table, prior),
+                     complete_reference(want, table, prior), prior)
+
+
+@pytest.mark.parametrize("k", range(len(INSTANCES)))
+def test_array_built_random_trees_match_node_built_trees(k):
+    tree, prior = INSTANCES[k]
+    table = np.random.default_rng(k).integers(0, 3, size=(tree.nx, tree.ny)).tolist()
+    assert_same_tree(tree, ProtocolTree(tree.nx, tree.ny, tree.outputs, root_of(tree)), prior)
+    assert_same_tree(complete_to_zero_error(tree, table, prior),
+                     complete_reference(tree, table, prior), prior)
+    assert_flip_and_completion_match(tree, prior, table, 1, 0, 0.3)
+
+
+def shared_node_files():
+    """A file whose levels share one child (2**6 transcripts from 7 nodes) and
+    completed trees, whose verification rounds share the node a failed test
+    falls back to."""
+    nodes = [{"kind": "internal", "owner": "alice", "send_one_prob": [0.5, 0.25],
+              "child0": i + 1, "child1": i + 1} for i in range(6)]
+    nodes.append({"kind": "leaf", "output": 0})
+    yield json.dumps({"nx": 2, "ny": 2, "outputs": [0, 1], "root": 0, "nodes": nodes},
+                     sort_keys=True)
+    rng = np.random.default_rng(61)
+    for size in (2, 3, 3):
+        tree, prior = random_tree(rng, size, size, depth=4), random_prior(rng, size, size)
+        table = rng.integers(0, 3, size=(size, size)).tolist()
+        yield tree_to_json(complete_to_zero_error(tree, table, prior))
+
+
+SHARED_NODE_FILES = list(shared_node_files())
+
+
+@pytest.mark.parametrize("k", range(len(SHARED_NODE_FILES)))
+def test_shared_node_files_round_trip_and_match_node_built_trees(k):
+    text = SHARED_NODE_FILES[k]
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == text
+    assert len(json.loads(text)["nodes"]) < len(tree.owner)  # each shared node written once
+    prior = random_prior(np.random.default_rng(len(text)), tree.nx, tree.ny)
+    table = np.random.default_rng(3).integers(0, 2, size=(tree.nx, tree.ny)).tolist()
+    assert_flip_and_completion_match(tree, prior, table)
+
+
+@pytest.mark.parametrize("n", (64, 256, 1024, 4096, 16384))
+def test_array_built_buzzer_grids_match_node_built_trees(n):
+    w = JointDistribution.from_mass([[0.45, 0.15], [0.3, 0.1]])
+    dec = symmetric_decomposition(w)
+    spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
+    tree = buzzer_grid_tree(spec, dec)
+    assert_same_tree(tree, buzzer_grid_tree_reference(spec), w)
+    assert_flip_and_completion_match(tree, w, AND_TABLE)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,41 @@ def test_tree_validation():
         ProtocolTree(2, 2, (0, 1), Internal("carol", (0.5, 0.5), Leaf(0), Leaf(1)))
     with pytest.raises(ProtocolError):
         ProtocolTree(2, 2, (0, 1), Internal(ALICE, (0.5, 1.5), Leaf(0), Leaf(1)))
+
+
+def small_trees(rng, count=480, depth=4):
+    """Seeded depth ≤ 4 trees over 2x2 and 3x3 with dyadic signals, as the
+    small-protocols benchmark draws them."""
+
+    def node(size, d):
+        if d >= depth or (d > 0 and rng.random() < 0.35):
+            return Leaf(int(rng.integers(0, 2)))
+        owner = ALICE if rng.random() < 0.5 else BOB
+        probs = tuple(float(k) / 16.0 for k in rng.integers(0, 17, size=size))
+        return Internal(owner, probs, node(size, d + 1), node(size, d + 1))
+
+    return [ProtocolTree(2 + i % 2, 2 + i % 2, (0, 1), node(2 + i % 2, 0)) for i in range(count)]
+
+
+def test_small_trees_keep_within_the_node_walk_footprint():
+    # When a walk over each tree's nodes recorded its law, these trees (and the
+    # nodes they kept) took 1 159 545 bytes once priced: tracemalloc, second
+    # of two rounds in one process, Python 3.11 and numpy 2.4.
+    priors = {size: JointDistribution.uniform(size, size) for size in (2, 3)}
+
+    def footprint():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trees = small_trees(np.random.default_rng(480))
+            for tree in trees:
+                law_of(tree, priors[tree.nx])
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    footprint()  # the first round also fills caches that outlive it
+    assert footprint() <= 1_159_545
 
 
 def test_deep_chain_needs_no_depth_cap():
