@@ -143,18 +143,21 @@ class GridWalkSpec:
         if not (0 <= self.a <= self.n and 0 <= self.b <= self.n):
             raise PreconditionError("grid start off-lattice: need 0 <= a, b <= n")
         a, b, n = self.a, self.b, self.n
-        phases = []  # flat (Bob moves, mover, ceiling, resting value) quadruples
-        while a and b and (a, b) != (n, n):
-            if a >= b:
-                high = min(a + 1, n)
-                phases += (1, b, high, a)
-                b = high
-            else:
-                phases += (0, a, b, b)
-                a = b
-        bob, mover, ceiling, other = np.array(phases, np.int32).reshape(-1, 4).T.copy()
-        derived = dict(bob=bob.astype(bool), mover=mover, high=ceiling, other=other,
-                       terminal=int(a == b == n))
+        # The walk climbs the diagonal: from c = max(a, b), Bob moves c → c + 1
+        # resting at c, then Alice c → c + 1 resting at c + 1.  It enters with
+        # Alice moving a → b when a < b, and else with Bob moving from b.
+        c = np.arange(max(a, b), n, dtype=np.int32) if a and b else np.arange(0, dtype=np.int32)
+        bob, mover = np.tile([True, False], len(c)), np.repeat(c, 2)
+        other = mover + ~bob
+        if a and a < b:
+            bob, mover, other = (np.append(v, w) for v, w in ((False, bob), (a, mover), (b, other)))
+        elif a and b and b < n:
+            if a == n:
+                bob, mover, other = np.array([True]), np.array([b]), np.array([n])
+            mover[0] = b
+        mover, other = mover.astype(np.int32), other.astype(np.int32)
+        derived = dict(bob=bob, mover=mover, high=np.where(bob, np.minimum(other + 1, n), other),
+                       other=other, terminal=int(bool(a and b)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

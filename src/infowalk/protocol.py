@@ -35,9 +35,10 @@ ALICE = "alice"
 BOB = "bob"
 ROWS = "rows"
 COLUMNS = "columns"
-# A JSON tree may record at most this many factors, nx + ny a transcript: 2**21
-# transcripts of a 2x2 tree, whose construction walk peaks at 69 bytes each (145 MB).
-JSON_FACTOR_CAP = 2**23
+# A JSON tree may record at most this many factors, nx + ny a transcript: 2**20
+# transcripts of a 2x2 tree, whose flattening and path law peak at 160 bytes each
+# (168 MB; 165 bytes at 2**18, by tracemalloc on a file of shared levels).
+JSON_FACTOR_CAP = 2**22
 
 
 @dataclass(frozen=True, slots=True)
