@@ -504,16 +504,15 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     for reached, tests, _ in groups:
         own[leaves[reached]] += tests
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
-    tables = [tree.alice], [tree.bob]
+    rows = [len(tree.alice), len(tree.bob)]  # where each group's signal rows go
     for reached, tests, rounds in groups:
         start = moved[leaves[reached]][:, None]
         at = start + np.arange(len(rounds.owner))
-        shift = np.choose(rounds.owner + 1, (0, *map(sum, (map(len, t) for t in tables))))
-        owner[at], signal[at] = rounds.owner, rounds.signal + shift
+        owner[at], signal[at] = rounds.owner, rounds.signal + np.choose(rounds.owner + 1, (0, *rows))
         child1[at] = np.where(rounds.child1 < 0, -1, start + rounds.child1)
         copy_of[at] = np.where(rounds.copy_of == tests, own[tree.copy_of[leaves[reached]]][:, None],
                                start + rounds.copy_of)
-        tables[0].append(rounds.alice)
-        tables[1].append(rounds.bob)
+        rows = [rows[0] + len(rounds.alice), rows[1] + len(rounds.bob)]
+    tables = ([tree.alice, *(r.alice for *_, r in groups)], [tree.bob, *(r.bob for *_, r in groups)])
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
                                                  *map(np.vstack, tables)))

@@ -137,8 +137,8 @@ class ProtocolTree:
     def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None):
         self.nx, self.ny, self.outputs, self._law = nx, ny, tuple(outputs), None
         arrays = arrays or _flatten(root, nx, ny, self.outputs)
-        for name, a, dtype in zip(self.__slots__[3:9], arrays, (np.int8,) + (np.int32,) * 3
-                                  + (float,) * 2):
+        for name, a, dtype in zip(("owner", "signal", "child1", "copy_of", "alice", "bob"),
+                                  arrays, (np.int8, np.int32, np.int32, np.int32, float, float)):
             setattr(self, name, np.asarray(a, dtype))
             getattr(self, name).flags.writeable = False
 
