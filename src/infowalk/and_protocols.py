@@ -35,7 +35,7 @@ from .distributions import (
 )
 from .errors import PreconditionError, ProtocolError
 from .infocost import TranscriptLaw, law_of, leaf_posteriors
-from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, _plan, _scan, evaluate_error_law
+from .protocol import ProtocolTree, Task, _plan, _scan, evaluate_error_law
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -456,9 +456,9 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     posterior marginal of the tested value is smaller reveals first (ties to
     Alice); a confirmed match ends with the true value f(x, y), and if every
     test fails the original output stands.  Over a full-support prior the
-    completed tree has pointwise error exactly zero.  The rounds are built
-    once per output and order of asking, and spliced into the arrays below
-    every reached leaf of that kind."""
+    completed tree has pointwise error exactly zero.  The rounds of all the
+    reached leaves of one output are built together, a test at a time, and
+    spliced into the arrays; a test's two questions share the rounds below."""
     table = np.asarray(f, dtype=object)
     if table.shape != (tree.nx, tree.ny):
         raise PreconditionError("function table shape does not match the tree")
@@ -470,29 +470,38 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     cells = [(x, y) for x in range(nx) for y in range(ny) if prior.support()[x, y]]
     leaves = (tree.owner < 0).nonzero()[0]
     kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
-    groups = []  # (reached leaves, tests, the arrays of their rounds)
+    groups = []  # (reached leaves, tests, the rounds' arrays: a row per leaf)
     for k, z in enumerate(tree.outputs):
         tests = [c for c in cells if table[c] != z]
         reached = ((prob > 0.0) & (tree.signal[leaves] == k)).nonzero()[0]
         if not (tests and len(reached)):
             continue
         xs, ys = np.array(tests).T
-        orders, which = np.unique(px[reached][:, xs] <= py[reached][:, ys], axis=0,
-                                  return_inverse=True)  # the smaller marginal asks first
-        for j, alice_first in enumerate(orders.tolist()):
-            node = Leaf(outputs[kept[reached[0]]])  # stands for the leaf: all tests failed
-            for (x, y), alice in reversed(list(zip(tests, alice_first))):
-                # each question's 1-branch is the match
-                rx, ry = tuple(np.eye(nx)[x].tolist()), tuple(np.eye(ny)[y].tolist())
-                confirm = Leaf(table[x, y])
-                node = (Internal(ALICE, rx, node, Internal(BOB, ry, node, confirm)) if alice
-                        else Internal(BOB, ry, node, Internal(ALICE, rx, node, confirm)))
-            groups.append((reached[which.ravel() == j], len(tests),
-                           ProtocolTree(nx, ny, outputs, node)))
+        alice_first = px[reached][:, xs] <= py[reached][:, ys]  # the smaller marginal asks
+
+        def col(v):
+            return np.broadcast_to(v, (len(reached), 1))
+
+        # the leaf itself (copy_of −2, its own) stands when every test fails
+        rounds = [col(v) for v in (-1, kept[reached[0]], -1, -2)]
+        for j in reversed(range(len(tests))):
+            o, s, c1, c = rounds
+            w, first = o.shape[1], alice_first[:, j:j + 1]
+            # ask, the rounds, then, the rounds, confirm: each 1-branch is the match
+            x_row, y_row = len(tree.alice) + xs[j], len(tree.bob) + ys[j]
+            rounds = [np.hstack(parts) for parts in (
+                (col(~first * 1), o, col(first * 1), o, col(-1)),
+                (np.where(first, x_row, y_row), s, np.where(first, y_row, x_row), s,
+                 col(outputs.index(table[tests[j]]))),
+                (col(w + 1), np.where(c1 < 0, -1, c1 + 1), col(2 * w + 2),
+                 np.where(c1 < 0, -1, c1 + w + 2), col(-1)),
+                (col(0), np.where(c < 0, c, c + 1), col(w + 1), np.where(c < 0, c, c + 1),
+                 col(2 * w + 2)))]
+        groups.append((reached, len(tests), rounds))
     # entry i moves down by the entries that the rounds of the leaves before it add
     grow = np.zeros(n, np.intp)
     for reached, _, rounds in groups:
-        grow[leaves[reached]] = len(rounds.owner) - 1
+        grow[leaves[reached]] = rounds[0].shape[1] - 1
     moved = np.arange(n) + grow.cumsum() - grow
     owner, signal, child1, copy_of = (np.full(n + grow.sum(), -1, np.int32) for _ in range(4))
     inner = (tree.owner >= 0).nonzero()[0]
@@ -504,15 +513,12 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     for reached, tests, _ in groups:
         own[leaves[reached]] += tests
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
-    rows = [len(tree.alice), len(tree.bob)]  # where each group's signal rows go
-    for reached, tests, rounds in groups:
+    for reached, _, (o, s, c1, c) in groups:
         start = moved[leaves[reached]][:, None]
-        at = start + np.arange(len(rounds.owner))
-        owner[at], signal[at] = rounds.owner, rounds.signal + np.choose(rounds.owner + 1, (0, *rows))
-        child1[at] = np.where(rounds.child1 < 0, -1, start + rounds.child1)
-        copy_of[at] = np.where(rounds.copy_of == tests, own[tree.copy_of[leaves[reached]]][:, None],
-                               start + rounds.copy_of)
-        rows = [rows[0] + len(rounds.alice), rows[1] + len(rounds.bob)]
-    tables = ([tree.alice, *(r.alice for *_, r in groups)], [tree.bob, *(r.bob for *_, r in groups)])
+        at = start + np.arange(o.shape[1])
+        owner[at], signal[at] = o, s
+        child1[at] = np.where(c1 < 0, -1, start + c1)
+        copy_of[at] = np.where(c == -2, own[tree.copy_of[leaves[reached]]][:, None], start + c)
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
-                                                 *map(np.vstack, tables)))
+                                                 np.vstack((tree.alice, np.eye(nx))),
+                                                 np.vstack((tree.bob, np.eye(ny)))))
