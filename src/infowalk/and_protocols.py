@@ -149,11 +149,11 @@ class GridWalkSpec:
         c = np.arange(max(a, b), n, dtype=np.int32) if a and b else np.arange(0, dtype=np.int32)
         bob, mover = np.tile([True, False], len(c)), np.repeat(c, 2)
         other = mover + ~bob
-        if a and a < b:
+        if a and a < b:  # Alice first catches up with Bob
             bob, mover, other = (np.append(v, w) for v, w in ((False, bob), (a, mover), (b, other)))
-        elif a and b and b < n:
-            if a == n:
-                bob, mover, other = np.array([True]), np.array([b]), np.array([n])
+        elif b and a == n > b:  # Bob goes straight to the corner
+            bob, mover, other = np.array([True]), np.array([b]), np.array([n])
+        elif a and b and a < n:  # Bob first moves up from b, not from c = a
             mover[0] = b
         mover, other = mover.astype(np.int32), other.astype(np.int32)
         derived = dict(bob=bob, mover=mover, high=np.where(bob, np.minimum(other + 1, n), other),
