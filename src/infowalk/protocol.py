@@ -214,14 +214,21 @@ def _runs_in(level: np.ndarray, head: np.ndarray) -> tuple:
     return order.astype(np.int32), head[order].nonzero()[0]
 
 
+def _parents(owner: np.ndarray, child1: np.ndarray) -> tuple:
+    """(each entry's parent, n above the root and n + 1 long; the internal
+    entries; their 1-children)."""
+    inner = (owner >= 0).nonzero()[0].astype(np.int32)
+    ones = child1[inner]
+    parent = np.full(len(owner) + 1, len(owner), np.int32)
+    parent[inner + 1], parent[ones] = inner, inner
+    return parent, inner, ones
+
+
 def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
     """The groups of paths a scan takes in turn: (the entry above each path,
     its entries padded with n above the root or n + 1 below a leaf)."""
     n = len(owner)
-    inner = (owner >= 0).nonzero()[0].astype(np.int32)
-    ones = child1[inner]
-    parent = np.full(n + 1, n, np.int32)
-    parent[inner + 1], parent[ones] = inner, inner
+    parent, inner, ones = _parents(owner, child1)
     up = [(owner < 0).nonzero()[0]]
     while len(up) * len(up[0]) <= 2 * n + 64:  # root-to-leaf paths while they are short
         if up[-1].min() == n:
@@ -300,11 +307,10 @@ def _leaf_runs(owner: np.ndarray, child1: np.ndarray) -> tuple:
     entry whose parent is the root or has the other bit, and each entry's run
     starts at the deepest such entry at or above it."""
     n, plan = len(owner), _plan(owner, child1)
-    inner = (owner >= 0).nonzero()[0]
-    parent, bit = np.zeros(n, np.intp), np.zeros(n, bool)
-    parent[inner + 1], parent[child1[inner]], bit[child1[inner]] = inner, inner, True
-    starts = (parent == 0) | (bit != bit[parent])
-    starts[0] = False
+    parent, _, ones = _parents(owner, child1)
+    bit = np.zeros(n + 1, bool)  # False above the root, so the root starts no run
+    bit[ones] = True
+    starts = (parent[:n] == 0) | (bit[:n] != bit[parent[:n]])
     heads = np.append(np.where(starts, np.arange(n), 0), (0, 0)).astype(float)[:, None]
     head = _scan(plan, np.maximum, heads, 0.0)[:, 0].astype(np.intp)
     depth = _depths(owner, child1, plan)
