@@ -35,7 +35,7 @@ from .distributions import (
 )
 from .errors import PreconditionError, ProtocolError
 from .infocost import TranscriptLaw, law_of, leaf_posteriors
-from .protocol import ProtocolTree, Task, _plan, _scan, evaluate_error_law
+from .protocol import ProtocolTree, Task, _scan, evaluate_error_law
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -243,8 +243,8 @@ def _grid_leaf_columns(spec: GridWalkSpec) -> tuple:
 def grid_leaf_law(spec: GridWalkSpec) -> list:
     """Exact pretend-measure leaf law of the collapsed grid walk."""
     ell, axes, mass = _grid_leaf_columns(spec)
-    final = len(ell) - 1
-    return [GridLeaf(k, *leaf, k == final) for k, leaf in enumerate(zip(ell, axes, mass))]
+    final = [False] * (len(ell) - 1) + [True]
+    return list(map(GridLeaf._make, zip(range(len(ell)), ell, axes, mass, final)))
 
 
 def grid_law_kolmogorov(spec: GridWalkSpec, law: BuzzerLeafLaw) -> float:
@@ -393,7 +393,8 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     (x1, transcript-so-far) does not depend on Bob's input — his factors
     cancel — so rewriting row x1 of each signal path-dependently reproduces
     the mixture law on the same tree shape; a node shared by several paths
-    comes back once per path.  Log-weights (libm's, summed down each path)
+    comes back once per path, and the flipped tree scans with this tree's
+    plan, as it has the same shape.  Log-weights (libm's, summed down each path)
     keep the reweighting stable on very deep trees; a posterior whose odds
     overflow is 0, or 1 at ε = 1."""
     _check_flip(x0, x1, epsilon, tree.nx)
@@ -407,7 +408,7 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
         log_p = np.full(p.shape, -math.inf)
         log_p[p > 0.0] = np.fromiter(map(math.log, p[p > 0.0].tolist()), float)
         logs[kids] = log_p
-    la0, la1 = _scan(_plan(owner, child1), np.add, logs, 0.0)[at].T
+    la0, la1 = _scan(tree.plan, np.add, logs, 0.0)[at].T
     moved = (la0 > -math.inf) | (la1 > -math.inf)  # x1 cannot reach the others either way
     gap = la1[moved] - la0[moved]  # −inf where x1 cannot reach the node: heads = 1
     odds = np.full(len(gap), math.inf if epsilon < 1.0 else 0.0)  # where exp overflows
@@ -422,7 +423,7 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     signal[at] = np.arange(len(at))
     copy_of = np.where(owner >= 0, np.arange(n), tree.copy_of)  # leaves stay shared
     return ProtocolTree(tree.nx, tree.ny, tree.outputs,
-                        arrays=(owner, signal, child1, copy_of, rows, tree.bob))
+                        arrays=(owner, signal, child1, copy_of, rows, tree.bob), plan=tree.plan)
 
 
 def one_sided_and(

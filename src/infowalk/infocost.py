@@ -35,11 +35,14 @@ COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
 # The entropy sums and ``leaf_posteriors`` walk the law in blocks of about
 # this many cells (whole transcripts, at least one).  A block's masked terms and
-# Python float lists take about 55 bytes a cell (3.6 MB a block), on top of the
-# joint law and its margins at 18 bytes a cell: tracemalloc puts ``cost_report``
-# on a 2x2 law of 2**18 transcripts at a 22.6 MB peak, against 96.5 MB summed in
-# one block.  Smaller blocks save little more and cost time per block.
-SUM_BLOCK_CELLS = 2**16
+# Python float lists take about 57 bytes a cell (0.9 MB a block), and the row
+# sums' partials, one array over the block's rows per cell of a row, with their
+# scratch about 31 (0.5 MB).  Both sit on the law-sized arrays: tracemalloc puts
+# ``cost_report`` on a 2x2 law of 2**18 transcripts at a 19.4 MB peak and
+# ``leaf_posteriors`` at 28.6 MB, against 53.5 and 42.5 MB in one block.  Blocks
+# this small keep the partials in cache: ``leaf_posteriors`` of 2**14
+# transcripts takes 1.9 ms, against 2.7 ms in blocks of 2**16 cells.
+SUM_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +113,63 @@ def _snap(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d block, bit for bit, by fsum's own
+    algorithm run on every row at once.  Each column joins its row's Shewchuk
+    partials by exact two-sums, lowest partial first; a partial that comes out
+    zero keeps its slot, since adding zero leaves every later sum as it is, and
+    the slots are compacted when they outgrow both 8 and twice the count that
+    the last compaction kept.  The partials are then added from the top down
+    until a sum is inexact, and fsum's half-even fix applies where the inexact
+    part and the next partial below it have the same sign.  As for fsum, the
+    cells must be finite and no partial sum may overflow."""
+    parts, used, limit = rows.T.copy(), 0, 8  # parts[:used] hold each row's partials
+    x, hi, x_part, y_part = np.empty((4, len(rows)))
+    for c in range(len(parts)):
+        x[:] = parts[c]
+        for y in parts[:used]:  # two-sum: x + y = hi + lo exactly, lo into y
+            np.add(x, y, out=hi)
+            np.subtract(hi, x, out=y_part)
+            np.subtract(hi, y_part, out=x_part)
+            np.subtract(x, x_part, out=x_part)
+            np.subtract(y, y_part, out=y_part)
+            np.add(x_part, y_part, out=y)
+            x, hi = hi, x
+        parts[used], used = x, used + 1
+        if used > limit:  # keep the nonzero partials, in order
+            live = parts[:used] != 0.0
+            kept = np.take_along_axis(parts[:used], np.argsort(~live, axis=0, kind="stable"), 0)
+            used = int(live.sum(axis=0).max())
+            parts[:used], limit = kept[:used], max(limit, 2 * used)
+    # from the top, fsum's sum of the partials until one is inexact: from there
+    # on a row adds zeros, keeps that sum's remainder ``lo`` and sums the
+    # partials below into ``under``, which takes the sign of the largest of them
+    total, lo, under = np.zeros((3, len(rows)))
+    for y in parts[:used][::-1]:
+        y_in = y * (lo == 0.0)
+        np.add(total, y_in, out=hi)
+        lo += y_in - (hi - total)
+        under += y - y_in
+        total, hi = hi, total
+    twice = 2.0 * lo  # round half to even across the partials
+    up = total + twice
+    even = ((lo < 0.0) & (under < 0.0)) | ((lo > 0.0) & (under > 0.0))
+    return np.where(even & (up - total == twice), up, total)
+
+
 def leaf_posteriors(law: TranscriptLaw, prior: Optional[JointDistribution] = None):
     """(Pr[t], posterior of t) per transcript under ``prior`` (by default the
-    law's): the compensated sum of prior ⊙ Pr[t|x,y], and that table over it,
-    snapped as JointDistribution snaps.  A transcript of probability zero has
-    an all-zero posterior.  The rows reach their sums in blocks of about
-    ``SUM_BLOCK_CELLS`` cells, so their Python lists never hold the law."""
+    law's): the exactly rounded sum (``math.fsum``'s, bit for bit) of
+    prior ⊙ Pr[t|x,y], and that table over it, snapped as JointDistribution
+    snaps.  A transcript of probability zero has an all-zero posterior.  The
+    rows reach their sums in blocks of about ``SUM_BLOCK_CELLS`` cells, every
+    row of a block at once, so their partials never take the law's size."""
     joint = law.cond * (prior or law.prior).mass[None, :, :]
     rows = joint.reshape(len(joint), -1)
     step = max(1, SUM_BLOCK_CELLS // max(1, rows.shape[1]))
-    prob = np.fromiter((math.fsum(row) for lo in range(0, len(rows), step)
-                        for row in rows[lo:lo + step].tolist()), float, len(rows))
+    prob = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        prob[lo:lo + step] = _fsum_rows(rows[lo:lo + step])
     live = (prob > 0.0)[:, None, None]
     post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
     return prob, _snap(post)
@@ -166,11 +215,11 @@ def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
     return tuple(-math.fsum(chain.from_iterable(terms(m))) for m in margins)
 
 
-def _residual_entropies(law: TranscriptLaw):
-    """(H(X|ΠY), H(Y|ΠX), H(XY|Π)) by direct compensated summation."""
+def _residual_entropies(law: TranscriptLaw, axes=(1, 2, (1, 2))) -> tuple:
+    """Those of (H(X|ΠY), H(Y|ΠX), H(XY|Π)) whose margins sum over ``axes``
+    (1, 2 and (1, 2) in turn), by direct compensated summation."""
     j = law.joint()  # (T, nx, ny)
-    margins = [j.sum(axis=axis, keepdims=True) for axis in (1, 2, (1, 2))]
-    return _neg_plogq_sums(j, j, margins)
+    return _neg_plogq_sums(j, j, [j.sum(axis=axis, keepdims=True) for axis in axes])
 
 
 def cost_report(law: TranscriptLaw) -> CostReport:
@@ -189,13 +238,18 @@ def cost_report(law: TranscriptLaw) -> CostReport:
 
 
 def internal_ic(law: TranscriptLaw) -> float:
-    """I(Π;X|Y) + I(Π;Y|X): what each player learns about the other's input."""
-    return cost_report(law).ic_internal
+    """I(Π;X|Y) + I(Π;Y|X): what each player learns about the other's input;
+    ``cost_report``'s ``ic_internal``, from only the sums it needs."""
+    profile = entropy_profile(law.prior)
+    h_x_g_ty, h_y_g_tx = _residual_entropies(law, (1, 2))
+    return (profile.h_x_given_y - h_x_g_ty) + (profile.h_y_given_x - h_y_g_tx)
 
 
 def external_ic(law: TranscriptLaw) -> float:
-    """I(Π;XY): what an outside observer learns about the input pair."""
-    return cost_report(law).ic_external
+    """I(Π;XY): what an outside observer learns about the input pair;
+    ``cost_report``'s ``ic_external``, from only the sum it needs."""
+    (h_xy_g_t,) = _residual_entropies(law, ((1, 2),))
+    return entropy_profile(law.prior).h_xy - h_xy_g_t
 
 
 def pretend_step(pretend: ProductDistribution, owner: str, send_one_prob):

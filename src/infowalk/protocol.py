@@ -71,8 +71,8 @@ class LeafIds(Sequence):
 
     __slots__ = ("_count", "_tree", "_runs", "_leaves")
 
-    def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray):
-        self._count, self._tree, self._runs = count, (owner, child1), None
+    def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray, plan: list):
+        self._count, self._tree, self._runs = count, (owner, child1, plan), None
 
     def __len__(self):
         return self._count
@@ -127,20 +127,29 @@ class ProtocolTree:
 
     ``ProtocolTree(nx, ny, outputs, root)`` checks and flattens a tree of
     ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
-    ``arrays``.  ``path_law``, from which ``law_of`` prices the tree under any
-    prior, is derived from the arrays when first read.
+    ``arrays``, and may pass ``plan``, the scan plan of a tree with the same
+    ``owner`` and ``child1``.  ``plan``, the groups of paths that scans down
+    the tree take, and ``path_law``, from which ``law_of`` prices the tree
+    under any prior, are derived from the arrays when first read.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
-                 "alice", "bob", "_law")
+                 "alice", "bob", "_plan", "_law")
 
-    def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None):
-        self.nx, self.ny, self.outputs, self._law = nx, ny, tuple(outputs), None
+    def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None,
+                 plan: Optional[list] = None):
+        self.nx, self.ny, self.outputs, self._plan, self._law = nx, ny, tuple(outputs), plan, None
         arrays = arrays or _flatten(root, nx, ny, self.outputs)
         for name, a, dtype in zip(("owner", "signal", "child1", "copy_of", "alice", "bob"),
                                   arrays, (np.int8, np.int32, np.int32, np.int32, float, float)):
             setattr(self, name, np.asarray(a, dtype))
             getattr(self, name).flags.writeable = False
+
+    @property
+    def plan(self) -> list:
+        if self._plan is None:
+            self._plan = _plan(self.owner, self.child1)
+        return self._plan
 
     @property
     def path_law(self) -> PathLaw:
@@ -150,7 +159,7 @@ class ProtocolTree:
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
-        return int(_depths(self.owner, self.child1).max())
+        return int(_depths(len(self.owner), self.plan).max())
 
 
 _SIDES = {ALICE: 0, BOB: 1}
@@ -282,8 +291,8 @@ def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.nd
 
 
 def _path_law(tree: ProtocolTree) -> PathLaw:
-    owner, signal, child1 = tree.owner, tree.signal, tree.child1
-    plan, leaves = _plan(owner, child1), (owner < 0).nonzero()[0]
+    owner, signal, child1, plan = tree.owner, tree.signal, tree.child1, tree.plan
+    leaves = (owner < 0).nonzero()[0]
     factors = np.empty((len(leaves), tree.nx + tree.ny))
     for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
                               (1, tree.bob, slice(tree.nx, None))):
@@ -292,28 +301,30 @@ def _path_law(tree: ProtocolTree) -> PathLaw:
         edges = np.ones((len(owner) + 2, s.shape[1]))
         edges[at + 1], edges[child1[at]] = 1.0 - s, s
         factors[:, cols] = _scan(plan, np.multiply, edges, 1.0)[leaves]
-    outputs = tuple(map(tree.outputs.__getitem__, signal[leaves].tolist()))
-    return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
+    symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
+    outputs = tuple(symbols.take(signal[leaves]).tolist())
+    return PathLaw(LeafIds(len(leaves), owner, child1, plan), factors, outputs)
 
 
-def _depths(owner: np.ndarray, child1: np.ndarray, plan: Optional[list] = None) -> np.ndarray:
-    edges = np.ones((len(owner) + 2, 1))
+def _depths(n: int, plan: list) -> np.ndarray:
+    """The depth of each of a tree's n entries."""
+    edges = np.ones((n + 2, 1))
     edges[0] = 0.0  # the root
-    return _scan(plan or _plan(owner, child1), np.add, edges, 0.0)[:, 0].astype(np.intp)
+    return _scan(plan, np.add, edges, 0.0)[:, 0].astype(np.intp)
 
 
-def _leaf_runs(owner: np.ndarray, child1: np.ndarray) -> tuple:
+def _leaf_runs(owner: np.ndarray, child1: np.ndarray, plan: list) -> tuple:
     """(runs, leaves) of ``LeafIds``: a run of equal bits starts at each
     entry whose parent is the root or has the other bit, and each entry's run
     starts at the deepest such entry at or above it."""
-    n, plan = len(owner), _plan(owner, child1)
+    n = len(owner)
     parent, _, ones = _parents(owner, child1)
     bit = np.zeros(n + 1, bool)  # False above the root, so the root starts no run
     bit[ones] = True
     starts = (parent[:n] == 0) | (bit[:n] != bit[parent[:n]])
     heads = np.append(np.where(starts, np.arange(n), 0), (0, 0)).astype(float)[:, None]
     head = _scan(plan, np.maximum, heads, 0.0)[:, 0].astype(np.intp)
-    depth = _depths(owner, child1, plan)
+    depth = _depths(n, plan)
     run, k = (starts.cumsum() - 1)[head], depth - depth[head] + 1
     run[0], k[0] = -1, 0  # the root's path is empty
     at, leaves = starts.nonzero()[0], (owner < 0).nonzero()[0]

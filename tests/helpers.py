@@ -24,6 +24,7 @@ from infowalk import (
     odot,
 )
 from infowalk.and_protocols import GridLeaf
+from infowalk.distributions import SNAP_EPS
 from infowalk.infocost import PRIOR_MATCH_TOLERANCE
 from infowalk.protocol import COLUMNS, ROWS
 
@@ -271,6 +272,17 @@ def cost_report_reference(law):
         ci_internal=h_x_g_ty + h_y_g_tx,
         ci_external=h_xy_g_t,
     )
+
+
+def leaf_posteriors_reference(law, prior=None):
+    """``leaf_posteriors`` with one ``math.fsum`` per transcript row."""
+    joint = law.cond * (prior or law.prior).mass[None, :, :]
+    prob = np.array([math.fsum(row) for row in joint.reshape(len(joint), -1).tolist()],
+                    dtype=float)
+    live = (prob > 0.0)[:, None, None]
+    post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
+    post[np.abs(post) < SNAP_EPS] = 0.0
+    return prob, post
 
 
 def sim_reference(law, dec):

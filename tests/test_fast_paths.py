@@ -1,8 +1,10 @@
 """The array-valued fast paths against slow per-cell, per-transcript and
 per-path loops, which ``tests/helpers.py`` keeps as oracles.
 
-Tolerances: ``cost_report``, ``evaluate_error_law`` and the transcript
-law itself are bit-identical; ``sim`` agrees to 1e-12 relative; walk
+Tolerances: ``cost_report`` (and ``internal_ic`` and ``external_ic``,
+which compute only their part of it), ``evaluate_error_law``, the
+transcript law itself and ``leaf_posteriors``, whose row sums are
+``math.fsum``'s, are bit-identical; ``sim`` agrees to 1e-12 relative; walk
 posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12 absolute;
 completed trees serialize identically.  The entropy sums walk a law in
 blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
@@ -17,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infowalk import (
     ALICE,
@@ -33,10 +37,12 @@ from infowalk import (
     complete_to_zero_error,
     cost_report,
     evaluate_error_law,
+    external_ic,
     flip_tree,
     tree_from_json,
     grid_law_kolmogorov,
     grid_leaf_law,
+    internal_ic,
     law_of,
     potential_of_tree,
     sim,
@@ -44,7 +50,7 @@ from infowalk import (
     tree_to_json,
     walk,
 )
-from infowalk import infocost
+from infowalk import infocost, protocol
 
 from helpers import (
     buzzer_grid_tree_reference,
@@ -56,6 +62,7 @@ from helpers import (
     grid_leaf_law_reference,
     law_of_reference,
     leaf_law_cdf_reference,
+    leaf_posteriors_reference,
     potential_reference,
     random_law,
     random_prior,
@@ -424,3 +431,106 @@ def test_block_wise_sums_are_bit_identical_at_any_block_size(
         cells = transcripts * law.prior.nx * law.prior.ny
         monkeypatch.setattr(infocost, "SUM_BLOCK_CELLS", cells)
         assert prices(law, dec) == default
+
+
+def test_leaf_posteriors_match_one_fsum_per_row(priced_laws):
+    for law, dec, _ in priced_laws:
+        for prior in [None] + ([dec.pretend.as_joint()] if dec else []):
+            got, want = infocost.leaf_posteriors(law, prior), leaf_posteriors_reference(law, prior)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_ic_functions_equal_the_cost_report_bit_for_bit(priced_laws):
+    for law, _, _ in priced_laws:
+        report = cost_report(law)
+        assert internal_ic(law).hex() == report.ic_internal.hex()
+        assert external_ic(law).hex() == report.ic_external.hex()
+
+
+@st.composite
+def fsum_blocks(draw):
+    """Blocks of rows of 1 to 16 cells: finite floats of any size, subnormals
+    and signed zeros among them, and an anchor's multiples by 1, 3, 2⁻⁵³, 2⁻⁵⁴
+    and 2⁻¹⁰⁶ of either sign, so that sums cancel exactly and land on
+    half-ulp ties."""
+    width = draw(st.integers(1, 16))
+    anchor = draw(st.floats(2.0**-1000, 2.0**900))
+    cell = st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -3 * 2.0**-1074)),
+        st.builds(lambda k, sign: sign * anchor * k,
+                  st.sampled_from((1.0, 3.0, 2.0**-53, 2.0**-54, 2.0**-106)),
+                  st.sampled_from((1.0, -1.0))))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):  # half of each row, then its negation
+        rows = [row[:(width + 1) // 2] + [-v for v in row[:width // 2]] for row in rows]
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fsum_blocks())
+def test_row_sums_are_fsum_bit_for_bit(block):
+    want = np.array([math.fsum(row) for row in block.tolist()])
+    assert np.array_equal(infocost._fsum_rows(block).view(np.int64), want.view(np.int64))
+
+
+def test_leaf_posteriors_make_no_fsum_call_per_transcript(monkeypatch):
+    calls, fsum = [], math.fsum
+
+    def counted(values):
+        calls.append(1)
+        return fsum(values)
+
+    monkeypatch.setattr(infocost.math, "fsum", counted)
+    w = JointDistribution.from_mass([[0.45, 0.15], [0.3, 0.1]])
+    dec = symmetric_decomposition(w)
+    counts = []
+    for n in (16, 1024, 16384):
+        spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
+        law = law_of(buzzer_grid_tree(spec, dec), w)
+        calls.clear()
+        infocost.leaf_posteriors(law)
+        counts.append(len(calls))
+        if n == 16:  # the counter sees a loop of one fsum per row
+            calls.clear()
+            leaf_posteriors_reference(law)
+            assert len(calls) == law.transcript_count()
+    assert counts == [counts[0]] * len(counts)
+
+
+def assert_flip_reuses_the_plan(tree, x0=0, x1=1, eps=0.05):
+    """The flipped tree scans with ``tree``'s plan, and its path law is the
+    one that a plan derived from its own arrays gives."""
+    flipped = flip_tree(tree, x0, x1, eps)
+    assert flipped.plan is tree.plan
+    fresh = protocol._plan(flipped.owner, flipped.child1)
+    assert [[a.tobytes() for a in group] for group in fresh] == \
+        [[a.tobytes() for a in group] for group in tree.plan]
+    arrays = tuple(getattr(flipped, name) for name in (
+        "owner", "signal", "child1", "copy_of", "alice", "bob"))
+    want = ProtocolTree(tree.nx, tree.ny, tree.outputs, arrays=arrays, plan=fresh).path_law
+    got = flipped.path_law
+    assert tuple(got.leaf_ids) == tuple(want.leaf_ids)
+    assert got.factors.tobytes() == want.factors.tobytes()
+    assert got.outputs == want.outputs
+    return flipped
+
+
+@pytest.mark.parametrize("k", range(0, len(INSTANCES), 5))
+def test_flipped_random_trees_share_the_scan_plan(k):
+    tree, _ = INSTANCES[k]
+    flipped = assert_flip_reuses_the_plan(tree, 1, 0, 0.3)
+    assert_flip_reuses_the_plan(flipped, 0, 1, 0.1)
+
+
+@pytest.mark.parametrize("n, w, dec, tree", BUZZERS[:4], ids=BUZZER_IDS[:4])
+def test_flipped_caterpillars_share_the_scan_plan(n, w, dec, tree):
+    flipped = assert_flip_reuses_the_plan(tree)
+    assert_flip_reuses_the_plan(flipped, 1, 0, 0.5)
+
+
+@pytest.mark.parametrize("k", range(len(SHARED_NODE_FILES)))
+def test_flipped_shared_node_files_share_the_scan_plan(k):
+    flipped = assert_flip_reuses_the_plan(tree_from_json(SHARED_NODE_FILES[k]))
+    assert_flip_reuses_the_plan(flipped, 1, 0, 0.2)
