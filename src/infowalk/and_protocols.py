@@ -34,8 +34,8 @@ from .distributions import (
     symmetric_decomposition,
 )
 from .errors import PreconditionError, ProtocolError
-from .infocost import TranscriptLaw, law_of, leaf_posteriors
-from .protocol import ProtocolTree, Task, _scan, evaluate_error_law
+from .infocost import TranscriptLaw, _margin, law_of, leaf_posteriors
+from .protocol import ProtocolTree, SplicedIds, Task, _Lazy, _scan, evaluate_error_law
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -240,11 +240,35 @@ def _grid_leaf_columns(spec: GridWalkSpec) -> tuple:
     return ell, axes, mass
 
 
-def grid_leaf_law(spec: GridWalkSpec) -> list:
+class GridLeafLaw(_Lazy):
+    """The ``GridLeaf``s of a grid walk in leaf order, each made when read
+    from the columns, which are computed when first read."""
+
+    __slots__ = ("_spec", "_columns")
+
+    def __init__(self, spec: GridWalkSpec):
+        self._spec, self._columns = spec, None
+
+    def __len__(self):
+        return len(self._spec.bob) + 1  # a give-up exit per phase, then the final leaf
+
+    def _at(self, i):
+        return GridLeaf(i, *(column[i] for column in self._read()), i == len(self) - 1)
+
+    def __iter__(self):
+        ell, axes, mass = self._read()
+        final = [False] * (len(ell) - 1) + [True]
+        return map(GridLeaf._make, zip(range(len(ell)), ell, axes, mass, final))
+
+    def _read(self) -> tuple:
+        if self._columns is None:
+            self._columns = _grid_leaf_columns(self._spec)
+        return self._columns
+
+
+def grid_leaf_law(spec: GridWalkSpec) -> GridLeafLaw:
     """Exact pretend-measure leaf law of the collapsed grid walk."""
-    ell, axes, mass = _grid_leaf_columns(spec)
-    final = [False] * (len(ell) - 1) + [True]
-    return list(map(GridLeaf._make, zip(range(len(ell)), ell, axes, mass, final)))
+    return GridLeafLaw(spec)
 
 
 def grid_law_kolmogorov(spec: GridWalkSpec, law: BuzzerLeafLaw) -> float:
@@ -466,12 +490,18 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     nx, ny, n = tree.nx, tree.ny, len(tree.owner)
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
     prob, post = leaf_posteriors(law_of(tree, prior))
-    px, py = post.sum(axis=2), post.sum(axis=1)
+    px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
     del post
     cells = [(x, y) for x in range(nx) for y in range(ny) if prior.support()[x, y]]
     leaves = (tree.owner < 0).nonzero()[0]
     kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
-    groups = []  # (reached leaves, tests, the rounds' arrays: a row per leaf)
+    # a question on factor column c (Alice's x, or Bob's nx + y) multiplies
+    # each factor by 0 or 1: its 1-edge zeroes the asker's other columns
+    # (mask yes[c]), its 0-edge column c (mask no[c])
+    side = np.arange(nx + ny) >= nx
+    yes, no = np.where(side == side[:, None], np.eye(nx + ny), 1.0), 1.0 - np.eye(nx + ny)
+    groups = []  # (reached leaves, tests, the rounds' arrays: a row per leaf, their masks)
+    kind, ends = np.zeros(len(leaves), np.intp), [("",)]  # each leaf's paths down its rounds
     for k, z in enumerate(tree.outputs):
         tests = [c for c in cells if table[c] != z]
         reached = ((prob > 0.0) & (tree.signal[leaves] == k)).nonzero()[0]
@@ -485,6 +515,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
 
         # the leaf itself (copy_of −2, its own) stands when every test fails
         rounds = [col(v) for v in (-1, kept[reached[0]], -1, -2)]
+        masks, paths = np.ones((len(reached), 1, nx + ny)), [""]  # per leaf of the rounds
         for j in reversed(range(len(tests))):
             o, s, c1, c = rounds
             w, first = o.shape[1], alice_first[:, j:j + 1]
@@ -498,12 +529,23 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
                  np.where(c1 < 0, -1, c1 + w + 2), col(-1)),
                 (col(0), np.where(c < 0, c, c + 1), col(w + 1), np.where(c < 0, c, c + 1),
                  col(2 * w + 2)))]
-        groups.append((reached, len(tests), rounds))
-    # entry i moves down by the entries that the rounds of the leaves before it add
-    grow = np.zeros(n, np.intp)
-    for reached, _, rounds in groups:
-        grow[leaves[reached]] = rounds[0].shape[1] - 1
+            ask, then = (np.where(first[:, 0], *at)[:, None]
+                         for at in ((xs[j], nx + ys[j]), (nx + ys[j], xs[j])))
+            masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
+                                    yes[ask] * yes[then]), axis=1)
+            paths = ["0" + p for p in paths] + ["10" + p for p in paths] + ["11"]
+        groups.append((reached, len(tests), rounds, masks))
+        kind[reached] = len(ends)
+        ends.append(tuple(paths))
+    # entry i moves down by the entries that the rounds of the leaves before it
+    # add; a leaf's factor row becomes its rounds' rows, the masks times it,
+    # which are the rows a scan would give, as every mask entry is 0 or 1, and
+    # its id their ids, its own followed by their paths
+    grow, rows = np.zeros(n, np.intp), np.ones(len(leaves), np.intp)
+    for reached, _, rounds, masks in groups:
+        grow[leaves[reached]], rows[reached] = rounds[0].shape[1] - 1, masks.shape[1]
     moved = np.arange(n) + grow.cumsum() - grow
+    factors = tree.path_law.factors.repeat(rows, axis=0)
     owner, signal, child1, copy_of = (np.full(n + grow.sum(), -1, np.int32) for _ in range(4))
     inner = (tree.owner >= 0).nonzero()[0]
     owner[moved], signal[moved], signal[moved[leaves]] = tree.owner, tree.signal, kept
@@ -511,15 +553,17 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     # a leaf stays itself, and so stays shared: where it was, or first reached
     # at the bottom of its rounds, below one question per test
     own = moved.copy()
-    for reached, tests, _ in groups:
+    for reached, tests, _, _ in groups:
         own[leaves[reached]] += tests
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
-    for reached, _, (o, s, c1, c) in groups:
+    for reached, _, (o, s, c1, c), masks in groups:
         start = moved[leaves[reached]][:, None]
         at = start + np.arange(o.shape[1])
         owner[at], signal[at] = o, s
         child1[at] = np.where(c1 < 0, -1, start + c1)
         copy_of[at] = np.where(c == -2, own[tree.copy_of[leaves[reached]]][:, None], start + c)
+        factors[(rows.cumsum() - rows)[reached][:, None] + np.arange(masks.shape[1])] *= masks
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
                                                  np.vstack((tree.alice, np.eye(nx))),
-                                                 np.vstack((tree.bob, np.eye(ny)))))
+                                                 np.vstack((tree.bob, np.eye(ny)))),
+                        law=(SplicedIds(tree.path_law.leaf_ids, kind, ends), factors))

@@ -60,7 +60,25 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
-class LeafIds(Sequence):
+class _Lazy(Sequence):
+    """A sequence that makes its items when they are read, item i by
+    ``_at(i)``; a slice is a tuple, and it equals any sequence of equal items."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # an index or, for a slice, a range
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        return self._at(at)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+class LeafIds(_Lazy):
     """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
     preorder, 0-child first (their sorted order), rendered on demand from
     run-length handles derived from the tree's arrays when first read.  A path
@@ -77,11 +95,8 @@ class LeafIds(Sequence):
     def __len__(self):
         return self._count
 
-    def __getitem__(self, i):
-        at = range(len(self))[i]  # an index or, for a slice, a range
-        if isinstance(at, range):
-            return tuple(map(self.__getitem__, at))
-        return self._path(*self._handles()[2 * at:2 * at + 2])
+    def _at(self, i):
+        return self._path(*self._handles()[2 * i:2 * i + 2])
 
     def __iter__(self):
         leaves = self._handles()
@@ -99,10 +114,27 @@ class LeafIds(Sequence):
             run, k = runs[3 * run + 1], runs[3 * run + 2]
         return "".join(reversed(parts))
 
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+
+class SplicedIds(LeafIds):
+    """The leaf ids of a tree made by splicing subtrees in below the leaves
+    of another, whose ids are ``base``: leaf i gives way to its id followed by
+    each path of ``ends[kind[i]]``, its subtree's paths in preorder (("",)
+    for a leaf left as it was).  Nothing is derived from the new tree."""
+
+    __slots__ = ("_base", "_kind", "_ends", "_first")
+
+    def __init__(self, base: Sequence, kind: np.ndarray, ends: list):
+        counts = np.array(list(map(len, ends)), np.intp)[kind]
+        self._count, self._base, self._kind, self._ends = int(counts.sum()), base, kind, ends
+        self._first = counts.cumsum() - counts  # the new index of each base leaf's first path
+
+    def _at(self, i):
+        leaf = int(np.searchsorted(self._first, i, side="right")) - 1
+        return self._base[leaf] + self._ends[self._kind[leaf]][i - self._first[leaf]]
+
+    def __iter__(self):
+        ends = self._ends
+        return (path + end for path, k in zip(self._base, self._kind.tolist()) for end in ends[k])
 
 
 class PathLaw(NamedTuple):
@@ -128,22 +160,26 @@ class ProtocolTree:
     ``ProtocolTree(nx, ny, outputs, root)`` checks and flattens a tree of
     ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
     ``arrays``, and may pass ``plan``, the scan plan of a tree with the same
-    ``owner`` and ``child1``.  ``plan``, the groups of paths that scans down
-    the tree take, and ``path_law``, from which ``law_of`` prices the tree
-    under any prior, are derived from the arrays when first read.
+    ``owner`` and ``child1``, or ``law``, the leaf ids and factor rows of its
+    path law, as scans would give them.  ``plan``, the
+    groups of paths that scans down the tree take, and ``path_law``, from
+    which ``law_of`` prices the tree under any prior, are derived from the
+    arrays when first read.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
                  "alice", "bob", "_plan", "_law")
 
     def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None,
-                 plan: Optional[list] = None):
+                 plan: Optional[list] = None, law: Optional[tuple] = None):
         self.nx, self.ny, self.outputs, self._plan, self._law = nx, ny, tuple(outputs), plan, None
         arrays = arrays or _flatten(root, nx, ny, self.outputs)
         for name, a, dtype in zip(("owner", "signal", "child1", "copy_of", "alice", "bob"),
                                   arrays, (np.int8, np.int32, np.int32, np.int32, float, float)):
             setattr(self, name, np.asarray(a, dtype))
             getattr(self, name).flags.writeable = False
+        if law is not None:
+            self._law = _path_law(self, *law)
 
     @property
     def plan(self) -> list:
@@ -274,36 +310,42 @@ def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
 
 
 def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.ndarray:
-    """Turns ``edges`` (n + 2 rows) in place into op(value at the parent,
-    edges[j]) at each entry j, from the identity above the root, and returns
-    its first n rows."""
+    """Turns ``edges`` (n + 2 C-contiguous rows) in place into op(value at
+    the parent, edges[j]) at each entry j, from the identity above the root,
+    and returns its first n rows.  Rows move by ``take`` and by a scatter into
+    a view with one element a row, not by 2-d fancy indexing."""
     edges[-2] = identity
+    rows = edges.view(np.dtype((np.void, edges.itemsize * edges.shape[1])))[:, 0]
     for start, entries in plan:
-        run = edges[entries.T]  # a row per step down the paths
+        at = entries.T.astype(np.intp)
+        run = edges.take(at, axis=0)  # a row per step down the paths
         op(edges[start], run[0], out=run[0])
         if len(run) > len(start):  # a few long paths
             op.accumulate(run, axis=0, out=run)
         else:  # many short ones, a step at a time (accumulate loops per path)
             for i in range(1, len(run)):
                 op(run[i - 1], run[i], out=run[i])
-        edges[entries.T] = run
+        rows[at] = run.view(rows.dtype)[..., 0]
     return edges[:-2]
 
 
-def _path_law(tree: ProtocolTree) -> PathLaw:
-    owner, signal, child1, plan = tree.owner, tree.signal, tree.child1, tree.plan
+def _path_law(tree: ProtocolTree, leaf_ids: Optional[LeafIds] = None,
+              factors: Optional[np.ndarray] = None) -> PathLaw:
+    owner, signal, child1 = tree.owner, tree.signal, tree.child1
     leaves = (owner < 0).nonzero()[0]
-    factors = np.empty((len(leaves), tree.nx + tree.ny))
-    for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
-                              (1, tree.bob, slice(tree.nx, None))):
-        at = (owner == side).nonzero()[0]
-        s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
-        edges = np.ones((len(owner) + 2, s.shape[1]))
-        edges[at + 1], edges[child1[at]] = 1.0 - s, s
-        factors[:, cols] = _scan(plan, np.multiply, edges, 1.0)[leaves]
+    if factors is None:
+        factors = np.empty((len(leaves), tree.nx + tree.ny))
+        for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
+                                  (1, tree.bob, slice(tree.nx, None))):
+            at = (owner == side).nonzero()[0]
+            s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
+            edges = np.ones((len(owner) + 2, s.shape[1]))
+            edges[at + 1], edges[child1[at]] = 1.0 - s, s
+            factors[:, cols] = _scan(tree.plan, np.multiply, edges, 1.0)[leaves]
+        leaf_ids = LeafIds(len(leaves), owner, child1, tree.plan)
     symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
     outputs = tuple(symbols.take(signal[leaves]).tolist())
-    return PathLaw(LeafIds(len(leaves), owner, child1, plan), factors, outputs)
+    return PathLaw(leaf_ids, factors, outputs)
 
 
 def _depths(n: int, plan: list) -> np.ndarray:
@@ -494,13 +536,13 @@ def evaluate_error_law(law, task: Task) -> ErrorReport:
         raise PreconditionError("law shape does not match the task table")
     uniform = np.full((nx, ny), 1.0 / (nx * ny))
     weight = task.measure.mass if task.measure is not None else uniform
-    kinds = list(dict.fromkeys(law.outputs))
-    rows = [kinds.index(out) for out in law.outputs]
+    index = {out: k for k, out in enumerate(dict.fromkeys(law.outputs))}  # the kinds
+    rows = np.fromiter(map(index.__getitem__, law.outputs), np.intp, len(law.outputs))
     f = task.f.tolist()
 
     def per_transcript(test):  # one table per distinct output, gathered
         return np.array([[[test(out, f[x][y]) for y in range(ny)] for x in range(nx)]
-                         for out in kinds])[rows]
+                         for out in index])[rows]
 
     # a first-axis sum adds row by row, in transcript order, as a loop would
     wrong = per_transcript(lambda out, value: out != value)

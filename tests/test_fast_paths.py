@@ -11,7 +11,9 @@ blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
 every block size, and so are ``leaf_posteriors``' probabilities and
 posteriors.  The grid walk's tree, leaf law and Kolmogorov distance, and
 the continuous leaf law's CDF on arrays, are bit-identical to phase-by-phase
-and point-by-point loops.
+and point-by-point loops.  A completed tree's inherited law equals the law
+that scans of its own arrays give, bit for bit, and the one-axis margins
+equal numpy's sums bit for bit.
 """
 
 import json
@@ -534,3 +536,144 @@ def test_flipped_caterpillars_share_the_scan_plan(n, w, dec, tree):
 def test_flipped_shared_node_files_share_the_scan_plan(k):
     flipped = assert_flip_reuses_the_plan(tree_from_json(SHARED_NODE_FILES[k]))
     assert_flip_reuses_the_plan(flipped, 1, 0, 0.2)
+
+
+# A completed tree inherits its path law from its base tree: every round
+# signals with an identity row, so each factor a round adds is exactly 0 or 1,
+# and a round leaf's row is its base leaf's row times a 0/1 mask.
+
+def assert_inherits_the_scanned_law(tree, table, prior):
+    """The completed tree's law, inherited, against the law that scans of its
+    own arrays give, bit for bit, and its ids against the node walk's."""
+    completed = complete_to_zero_error(tree, table, prior)
+    got = completed.path_law
+    arrays = tuple(getattr(completed, name) for name in (
+        "owner", "signal", "child1", "copy_of", "alice", "bob"))
+    want = ProtocolTree(completed.nx, completed.ny, completed.outputs, arrays=arrays).path_law
+    assert got.factors.shape == want.factors.shape
+    assert np.array_equal(got.factors.view(np.int64), want.factors.view(np.int64))
+    assert got.outputs == want.outputs
+    ref = law_of_reference(completed, prior)
+    assert tuple(got.leaf_ids) == ref.leaf_ids
+    assert got.outputs == ref.outputs
+    return completed
+
+
+def completion_cases():
+    """Random trees with tables over {0, 1, 2} and constant ones, so that some
+    outputs have no tests; sparse priors leave some leaves unreached."""
+    for k, (tree, prior) in enumerate(INSTANCES):
+        table = np.random.default_rng(k).integers(0, 3, size=(tree.nx, tree.ny)).tolist()
+        yield tree, table, prior
+        yield tree, [[k % 2] * tree.ny] * tree.nx, prior
+
+
+COMPLETION_CASES = list(completion_cases())
+
+
+def test_completion_cases_skip_outputs_and_leaves():
+    skipped_outputs = unreached = 0
+    for tree, table, prior in COMPLETION_CASES:
+        cells = [(x, y) for x in range(tree.nx) for y in range(tree.ny) if prior.mass[x, y] > 0]
+        skipped_outputs += any(all(table[x][y] == z for x, y in cells) for z in tree.outputs)
+        prob, _ = infocost.leaf_posteriors(law_of(tree, prior))
+        unreached += bool(np.any(prob == 0.0))
+    assert skipped_outputs >= 10 and unreached >= 5
+
+
+@pytest.mark.parametrize("k", range(len(COMPLETION_CASES)))
+def test_completed_random_trees_inherit_the_scanned_law(k):
+    tree, table, prior = COMPLETION_CASES[k]
+    assert_inherits_the_scanned_law(tree, table, prior)
+    assert_inherits_the_scanned_law(flip_tree(tree, 1, 0, 0.3), table, prior)
+
+
+@pytest.mark.parametrize("n, w, dec, tree", BUZZERS, ids=BUZZER_IDS)
+def test_completed_caterpillars_inherit_the_scanned_law(n, w, dec, tree):
+    assert_inherits_the_scanned_law(tree, AND_TABLE, w)
+    assert_inherits_the_scanned_law(flip_tree(tree, 0, 1, 0.05), AND_TABLE, w)
+
+
+@pytest.mark.parametrize("k", range(len(SHARED_NODE_FILES)))
+def test_completed_shared_node_files_inherit_the_scanned_law(k):
+    tree = tree_from_json(SHARED_NODE_FILES[k])
+    rng = np.random.default_rng(k)
+    prior = sparse_prior(rng, tree.nx, tree.ny)
+    table = rng.integers(0, 2, size=(tree.nx, tree.ny)).tolist()
+    completed = assert_inherits_the_scanned_law(tree, table, prior)
+    assert_inherits_the_scanned_law(completed, table, random_prior(rng, tree.nx, tree.ny))
+
+
+@pytest.mark.parametrize("n, w, dec, tree", BUZZERS[:2], ids=BUZZER_IDS[:2])
+def test_pricing_a_completed_tree_derives_no_scan_plan(n, w, dec, tree):
+    completed = complete_to_zero_error(flip_tree(tree, 0, 1, 0.05), AND_TABLE, w)
+    law = law_of(completed, w)
+    cost_report(law), internal_ic(law), external_ic(law), sim(law, dec)
+    evaluate_error_law(law, Task(AND_TABLE, 1.0, "distributional", measure=w))
+    ids = tuple(law.leaf_ids)  # spliced from the base tree's ids, without a plan either
+    assert len(ids) == len(law.leaf_ids) == law.transcript_count()
+    assert completed._plan is None
+    assert [[a.tobytes() for a in group] for group in completed.plan] == \
+        [[a.tobytes() for a in group] for group in protocol._plan(completed.owner,
+                                                                   completed.child1)]
+
+
+def test_spliced_ids_index_and_slice_as_a_tuple_does():
+    tree, prior = INSTANCES[3]
+    table = [[1 - (x + y) % 2 for y in range(tree.ny)] for x in range(tree.nx)]
+    ids = law_of(complete_to_zero_error(tree, table, prior), prior).leaf_ids
+    as_tuple = tuple(ids)
+    assert len(as_tuple) > 2 * len(law_of(tree, prior).leaf_ids)
+    assert ids == as_tuple and ids == list(as_tuple) and ids != as_tuple[:-1]
+    for i in (0, 1, 7, len(ids) // 2, -1, -2, -len(ids)):
+        assert ids[i] == as_tuple[i]
+    for part in (slice(None, 2), slice(-3, None), slice(1, 40, 3), slice(None, None, -2),
+                 slice(500, 600), slice(0, 0)):
+        assert ids[part] == as_tuple[part]
+    for i in (len(ids), -len(ids) - 1):
+        with pytest.raises(IndexError):
+            ids[i]
+
+
+@st.composite
+def margin_arrays(draw):
+    """(T, nx, ny) arrays, T from 1 to 64 and nx, ny from 1 to 9, filled from
+    a drawn pool of zeros of either sign, subnormals and values of any
+    exponent and sign."""
+    shape = draw(st.integers(1, 64)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell = st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 3 * 2.0**-1074)),
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 990)))
+    pool = np.array(draw(st.lists(cell, min_size=1, max_size=12)), dtype=float)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_arrays(), st.sampled_from((1, 2)))
+def test_margins_are_numpys_sums_bit_for_bit(a, axis):
+    want = a.sum(axis=axis, keepdims=True)
+    got = infocost._margin(a, axis)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_grid_leaf_law_reads_as_a_sequence():
+    spec = GridWalkSpec(64, 32, 16)
+    leaves, want = grid_leaf_law(spec), grid_leaf_law_reference(spec)
+    assert len(leaves) == len(want) == len(spec.bob) + 1
+    assert repr(list(grid_leaf_law(spec))) == repr(want)
+    assert repr(list(leaves)) == repr(want)
+    assert leaves == want and leaves == tuple(want) and leaves != want[:-1]
+    for i in (0, 5, -1, -2, -len(want)):
+        assert repr(leaves[i]) == repr(want[i])
+    for part in (slice(None, 3), slice(-4, None), slice(1, 40, 7), slice(None, None, -5),
+                 slice(500, 600)):
+        assert repr(leaves[part]) == repr(tuple(want[part]))
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            leaves[i]
+    first, *_, last = grid_leaf_law(spec)
+    assert (first, last) == (want[0], want[-1]) and last.final and not first.final
+    (only,) = grid_leaf_law(GridWalkSpec(8, 8, 8))
+    assert repr(only) == repr(grid_leaf_law_reference(GridWalkSpec(8, 8, 8))[0])
