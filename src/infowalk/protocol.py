@@ -115,18 +115,21 @@ class LeafIds(_Lazy):
         return "".join(reversed(parts))
 
 
-class SplicedIds(LeafIds):
+class SplicedIds(_Lazy):
     """The leaf ids of a tree made by splicing subtrees in below the leaves
     of another, whose ids are ``base``: leaf i gives way to its id followed by
     each path of ``ends[kind[i]]``, its subtree's paths in preorder (("",)
     for a leaf left as it was).  Nothing is derived from the new tree."""
 
-    __slots__ = ("_base", "_kind", "_ends", "_first")
+    __slots__ = ("_count", "_base", "_kind", "_ends", "_first")
 
     def __init__(self, base: Sequence, kind: np.ndarray, ends: list):
         counts = np.array(list(map(len, ends)), np.intp)[kind]
         self._count, self._base, self._kind, self._ends = int(counts.sum()), base, kind, ends
         self._first = counts.cumsum() - counts  # the new index of each base leaf's first path
+
+    def __len__(self):
+        return self._count
 
     def _at(self, i):
         leaf = int(np.searchsorted(self._first, i, side="right")) - 1
@@ -161,10 +164,9 @@ class ProtocolTree:
     ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
     ``arrays``, and may pass ``plan``, the scan plan of a tree with the same
     ``owner`` and ``child1``, or ``law``, the leaf ids and factor rows of its
-    path law, as scans would give them.  ``plan``, the
-    groups of paths that scans down the tree take, and ``path_law``, from
-    which ``law_of`` prices the tree under any prior, are derived from the
-    arrays when first read.
+    path law, as scans would give them.  ``plan``, the groups of paths that
+    scans down the tree take, and ``path_law``, from which ``law_of`` prices
+    the tree under any prior, are derived from the arrays when first read.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
@@ -329,7 +331,7 @@ def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.nd
     return edges[:-2]
 
 
-def _path_law(tree: ProtocolTree, leaf_ids: Optional[LeafIds] = None,
+def _path_law(tree: ProtocolTree, leaf_ids: Optional[Sequence] = None,
               factors: Optional[np.ndarray] = None) -> PathLaw:
     owner, signal, child1 = tree.owner, tree.signal, tree.child1
     leaves = (owner < 0).nonzero()[0]
