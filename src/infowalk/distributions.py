@@ -8,7 +8,7 @@ use compensated summation so the stated tolerances hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +63,12 @@ class JointDistribution:
         m = np.array(self.mass, dtype=float)
         if m.shape != (self.nx, self.ny):
             raise ShapeMismatchError(f"mass shape {m.shape} != ({self.nx}, {self.ny})")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DistributionError("mass entries must be finite")
         m[np.abs(m) < SNAP_EPS] = 0.0
-        if np.any(m < 0.0):
+        if (m < 0.0).any():
             raise DistributionError("mass entries must be nonnegative")
-        total = math.fsum(m.flat)
+        total = math.fsum(m.ravel().tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise DistributionError(f"total mass {total!r} is not 1")
         m.flags.writeable = False
@@ -128,11 +128,13 @@ class Decomposition:
 
     The real prior it encodes is odot(reference, pretend); the pretend part is
     what protocol signals act on.  Fields x, y, z name the three distinct
-    entries of the symmetric reference.
+    entries of the symmetric reference.  ⟨ν, μ⟩ is computed once, when the
+    pair is made.
     """
 
     reference: JointDistribution
     pretend: ProductDistribution
+    _inner: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.reference
@@ -140,8 +142,10 @@ class Decomposition:
             raise DecompositionError("reference measure must be 2x2")
         if abs(r.mass[0, 1] - r.mass[1, 0]) > SYMMETRY_TOLERANCE:
             raise DecompositionError("reference measure must be symmetric")
-        if self.inner() <= 0.0:
+        inner = float((r.mass * self.pretend.as_joint().mass).sum())
+        if inner <= 0.0:
             raise UndefinedProductError("reference and pretend have zero overlap")
+        object.__setattr__(self, "_inner", inner)
 
     @property
     def x(self) -> float:
@@ -156,9 +160,7 @@ class Decomposition:
         return float(self.reference.mass[1, 1])
 
     def inner(self) -> float:
-        return float(
-            np.sum(self.reference.mass * self.pretend.as_joint().mass)
-        )
+        return self._inner
 
     def compose(self) -> JointDistribution:
         return odot(self.reference, self.pretend.as_joint())
@@ -186,32 +188,25 @@ class EntropyProfile:
     h_y_given_x: float
 
 
-def _entropy(terms) -> float:
-    return -math.fsum(_xlog2(t) for t in terms)
-
-
-def _cond_term(joint: float, marginal: float) -> float:
-    return joint * math.log2(joint / marginal) if joint > 0.0 else 0.0
-
-
 def entropy_profile(d: JointDistribution) -> EntropyProfile:
     """Joint, marginal, and conditional entropies, each summed directly.
 
     The conditionals sum m(x,y)·log2(m(x,y)/marginal) cell by cell rather
     than subtracting entropies, so the identity H(XY) = H(X) + H(Y|X) is a
-    genuine numerical check on the output.
+    genuine numerical check on the output.  Each quantity is one exactly
+    rounded ``math.fsum`` over the positive cells' terms, so leaving out the
+    zero cells changes no bit.
     """
-    m = d.mass
-    px = d.marginal_x()
-    py = d.marginal_y()
-    h_xy = _entropy(m.flat)
-    h_x = _entropy(px)
-    h_y = _entropy(py)
+    rows = d.mass.tolist()
+    px, py = d.marginal_x().tolist(), d.marginal_y().tolist()
+    h_xy = -math.fsum([t * math.log2(t) for row in rows for t in row if t > 0.0])
+    h_x = -math.fsum([t * math.log2(t) for t in px if t > 0.0])
+    h_y = -math.fsum([t * math.log2(t) for t in py if t > 0.0])
     h_x_given_y = -math.fsum(
-        _cond_term(m[i, j], py[j]) for i in range(d.nx) for j in range(d.ny)
+        [t * math.log2(t / b) for row in rows for t, b in zip(row, py) if t > 0.0]
     )
     h_y_given_x = -math.fsum(
-        _cond_term(m[i, j], px[i]) for i in range(d.nx) for j in range(d.ny)
+        [t * math.log2(t / a) for row, a in zip(rows, px) for t in row if t > 0.0]
     )
     return EntropyProfile(h_x, h_y, h_xy, h_x_given_y, h_y_given_x)
 

@@ -68,12 +68,12 @@ class TranscriptLaw:
             raise DistributionError(
                 f"cond shape {cond.shape} != ({T}, {self.prior.nx}, {self.prior.ny})"
             )
-        if np.any(cond < -COND_TOLERANCE) or np.any(cond > 1.0 + COND_TOLERANCE):
+        if (cond < -COND_TOLERANCE).any() or (cond > 1.0 + COND_TOLERANCE).any():
             raise DistributionError("conditional probabilities outside [0, 1]")
         np.clip(cond, 0.0, 1.0, out=cond)
         sums = cond.sum(axis=0)
         live = self.prior.mass > 0.0
-        if np.any(np.abs(sums[live] - 1.0) > COND_TOLERANCE):
+        if (np.abs(sums[live] - 1.0) > COND_TOLERANCE).any():
             raise DistributionError(
                 "conditional transcript probabilities do not sum to 1 on the support"
             )

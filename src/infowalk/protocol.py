@@ -39,6 +39,9 @@ COLUMNS = "columns"
 # transcripts of a 2x2 tree, whose flattening and path law peak at 160 bytes each
 # (168 MB; 165 bytes at 2**18, by tracemalloc on a file of shared levels).
 JSON_FACTOR_CAP = 2**22
+# A deep tree's scan groups hold at most this many heavy paths, so that the
+# copies of rows a scan makes take a chunk's size (see ``_plan``).
+SCAN_CHUNK_PATHS = 2**14
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,9 +308,12 @@ def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
             scale = np.frexp(length[paths])[1]
             groups = [paths[scale == k] for k in np.unique(scale)]
         for g in groups:
-            cols = np.arange(length[g].max(), dtype=np.int32)
-            at = order[np.minimum(first[g][:, None] + cols, n - 1)]
-            plan.append((start[g], np.where(cols < length[g][:, None], at, np.int32(n + 1))))
+            for lo in range(0, len(g), SCAN_CHUNK_PATHS):  # disjoint paths, chunk by chunk
+                chunk = g[lo:lo + SCAN_CHUNK_PATHS]
+                cols = np.arange(length[chunk].max(), dtype=np.int32)
+                at = order[np.minimum(first[chunk][:, None] + cols, n - 1)]
+                plan.append((start[chunk],
+                             np.where(cols < length[chunk][:, None], at, np.int32(n + 1))))
     return plan
 
 
@@ -336,14 +342,14 @@ def _path_law(tree: ProtocolTree, leaf_ids: Optional[Sequence] = None,
     owner, signal, child1 = tree.owner, tree.signal, tree.child1
     leaves = (owner < 0).nonzero()[0]
     if factors is None:
-        factors = np.empty((len(leaves), tree.nx + tree.ny))
+        # one scan for both players: the other player's columns multiply by 1.0
+        edges = np.ones((len(owner) + 2, tree.nx + tree.ny))
         for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
                                   (1, tree.bob, slice(tree.nx, None))):
             at = (owner == side).nonzero()[0]
             s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
-            edges = np.ones((len(owner) + 2, s.shape[1]))
-            edges[at + 1], edges[child1[at]] = 1.0 - s, s
-            factors[:, cols] = _scan(tree.plan, np.multiply, edges, 1.0)[leaves]
+            edges[at + 1, cols], edges[child1[at], cols] = 1.0 - s, s
+        factors = _scan(tree.plan, np.multiply, edges, 1.0)[leaves]
         leaf_ids = LeafIds(len(leaves), owner, child1, tree.plan)
     symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
     outputs = tuple(symbols.take(signal[leaves]).tolist())

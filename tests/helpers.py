@@ -9,6 +9,7 @@ from infowalk import (
     BOB,
     CostReport,
     Decomposition,
+    EntropyProfile,
     Internal,
     JointDistribution,
     Leaf,
@@ -260,6 +261,30 @@ def residual_entropies_reference(law):
         -math.fsum(_plogq(j[c], j[c] / pt_x[c[0], c[1]]) for c in cells
                    if pt_x[c[0], c[1]] > 0.0),
         -math.fsum(_plogq(j[c], j[c] / pt[c[0]]) for c in cells if pt[c[0]] > 0.0),
+    )
+
+
+def _entropy(terms):
+    return -math.fsum(t * math.log2(t) if t > 0.0 else 0.0 for t in terms)
+
+
+def _cond_term(joint, marginal):
+    return joint * math.log2(joint / marginal) if joint > 0.0 else 0.0
+
+
+def entropy_profile_reference(d):
+    """``entropy_profile`` by one term per cell, zero cells included, read
+    off the arrays element by element."""
+    m = d.mass
+    px = d.marginal_x()
+    py = d.marginal_y()
+    cells = [(i, j) for i in range(d.nx) for j in range(d.ny)]
+    return EntropyProfile(
+        h_x=_entropy(px),
+        h_y=_entropy(py),
+        h_xy=_entropy(m.flat),
+        h_x_given_y=-math.fsum(_cond_term(m[i, j], py[j]) for i, j in cells),
+        h_y_given_x=-math.fsum(_cond_term(m[i, j], px[i]) for i, j in cells),
     )
 
 

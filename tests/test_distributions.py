@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infowalk import (
+    Decomposition,
     DistributionError,
     JointDistribution,
     PreconditionError,
@@ -18,7 +20,7 @@ from infowalk import (
     truncated_entropy,
 )
 
-from helpers import random_prior, total_variation
+from helpers import random_prior, random_symmetric_decomposition, total_variation
 
 
 def test_binary_entropy_values():
@@ -96,14 +98,20 @@ def test_truncated_entropy_monotone():
 
 
 def test_joint_distribution_validation():
-    with pytest.raises(DistributionError):
-        JointDistribution.from_mass([[0.5, 0.6], [0.0, 0.0]])  # sum > 1
-    with pytest.raises(DistributionError):
-        JointDistribution.from_mass([[1.1, -0.1], [0.0, 0.0]])
-    with pytest.raises(DistributionError):
-        JointDistribution.from_mass([[float("nan"), 1.0], [0.0, 0.0]])
-    with pytest.raises(ShapeMismatchError):
+    # every check keeps its exception and its message
+    for mass, message in (
+        ([[0.5, 0.6], [0.0, 0.0]], r"total mass 1\.1 is not 1"),
+        ([[0.5, 0.5 + 1e-11], [0.0, 0.0]], r"total mass 1\.00000000001 is not 1"),
+        ([[1.1, -0.1], [0.0, 0.0]], "mass entries must be nonnegative"),
+        ([[float("nan"), 1.0], [0.0, 0.0]], "mass entries must be finite"),
+        ([[float("inf"), 0.0], [0.0, 0.0]], "mass entries must be finite"),
+    ):
+        with pytest.raises(DistributionError, match=f"^{message}$"):
+            JointDistribution.from_mass(mass)
+    with pytest.raises(ShapeMismatchError, match=r"^mass shape \(2, 2\) != \(2, 3\)$"):
         JointDistribution(2, 3, np.full((2, 2), 0.25))
+    d = JointDistribution.from_mass([[1.0, -1e-16], [0.0, 0.0]])  # dust, not a negative
+    assert d.mass[0, 1] == 0.0 and math.copysign(1.0, d.mass[0, 1]) == 1.0
 
 
 def test_joint_distribution_snaps_dust_to_zero():
@@ -228,3 +236,22 @@ def test_symmetric_decomposition_requires_positive_corner_entries():
         JointDistribution.from_mass([[0.4, 0.3], [0.3, 0.0]])
     )
     assert dec.z == 0.0
+
+
+def test_inner_is_the_sum_of_the_entrywise_product_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dec = random_symmetric_decomposition(rng, lo=float(rng.choice([1e-3, 0.05])))
+        want = float(np.sum(dec.reference.mass * dec.pretend.as_joint().mass))
+        assert dec.inner().hex() == want.hex()
+        pretend = ProductDistribution(*rng.uniform(0.01, 0.99, size=2))
+        moved = dataclasses.replace(dec, pretend=pretend)
+        want = float(np.sum(dec.reference.mass * pretend.as_joint().mass))
+        assert moved.inner().hex() == want.hex()
+        assert moved.inner() != dec.inner()
+
+
+def test_decomposition_rejects_zero_overlap_when_made():
+    nu = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(UndefinedProductError, match="zero overlap"):
+        Decomposition(nu, ProductDistribution(1.0, 0.5))

@@ -13,9 +13,12 @@ posteriors.  The grid walk's tree, leaf law and Kolmogorov distance, and
 the continuous leaf law's CDF on arrays, are bit-identical to phase-by-phase
 and point-by-point loops.  A completed tree's inherited law equals the law
 that scans of its own arrays give, bit for bit, and the one-axis margins
-equal numpy's sums bit for bit.
+equal numpy's sums bit for bit.  Scans are bit-identical at any chunk size,
+and ``entropy_profile`` equals the per-cell loops bit for bit, the sign of a
+zero included.
 """
 
+import dataclasses
 import json
 import math
 
@@ -38,6 +41,7 @@ from infowalk import (
     buzzer_leaf_law,
     complete_to_zero_error,
     cost_report,
+    entropy_profile,
     evaluate_error_law,
     external_ic,
     flip_tree,
@@ -53,11 +57,13 @@ from infowalk import (
     walk,
 )
 from infowalk import infocost, protocol
+from infowalk.distributions import SNAP_EPS
 
 from helpers import (
     buzzer_grid_tree_reference,
     complete_reference,
     cost_report_reference,
+    entropy_profile_reference,
     evaluate_error_reference,
     flip_tree_reference,
     grid_law_kolmogorov_reference,
@@ -380,6 +386,23 @@ def shared_node_files():
 SHARED_NODE_FILES = list(shared_node_files())
 
 
+@pytest.mark.parametrize("chunk", (1, 3))
+def test_scans_are_bit_identical_at_any_chunk_size(chunk, monkeypatch):
+    trees = [tree for tree, _ in INSTANCES[::4]] + [buzzer_grid_tree(GridWalkSpec(256, 128, 64))]
+    trees += [tree_from_json(text) for text in SHARED_NODE_FILES]
+
+    def scanned(tree):  # from a copy of the arrays, so that nothing is inherited
+        tree = ProtocolTree(tree.nx, tree.ny, tree.outputs, arrays=(
+            tree.owner, tree.signal, tree.child1, tree.copy_of, tree.alice, tree.bob))
+        law = tree.path_law
+        flipped = flip_tree(tree, 0, 1, 0.3).path_law
+        return law.factors.tobytes(), tuple(law.leaf_ids), tree.depth(), flipped.factors.tobytes()
+
+    want = [scanned(tree) for tree in trees]
+    monkeypatch.setattr(protocol, "SCAN_CHUNK_PATHS", chunk)
+    assert [scanned(tree) for tree in trees] == want
+
+
 @pytest.mark.parametrize("k", range(len(SHARED_NODE_FILES)))
 def test_shared_node_files_round_trip_and_match_node_built_trees(k):
     text = SHARED_NODE_FILES[k]
@@ -677,3 +700,30 @@ def test_grid_leaf_law_reads_as_a_sequence():
     assert (first, last) == (want[0], want[-1]) and last.final and not first.final
     (only,) = grid_leaf_law(GridWalkSpec(8, 8, 8))
     assert repr(only) == repr(grid_leaf_law_reference(GridWalkSpec(8, 8, 8))[0])
+
+
+@st.composite
+def small_priors(draw):
+    """Priors on 1×1 to 4×4 with zero rows and columns, point masses, and
+    cells down to SNAP_EPS beside cells of any size."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.one_of(st.just(0.0), st.sampled_from((SNAP_EPS, 2 * SNAP_EPS, 1e-12)),
+                     st.floats(SNAP_EPS, 1.0))
+    raw = np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    raw[draw(st.lists(st.integers(0, nx - 1), max_size=3))] = 0.0
+    raw[:, draw(st.lists(st.integers(0, ny - 1), max_size=3))] = 0.0
+    if draw(st.booleans()):
+        raw[:] = 0.0
+    raw[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] = draw(st.floats(0.5, 1.0))
+    tiny = raw < 1e-9  # kept as they are, so that masses reach SNAP_EPS
+    scale = (1.0 - math.fsum(raw[tiny].tolist())) / math.fsum(raw[~tiny].tolist())
+    return JointDistribution.from_mass(np.where(tiny, raw, raw * scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_priors())
+def test_entropy_profile_is_the_per_cell_loops_bit_for_bit(d):
+    got, want = entropy_profile(d), entropy_profile_reference(d)
+    assert [float.hex(v) for v in dataclasses.astuple(got)] == \
+        [float.hex(v) for v in dataclasses.astuple(want)]
+

@@ -61,10 +61,29 @@ def test_law_of_reveal_and_coin():
 def test_transcript_law_validation():
     prior = JointDistribution.uniform(2, 2)
     bad = np.full((2, 2, 2), 0.4)  # sums to .8 per input
-    with pytest.raises(DistributionError):
+    sums = "conditional transcript probabilities do not sum to 1 on the support"
+    with pytest.raises(DistributionError, match=f"^{sums}$"):
         TranscriptLaw(prior, ("a", "b"), bad)
     with pytest.raises(DistributionError):
         TranscriptLaw(prior, ("a",), np.full((1, 2, 2), 1.2))
+    # the probabilities of both transcripts at the input (1, 0), just past each check
+    outside = r"conditional probabilities outside \[0, 1\]"
+    for cells, message in (((-1e-9, 1.0 + 1e-9), outside), ((1.0 + 1e-9, 0.0), outside),
+                           ((0.9, 0.0), sums)):
+        cond = np.zeros((2, 2, 2))
+        cond[0] = 1.0
+        cond[:, 1, 0] = cells
+        with pytest.raises(DistributionError, match=f"^{message}$"):
+            TranscriptLaw(prior, ("a", "b"), cond)
+    cond = np.zeros((2, 2, 2))
+    cond[0] = 1.0
+    with pytest.raises(DistributionError, match="^outputs length does not match transcripts$"):
+        TranscriptLaw(prior, ("a", "b"), cond, outputs=(0,))
+    cond[0, 1] = 0.0  # the row x = 1 sums to 0: allowed where the prior has no mass
+    law = TranscriptLaw(JointDistribution.from_mass([[0.5, 0.5], [0.0, 0.0]]), ("a", "b"), cond)
+    assert law.cond[:, 1].sum() == 0.0
+    with pytest.raises(DistributionError, match=f"^{sums}$"):
+        TranscriptLaw(prior, ("a", "b"), cond)
 
 
 def test_internal_ic_examples():

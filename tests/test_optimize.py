@@ -50,6 +50,32 @@ def test_full_support_maximum():
     assert abs(opt.value - ic_and_zero(opt.argmax)) <= 1e-9
 
 
+# (value, argmax.mass row by row, trace values) by float.hex, so that a faster
+# optimizer or cost layer must keep every bit
+OPT_PINS = {
+    ZERO_AT_11: (
+        "0x1.ee49643d97382p-2",
+        ["0x1.7615555555554p-2", "0x1.44eaaaaaaaaabp-2", "0x1.4500000000000p-2", "0x0.0p+0"],
+        ["0x1.ec709dc3a0400p-2", "0x1.ee1fd0e74b1a2p-2", "0x1.ee49268937e3ep-2",
+         "0x1.ee49268937e3ep-2", "0x1.ee4963da45a04p-2", "0x1.ee49643d97382p-2"],
+    ),
+    FULL_SUPPORT: (
+        "0x1.7e06063550700p+0",
+        ["0x1.4b55555555558p-4", "0x1.0ec0000000000p-2", "0x1.0ec0000000000p-2",
+         "0x1.8faaaaaaaaaaap-2"],
+        ["0x1.7d17932681508p+0", "0x1.7dcdbc36e2e02p+0", "0x1.7e01b1f438161p+0",
+         "0x1.7e0600d46dc0bp+0", "0x1.7e0602f9597f5p+0", "0x1.7e06063550700p+0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("constraint", OPT_PINS)
+def test_optimizer_results_are_pinned_bit_for_bit(constraint):
+    opt = maximize_ic_and(constraint)
+    assert (opt.value.hex(), [float(v).hex() for v in opt.argmax.mass.flat],
+            [step.value.hex() for step in opt.trace]) == OPT_PINS[constraint]
+
+
 @pytest.mark.parametrize("levels", [3, 6])
 def test_full_support_dominates_zero_diagonal(levels):
     full = maximize_ic_and(FULL_SUPPORT, levels=levels)
