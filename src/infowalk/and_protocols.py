@@ -163,15 +163,16 @@ class GridWalkSpec:
 
     @classmethod
     def from_start(cls, p: float, q: float, n: int = 1024):
-        """Snap a real start to the nearest lattice point.
+        """Snap a real start to the nearest lattice point, an interior
+        coordinate to 1..n−1 (on an edge the walk has stopped already).
 
         Returns (spec, snap distance) so callers can report how far the
         requested start moved."""
         if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
             raise PreconditionError(f"grid start ({p!r}, {q!r}) outside [0, 1]²")
-        a, b = round(p * n), round(q * n)
-        spec = cls(n, a, b)
-        return spec, float(max(abs(a / n - p), abs(b / n - q)))
+        a, b = (min(max(round(v * n), 1), n - 1) if 0.0 < v < 1.0 else round(v * n)
+                for v in (p, q))
+        return cls(n, a, b), float(max(abs(a / n - p), abs(b / n - q)))
 
     @property
     def start(self) -> ProductDistribution:
@@ -184,8 +185,10 @@ def buzzer_grid_tree(
     """The collapsed grid walk as a finite caterpillar protocol.
 
     Every give-up exit is a leaf with output 0; the (n, n) corner outputs 1.
-    The tree errs on no input: a player holding 1 never takes a give-up
-    branch, and the corner is reached only when both posteriors are certain.
+    From an interior start (0 < a, b < n) the tree errs on no input: a
+    player holding 1 never takes a give-up branch, and the corner is reached
+    only when both posteriors are certain.  An edge start takes that input as
+    known, and errs with probability 1 on the inputs where it is not.
     The signals are measure-independent; ``dec`` (when given) only fixes the
     symmetric-reference context the tree is meant to run under.
 
@@ -382,7 +385,7 @@ def potential_of_tree(tree: ProtocolTree, c: float, dec: Decomposition) -> float
             f"distribution (off by {gap[bad]:.3e})"
         )
     terms = prob[live] * np.maximum(c - np.maximum(lp, lq), 0.0) ** 2
-    return math.fsum(terms.tolist())
+    return float(terms.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 One binary, one subcommand per experiment.  Every JSON or CSV artifact
 embeds the invoking configuration and the library version, so a file always
 identifies the run that produced it; rerunning a command with the same
-configuration and seed rewrites artifacts byte for byte.  The one exception
-is the completed tree of ``complete --out-tree``: a plain protocol file, so
-that ``ic --protocol`` reads it back.  Exit codes separate the three failure
-families: 1 for inputs that do not parse, 2 for calls outside an operation's
-domain, 3 for blown resource caps.
+configuration and seed rewrites artifacts byte for byte on the same host and
+numpy build, whose log2 and sums may round costs differently elsewhere.  The
+one exception is the completed tree of ``complete --out-tree``: a plain
+protocol file, so that ``ic --protocol`` reads it back.  Exit codes separate
+the three failure families: 1 for inputs that do not parse, 2 for calls
+outside an operation's domain, 3 for blown resource caps.
 
 Randomized modes (``disj --mode mc``, ``xor --search``) require an explicit
 ``--seed``; the library refuses a seedless call before any output, and every

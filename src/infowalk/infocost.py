@@ -5,10 +5,13 @@ is a sufficient statistic for every cost computed here: internal and external
 information cost, the concealed information that complements each, and the
 scaled cost SIM used by the AND analysis.
 
-Everything is in bits, by direct compensated summation over every cell
-(transcript × input) of the law.  The sums walk the law in blocks of
-transcripts, so the memory their terms take is bounded by the block, not by
-the law.
+Everything is in bits, summed over every cell (transcript × input) of the
+law with numpy's log2, products and sums.  Each cost is within a stated bound
+of its exact value at the law's floats; ``tests/helpers.py`` states the bound
+as a function of the law and checks it against a 40-digit oracle.  The last
+bits may differ between numpy builds and CPUs.  The sums walk the law in
+blocks of transcripts, so the memory their terms take is bounded by the
+block, not by the law.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -33,15 +35,10 @@ from .protocol import ALICE, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
-# The entropy sums and ``leaf_posteriors`` walk the law in blocks of about
-# this many cells (whole transcripts, at least one).  A block's masked terms and
-# Python float lists take about 57 bytes a cell (0.9 MB a block), and the row
-# sums' partials, one array over the block's rows per cell of a row, with their
-# scratch about 31 (0.5 MB).  Both sit on the law-sized arrays: tracemalloc puts
-# ``cost_report`` on a 2x2 law of 2**18 transcripts at a 19.4 MB peak and
-# ``leaf_posteriors`` at 28.6 MB, against 53.5 and 42.5 MB in one block.  Blocks
-# this small keep the partials in cache: ``leaf_posteriors`` of 2**14
-# transcripts takes 1.9 ms, against 2.7 ms in blocks of 2**16 cells.
+# The entropy sums walk the law in blocks of about this many cells (whole
+# transcripts, at least one), so that their terms take a block's memory: on a 2x2
+# law of 2**18 transcripts ``cost_report`` peaks at 18.3 MB (tracemalloc), 35.1 MB
+# in one block, and ``buzzer --n 262144`` at 90.0 MB (VmHWM), 104.2 MB in one block.
 SUM_BLOCK_CELLS = 2**14
 
 
@@ -113,63 +110,13 @@ def _snap(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _fsum_rows(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-d block, bit for bit, by fsum's own
-    algorithm run on every row at once.  Each column joins its row's Shewchuk
-    partials by exact two-sums, lowest partial first; a partial that comes out
-    zero keeps its slot, since adding zero leaves every later sum as it is, and
-    the slots are compacted when they outgrow both 8 and twice the count that
-    the last compaction kept.  The partials are then added from the top down
-    until a sum is inexact, and fsum's half-even fix applies where the inexact
-    part and the next partial below it have the same sign.  As for fsum, the
-    cells must be finite and no partial sum may overflow."""
-    parts, used, limit = rows.T.copy(), 0, 8  # parts[:used] hold each row's partials
-    x, hi, x_part, y_part = np.empty((4, len(rows)))
-    for c in range(len(parts)):
-        x[:] = parts[c]
-        for y in parts[:used]:  # two-sum: x + y = hi + lo exactly, lo into y
-            np.add(x, y, out=hi)
-            np.subtract(hi, x, out=y_part)
-            np.subtract(hi, y_part, out=x_part)
-            np.subtract(x, x_part, out=x_part)
-            np.subtract(y, y_part, out=y_part)
-            np.add(x_part, y_part, out=y)
-            x, hi = hi, x
-        parts[used], used = x, used + 1
-        if used > limit:  # keep the nonzero partials, in order
-            live = parts[:used] != 0.0
-            kept = np.take_along_axis(parts[:used], np.argsort(~live, axis=0, kind="stable"), 0)
-            used = int(live.sum(axis=0).max())
-            parts[:used], limit = kept[:used], max(limit, 2 * used)
-    # from the top, fsum's sum of the partials until one is inexact: from there
-    # on a row adds zeros, keeps that sum's remainder ``lo`` and sums the
-    # partials below into ``under``, which takes the sign of the largest of them
-    total, lo, under = np.zeros((3, len(rows)))
-    for y in parts[:used][::-1]:
-        y_in = y * (lo == 0.0)
-        np.add(total, y_in, out=hi)
-        lo += y_in - (hi - total)
-        under += y - y_in
-        total, hi = hi, total
-    twice = 2.0 * lo  # round half to even across the partials
-    up = total + twice
-    even = ((lo < 0.0) & (under < 0.0)) | ((lo > 0.0) & (under > 0.0))
-    return np.where(even & (up - total == twice), up, total)
-
-
 def leaf_posteriors(law: TranscriptLaw, prior: Optional[JointDistribution] = None):
     """(Pr[t], posterior of t) per transcript under ``prior`` (by default the
-    law's): the exactly rounded sum (``math.fsum``'s, bit for bit) of
-    prior ⊙ Pr[t|x,y], and that table over it, snapped as JointDistribution
-    snaps.  A transcript of probability zero has an all-zero posterior.  The
-    rows reach their sums in blocks of about ``SUM_BLOCK_CELLS`` cells, every
-    row of a block at once, so their partials never take the law's size."""
+    law's): the row sum of prior ⊙ Pr[t|x,y], and that table over it, snapped
+    as JointDistribution snaps.  A transcript of probability zero has an
+    all-zero posterior."""
     joint = law.cond * (prior or law.prior).mass[None, :, :]
-    rows = joint.reshape(len(joint), -1)
-    step = max(1, SUM_BLOCK_CELLS // max(1, rows.shape[1]))
-    prob = np.empty(len(rows))
-    for lo in range(0, len(rows), step):
-        prob[lo:lo + step] = _fsum_rows(rows[lo:lo + step])
+    prob = joint.reshape(len(joint), -1).sum(axis=1)
     live = (prob > 0.0)[:, None, None]
     post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
     return prob, _snap(post)
@@ -191,28 +138,20 @@ class CostReport:
 
 
 def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
-    """−Σ weight·log₂(table / margin) over the cells where table > 0, one
-    compensated sum per margin (an array with the table's first axis that
-    broadcasts against it).
-
-    Each sum is one exactly rounded ``math.fsum`` fed block by block along
-    the first axis, so it is bit-identical at any block size.  libm's log2,
-    as in a per-cell loop, keeps each sum bit-identical to one (numpy's log2
-    differs in the last bit on ~0.1% of arguments); the exactly-zero terms
-    where table = margin, and the cells where table = 0, read a ratio of 1
-    and are skipped."""
+    """−Σ weight·log₂(table / margin) over the cells where table > 0, one sum
+    per margin (an array with the table's first axis that broadcasts against
+    it), by numpy over blocks of about ``SUM_BLOCK_CELLS`` cells along the
+    first axis, whose sums ``math.fsum`` adds, so that the rounding does not
+    grow with the block count.  Cells where table = 0 read a ratio of 1."""
     step = max(1, SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
-
-    def terms(margin):
-        for lo in range(0, len(table), step):
-            p = table[lo:lo + step]
-            q = np.divide(p, margin[lo:lo + step], out=np.ones(p.shape), where=p > 0.0)
-            keep = q != 1.0
-            logs = np.fromiter(map(math.log2, q[keep].tolist()), float,
-                               np.count_nonzero(keep))
-            yield (weight[lo:lo + step][keep] * logs).tolist()
-
-    return tuple(-math.fsum(chain.from_iterable(terms(m))) for m in margins)
+    parts = [[] for _ in margins]
+    for lo in range(0, len(table), step):
+        p, w = table[lo:lo + step], weight[lo:lo + step]
+        live = p > 0.0
+        for margin, part in zip(margins, parts):
+            q = np.divide(p, margin[lo:lo + step], out=np.ones(p.shape), where=live)
+            part.append(float(np.sum(w * np.log2(q))))
+    return tuple(-math.fsum(part) for part in parts)
 
 
 def _margin(a: np.ndarray, axis) -> np.ndarray:
@@ -232,7 +171,7 @@ def _margin(a: np.ndarray, axis) -> np.ndarray:
 
 def _residual_entropies(law: TranscriptLaw, axes=(1, 2, (1, 2))) -> tuple:
     """Those of (H(X|ΠY), H(Y|ΠX), H(XY|Π)) whose margins sum over ``axes``
-    (1, 2 and (1, 2) in turn), by direct compensated summation."""
+    (1, 2 and (1, 2) in turn)."""
     j = law.joint()  # (T, nx, ny)
     return _neg_plogq_sums(j, j, [_margin(j, axis) for axis in axes])
 
@@ -241,14 +180,11 @@ def cost_report(law: TranscriptLaw) -> CostReport:
     """All four costs at once."""
     profile = entropy_profile(law.prior)
     h_x_g_ty, h_y_g_tx, h_xy_g_t = _residual_entropies(law)
-    ci_internal = h_x_g_ty + h_y_g_tx
-    ci_external = h_xy_g_t
     return CostReport(
-        ic_internal=(profile.h_x_given_y - h_x_g_ty)
-        + (profile.h_y_given_x - h_y_g_tx),
+        ic_internal=(profile.h_x_given_y - h_x_g_ty) + (profile.h_y_given_x - h_y_g_tx),
         ic_external=profile.h_xy - h_xy_g_t,
-        ci_internal=ci_internal,
-        ci_external=ci_external,
+        ci_internal=h_x_g_ty + h_y_g_tx,
+        ci_external=h_xy_g_t,
     )
 
 
@@ -293,8 +229,8 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
     ⟨ν, μ_t⟩ · CI(ν ⊙ μ_t): sample the transcript under the pretend product
     measure, recompose its pretend posterior, and take the concealed
     information there.  Requires the law's prior to be exactly the
-    decomposition's recomposition.  One array pass over the transcripts with
-    compensated sums; it agrees with a per-transcript loop to 1e-12 relative.
+    decomposition's recomposition.  One array pass over the transcripts; it
+    agrees with a per-transcript loop to 1e-12 relative.
     """
     recomposed = dec.compose()
     if (recomposed.nx, recomposed.ny) != (law.prior.nx, law.prior.ny):
@@ -308,9 +244,7 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
     real *= dec.reference.mass  # ν·μ_t, in place: the posteriors are not needed again
     inner = real.sum(axis=(1, 2))  # 0 on a dead transcript's all-zero posterior
     keep = inner > 0.0
-    real = real[keep]
-    real /= real.sum(axis=(1, 2))[:, None, None]
-    real = _snap(real)  # ν ⊙ μ_t
+    real = _snap(real[keep] / inner[keep, None, None])  # ν ⊙ μ_t
     # Σ_t λ_t⟨ν,μ_t⟩·(H(X|Y) + H(Y|X)) at ν ⊙ μ_t, summed cell by cell
     weight = (lam[keep] * inner[keep])[:, None, None] * real
     margins = [_margin(real, axis) for axis in (1, 2)]

@@ -36,8 +36,8 @@ BOB = "bob"
 ROWS = "rows"
 COLUMNS = "columns"
 # A JSON tree may record at most this many factors, nx + ny a transcript: 2**20
-# transcripts of a 2x2 tree, whose flattening and path law peak at 160 bytes each
-# (168 MB; 165 bytes at 2**18, by tracemalloc on a file of shared levels).
+# transcripts of a 2x2 tree, whose parsing, flattening and path law peak at 177
+# bytes each (185 MB; 182 bytes at 2**18, by tracemalloc on a file of shared levels).
 JSON_FACTOR_CAP = 2**22
 # A deep tree's scan groups hold at most this many heavy paths, so that the
 # copies of rows a scan makes take a chunk's size (see ``_plan``).
@@ -634,6 +634,8 @@ def tree_from_json(text: str) -> ProtocolTree:
         raise ParseError("protocol JSON nodes must be a list")
     if any(type(size) is not int or size < 1 for size in (nx, ny)):
         raise ParseError(f"nx = {nx!r} and ny = {ny!r} must be positive integers")
+    if not all(v is None or isinstance(v, (str, int, float)) for v in outputs):
+        raise ParseError(f"protocol JSON outputs {list(outputs)!r}: each must be a JSON scalar")
 
     def checked(index, what):  # a node index must name a listed node
         if type(index) is not int or not 0 <= index < len(raw):

@@ -1,6 +1,8 @@
 """Shared generators and slow reference implementations used across tests."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -328,6 +330,155 @@ def sim_reference(law, dec):
         profile = entropy_profile(odot(nu, mu_t))
         terms.append(lam * inner * (profile.h_x_given_y + profile.h_y_given_x))
     return math.fsum(terms)
+
+
+# ---------------------------------------------------------------------------
+# A 40-digit oracle for the costs, and the error bound that each cost keeps.
+#
+# Every cost is a signed total of entropy sums −Σ weight·log₂(table/margin)
+# over the cells where table > 0 (weight = table, but for sim's).  The oracle
+# forms each table from the law's floats in exact rationals (products, sums,
+# and sim's quotients, snapped as the library snaps), and takes each log with
+# ``decimal`` at ORACLE_DIGITS digits.  The bound of a cost is
+# COST_BOUND_ULPS·2⁻⁵³·S, where S adds weight + |weight·log₂(table/margin)|
+# over every cell of every sum that the cost is made of.  A cell's error
+# scales with these, not with the cost, which cancellation can make tiny (on
+# near-trivial priors internal_ic is up to 6·10⁸ of its own ulp from the exact
+# value): its margin, quotient, log and product each round.  Over the cases of
+# tests/test_cost_bounds.py the largest error is 1.93·2⁻⁵³·S (entropy_profile's
+# H(X|Y), by fsum and libm's log2; 1.78 for a cost summed by numpy), so 8
+# leaves a factor of 4.
+# ---------------------------------------------------------------------------
+
+ORACLE_DIGITS = 40
+COST_BOUND_ULPS = 8
+# each cost as its signed entropy sums: the prior's conditional and joint
+# entropies, the law's residual ones given the transcript, and sim's two
+PROFILE_FIELDS = ("h_x", "h_y", "h_xy", "h_x_given_y", "h_y_given_x")
+COST_TERMS = {
+    "ic_internal": (("h_x_given_y", 1), ("h_x_given_ty", -1),
+                    ("h_y_given_x", 1), ("h_y_given_tx", -1)),
+    "ic_external": (("h_xy", 1), ("h_xy_given_t", -1)),
+    "ci_internal": (("h_x_given_ty", 1), ("h_y_given_tx", 1)),
+    "ci_external": (("h_xy_given_t", 1),),
+    "sim": (("sim_given_y", 1), ("sim_given_x", 1)),
+    **{name: ((name, 1),) for name in PROFILE_FIELDS},
+}
+
+
+def _exact(a):
+    """A float array as an object array of the same shape of exact Fractions."""
+    a = np.asarray(a, dtype=float)
+    return np.array([Fraction(v) for v in a.ravel().tolist()], dtype=object).reshape(a.shape)
+
+
+def _profile_sums(mass):
+    """(weight, table, margin) of each of ``entropy_profile``'s five sums."""
+    px, py = mass.sum(axis=1, keepdims=True), mass.sum(axis=0, keepdims=True)
+    return {"h_x": (px, px, np.ones_like(px)), "h_y": (py, py, np.ones_like(py)),
+            "h_xy": (mass, mass, np.ones_like(mass)),
+            "h_x_given_y": (mass, mass, py), "h_y_given_x": (mass, mass, px)}
+
+
+def _law_sums(law, exact):
+    """The prior's entropy sums and the law's three residual ones."""
+    mass, cond = law.prior.mass, law.cond
+    if exact:
+        mass, cond = _exact(mass), _exact(cond)
+    j = cond * mass[None, :, :]
+    sums = _profile_sums(mass)
+    for name, axis in (("h_x_given_ty", 1), ("h_y_given_tx", 2), ("h_xy_given_t", (1, 2))):
+        sums[name] = (j, j, j.sum(axis=axis, keepdims=True))
+    return sums
+
+
+def _sim_sums(law, dec, exact):
+    """sim's two sums, as ``sim`` forms them: the pretend posteriors, snapped,
+    times ν, renormalized and snapped, weighted by λ_t·⟨ν, μ_t⟩."""
+    cond, mu, nu = law.cond, dec.pretend.as_joint().mass, dec.reference.mass
+    if exact:
+        cond, mu, nu = _exact(cond), _exact(mu), _exact(nu)
+    joint = cond * mu
+    lam = joint.sum(axis=(1, 2))
+    live = lam > 0
+    lam, post = lam[live], joint[live] / lam[live][:, None, None]
+    post[post < SNAP_EPS] = 0
+    real = post * nu
+    inner = real.sum(axis=(1, 2))
+    keep = inner > 0
+    real = real[keep] / inner[keep][:, None, None]
+    real[real < SNAP_EPS] = 0
+    weight = (lam[keep] * inner[keep])[:, None, None] * real
+    return {"sim_given_y": (weight, real, real.sum(axis=1, keepdims=True)),
+            "sim_given_x": (weight, real, real.sum(axis=2, keepdims=True))}
+
+
+def _cells(weight, table, margin):
+    """(weight, table, margin) flattened over the cells where table > 0."""
+    table, margin = np.broadcast_arrays(table, margin)
+    weight = np.broadcast_to(weight, table.shape)
+    live = table > 0
+    return weight[live], table[live], margin[live]
+
+
+def _to_decimal(v):
+    return Decimal(v.numerator) / Decimal(v.denominator)
+
+
+def _neg_plogq_exact(weight, table, margin, logs):
+    """−Σ weight·log₂(table/margin), every log at the context's digits
+    (``logs`` caches ln by value)."""
+    def ln(v):
+        if v not in logs:
+            logs[v] = _to_decimal(v).ln()
+        return logs[v]
+
+    cells = zip(*(a.tolist() for a in _cells(weight, table, margin)))
+    total = sum((_to_decimal(w) * (ln(t) - ln(m)) for w, t, m in cells), Decimal(0))
+    return -total / Decimal(2).ln()
+
+
+def _combine(per_sum, absolute=False):
+    """Each cost whose sums are all in ``per_sum``, as their signed total (or,
+    with ``absolute``, their plain total)."""
+    return {cost: sum(per_sum[name] * (1 if absolute else sign) for name, sign in terms)
+            for cost, terms in COST_TERMS.items() if all(name in per_sum for name, _ in terms)}
+
+
+def _exact_values(sums):
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        logs = {}
+        return _combine({name: _neg_plogq_exact(*arrays, logs) for name, arrays in sums.items()})
+
+
+def _bounds(sums):
+    def total(weight, table, margin):
+        w, t, m = _cells(weight, table, margin)
+        return float(np.sum(w + np.abs(w * np.log2(t / m))))
+
+    per_sum = {name: total(*arrays) for name, arrays in sums.items()}
+    return {cost: COST_BOUND_ULPS * 2.0**-53 * s
+            for cost, s in _combine(per_sum, absolute=True).items()}
+
+
+def _sums(law, dec, exact):
+    sums = _law_sums(law, exact)
+    if dec is not None:
+        sums.update(_sim_sums(law, dec, exact))
+    return sums
+
+
+def exact_costs(law, dec=None):
+    """``cost_report``'s four fields, ``entropy_profile``'s five at the law's
+    prior and, given the decomposition, ``sim``: each a Decimal within about
+    10⁻³⁸·S of its exact value at the law's floats."""
+    return _exact_values(_sums(law, dec, True))
+
+
+def cost_bounds(law, dec=None):
+    """The stated error bound of each cost that ``exact_costs`` returns."""
+    return _bounds(_sums(law, dec, False))
 
 
 def walk_reference(tree, prior):

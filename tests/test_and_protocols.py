@@ -132,6 +132,34 @@ def test_spec_snapping():
     assert spec.start.p == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("p, q, n, a, b", [
+    (0.5, 0.98, 16, 8, 15), (0.02, 0.5, 16, 1, 8), (0.99, 0.01, 16, 15, 1), (0.4, 0.7, 2, 1, 1),
+    (0.0, 0.5, 16, 0, 8), (1.0, 0.25, 16, 16, 4), (1.0, 1.0, 16, 16, 16),
+])
+def test_interior_starts_snap_to_interior_points(p, q, n, a, b):
+    # within 1/(2n) of an edge the nearest lattice point is on it; an
+    # interior start snaps to 1..n-1 instead, and reports the true distance
+    spec, snap = GridWalkSpec.from_start(p, q, n)
+    assert (spec.a, spec.b) == (a, b)
+    assert snap == max(abs(a / n - p), abs(b / n - q))
+    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+        assert evaluate_error(buzzer_grid_tree(spec), Task(AND_TABLE, 0.0)).max_pointwise == 0.0
+
+
+@pytest.mark.parametrize("a, b", [(8, 16), (0, 8), (16, 4), (8, 0)])
+def test_grid_trees_from_edge_starts_err_off_the_edge(a, b):
+    report = evaluate_error(buzzer_grid_tree(GridWalkSpec(16, a, b)), Task(AND_TABLE, 0.0))
+    assert report.max_pointwise == 1.0
+
+
+def test_one_sided_and_near_an_edge_of_the_pretend_square():
+    # this prior's pretend q sits within 1/32 of 1, which snapped onto the
+    # edge at grid 16 and failed the one-sided check
+    w = JointDistribution.from_mass([[0.6053, 0.3475], [0.0058, 0.0414]])
+    law = one_sided_and(0.1, w, n=16)
+    assert internal_ic(law) > 0.0
+
+
 def test_spec_rejects_off_lattice():
     with pytest.raises(PreconditionError):
         GridWalkSpec(8, -1, 3)

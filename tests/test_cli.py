@@ -91,6 +91,24 @@ def test_tree_with_a_bad_root_is_a_parse_error(capsys, files):
     assert out == ""
 
 
+def test_tree_with_list_outputs_is_a_parse_error(capsys, files):
+    _, write = files
+    prior = write("uniform.json", [[0.25, 0.25], [0.25, 0.25]])
+    table = write("f.json", [[0, 0], [0, 1]])
+    tree = write("tree.json", {
+        "nx": 2, "ny": 2, "outputs": [[0], [1]], "root": 0,
+        "nodes": [{"kind": "internal", "owner": "alice", "send_one_prob": [0.0, 1.0],
+                   "child0": 1, "child1": 2},
+                  {"kind": "leaf", "output": [0]}, {"kind": "leaf", "output": [1]}],
+    })
+    for argv in (("ic", "--protocol", tree, "--prior", prior),
+                 ("complete", "--protocol", tree, "--table", table, "--prior", prior)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "must be a JSON scalar" in err and "Traceback" not in err
+        assert out == ""
+
+
 def test_shape_mismatch_is_code_2(capsys, files):
     _, write = files
     tree = write("tree.json", tree_to_json(exchange_tree(2, 2, [[0, 0], [0, 1]])))
@@ -160,6 +178,24 @@ def test_buzzer_artifacts(capsys, files):
     # comment lines carry provenance
     assert lines[0].startswith("# infowalk")
     assert "config" in lines[1]
+
+
+def test_buzzer_start_near_an_edge_snaps_inside(capsys):
+    # q·n = 15.68 used to round onto the edge b = n, which the continuous law
+    # refused as a start that is not interior
+    code, out, err = run(capsys, "buzzer", "--p", "0.5", "--q", "0.98", "--n", "16")
+    assert code == 0, err
+    assert out.startswith("n=16 start=(8,15) snap=0.0424")
+
+
+def test_disj_coordinate_prior_near_an_edge(capsys, files):
+    # its pretend q = 0.98358 snapped onto the edge at grid 16 (ROADMAP item 6)
+    _, write = files
+    prior = write("p.json", [[0.6053, 0.3475], [0.0058, 0.0414]])
+    code, out, err = run(capsys, "disj", "--n", "3", "--eps", "0.1", "--coord-prior", prior,
+                         "--and-grid", "16")
+    assert code == 0, err
+    assert out.startswith("n=3 mode=exact")
 
 
 def test_buzzer_needs_start_or_prior(capsys):

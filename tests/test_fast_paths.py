@@ -2,22 +2,21 @@
 per-path loops, which ``tests/helpers.py`` keeps as oracles.
 
 Tolerances: ``cost_report`` (and ``internal_ic`` and ``external_ic``,
-which compute only their part of it), ``evaluate_error_law``, the
-transcript law itself and ``leaf_posteriors``, whose row sums are
-``math.fsum``'s, are bit-identical; ``sim`` agrees to 1e-12 relative; walk
-posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12 absolute;
-completed trees serialize identically.  The entropy sums walk a law in
-blocks of transcripts, and ``cost_report`` and ``sim`` are bit-identical at
-every block size, and so are ``leaf_posteriors``' probabilities and
-posteriors.  The grid walk's tree, leaf law and Kolmogorov distance, and
-the continuous leaf law's CDF on arrays, are bit-identical to phase-by-phase
-and point-by-point loops.  A completed tree's inherited law equals the law
-that scans of its own arrays give, bit for bit, and the one-axis margins
-equal numpy's sums bit for bit.  Scans are bit-identical at any chunk size,
-and ``entropy_profile`` equals the per-cell loops bit for bit, the sign of a
-zero included.
+which compute only their part of it, bit for bit) is within twice the bound
+that ``tests/helpers.py`` states of the per-cell ``math.fsum`` loops, since
+both are within the bound of the exact value, and so is ``cost_report`` at
+any block size of its sums; ``leaf_posteriors`` is within (cells + 2)·2⁻⁵³
+relative of one ``math.fsum`` per row; ``evaluate_error_law`` and the
+transcript law itself are bit-identical; ``sim`` agrees to 1e-12 relative;
+walk posteriors, leaf probabilities and ``potential_of_tree`` to 1e-12
+absolute; completed trees serialize identically.  The grid walk's tree,
+leaf law and Kolmogorov distance, and the continuous leaf law's CDF on
+arrays, are bit-identical to phase-by-phase and point-by-point loops.  A
+completed tree's inherited law equals the law that scans of its own arrays
+give, bit for bit, and the one-axis margins equal numpy's sums bit for bit.
+Scans are bit-identical at any chunk size, and ``entropy_profile`` equals
+the per-cell loops bit for bit, the sign of a zero included.
 """
-
 import dataclasses
 import json
 import math
@@ -62,6 +61,7 @@ from infowalk.distributions import SNAP_EPS
 from helpers import (
     buzzer_grid_tree_reference,
     complete_reference,
+    cost_bounds,
     cost_report_reference,
     entropy_profile_reference,
     evaluate_error_reference,
@@ -159,6 +159,13 @@ def assert_same_walk(tree, prior):
         assert np.max(np.abs(wl.posterior.mass - posterior.mass)) <= POSTERIOR_TOL
 
 
+def assert_costs_near(law, want):
+    """``cost_report`` within twice each field's stated bound of ``want``."""
+    bounds = cost_bounds(law)
+    for name, value in dataclasses.asdict(cost_report(law)).items():
+        assert abs(value - getattr(want, name)) <= 2 * bounds[name], name
+
+
 def assert_same_error(law, task):
     report = evaluate_error_law(law, task)
     err, violation = evaluate_error_reference(law, task)
@@ -173,7 +180,7 @@ def assert_same_error(law, task):
 def test_random_trees_match_the_slow_loops(k):
     tree, prior = INSTANCES[k]
     law = assert_same_law(tree, prior)
-    assert cost_report(law) == cost_report_reference(law)
+    assert_costs_near(law, cost_report_reference(law))
     assert_same_walk(tree, prior)
     table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny)).tolist()
     assert_same_error(law, Task(table, 1.0, "distributional", measure=prior))
@@ -193,16 +200,6 @@ def test_error_tables_add_in_transcript_order():
                                     one_sided=(1, 0)))
 
 
-def test_entropy_terms_use_libm_log2():
-    # one cell per sum, so each sum is its single term: numpy's log2 would
-    # differ from libm's on a few of these arguments
-    rng = np.random.default_rng(23)
-    for p, m in rng.uniform(1e-6, 1.0, size=(3000, 2)):
-        m = max(p, m)
-        got = infocost._neg_plogq_sums(np.array([p]), np.array([p]), [np.array([m])])
-        assert got == (-(p * math.log2(p / m)) if p != m else -0.0,)
-
-
 def test_sim_and_potential_on_random_two_by_two_trees():
     rng = np.random.default_rng(31)
     for _ in range(30):
@@ -218,7 +215,7 @@ def test_sim_and_potential_on_random_two_by_two_trees():
 @pytest.mark.parametrize("n, w, dec, tree", BUZZERS, ids=BUZZER_IDS)
 def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
     law = assert_same_law(tree, w)
-    assert cost_report(law) == cost_report_reference(law)
+    assert_costs_near(law, cost_report_reference(law))
     assert sim(law, dec) == pytest.approx(sim_reference(law, dec), rel=SIM_RTOL)
     assert abs(potential_of_tree(tree, 0.8, dec) - potential_reference(tree, 0.8, dec)) \
         <= POSTERIOR_TOL
@@ -229,7 +226,7 @@ def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
         complete_reference(flipped, AND_TABLE, w)
     )
     law_c = assert_same_law(completed, w)
-    assert cost_report(law_c) == cost_report_reference(law_c)
+    assert_costs_near(law_c, cost_report_reference(law_c))
     assert_same_error(law_c, Task(AND_TABLE, 1.0, "distributional", measure=w,
                                   one_sided=(1, 0)))
 
@@ -426,9 +423,8 @@ def test_array_built_buzzer_grids_match_node_built_trees(n):
 
 @pytest.fixture(scope="module")
 def priced_laws():
-    """(law, decomposition or None, its prices and leaf posteriors at the
-    default block size) for the random-tree and buzzer-grid cases and their
-    completed trees."""
+    """(law, decomposition or None, its costs at the default block size)
+    for the random-tree and buzzer-grid cases and their completed trees."""
     cases = []
     for k, (tree, prior) in enumerate(INSTANCES):
         table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny))
@@ -441,28 +437,36 @@ def priced_laws():
 
 
 def prices(law, dec):
-    report = cost_report(law)
-    values = [report.ic_internal, report.ic_external, report.ci_internal,
-              report.ci_external] + ([sim(law, dec)] if dec is not None else [])
-    prob, post = infocost.leaf_posteriors(law)
-    return [v.hex() for v in values] + [prob.tobytes(), post.tobytes()]
+    costs = dataclasses.asdict(cost_report(law))
+    if dec is not None:
+        costs["sim"] = sim(law, dec)
+    return costs
 
 
 @pytest.mark.parametrize("transcripts", (1, 3, 7))
 def test_block_wise_sums_are_bit_identical_at_any_block_size(
     transcripts, priced_laws, monkeypatch
 ):
-    for law, dec, default in priced_laws:
+    # no longer bit for bit: at any block size each cost stays within its
+    # stated bound of the exact value, so within twice it of the default's
+    bounds = [cost_bounds(law, dec) for law, dec, _ in priced_laws]
+    for (law, dec, default), bound in zip(priced_laws, bounds):
         cells = transcripts * law.prior.nx * law.prior.ny
         monkeypatch.setattr(infocost, "SUM_BLOCK_CELLS", cells)
-        assert prices(law, dec) == default
+        for name, value in prices(law, dec).items():
+            assert abs(value - default[name]) <= 2 * bound[name], name
 
 
 def test_leaf_posteriors_match_one_fsum_per_row(priced_laws):
+    # a row of k nonnegative cells sums within (k − 1)·2⁻⁵³ of its exact sum,
+    # and each posterior adds the two divisions' rounding
     for law, dec, _ in priced_laws:
+        rtol = (law.prior.nx * law.prior.ny + 2) * 2.0**-53
         for prior in [None] + ([dec.pretend.as_joint()] if dec else []):
             got, want = infocost.leaf_posteriors(law, prior), leaf_posteriors_reference(law, prior)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.all(np.abs(a - b) <= rtol * b)
 
 
 def test_ic_functions_equal_the_cost_report_bit_for_bit(priced_laws):
@@ -470,58 +474,6 @@ def test_ic_functions_equal_the_cost_report_bit_for_bit(priced_laws):
         report = cost_report(law)
         assert internal_ic(law).hex() == report.ic_internal.hex()
         assert external_ic(law).hex() == report.ic_external.hex()
-
-
-@st.composite
-def fsum_blocks(draw):
-    """Blocks of rows of 1 to 16 cells: finite floats of any size, subnormals
-    and signed zeros among them, and an anchor's multiples by 1, 3, 2⁻⁵³, 2⁻⁵⁴
-    and 2⁻¹⁰⁶ of either sign, so that sums cancel exactly and land on
-    half-ulp ties."""
-    width = draw(st.integers(1, 16))
-    anchor = draw(st.floats(2.0**-1000, 2.0**900))
-    cell = st.one_of(
-        st.floats(-1e300, 1e300),
-        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -3 * 2.0**-1074)),
-        st.builds(lambda k, sign: sign * anchor * k,
-                  st.sampled_from((1.0, 3.0, 2.0**-53, 2.0**-54, 2.0**-106)),
-                  st.sampled_from((1.0, -1.0))))
-    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
-                         min_size=1, max_size=6))
-    if draw(st.booleans()):  # half of each row, then its negation
-        rows = [row[:(width + 1) // 2] + [-v for v in row[:width // 2]] for row in rows]
-    return np.array(rows, dtype=float)
-
-
-@settings(max_examples=400, deadline=None)
-@given(fsum_blocks())
-def test_row_sums_are_fsum_bit_for_bit(block):
-    want = np.array([math.fsum(row) for row in block.tolist()])
-    assert np.array_equal(infocost._fsum_rows(block).view(np.int64), want.view(np.int64))
-
-
-def test_leaf_posteriors_make_no_fsum_call_per_transcript(monkeypatch):
-    calls, fsum = [], math.fsum
-
-    def counted(values):
-        calls.append(1)
-        return fsum(values)
-
-    monkeypatch.setattr(infocost.math, "fsum", counted)
-    w = JointDistribution.from_mass([[0.45, 0.15], [0.3, 0.1]])
-    dec = symmetric_decomposition(w)
-    counts = []
-    for n in (16, 1024, 16384):
-        spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
-        law = law_of(buzzer_grid_tree(spec, dec), w)
-        calls.clear()
-        infocost.leaf_posteriors(law)
-        counts.append(len(calls))
-        if n == 16:  # the counter sees a loop of one fsum per row
-            calls.clear()
-            leaf_posteriors_reference(law)
-            assert len(calls) == law.transcript_count()
-    assert counts == [counts[0]] * len(counts)
 
 
 def assert_flip_reuses_the_plan(tree, x0=0, x1=1, eps=0.05):

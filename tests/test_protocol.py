@@ -318,6 +318,12 @@ def test_tree_json_rejects_malformed_input():
                 f'{{"nx": 2, "ny": 2, "outputs": [0], "root": {root}, '
                 f'"nodes": [{", ".join(nodes)}]}}'
             )
+    # an output keys tables and sets, so a list or an object is refused here,
+    # not found unhashable later
+    for outputs, output in (("[[0], [1]]", "[0]"), ('[0, {"a": 0}]', "0")):
+        with pytest.raises(ParseError, match="each must be a JSON scalar"):
+            tree_from_json(f'{{"nx": 2, "ny": 2, "outputs": {outputs}, "root": 0, '
+                           f'"nodes": [{{"kind": "leaf", "output": {output}}}]}}')
     # sizes are checked before the arity check, whose message they would garble
     for sizes in ('"nx": "2", "ny": 2', '"nx": 2, "ny": 0'):
         with pytest.raises(ParseError):

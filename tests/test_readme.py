@@ -48,7 +48,7 @@ ARTIFACT_SHA256 = {
         "report.json": "4a0acf08983600467e38be2541dd032f0b0e75ae0da255dd323aff3c239874f2",
     },
     "tradeoff": {
-        "curve.csv": "ff464c857771ad0efc73660a3d4104ae4c7fd5944a919a3f0f0d97a45918b967",
+        "curve.csv": "d6ec2ee751da4b3011da2b435b6ce378cb0d4fc82008fb03681e0573d8520509",
     },
     "disj": {
         "audit.json": "fd0da66c1f726fc5d2cf5fdb777f0a8a34918f94b5189208dbd1208573d31ed6",
