@@ -82,7 +82,6 @@ from .disjointness import (  # noqa: F401
     DisjBoundPoint,
     DisjInstance,
     HARDEST_ZERO_DIAG_PRIOR,
-    default_and_factory,
     disj_bound_curve,
     disj_error_audit,
     disj_ic_exact,

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .and_protocols import (
     one_sided_and,
 )
 from .disjointness import (
+    DisjBoundPoint,
     DisjInstance,
     HARDEST_ZERO_DIAG_PRIOR,
     disj_bound_curve,
@@ -55,6 +57,8 @@ from .errors import (
 from .infocost import cost_report, internal_ic, law_of
 from .optimize import (
     FULL_SUPPORT,
+    TradeoffPoint,
+    XorPoint,
     ZERO_AT_11,
     and_tradeoff_curve,
     maximize_ic_and,
@@ -182,16 +186,7 @@ def _cmd_ic(args) -> int:
     print(f"internal {report.ic_internal!r} bits")
     print(f"external {report.ic_external!r} bits")
     if args.out:
-        _write_json(
-            args.out,
-            args,
-            {
-                "ic_internal": report.ic_internal,
-                "ic_external": report.ic_external,
-                "ci_internal": report.ci_internal,
-                "ci_external": report.ci_external,
-            },
-        )
+        _write_json(args.out, args, asdict(report))
     return EXIT_OK
 
 
@@ -313,10 +308,7 @@ def _cmd_optimize(args) -> int:
                 "constraint": opt.constraint,
                 "value": opt.value,
                 "argmax": opt.argmax.mass.tolist(),
-                "trace": [
-                    {"level": s.level, "spacing": s.spacing, "value": s.value}
-                    for s in opt.trace
-                ],
+                "trace": [step._asdict() for step in opt.trace],
             },
         )
     return EXIT_OK
@@ -327,11 +319,10 @@ def _cmd_tradeoff(args) -> int:
     curve = and_tradeoff_curve(
         eps, _CONSTRAINTS[args.constraint], n=args.n, levels=args.levels
     )
-    header = ("epsilon", "flip_cost", "completed_cost", "gain", "gain_per_h")
     for point in curve:
-        print(" ".join(f"{name}={value}" for name, value in zip(header, point)))
+        print(" ".join(f"{name}={value}" for name, value in point._asdict().items()))
     if args.out:
-        _write_csv(args.out, args, header, curve)
+        _write_csv(args.out, args, TradeoffPoint._fields, curve)
     return EXIT_OK
 
 
@@ -350,9 +341,7 @@ def _cmd_xor(args) -> int:
             f"floor={row.floor!r}"
         )
     if args.out:
-        _write_csv(
-            args.out, args, ("epsilon", "external_cost", "floor"), rows
-        )
+        _write_csv(args.out, args, XorPoint._fields, rows)
     for res in results:
         print(
             f"search epsilon={res.epsilon!r} valid={res.valid} "
@@ -365,15 +354,8 @@ def _cmd_xor(args) -> int:
             {
                 "samples": args.samples,
                 "results": [
-                    {
-                        "epsilon": r.epsilon,
-                        "floor": r.floor,
-                        "sampled": r.sampled,
-                        "valid": r.valid,
-                        "min_external": None
-                        if math.isinf(r.min_external)
-                        else r.min_external,
-                    }
+                    dict(r._asdict(), min_external=None if math.isinf(r.min_external)
+                         else r.min_external)
                     for r in results
                 ],
             },
@@ -404,16 +386,8 @@ def _cmd_disj(args) -> int:
         f"eps_round={audit.eps_round!r} expected_rounds={audit.expected_rounds!r}"
     )
     if args.out_audit:
-        result = {
-            "n": inst.n,
-            "p_one": inst.p_one,
-            "mode": audit.mode,
-            "trivial": audit.trivial,
-            "distributional": audit.distributional,
-            "eps_round": audit.eps_round,
-            "expected_rounds": audit.expected_rounds,
-            "per_input": audit.per_input.tolist(),
-        }
+        result = dict(asdict(audit), n=inst.n, p_one=inst.p_one,
+                      per_input=audit.per_input.tolist())
         if ic_internal is not None:
             result["ic_internal"] = ic_internal
         _write_json(args.out_audit, args, result)
@@ -422,8 +396,8 @@ def _cmd_disj(args) -> int:
         _write_csv(
             args.out_curve,
             args,
-            ("epsilon", "p_star", "bound", "gain"),
-            [(p.epsilon, p.p_star, p.bound, p.gain) for p in curve],
+            [f.name for f in fields(DisjBoundPoint)],
+            map(astuple, curve),
             notes=(f"fitted_exponent {curve.fitted_exponent}",),
         )
     return EXIT_OK
@@ -438,12 +412,7 @@ def _cmd_trivial_check(args) -> int:
     result = {
         "internal": internal,
         "external": external,
-        "blocks": None
-        if blocks is None
-        else [
-            {"rows": list(b.rows), "cols": list(b.cols), "value": b.value}
-            for b in blocks
-        ],
+        "blocks": None if blocks is None else [b._asdict() for b in blocks],
     }
     kind = args.kind
     if kind == "auto":

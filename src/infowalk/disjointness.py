@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .and_protocols import ic_and_zero, one_sided_and
+from .and_protocols import ic_and_zero
 from .distributions import JointDistribution, truncated_entropy
 from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, internal_ic
@@ -48,11 +48,6 @@ MC_DRAW_CAP = 2**25
 HARDEST_ZERO_DIAG_PRIOR = JointDistribution.from_mass(
     [[0.3653203272016804, 0.31733983639915976], [0.31733983639915976, 0.0]]
 )
-
-
-def default_and_factory(prior: JointDistribution, epsilon: float) -> TranscriptLaw:
-    """One-sided AND on a resolution-256 grid (coarse enough to compose)."""
-    return one_sided_and(epsilon, prior, n=256)
 
 
 @dataclass(frozen=True)
@@ -224,14 +219,16 @@ def _sample_runs(rng, says: np.ndarray, x: np.ndarray, y: np.ndarray):
 def disj_protocol(
     inst: DisjInstance,
     epsilon: float,
-    and_factory: Callable = default_and_factory,
+    and_factory: Callable,
 ) -> TranscriptLaw:
     """The permuted-AND protocol at distributional error budget epsilon, as
     its exact composite TranscriptLaw (at most EXACT_COORD_CAP coordinates).
 
-    Each round solves one-sided AND at budget epsilon/(2 p_one).  When the
-    sets intersect with probability below epsilon the always-0 protocol
-    already meets the budget, and its one-transcript law is returned."""
+    Each round solves one-sided AND at budget epsilon/(2 p_one), by the law
+    that the required ``and_factory(prior, budget)`` returns for its
+    coordinate's prior, called once per distinct prior.  When the sets
+    intersect with probability below epsilon the always-0 protocol already
+    meets the budget, and its one-transcript law is returned."""
     eps_round = _round_budget(inst, epsilon)
     if eps_round is None:
         prior = inst.joint_prior()
@@ -262,12 +259,13 @@ class DisjAudit:
 def disj_error_audit(
     inst: DisjInstance,
     epsilon: float,
-    and_factory: Callable = default_and_factory,
+    and_factory: Callable,
     seed: Optional[int] = None,
     samples: int = 400,
     mode: Optional[str] = None,
 ) -> DisjAudit:
-    """Exact or Monte-Carlo error table of the protocol.
+    """Exact or Monte-Carlo error table of the protocol, whose rounds
+    ``and_factory`` builds as in ``disj_protocol``.
 
     ``mode`` is "exact" (at most EXACT_COORD_CAP coordinates) or "mc" (needs
     a seed, and at most MC_DRAW_CAP draws of 4ⁿ · samples · n, checked
@@ -354,9 +352,10 @@ def _mc_tables(n: int, laws, mass: np.ndarray, seed: int, samples: int):
 def disj_ic_exact(
     inst: DisjInstance,
     epsilon: float,
-    and_factory: Callable = default_and_factory,
+    and_factory: Callable,
 ) -> float:
-    """Exact internal information cost of the protocol, at any n.
+    """Exact internal information cost of the protocol, at any n, whose
+    rounds ``and_factory`` builds as in ``disj_protocol``.
 
     The public permutation is independent of the inputs, and a round's
     messages depend only on its own coordinate, which the earlier rounds say

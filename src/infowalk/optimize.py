@@ -46,14 +46,13 @@ from .protocol import (
     evaluate_error_law,
     mix_with_abort,
 )
-from .trivial import is_structurally_internal_trivial
 
 FULL_SUPPORT = "full-support"
 ZERO_AT_11 = "zero-at-(1,1)"
 
-_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# ic_and_zero's closed form needs these three masses strictly positive.
-_CLOSED_FORM_CELLS = {(0, 0), (0, 1), (1, 0)}
+# the cells each slice leaves free; the first takes the mass the others leave
+_FREE_CELLS = {FULL_SUPPORT: ((0, 0), (0, 1), (1, 0), (1, 1)),
+               ZERO_AT_11: ((0, 0), (0, 1), (1, 0))}
 _MASS_FLOOR = 1e-9
 
 XOR_TABLE = ((0, 1), (1, 0))
@@ -84,32 +83,6 @@ class OptResult:
             raise ProtocolError("optimizer value disagrees with its own trace")
 
 
-def _zeroed_cells(constraint):
-    """Normalize a constraint into (cells pinned to zero, display label)."""
-    if constraint == FULL_SUPPORT:
-        return (), FULL_SUPPORT
-    if constraint == ZERO_AT_11:
-        return ((1, 1),), ZERO_AT_11
-    if isinstance(constraint, str):
-        raise PreconditionError(
-            f"unknown constraint {constraint!r}; expected {FULL_SUPPORT!r}, "
-            f"{ZERO_AT_11!r}, or an iterable of cells to pin to zero"
-        )
-    cells = tuple(sorted({(int(x), int(y)) for x, y in constraint}))
-    for cell in cells:
-        if cell not in _CELLS:
-            raise PreconditionError(f"cell {cell!r} outside the 2x2 rectangle")
-    label = "zero-at-" + ",".join(f"({x},{y})" for x, y in cells)
-    return cells, label
-
-
-def _uniform_on(cells) -> JointDistribution:
-    mass = np.zeros((2, 2))
-    for cell in cells:
-        mass[cell] = 1.0 / len(cells)
-    return JointDistribution.from_mass(mass)
-
-
 def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12):
     """Maximize the zero-error cost of AND over priors in a simplex slice.
 
@@ -119,28 +92,18 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
     inside every shrunken bracket (the box always spans more than one old
     grid step around the winner).
 
-    ``constraint`` is one of the two named slices, or an iterable of cells to
-    pin to zero.  Slices whose support makes AND trivially computable return
-    value 0 outright; slices that kill one of the masses the closed form
-    needs (and are not trivial) are rejected.
+    ``constraint`` names the slice: ``ZERO_AT_11`` (no mass on (1,1)) or
+    ``FULL_SUPPORT``; any other value is refused.
     """
     if levels < 1:
         raise PreconditionError(f"levels = {levels!r} must be at least 1")
     if divisions < 4 or divisions % 2:
         raise PreconditionError("divisions must be an even integer >= 4")
-    zeroed, label = _zeroed_cells(constraint)
-    free = tuple(c for c in _CELLS if c not in zeroed)
-    if not free:
-        raise PreconditionError("constraint pins every cell to zero")
-    trivial, _ = is_structurally_internal_trivial(AND_TABLE, _uniform_on(free))
-    if trivial:
-        return OptResult(_uniform_on(free), 0.0, label, ())
-    if not _CLOSED_FORM_CELLS <= set(free):
+    if not isinstance(constraint, str) or constraint not in _FREE_CELLS:
         raise PreconditionError(
-            f"constraint {label} zeroes a mass the AND cost formula needs "
-            "and its support slice is not trivial"
+            f"unknown constraint {constraint!r}; expected {ZERO_AT_11!r} or {FULL_SUPPORT!r}"
         )
-
+    free = _FREE_CELLS[constraint]
     anchor, params = free[0], free[1:]
 
     def measure_at(point):
@@ -168,12 +131,12 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
                 best_point, best_mu, best_value = np.array(point), mu, value
         if best_point is None:
             raise PreconditionError(
-                f"no feasible prior inside the {label} slice at level {level}"
+                f"no feasible prior inside the {constraint} slice at level {level}"
             )
         trace.append(RefinementStep(level, 2.0 * half / divisions, best_value))
         center = best_point
         half /= 4.0
-    return OptResult(best_mu, float(best_value), label, tuple(trace))
+    return OptResult(best_mu, float(best_value), constraint, tuple(trace))
 
 
 class TradeoffPoint(NamedTuple):

@@ -208,7 +208,8 @@ _SIDES = {ALICE: 0, BOB: 1}
 
 def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
     """The arrays of a ``Leaf``/``Internal`` tree, checked node by node in one
-    walk over its paths; a node reached again is laid out again, as a copy."""
+    walk over its distinct nodes.  An internal node reached again is written
+    as one block copy of its first layout, with the 1-children shifted."""
     owner, signal, child1, copy_of = (array("i") for _ in range(4))
     tables, first, stack = ([], []), {}, [(root, -1)]  # (node, entry whose 1-child it is)
     while stack:
@@ -217,6 +218,15 @@ def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
         if parent >= 0:
             child1[parent] = i
         c = first.setdefault(id(node), i)
+        if c < i and owner[c] >= 0:  # laid out before: up to the leaf ending its 1-children
+            end = c
+            while owner[end] >= 0:
+                end = child1[end]
+            block = np.frombuffer(child1[c:end + 1], np.intc)
+            child1.frombytes(np.where(block < 0, block, block + (i - c)).astype(np.intc).tobytes())
+            for a in (owner, signal, copy_of):
+                a.extend(a[c:end + 1])
+            continue
         copy_of.append(c)
         child1.append(-1)
         if isinstance(node, Leaf):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -612,6 +613,37 @@ def test_artifacts_are_byte_identical_across_reruns(capsys, files):
     run(capsys, "optimize", "--constraint", "zero11", "--levels", "3",
         "--out", out_path)
     assert (tmp / "opt.json").read_bytes() == first
+
+
+# sha256 of artifacts that the README examples do not write: each result is a
+# library record written field by field, so a renamed or retyped field shows
+ARTIFACT_PINS = {
+    "ic --protocol exchange.json --prior u.json --out ic.json":
+        "a24b2eb2836dcfa24d22b571bbf5593053f305c44d8c2ac9b8df88308d79d5c0",
+    # some tree qualifies at both ε
+    "xor --eps-list 0.1,0.25 --search --samples 20 --seed 3 --out-search s.json":
+        "8a0bdf76139b26148fcc884af62e232f82da44664e6feec18cb7b0be11d5db54",
+    # none qualifies, so min_external is null
+    "xor --eps-list 0 --search --samples 1 --seed 0 --out-search s.json":
+        "bcb93d8e6e0ba4f7a4e73743c9424ced7419970daed0eaecbf41a315b3f13843",
+    "disj --n 2 --eps 0.1 --mode mc --seed 1 --samples 5 --and-grid 16 --out-audit a.json":
+        "85f8fa2ffb6e8b4f33b7db24a7345170d279f930e158076cc27b9037aa1e63f3",
+    # internally trivial: two blocks and a witness
+    "trivial-check --table xor.json --mu diag.json --out v.json":
+        "2292f9c249ccf44cd1f894494d90eaf6c439e3b14b34551f53e15fe8683fcb17",
+}
+
+
+@pytest.mark.parametrize("line", ARTIFACT_PINS)
+def test_artifacts_are_pinned_byte_for_byte(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ECHO_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = shlex.split(line)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    written = (tmp_path / argv[-1]).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == ARTIFACT_PINS[line]
 
 
 def test_module_entry_point():

@@ -13,6 +13,8 @@ from infowalk import (
     law_of,
     mix_with_abort,
 )
+from infowalk.cli import _CONSTRAINTS
+from infowalk.disjointness import DisjInstance, disj_error_audit, disj_ic_exact, disj_protocol
 from infowalk.optimize import (
     FULL_SUPPORT,
     ZERO_AT_11,
@@ -106,34 +108,25 @@ def test_optimizer_is_deterministic():
     assert np.array_equal(first.argmax.mass, second.argmax.mass)
 
 
-@pytest.mark.parametrize(
-    "zeroed",
-    [
-        ((1, 1), (0, 1)),  # one column: AND constant there
-        ((0, 1), (1, 0)),  # diagonal support: output determined by the block
-        ((0, 0), (1, 1)),  # anti-diagonal: AND constant 0
-    ],
-)
-def test_degenerate_two_point_slices_are_trivial(zeroed):
-    opt = maximize_ic_and(zeroed)
-    assert opt.value == 0.0
-    assert opt.trace == ()
-    for cell in zeroed:
-        assert opt.argmax.mass[cell] == 0.0
-    assert opt.argmax.mass.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("zeroed", [((0, 0),), ((0, 1),), ((1, 0),)])
 def test_nontrivial_slice_without_closed_form_is_rejected(zeroed):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="unknown constraint"):
         maximize_ic_and(zeroed)
 
 
 def test_constraint_validation():
-    with pytest.raises(PreconditionError):
-        maximize_ic_and("everywhere")
-    with pytest.raises(PreconditionError):
-        maximize_ic_and([(2, 0)])
+    # every slice the CLI offers is one the optimizer takes
+    for constraint in _CONSTRAINTS.values():
+        assert maximize_ic_and(constraint, levels=1, divisions=4).constraint == constraint
+    named = "expected 'zero-at-\\(1,1\\)' or 'full-support'"
+    for other in ("everywhere", [(2, 0)], [(1, 1)], ((0, 1), (1, 0))):
+        with pytest.raises(PreconditionError, match=named):
+            maximize_ic_and(other)
+    # the DISJ functions have no default AND protocol
+    inst = DisjInstance.iid(JointDistribution.uniform(2, 2), 2)
+    for call in (disj_protocol, disj_error_audit, disj_ic_exact):
+        with pytest.raises(TypeError):
+            call(inst, 0.1)
     with pytest.raises(PreconditionError):
         maximize_ic_and(ZERO_AT_11, levels=0)
     with pytest.raises(PreconditionError):
