@@ -70,12 +70,6 @@ class BuzzerLeafLaw:
     def hi(self) -> float:
         return max(self.start.p, self.start.q)
 
-    def density(self, ell: float) -> float:
-        """Per-axis density of axis leaves at parameter ell."""
-        if self.hi < ell < 1.0:
-            return self.start.p * self.start.q / ell**3
-        return 0.0
-
     def density_mass(self) -> float:
         """Total mass of the two continuous axis components."""
         pq = self.start.p * self.start.q
@@ -215,11 +209,6 @@ class GridLeaf(NamedTuple):
     axis: str  # "x", "y", or "one" for the (1,1) corner
     pretend_mass: float
     final: bool  # the leaf the walk reaches when no phase gives up
-
-    @property
-    def leaf_id(self) -> str:
-        """The caterpillar path: one 1 per phase survived, then the give-up 0."""
-        return "1" * self.index + ("" if self.final else "0")
 
 
 def _grid_leaf_arrays(spec: GridWalkSpec) -> tuple:

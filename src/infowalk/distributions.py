@@ -85,12 +85,6 @@ class JointDistribution:
     def uniform(cls, nx: int, ny: int) -> "JointDistribution":
         return cls(nx, ny, np.full((nx, ny), 1.0 / (nx * ny)))
 
-    @classmethod
-    def point_mass(cls, nx: int, ny: int, x: int, y: int) -> "JointDistribution":
-        m = np.zeros((nx, ny))
-        m[x, y] = 1.0
-        return cls(nx, ny, m)
-
     def marginal_x(self) -> np.ndarray:
         return self.mass.sum(axis=1)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .errors import (
+    InfowalkError,
     ParseError,
     PreconditionError,
     ProtocolError,
@@ -35,9 +36,11 @@ ALICE = "alice"
 BOB = "bob"
 ROWS = "rows"
 COLUMNS = "columns"
-# A JSON tree may record at most this many factors, nx + ny a transcript: 2**20
-# transcripts of a 2x2 tree, whose parsing, flattening and path law peak at 177
-# bytes each (185 MB; 182 bytes at 2**18, by tracemalloc on a file of shared levels).
+# A tree, hand-built or read from JSON, may have at most this many factors,
+# nx + ny a transcript: 2**20 transcripts of a 2x2 tree, whose parsing,
+# flattening and path law peak at 177 bytes each (185 MB; 182 bytes at 2**18,
+# by tracemalloc on a file of shared levels).  ``_flatten`` refuses a tree as
+# it lays it out: 40 shared levels peak at 88 MB.
 JSON_FACTOR_CAP = 2**22
 # A deep tree's scan groups hold at most this many heavy paths, so that the
 # copies of rows a scan makes take a chunk's size (see ``_plan``).
@@ -206,26 +209,38 @@ class ProtocolTree:
 _SIDES = {ALICE: 0, BOB: 1}
 
 
-def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
+def _flatten(root: Node, nx: int, ny: int, outputs: tuple, listed: Sequence = ()) -> tuple:
     """The arrays of a ``Leaf``/``Internal`` tree, checked node by node in one
-    walk over its distinct nodes.  An internal node reached again is written
-    as one block copy of its first layout, with the 1-children shifted."""
+    walk over its distinct nodes; an int child names a node of ``listed``.
+    An internal node reached again is written as one block copy of its first
+    layout, with the 1-children shifted.  Only there can a node be found on
+    its own path; the transcripts are counted against ``JSON_FACTOR_CAP``
+    there and once at the end."""
     owner, signal, child1, copy_of = (array("i") for _ in range(4))
     tables, first, stack = ([], []), {}, [(root, -1)]  # (node, entry whose 1-child it is)
+    most = JSON_FACTOR_CAP // (nx + ny)  # transcripts a tree may have
     while stack:
         node, parent = stack.pop()
         i = len(owner)
         if parent >= 0:
             child1[parent] = i
+        if listed and type(node) is int:
+            node = listed[node]
         c = first.setdefault(id(node), i)
         if c < i and owner[c] >= 0:  # laid out before: up to the leaf ending its 1-children
             end = c
             while owner[end] >= 0:
                 end = child1[end]
+                if not 0 <= end < i:  # a 1-child not yet written: the node is still open
+                    raise ParseError(f"the node at entry {c} is part of a reference cycle")
             block = np.frombuffer(child1[c:end + 1], np.intc)
             child1.frombytes(np.where(block < 0, block, block + (i - c)).astype(np.intc).tobytes())
             for a in (owner, signal, copy_of):
                 a.extend(a[c:end + 1])
+            # the subtrees still on the stack number the internal entries
+            # written, plus one, less the leaves: so this counts the leaves
+            if (len(owner) + 1 - len(stack)) // 2 > most:
+                break
             continue
         copy_of.append(c)
         child1.append(-1)
@@ -251,6 +266,9 @@ def _flatten(root: Node, nx: int, ny: int, outputs: tuple) -> tuple:
         owner.append(side)
         signal.append(len(tables[side]) - 1 if c == i else signal[c])
         stack += ((node.child1, i), (node.child0, -1))
+    if (len(owner) + 1 - len(stack)) // 2 > most:  # past the cap at a copy, or with none made
+        raise ResourceCapError(f"protocol tree expands to over {most} transcripts, "
+                               f"the most that fit a {nx}x{ny} tree")
     return (owner, *(np.array(a, np.int32) for a in (signal, child1, copy_of)),
             *(np.array(rows or np.empty((0, size))) for rows, size in zip(tables, (nx, ny))))
 
@@ -528,16 +546,6 @@ class ErrorReport:
     distributional: float
     one_sided_violation: Optional[float]
 
-    def meets(self, task: "Task") -> bool:
-        ok = (
-            self.max_pointwise <= task.epsilon
-            if task.error_kind == "pointwise"
-            else self.distributional <= task.epsilon
-        )
-        if task.one_sided is not None:
-            ok = ok and self.one_sided_violation <= 0.0
-        return ok
-
 
 def evaluate_error_law(law, task: Task) -> ErrorReport:
     """Exact error of a transcript law against a task, by full enumeration.
@@ -632,64 +640,46 @@ def tree_to_json(tree: ProtocolTree) -> str:
 def tree_from_json(text: str) -> ProtocolTree:
     try:
         obj = json.loads(text)
-        raw, root, nx, ny = (obj[key] for key in ("nodes", "root", "nx", "ny"))
-        outputs = tuple(obj["outputs"])
+        raw, root, nx, ny, outputs = (obj[key] for key in ("nodes", "root", "nx", "ny", "outputs"))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
     except KeyError as e:
         raise ParseError(f"protocol JSON missing field: {e}") from e
     except TypeError as e:
         raise ParseError(f"protocol JSON malformed: {e}") from e
-    if not isinstance(raw, list):
-        raise ParseError("protocol JSON nodes must be a list")
+    for name, value in (("nodes", raw), ("outputs", outputs)):
+        if not isinstance(value, list):
+            raise ParseError(f"protocol JSON {name} must be a list")
+    outputs = tuple(outputs)
     if any(type(size) is not int or size < 1 for size in (nx, ny)):
         raise ParseError(f"nx = {nx!r} and ny = {ny!r} must be positive integers")
     if not all(v is None or isinstance(v, (str, int, float)) for v in outputs):
         raise ParseError(f"protocol JSON outputs {list(outputs)!r}: each must be a JSON scalar")
 
-    def checked(index, what):  # a node index must name a listed node
-        if type(index) is not int or not 0 <= index < len(raw):
-            raise ParseError(f"{what} {index!r} is not a node index")
-        return index
-
-    def entry(i, name):
-        if not isinstance(raw[i], dict) or name not in raw[i]:
-            raise ParseError(f"node {i} is malformed or missing {name!r}")
-        return raw[i][name]
-
-    built, paths = {}, {}  # the node and the transcripts below each index built
-    stack, expanding = [checked(root, "root")], set()
-    while stack:
-        i = stack[-1]
-        if i in built:
-            stack.pop()
-            continue
-        kind = entry(i, "kind")
-        if kind == "leaf":
-            built[i], paths[i] = Leaf(entry(i, "output")), 1
-        elif kind == "internal":
-            c0, c1 = (checked(entry(i, f"child{b}"), f"node {i} child{b}") for b in (0, 1))
-            if c0 not in built or c1 not in built:
-                if i in expanding:
-                    raise ParseError(f"node {i} is part of a reference cycle")
-                expanding.add(i)
-                stack += (c1, c0)
+    n = len(raw)
+    if type(root) is not int or not 0 <= root < n:  # a node index must name a listed node
+        raise ParseError(f"root {root!r} is not a node index")
+    nodes = []  # an internal node's children index this list
+    for i, item in enumerate(raw):
+        try:
+            kind = item["kind"]
+            if kind == "leaf":
+                nodes.append(Leaf(item["output"]))
                 continue
-            try:
-                probs = tuple(float(v) for v in entry(i, "send_one_prob"))
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ParseError(f"node {i} send_one_prob: {e}") from e
-            built[i] = Internal(entry(i, "owner"), probs, built[c0], built[c1])
-            paths[i] = paths[c0] + paths[c1]
-        else:
-            raise ParseError(f"unknown node kind {kind!r}")
-        stack.pop()
-        if paths[i] * (nx + ny) > JSON_FACTOR_CAP:  # shared nodes multiply paths
-            raise ResourceCapError(f"protocol JSON node {i} expands to {paths[i]} transcripts; "
-                                   f"at most {JSON_FACTOR_CAP // (nx + ny)} fit a {nx}x{ny} tree")
+            if kind != "internal":
+                raise ParseError(f"unknown node kind {kind!r}")
+            c0, c1, owner, probs = item["child0"], item["child1"], item["owner"], item["send_one_prob"]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"node {i} is malformed or missing a field: {e}") from e
+        if not (type(c0) is type(c1) is int and 0 <= c0 < n and 0 <= c1 < n):
+            raise ParseError(f"node {i} children {c0!r} and {c1!r} are not both node indices")
+        try:
+            nodes.append(Internal(owner, tuple(map(float, probs)), c0, c1))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"node {i} send_one_prob: {e}") from e
     try:
-        return ProtocolTree(nx, ny, outputs, built[root])
-    except ProtocolError:
+        return ProtocolTree(nx, ny, outputs, arrays=_flatten(nodes[root], nx, ny, outputs, nodes))
+    except InfowalkError:
         raise
     except Exception as e:  # malformed scalars and the like
         raise ParseError(f"protocol JSON invalid: {e}") from e

@@ -604,6 +604,19 @@ def grid_leaf_law_reference(spec):
     return out
 
 
+def grid_leaf_id(leaf):
+    """A grid leaf's caterpillar path: one 1 per phase survived, then the
+    give-up 0."""
+    return "1" * leaf.index + ("" if leaf.final else "0")
+
+
+def leaf_law_density(law, ell):
+    """The continuous buzzer's per-axis density of axis leaves at ℓ."""
+    if law.hi < ell < 1.0:
+        return law.start.p * law.start.q / ell**3
+    return 0.0
+
+
 def leaf_law_cdf_reference(law, t):
     """The continuous buzzer's ℓ-CDF at one point, branch by branch."""
     pq = law.start.p * law.start.q

@@ -45,7 +45,14 @@ from infowalk.protocol import (
     walk,
 )
 
-from helpers import pretend_prob, random_prior, random_tree, root_of
+from helpers import (
+    grid_leaf_id,
+    leaf_law_density,
+    pretend_prob,
+    random_prior,
+    random_tree,
+    root_of,
+)
 
 W_STAR = JointDistribution.from_mass(
     [[0.3653203272016804, 0.31733983639915976], [0.31733983639915976, 0.0]]
@@ -86,9 +93,9 @@ def test_leaf_law_density_support():
     law = buzzer_leaf_law(0.3, 0.6)
     assert law.hi == 0.6
     assert law.atom_axis_point == (0.0, 0.6)  # smaller player is Alice here
-    assert law.density(0.5) == 0.0
-    assert law.density(0.7) == pytest.approx(0.18 / 0.7**3, rel=1e-12)
-    assert law.density(1.0) == 0.0
+    assert leaf_law_density(law, 0.5) == 0.0
+    assert leaf_law_density(law, 0.7) == pytest.approx(0.18 / 0.7**3, rel=1e-12)
+    assert leaf_law_density(law, 1.0) == 0.0
 
 
 def test_leaf_law_player_symmetry():
@@ -179,7 +186,7 @@ def test_spec_rejects_starts_outside_the_square(p, q):
 def test_grid_leaf_law_hand_enumeration():
     # from (2/4, 1/4): Bob runs [0,3], then Alice [0,3], Bob [0,4], Alice [0,4]
     leaves = grid_leaf_law(GridWalkSpec(4, 2, 1))
-    got = [(gl.leaf_id, gl.ell, gl.axis, gl.pretend_mass) for gl in leaves]
+    got = [(grid_leaf_id(gl), gl.ell, gl.axis, gl.pretend_mass) for gl in leaves]
     assert got[0] == ("0", 0.5, "x", pytest.approx(2 / 3))
     assert got[1] == ("10", 0.75, "y", pytest.approx(1 / 9))
     assert got[2] == ("110", 0.75, "x", pytest.approx(1 / 18))
@@ -272,7 +279,7 @@ def test_buzzer_tree_real_transitions_are_pretend_converted():
         real_down = pretend_prob(
             1.0 - lam_up, Decomposition(nu, down), Decomposition(nu, parent)
         )
-        got = leaves[gl.leaf_id] / prefix_real
+        got = leaves[grid_leaf_id(gl)] / prefix_real
         assert got == pytest.approx(real_down, rel=1e-12)
         prefix_real *= pretend_prob(
             lam_up, Decomposition(nu, up), Decomposition(nu, parent)
@@ -401,7 +408,7 @@ def test_potential_matches_direct_integration():
     c, p, q = 0.8, 0.35, 0.2
     law = buzzer_leaf_law(p, q)
     atom = law.atom_axis_mass * (c - law.hi) ** 2
-    rays, _ = quad(lambda t: 2 * law.density(t) * (c - t) ** 2, law.hi, c)
+    rays, _ = quad(lambda t: 2 * leaf_law_density(law, t) * (c - t) ** 2, law.hi, c)
     assert potential_phi_closed(c, p, q) == pytest.approx(atom + rays, rel=1e-9)
 
 

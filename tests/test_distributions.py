@@ -133,7 +133,7 @@ def test_odot_uniform_identity():
 
 
 def test_odot_point_mass_renormalizes():
-    nu = JointDistribution.point_mass(2, 2, 0, 0)
+    nu = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
     mu = JointDistribution.from_mass([[0.1, 0.2], [0.3, 0.4]])
     out = odot(nu, mu)
     assert out.mass[0, 0] == 1.0
@@ -146,8 +146,8 @@ def test_odot_product_with_uniform_marginals_is_identity():
 
 
 def test_odot_undefined_on_disjoint_supports():
-    a = JointDistribution.point_mass(2, 2, 0, 0)
-    b = JointDistribution.point_mass(2, 2, 1, 1)
+    a = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
+    b = JointDistribution.from_mass([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(UndefinedProductError):
         odot(a, b)
 
@@ -183,8 +183,8 @@ def test_entropy_profile_chain_rule_on_random_distributions():
 def test_total_variation():
     d = JointDistribution.uniform(2, 2)
     assert total_variation(d, d) == 0.0
-    a = JointDistribution.point_mass(2, 2, 0, 0)
-    b = JointDistribution.point_mass(2, 2, 1, 1)
+    a = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
+    b = JointDistribution.from_mass([[0.0, 0.0], [0.0, 1.0]])
     assert total_variation(a, b) == 1.0
     c = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
     e = JointDistribution.from_mass([[0.5, 0.5], [0.0, 0.0]])

@@ -2,17 +2,17 @@
 ``ast`` only: no import goes unused and no private name goes unreferenced."""
 
 import ast
-import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "infowalk"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _loaded_names(tree):
-    """Every name the module reads, as a bare name or as an attribute."""
+def _loaded_names(*trees):
+    """Every name the modules or statements read, as a bare name or as an
+    attribute."""
     names = set()
-    for node in ast.walk(tree):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -67,7 +67,9 @@ def test_every_private_top_level_name_is_referenced():
 # ---------------------------------------------------------------------------
 # What may live in src/: a top-level name stays only if the CLI, a numbered
 # acceptance claim or the benchmark's layers reach it, directly or through
-# other kept names.  bench/ is read as text and never edited.
+# other kept names, and so does a public method of a kept class.  Names are
+# matched as text: a method is reached when kept code reads its name as an
+# attribute.  bench/ is read as text and never edited.
 # ---------------------------------------------------------------------------
 
 ROOT = SRC.parent.parent
@@ -95,32 +97,59 @@ def _bench_layer_names():
     raise AssertionError("bench/spans.py defines no LAYERS")
 
 
+def _units():
+    """What is kept or not, each as (its name, the name whose reading keeps
+    it, the class it belongs to or None, the statements it reads): a
+    top-level name of src/, a class read without its public methods, and a
+    public method of a public class, as "Class.method".  A private class
+    serves its own module, and its methods may be a library's hooks, as
+    ``_Parser.error`` is argparse's."""
+    units = []
+    for name, nodes in _definitions().items():
+        body = []
+        for node in nodes:
+            if not isinstance(node, ast.ClassDef):
+                body.append(node)
+                continue
+            body += node.decorator_list + node.bases + node.keywords
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and not name.startswith("_")):
+                    units.append((f"{name}.{item.name}", item.name, name, [item]))
+                else:
+                    body.append(item)
+        units.append((name, name, None, body))
+    return units
+
+
 def _kept_names():
     roots = set()
     roots |= _loaded_names(TREES["cli.py"])
     roots |= _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     roots |= _bench_layer_names()
-    # bench/ops.py calls the package as ``iw.<name>``; it is a root only
-    # until the benchmark itself changes
-    roots |= set(re.findall(r"\biw\.(\w+)", (BENCH / "ops.py").read_text()))
-    defs = _definitions()
-    kept, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name in kept or name not in defs:
-            continue
-        kept.add(name)
-        for node in defs[name]:
-            todo.extend(_loaded_names(node))
-    return kept, defs
+    # bench/ops.py calls the package as ``iw.<name>``, and both files call
+    # methods of its results, as ``law.transcript_count()``: each attribute
+    # they read is a root only until the benchmark itself changes
+    roots |= {node.attr for name in ("ops.py", "spans.py")
+              for node in ast.walk(ast.parse((BENCH / name).read_text()))
+              if isinstance(node, ast.Attribute)}
+    units, read, kept = _units(), roots, set()
+    while True:
+        reached = [(unit, body) for unit, name, cls, body in units
+                   if unit not in kept and name in read and (cls is None or cls in kept)]
+        if not reached:
+            return kept, units
+        for unit, body in reached:
+            kept.add(unit)
+            read |= _loaded_names(*body)
 
 
 def test_every_public_name_serves_a_command_claim_or_bench_layer():
-    kept, defs = _kept_names()
+    kept, units = _kept_names()
     exported = set()
     for node in TREES["__init__.py"].body:
         if isinstance(node, ast.ImportFrom):
             exported.update(alias.asname or alias.name for alias in node.names)
-    public = {name for name in defs if not name.startswith("_")}
+    public = {unit for unit, name, _, _ in units if not name.startswith("_")}
     unserved = sorted((public | exported) - kept)
     assert not unserved, f"no command, claim or bench layer uses {unserved}"

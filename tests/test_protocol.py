@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -140,7 +141,7 @@ def test_walk_constant_signal():
 
 
 def test_walk_prunes_zero_probability_branches():
-    prior = JointDistribution.point_mass(2, 2, 0, 0)
+    prior = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
     result = walk(alice_reveal_tree(), prior)
     assert len(result) == 1
     assert result.pruned == ("1",)
@@ -183,8 +184,8 @@ def test_step_from_split_constant_signal():
 
 def test_step_from_split_deterministic_reveal():
     mu = JointDistribution.from_mass([[0.5, 0.0], [0.0, 0.5]])
-    mu0 = JointDistribution.point_mass(2, 2, 0, 0)
-    mu1 = JointDistribution.point_mass(2, 2, 1, 1)
+    mu0 = JointDistribution.from_mass([[1.0, 0.0], [0.0, 0.0]])
+    mu1 = JointDistribution.from_mass([[0.0, 0.0], [0.0, 1.0]])
     step = step_from_split(mu, mu0, mu1, 0.5, ROWS)
     assert step.send_one_prob == (0.0, 1.0)
 
@@ -220,7 +221,6 @@ def test_evaluate_error_exchange_protocol_is_exact():
     report = evaluate_error(tree, task)
     assert report.max_pointwise == 0.0
     assert report.distributional == 0.0
-    assert report.meets(task)
 
 
 def test_evaluate_error_constant_zero_for_and():
@@ -228,7 +228,6 @@ def test_evaluate_error_constant_zero_for_and():
     report = evaluate_error(leaf_tree(0), task)
     assert report.max_pointwise == 1.0
     assert abs(report.distributional - 0.25) < 1e-15
-    assert not report.meets(task)
 
 
 def test_evaluate_error_one_sided():
@@ -236,7 +235,6 @@ def test_evaluate_error_one_sided():
     task = Task(AND_TABLE, epsilon=1.0, one_sided=(1, 0))
     report = evaluate_error(leaf_tree(0), task)
     assert report.one_sided_violation == 0.0
-    assert report.meets(task)
     # outputs 1 always: errs 0 -> 1 on three inputs, all violations
     report = evaluate_error(leaf_tree(1), task)
     assert report.one_sided_violation > 0.7
@@ -327,6 +325,11 @@ def test_tree_json_rejects_malformed_input():
         with pytest.raises(ParseError, match="each must be a JSON scalar"):
             tree_from_json(f'{{"nx": 2, "ny": 2, "outputs": {outputs}, "root": 0, '
                            f'"nodes": [{{"kind": "leaf", "output": {output}}}]}}')
+    # the alphabet is a list: a string or an object would pass for its characters or keys
+    for outputs in ('"01"', '{"0": 5}'):
+        with pytest.raises(ParseError, match="outputs must be a list"):
+            tree_from_json(f'{{"nx": 2, "ny": 2, "outputs": {outputs}, "root": 0, '
+                           f'"nodes": [{leaf}]}}')
     # sizes are checked before the arity check, whose message they would garble
     for sizes in ('"nx": "2", "ny": 2', '"nx": 2, "ny": 0'):
         with pytest.raises(ParseError):
@@ -380,6 +383,82 @@ def test_shared_levels_parse_as_block_copies():
     assert np.array_equal(tree.child1, np.where(inner, np.arange(depth.size) + 2 ** (levels - depth), -1))
     assert np.array_equal(tree.copy_of, depth)
     assert tree.alice.tolist() == [[0.5, 0.25]] * levels and tree.bob.shape == (0, 2)
+
+
+def node_levels(levels):
+    """``shared_levels`` built from nodes: each level's two children are the
+    one node of the level below."""
+    node = Leaf(0)
+    for _ in range(levels):
+        node = Internal(ALICE, (0.5, 0.25), node, node)
+    return node
+
+
+@pytest.mark.parametrize("build", [lambda levels: tree_from_json(shared_levels(levels)),
+                                   lambda levels: ProtocolTree(2, 2, (0,), node_levels(levels))],
+                         ids=["json", "nodes"])
+def test_both_sources_cap_the_transcripts_as_they_are_laid_out(build):
+    assert len(build(20).owner) == 2**21 - 1  # 2**20 transcripts of 2 + 2 factors: the cap
+    with pytest.raises(ResourceCapError):
+        build(21)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        build(40)  # 2**41 entries, were they laid out
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_cap_counts_transcripts_without_shared_nodes(monkeypatch):
+    monkeypatch.setattr("infowalk.protocol.JSON_FACTOR_CAP", 3 * (2 + 2))
+    three = Internal(ALICE, (0.5, 0.5), Leaf(0), Internal(BOB, (0.5, 0.5), Leaf(0), Leaf(0)))
+    assert len(ProtocolTree(2, 2, (0,), three).owner) == 5
+    with pytest.raises(ResourceCapError):
+        ProtocolTree(2, 2, (0,), Internal(ALICE, (0.5, 0.5), three, Leaf(0)))
+
+
+def test_tree_json_refuses_a_node_on_its_own_path():
+    def internal(child0, child1):
+        return {"kind": "internal", "owner": "alice", "send_one_prob": [0.5, 0.5],
+                "child0": child0, "child1": child1}
+
+    leaf = {"kind": "leaf", "output": 0}
+    for nodes in ([internal(1, 0), leaf],  # its own 1-child
+                  [internal(2, 1), internal(2, 0), leaf],  # the root is its 1-child's 1-child
+                  [internal(1, 2), internal(0, 2), leaf]):  # and here its 0-child's 0-child
+        with pytest.raises(ParseError, match="reference cycle"):
+            tree_from_json(json.dumps({"nx": 2, "ny": 2, "outputs": [0], "root": 0,
+                                       "nodes": nodes}))
+
+
+def test_a_hand_built_child_must_be_a_node():
+    # a JSON file's children are indices, but a hand-built tree's are not
+    with pytest.raises(ProtocolError, match="unknown node type int"):
+        ProtocolTree(2, 2, (0,), Internal(ALICE, (0.5, 0.5), 0, Leaf(0)))
+
+
+def _arrays_sha256(trees):
+    h = hashlib.sha256()
+    for tree in trees:
+        for name in ("owner", "signal", "child1", "copy_of", "alice", "bob"):
+            a = getattr(tree, name)
+            h.update(name.encode() + str(a.shape).encode() + str(a.dtype).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def test_flattened_arrays_are_pinned():
+    # taken when the JSON parser walked the file on its own before flattening
+    spec, _ = GridWalkSpec.from_start(0.5, 0.25, 16384)
+    completed = complete_to_zero_error(
+        buzzer_grid_tree(spec), AND_TABLE, JointDistribution.uniform(2, 2)
+    )
+    parsed = tree_from_json(tree_to_json(completed))
+    assert len(parsed.owner) == 98333
+    assert _arrays_sha256([parsed]) == (
+        "d030291a602d9eafe1296f597762cc8d3dcfd7dbb56223e0aa7b89058eb76b99")
+    shared = "207cfe16a080d30e75ad8dd36a19f1ce270105acb19cef20db9862f3339b13a4"
+    assert _arrays_sha256([tree_from_json(shared_levels(20))]) == shared
+    assert _arrays_sha256([ProtocolTree(2, 2, (0,), node_levels(20))]) == shared
+    assert _arrays_sha256(small_trees(np.random.default_rng(480))) == (
+        "a9fe68488132aa2c10bdfc7d642a118fe9d31c2d3ba1dec5693b8f7b17cb95b5")
 
 
 def test_tree_json_ignores_a_legacy_depth_cap():
