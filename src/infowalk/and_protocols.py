@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import protocol
 from .distributions import (
     Decomposition,
     JointDistribution,
@@ -34,8 +35,9 @@ from .distributions import (
     symmetric_decomposition,
 )
 from .errors import PreconditionError, ProtocolError
-from .infocost import TranscriptLaw, _margin, law_of, leaf_posteriors
-from .protocol import ProtocolTree, SplicedIds, Task, _Lazy, _scan, evaluate_error_law
+from .infocost import TranscriptLaw, _margin, _snap, law_of, leaf_posteriors
+from .protocol import (LeafIds, ProtocolTree, SplicedIds, Task, _Lazy, _scan,
+                       evaluate_error_law)
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -190,7 +192,10 @@ def buzzer_grid_tree(
     pretend walk the mover m exits up with probability m/high, landing at
     posterior high/n.  Conditioning on the owner's input: a 1 never gives up
     (posterior ratio (m/high)·(high/n)/(m/n) = 1); a 0 continues with
-    probability m(n−high)/(high(n−m)), where m < n on every phase."""
+    probability m(n−high)/(high(n−m)), where m < n on every phase.
+
+    The tree comes with the scan plan and path law that scans would derive,
+    written from the phases: pricing it derives no plan and runs no scan."""
     m, high, n, bob = spec.mover.astype(np.int64), spec.high, spec.n, spec.bob  # m·n reaches n²
     signals = np.column_stack((m * (n - high) / (high * (n - m)), np.ones(len(m))))
     k = 2 * len(bob)  # phase i: its node at entry 2i, its give-up leaf (output 0) at 2i + 1
@@ -198,9 +203,23 @@ def buzzer_grid_tree(
                                                                 (-1, np.int32)))
     owner[:k:2], child1[:k:2], signal[k] = bob, np.arange(2, k + 1, 2), spec.terminal
     signal[:k:2] = np.where(bob, bob.cumsum(), (~bob).cumsum()) - 1  # the owner's table row
-    return ProtocolTree(2, 2, (0, 1), arrays=(owner, signal, child1,
-                                              np.arange(k + 1, dtype=np.int32),
-                                              signals[~bob], signals[bob]))
+    # scans' plan: the spine, the nodes and then the last node's 0-child (as a
+    # heavy path goes on a tie), then each other leaf as one edge below its node
+    nodes, chunk = np.arange(0, k - 1, 2, dtype=np.int32), protocol.SCAN_CHUNK_PATHS
+    spine, off = np.append(nodes, np.int32(max(k - 1, 0))), nodes + 1
+    off[-1:] = k
+    plan = [(np.array([k + 1], np.int32), spine[None])] + [
+        (nodes[lo:lo + chunk], off[lo:lo + chunk, None]) for lo in range(0, len(off), chunk)]
+    # the factors, [side, input] a leaf, in a scan's order: the reach, the 1-edge
+    # rows multiplied down the spine, times a give-up leaf's 0-edge row
+    phase, side, reach = np.arange(len(bob)), bob.view(np.int8), np.ones((len(bob) + 1, 2, 2))
+    reach[phase + 1, side] = signals
+    np.multiply.accumulate(reach, axis=0, out=reach)
+    reach[phase, side] *= 1.0 - signals
+    return ProtocolTree(2, 2, (0, 1), plan=plan, law=(LeafIds(len(reach), owner, child1, plan),
+                                                      reach.reshape(-1, 4)),
+                        arrays=(owner, signal, child1, np.arange(k + 1, dtype=np.int32),
+                                signals[~bob], signals[bob]))
 
 
 class GridLeaf(NamedTuple):
@@ -477,16 +496,26 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     reached leaves of one output are built together, a test at a time, and
     spliced into the arrays; a test's two questions share the rounds below."""
     table = np.asarray(f, dtype=object)
-    if table.shape != (tree.nx, tree.ny):
-        raise PreconditionError("function table shape does not match the tree")
+    if not table.shape == prior.mass.shape == (tree.nx, tree.ny):
+        raise PreconditionError("function table or prior shape does not match the tree")
     nx, ny, n = tree.nx, tree.ny, len(tree.owner)
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
-    prob, post = leaf_posteriors(law_of(tree, prior))
-    px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
-    del post
     cells = [(x, y) for x in range(nx) for y in range(ny) if prior.support()[x, y]]
     leaves = (tree.owner < 0).nonzero()[0]
     kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
+    tests = [[c for c in cells if table[c] != z] for z in tree.outputs]
+    # posteriors as leaf_posteriors gives them, at the reached leaves with tests
+    asked = np.isin(tree.signal[leaves], [k for k, t in enumerate(tests) if t]).nonzero()[0]
+    fa = tree.path_law.factors[asked]
+    joint = fa[:, :nx, None] * fa[:, None, nx:] * prior.mass
+    prob = joint.reshape(len(asked), nx * ny).sum(axis=1)
+    asked, post = asked[prob > 0.0], _snap(joint[prob > 0.0] / prob[prob > 0.0, None, None])
+    if not len(asked):  # the tree and its law stand, its internal nodes unshared as below
+        signal, copy_of = tree.signal.copy(), np.where(tree.owner >= 0, np.arange(n), tree.copy_of)
+        signal[leaves] = kept
+        return ProtocolTree(nx, ny, outputs, law=tree.path_law[:2], arrays=(
+            tree.owner, signal, tree.child1, copy_of, tree.alice, tree.bob))
+    px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
     # a question on factor column c (Alice's x, or Bob's nx + y) multiplies
     # each factor by 0 or 1: its 1-edge zeroes the asker's other columns
     # (mask yes[c]), its 0-edge column c (mask no[c])
@@ -495,12 +524,11 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     groups = []  # (reached leaves, tests, the rounds' arrays: a row per leaf, their masks)
     kind, ends = np.zeros(len(leaves), np.intp), [("",)]  # each leaf's paths down its rounds
     for k, z in enumerate(tree.outputs):
-        tests = [c for c in cells if table[c] != z]
-        reached = ((prob > 0.0) & (tree.signal[leaves] == k)).nonzero()[0]
-        if not (tests and len(reached)):
+        here = (tree.signal[leaves[asked]] == k).nonzero()[0]
+        if not len(here):
             continue
-        xs, ys = np.array(tests).T
-        alice_first = px[reached][:, xs] <= py[reached][:, ys]  # the smaller marginal asks
+        reached, xs, ys = asked[here], *np.array(tests[k]).T
+        alice_first = px[here][:, xs] <= py[here][:, ys]  # the smaller marginal asks
 
         def col(v):
             return np.broadcast_to(v, (len(reached), 1))
@@ -508,7 +536,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
         # the leaf itself (copy_of −2, its own) stands when every test fails
         rounds = [col(v) for v in (-1, kept[reached[0]], -1, -2)]
         masks, paths = np.ones((len(reached), 1, nx + ny)), [""]  # per leaf of the rounds
-        for j in reversed(range(len(tests))):
+        for j in reversed(range(len(xs))):
             o, s, c1, c = rounds
             w, first = o.shape[1], alice_first[:, j:j + 1]
             # ask, the rounds, then, the rounds, confirm: each 1-branch is the match
@@ -516,7 +544,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
             rounds = [np.hstack(parts) for parts in (
                 (col(~first * 1), o, col(first * 1), o, col(-1)),
                 (np.where(first, x_row, y_row), s, np.where(first, y_row, x_row), s,
-                 col(outputs.index(table[tests[j]]))),
+                 col(outputs.index(table[xs[j], ys[j]]))),
                 (col(w + 1), np.where(c1 < 0, -1, c1 + 1), col(2 * w + 2),
                  np.where(c1 < 0, -1, c1 + w + 2), col(-1)),
                 (col(0), np.where(c < 0, c, c + 1), col(w + 1), np.where(c < 0, c, c + 1),
@@ -526,7 +554,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
             masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
                                     yes[ask] * yes[then]), axis=1)
             paths = ["0" + p for p in paths] + ["10" + p for p in paths] + ["11"]
-        groups.append((reached, len(tests), rounds, masks))
+        groups.append((reached, len(xs), rounds, masks))
         kind[reached] = len(ends)
         ends.append(tuple(paths))
     # entry i moves down by the entries that the rounds of the leaves before it
@@ -545,8 +573,8 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     # a leaf stays itself, and so stays shared: where it was, or first reached
     # at the bottom of its rounds, below one question per test
     own = moved.copy()
-    for reached, tests, _, _ in groups:
-        own[leaves[reached]] += tests
+    for reached, asks, _, _ in groups:
+        own[leaves[reached]] += asks
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
     for reached, _, (o, s, c1, c), masks in groups:
         start = moved[leaves[reached]][:, None]

@@ -38,7 +38,7 @@ PRIOR_MATCH_TOLERANCE = 1e-9
 # The entropy sums walk the law in blocks of about this many cells (whole
 # transcripts, at least one), so that their terms take a block's memory: on a 2x2
 # law of 2**18 transcripts ``cost_report`` peaks at 18.3 MB (tracemalloc), 35.1 MB
-# in one block, and ``buzzer --n 262144`` at 90.0 MB (VmHWM), 104.2 MB in one block.
+# in one block, and ``buzzer --n 262144`` at 87.6 MB (VmHWM), 103.7 MB in one block.
 SUM_BLOCK_CELLS = 2**14
 
 

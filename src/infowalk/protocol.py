@@ -169,10 +169,12 @@ class ProtocolTree:
     ``ProtocolTree(nx, ny, outputs, root)`` checks and flattens a tree of
     ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
     ``arrays``, and may pass ``plan``, the scan plan of a tree with the same
-    ``owner`` and ``child1``, or ``law``, the leaf ids and factor rows of its
-    path law, as scans would give them.  ``plan``, the groups of paths that
-    scans down the tree take, and ``path_law``, from which ``law_of`` prices
-    the tree under any prior, are derived from the arrays when first read.
+    ``owner`` and ``child1`` (a flipped tree's), and ``law``, the leaf ids and
+    factor rows of its path law as scans would give them (a completed tree's;
+    a grid walk passes both, written from its phases).  Otherwise ``plan``,
+    the groups of paths that scans down the tree take, and ``path_law``, from
+    which ``law_of`` prices the tree under any prior, are derived from the
+    arrays when first read.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",

@@ -703,7 +703,7 @@ def test_buzzer_at_65536_runs_direct_within_60_mb(tmp_path):
 
 
 def test_buzzer_at_262144_runs_within_100_mb(tmp_path):
-    # 262145 transcripts; the process peaks at 91 MB (Python 3.11, numpy 2.4)
+    # 262145 transcripts; the process peaks at 88 MB (Python 3.11, numpy 2.4)
     _, code, max_rss_mb = run_buzzer(tmp_path, 262144)
     assert code == 0
     assert max_rss_mb < 100

@@ -20,6 +20,7 @@ the per-cell loops bit for bit, the sign of a zero included.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from infowalk import (
     grid_leaf_law,
     internal_ic,
     law_of,
+    one_sided_and,
     potential_of_tree,
     sim,
     symmetric_decomposition,
@@ -383,14 +385,20 @@ def shared_node_files():
 SHARED_NODE_FILES = list(shared_node_files())
 
 
+def from_arrays(tree):
+    """The tree from a copy of its arrays, so that nothing is inherited: its
+    plan and path law come from scans."""
+    return ProtocolTree(tree.nx, tree.ny, tree.outputs, arrays=(
+        tree.owner, tree.signal, tree.child1, tree.copy_of, tree.alice, tree.bob))
+
+
 @pytest.mark.parametrize("chunk", (1, 3))
 def test_scans_are_bit_identical_at_any_chunk_size(chunk, monkeypatch):
     trees = [tree for tree, _ in INSTANCES[::4]] + [buzzer_grid_tree(GridWalkSpec(256, 128, 64))]
     trees += [tree_from_json(text) for text in SHARED_NODE_FILES]
 
-    def scanned(tree):  # from a copy of the arrays, so that nothing is inherited
-        tree = ProtocolTree(tree.nx, tree.ny, tree.outputs, arrays=(
-            tree.owner, tree.signal, tree.child1, tree.copy_of, tree.alice, tree.bob))
+    def scanned(tree):
+        tree = from_arrays(tree)
         law = tree.path_law
         flipped = flip_tree(tree, 0, 1, 0.3).path_law
         return law.factors.tobytes(), tuple(law.leaf_ids), tree.depth(), flipped.factors.tobytes()
@@ -411,6 +419,17 @@ def test_shared_node_files_round_trip_and_match_node_built_trees(k):
     assert_flip_and_completion_match(tree, prior, table)
 
 
+@pytest.mark.parametrize("table", ([[0, 0], [0, 0]], [[0, 2], [0, 0]]))
+def test_a_completion_with_no_reached_test_keeps_the_law(table):
+    # every leaf answers 0 and (0, 1) has no mass, so no leaf has a test
+    tree = tree_from_json(SHARED_NODE_FILES[0])
+    prior = JointDistribution.from_mass([[0.5, 0.0], [0.25, 0.25]])
+    completed = complete_to_zero_error(tree, table, prior)
+    assert completed.path_law.factors is tree.path_law.factors
+    # the shared internal nodes come back once per path, as in any completion
+    assert_same_tree(completed, complete_reference(tree, table, prior), prior)
+
+
 @pytest.mark.parametrize("n", (64, 256, 1024, 4096, 16384))
 def test_array_built_buzzer_grids_match_node_built_trees(n):
     w = JointDistribution.from_mass([[0.45, 0.15], [0.3, 0.1]])
@@ -419,6 +438,85 @@ def test_array_built_buzzer_grids_match_node_built_trees(n):
     tree = buzzer_grid_tree(spec, dec)
     assert_same_tree(tree, buzzer_grid_tree_reference(spec), w)
     assert_flip_and_completion_match(tree, w, AND_TABLE)
+
+
+# A grid walk ships the scan plan and path law that scans of its arrays
+# would give; nothing prices it by a derived plan or a scan.
+
+GRID_NS = (2, 3, 16, 64, 1024, 16384)
+
+
+def seeded_grid_priors(n):
+    """Priors zero at (1, 1) and of full support, seeded by n."""
+    rng = np.random.default_rng(n)
+    for w11 in (0.0, 0.1, 0.2):
+        s, q = rng.uniform(0.3, 0.6), rng.uniform(0.1, 0.9)
+        yield JointDistribution.from_mass([[1.0 - s - w11, s * q], [s * (1.0 - q), w11]])
+
+
+def grid_cases(n):
+    """(spec, prior): the seeded priors' grid walks, then the edge starts
+    under one prior: no phase (a = 0 or b = 0), a = n > b and a < b."""
+    for w in seeded_grid_priors(n):
+        dec = symmetric_decomposition(w)
+        yield GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)[0], w
+    w = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
+    for a, b in ((0, n // 2), (n // 2, 0), (n, max(1, n // 3)), (max(1, n // 3), n)):
+        yield GridWalkSpec(n, a, b), w
+
+
+@pytest.mark.parametrize("chunk", (None, 1, 3))
+@pytest.mark.parametrize("n", GRID_NS)
+def test_grid_walks_ship_the_plan_and_law_that_scans_give(n, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(protocol, "SCAN_CHUNK_PATHS", chunk)
+    for spec, w in grid_cases(n):
+        tree = buzzer_grid_tree(spec)
+        want = from_arrays(tree)
+        got, scanned = tree.path_law, want.path_law
+        assert got.factors.tobytes() == scanned.factors.tobytes()
+        assert got.outputs == scanned.outputs
+        if n <= 256:
+            assert tuple(got.leaf_ids) == tuple(scanned.leaf_ids)
+        assert tree.depth() == want.depth() == len(spec.bob)
+        # the flip scans with the shipped plan; the completion inherits the law
+        for derive in (lambda t: flip_tree(t, 0, 1, 0.05),
+                       lambda t: complete_to_zero_error(t, AND_TABLE, w)):
+            assert derive(tree).path_law.factors.tobytes() == \
+                derive(want).path_law.factors.tobytes()
+
+
+def test_grid_walks_price_without_a_plan_or_a_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid walk derived a scan plan or ran a scan")
+
+    monkeypatch.setattr(protocol, "_plan", refuse)
+    monkeypatch.setattr(protocol, "_scan", refuse)
+    for n in GRID_NS[:-1]:
+        for w in seeded_grid_priors(n):
+            dec = symmetric_decomposition(w)
+            spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
+            tree = buzzer_grid_tree(spec, dec)
+            law = law_of(tree, w)
+            cost_report(law), sim(law, dec), potential_of_tree(tree, 0.8, dec)
+            law_of(complete_to_zero_error(tree, AND_TABLE, w), w)
+            one_sided_and(0.05, w, n=n)
+        for spec, w in grid_cases(n):
+            cost_report(law_of(buzzer_grid_tree(spec), w))
+
+
+def test_grid_walk_at_65536_builds_and_prices_under_the_scans_peak():
+    # building this walk (65 536 phases) and scanning its path law peaked at
+    # 13 772 778 bytes (tracemalloc, Python 3.11, numpy 2.4); written from
+    # its phases, the law takes one (phases + 1) x 4 array, 10 427 713 bytes
+    n = 2**16
+    tracemalloc.start()
+    try:
+        buzzer_grid_tree(GridWalkSpec(n, n // 2, n // 4)).path_law
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_772_778
 
 
 @pytest.fixture(scope="module")
