@@ -10,13 +10,14 @@ protocol file, so that ``ic --protocol`` reads it back.  Exit codes separate
 the three failure families: 1 for inputs that do not parse, 2 for calls
 outside an operation's domain, 3 for blown resource caps.
 
-Randomized modes (``disj --mode mc``, ``xor --search``) require an explicit
-``--seed``; the library refuses a seedless call before any output, and every
-per-sample generator is derived from that master seed, so a rerun repeats
-its samples exactly.
+The one randomized mode, ``xor --search``, requires an explicit ``--seed``;
+the library refuses a seedless call before any output, and every per-sample
+generator is derived from that master seed, so a rerun repeats its samples
+exactly.  ``disj`` audits exactly and has no seed.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -374,12 +375,13 @@ def _cmd_disj(args) -> int:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
 
+    # the audit and the cost share each coordinate's AND walk; every
+    # coordinate of an iid instance holds the same prior object
+    @functools.lru_cache(maxsize=None)
     def factory(prior, epsilon):
         return one_sided_and(epsilon, prior, n=args.and_grid)
 
-    audit = disj_error_audit(
-        inst, args.eps, factory, seed=args.seed, samples=args.samples, mode=args.mode
-    )
+    audit = disj_error_audit(inst, args.eps, factory)
     ic_internal = disj_ic_exact(inst, args.eps, factory) if args.with_ic else None
     print(
         f"n={inst.n} mode={audit.mode} distributional={audit.distributional!r} "
@@ -528,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the worst-case zero-diagonal coordinate prior",
     )
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--seed", type=int)
     p.add_argument("--with-ic", dest="with_ic", action="store_true")
     p.add_argument(
         "--and-grid",

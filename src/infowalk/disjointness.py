@@ -1,11 +1,11 @@
 """Set intersection detection from one-sided AND blocks.
 
 DISJ over n coordinates outputs 1 iff some coordinate has both bits set.
-The protocol draws a public random permutation, runs a one-sided AND
-subprotocol per coordinate in that order, and stops at the first 1.  Because
-the subprotocols never answer 1 falsely, disjoint inputs never err, and an
-input with t intersecting coordinates errs exactly when all t of its AND
-rounds err — probability (per-round error)^t.
+The protocol orders the coordinates by a public uniform permutation, runs a
+one-sided AND subprotocol per coordinate in that order, and stops at the
+first 1.  Because the subprotocols never answer 1 falsely, disjoint inputs
+never err, and an input with t intersecting coordinates errs exactly when
+all t of its AND rounds err — probability (per-round error)^t.
 
 Input laws are product-across-coordinates, so earlier rounds never move the
 posterior of a later coordinate and each round's prior is just its
@@ -32,16 +32,14 @@ from .distributions import JointDistribution, truncated_entropy
 from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, internal_ic
 
-EXACT_COORD_CAP = 4
-# The Monte-Carlo audit walks its runs in batches of at most this many
-# (run, coordinate) draws.  A batch peaks at about 40 bytes a draw (10.6 MB,
-# measured with tracemalloc).
-MC_CHUNK_DRAWS = 2**18
-# The Monte-Carlo audit makes 4ⁿ · samples · n draws, at about 45 ns each,
-# and keeps a few 4ⁿ-cell tables.  At n = 10 with 3 samples (31.5M draws)
-# `disj --and-grid 8` takes 1.8 s at 77 MB peak RSS on a 2-core host; n = 11
-# needs 46M draws even at one sample, so the cap also bounds the tables.
-MC_DRAW_CAP = 2**25
+# disj_protocol's composite law keeps a 4ⁿ-cell table per transcript and
+# walks all n! orders of the coordinates.
+COMPOSITE_COORD_CAP = 4
+# The audit's tables over 4ⁿ inputs peak at 48 bytes a cell (tracemalloc;
+# most of it the joint prior's mass check).  At 2²⁰ cells (n = 10, 48 MB)
+# `disj --and-grid 16` takes 0.4–0.6 s, process start included, at 88 MB
+# peak RSS on a 2-core host; n = 11 would need 192 MB.
+AUDIT_TABLE_CAP = 2**20
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
 # closed-form cost anchors the analytic bound curve
@@ -192,37 +190,14 @@ def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
     )
 
 
-def _sample_runs(rng, says: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """One run of the protocol on each composite input (x[i], y[i]).
-
-    ``says`` stacks the n tables o_c = Pr[round c says 1 | a, b].  A run
-    draws, per coordinate, a key and a uniform u from one (runs, 2, n) array,
-    so that splitting the runs into batches leaves the random stream
-    unchanged.  The rounds run in the order of the keys (their argsort is a
-    uniform permutation), and round c says 1 when u < o_c(x_c, y_c); a
-    round's transcript matters only through that.  The first round to say 1
-    is the one with the smallest key among those saying 1, and its position
-    is 1 + the number of smaller keys.  Returns (output, rounds), with n
-    rounds when none says 1."""
-    n = len(says)
-    coords = np.arange(n)
-    hit_p = says[coords, (x[:, None] >> coords) & 1, (y[:, None] >> coords) & 1]
-    draw = rng.random((x.size, 2, n))
-    keys = draw[:, 0]
-    hit = draw[:, 1] < hit_p
-    first = np.where(hit, keys, np.inf).min(axis=1)
-    output = hit.any(axis=1)
-    rounds = np.where(output, 1 + np.sum(keys < first[:, None], axis=1), n)
-    return output, rounds
-
-
 def disj_protocol(
     inst: DisjInstance,
     epsilon: float,
     and_factory: Callable,
 ) -> TranscriptLaw:
     """The permuted-AND protocol at distributional error budget epsilon, as
-    its exact composite TranscriptLaw (at most EXACT_COORD_CAP coordinates).
+    its exact composite TranscriptLaw (at most COMPOSITE_COORD_CAP
+    coordinates).
 
     Each round solves one-sided AND at budget epsilon/(2 p_one), by the law
     that the required ``and_factory(prior, budget)`` returns for its
@@ -233,10 +208,10 @@ def disj_protocol(
     if eps_round is None:
         prior = inst.joint_prior()
         return TranscriptLaw(prior, ("",), np.ones((1, prior.nx, prior.ny)), (0,))
-    if inst.n > EXACT_COORD_CAP:
+    if inst.n > COMPOSITE_COORD_CAP:
         raise ResourceCapError(
-            f"exact mode caps at {EXACT_COORD_CAP} coordinates; audit larger "
-            "instances with disj_error_audit(mode='mc')"
+            f"the composite law caps at {COMPOSITE_COORD_CAP} coordinates; "
+            "audit larger instances with disj_error_audit"
         )
     return _composite_law(inst, _coordinate_laws(inst, eps_round, and_factory))
 
@@ -246,107 +221,64 @@ class DisjAudit:
     """Error accounting of one protocol instance.
 
     ``per_input`` is the full error table over composite inputs;
-    ``expected_rounds`` averages the stopping time under the product law."""
+    ``expected_rounds`` averages the stopping time under the product law.
+    ``mode`` always reads "exact": the CLI's stdout and the benchmark's
+    digest print it."""
 
     distributional: float
     per_input: np.ndarray
     eps_round: float
     expected_rounds: float
     trivial: bool
-    mode: str
+    mode: str = "exact"
 
 
 def disj_error_audit(
     inst: DisjInstance,
     epsilon: float,
     and_factory: Callable,
+    *,
     seed: Optional[int] = None,
-    samples: int = 400,
-    mode: Optional[str] = None,
+    samples: Optional[int] = None,
 ) -> DisjAudit:
-    """Exact or Monte-Carlo error table of the protocol, whose rounds
-    ``and_factory`` builds as in ``disj_protocol``.
+    """Exact error table of the protocol, whose rounds ``and_factory`` builds
+    as in ``disj_protocol``, over at most AUDIT_TABLE_CAP composite inputs
+    (n <= 10), checked before any table or AND law is built.
 
-    ``mode`` is "exact" (at most EXACT_COORD_CAP coordinates) or "mc" (needs
-    a seed, and at most MC_DRAW_CAP draws of 4ⁿ · samples · n, checked
-    before any table is built); by default it is exact whenever n allows.
-
-    The exact table comes from the coordinate laws alone.  Whatever the
+    The table comes from the coordinate laws alone.  Whatever the
     permutation, the protocol answers 0 exactly when no round says 1, which
     has probability Π_c (1 − o_c(x_c, y_c)) with o_c = Pr[round c says 1];
     the table over composite inputs is the Kronecker product of these 2x2
     factors, so a disjoint input (every o_c exactly 0 for one-sided rounds)
     has error exactly 0.  The expected rounds are Σ_c Pr[round c runs].  When
-    the always-0 protocol meets the budget, both modes report its exact
+    the always-0 protocol meets the budget, the audit reports its exact
     error: 1 on every intersecting input, and no rounds.
 
-    The Monte-Carlo table runs the protocol ``samples`` times on every
-    composite input through ``_sample_runs``; it too reads exactly 0 on
-    disjoint inputs of one-sided rounds."""
+    ``seed`` and ``samples`` are read by nothing: they are left from a
+    Monte-Carlo audit that the benchmark's ``disj mc n=5`` op still passes
+    them to, and they go when that op changes."""
     eps_round = _round_budget(inst, epsilon)
-    mode = mode or ("exact" if inst.n <= EXACT_COORD_CAP else "mc")
-    if mode not in ("exact", "mc"):
-        raise PreconditionError(f"audit mode must be 'exact' or 'mc', not {mode!r}")
-    if mode == "exact" and inst.n > EXACT_COORD_CAP:
+    if 4**inst.n > AUDIT_TABLE_CAP:
         raise ResourceCapError(
-            f"exact audit supports n <= {EXACT_COORD_CAP} coordinates, got {inst.n}"
+            f"the audit of n = {inst.n} needs a table of {4**inst.n} inputs, "
+            f"over the cap of {AUDIT_TABLE_CAP}"
         )
-    if mode == "mc":
-        if seed is None:
-            raise PreconditionError("Monte-Carlo audit needs a seed")
-        if samples < 1:
-            raise PreconditionError(f"samples = {samples!r}; need at least 1")
-        draws = 4**inst.n * samples * inst.n
-        if draws > MC_DRAW_CAP:
-            raise ResourceCapError(
-                f"Monte-Carlo audit of n = {inst.n} with {samples} samples per "
-                f"input needs {draws} draws, over the cap of {MC_DRAW_CAP}"
-            )
     prior = inst.joint_prior()
     if eps_round is None:
         err = disj_table(inst.n).astype(float)
-        return DisjAudit(
-            float(np.sum(prior.mass * err)), err, 0.0, 0.0, True, mode
-        )
+        return DisjAudit(float(np.sum(prior.mass * err)), err, 0.0, 0.0, True)
     laws = _coordinate_laws(inst, eps_round, and_factory)
-    if mode == "exact":
-        silent = np.ones((1, 1))
-        for law in reversed(laws):  # the last factor is coordinate 0, bit 0
-            silent = np.kron(silent, 1.0 - _says_one(law))
-        err = np.where(disj_table(inst.n) == 1, silent, 1.0 - silent)
-        rounds = float(np.sum(_reach(inst, laws)))
-    else:
-        err, rounds = _mc_tables(inst.n, laws, prior.mass, seed, samples)
+    silent = np.ones((1, 1))
+    for law in reversed(laws):  # the last factor is coordinate 0, bit 0
+        silent = np.kron(silent, 1.0 - _says_one(law))
+    err = np.where(disj_table(inst.n) == 1, silent, 1.0 - silent)
     return DisjAudit(
         distributional=float(np.sum(prior.mass * err)),
         per_input=err,
         eps_round=eps_round,
-        expected_rounds=rounds,
+        expected_rounds=float(np.sum(_reach(inst, laws))),
         trivial=False,
-        mode=mode,
     )
-
-
-def _mc_tables(n: int, laws, mass: np.ndarray, seed: int, samples: int):
-    """Monte-Carlo error table and expected rounds: ``samples`` runs per
-    composite input, input-major, in batches of at most MC_CHUNK_DRAWS
-    (run, coordinate) draws.  Counts are kept per input as exact integers,
-    so the result depends on the seed alone, not on the batch size."""
-    says = np.stack([_says_one(law) for law in laws])
-    runs = mass.size * samples
-    wrong = np.zeros(mass.size)
-    rounds = np.zeros(mass.size)
-    rng = np.random.default_rng(seed)
-    step = max(1, MC_CHUNK_DRAWS // n)
-    for start in range(0, runs, step):
-        cell = np.arange(start, min(start + step, runs)) // samples
-        x, y = cell >> n, cell & (2**n - 1)
-        output, ran = _sample_runs(rng, says, x, y)
-        seen = slice(cell[0], cell[-1] + 1)
-        wrong[seen] += np.bincount(cell - cell[0], weights=output != ((x & y) != 0))
-        rounds[seen] += np.bincount(cell - cell[0], weights=ran)
-    err = (wrong / samples).reshape(mass.shape)
-    return err, float(np.sum(mass.reshape(-1) * rounds)) / samples
 
 
 def disj_ic_exact(

@@ -41,7 +41,7 @@ COLUMNS = "columns"
 # flattening and path law peak at 177 bytes each (185 MB; 182 bytes at 2**18,
 # by tracemalloc on a file of shared levels).  ``_flatten`` refuses a tree as
 # it lays it out: 40 shared levels peak at 88 MB.
-JSON_FACTOR_CAP = 2**22
+TREE_FACTOR_CAP = 2**22
 # A deep tree's scan groups hold at most this many heavy paths, so that the
 # copies of rows a scan makes take a chunk's size (see ``_plan``).
 SCAN_CHUNK_PATHS = 2**14
@@ -216,11 +216,11 @@ def _flatten(root: Node, nx: int, ny: int, outputs: tuple, listed: Sequence = ()
     walk over its distinct nodes; an int child names a node of ``listed``.
     An internal node reached again is written as one block copy of its first
     layout, with the 1-children shifted.  Only there can a node be found on
-    its own path; the transcripts are counted against ``JSON_FACTOR_CAP``
+    its own path; the transcripts are counted against ``TREE_FACTOR_CAP``
     there and once at the end."""
     owner, signal, child1, copy_of = (array("i") for _ in range(4))
     tables, first, stack = ([], []), {}, [(root, -1)]  # (node, entry whose 1-child it is)
-    most = JSON_FACTOR_CAP // (nx + ny)  # transcripts a tree may have
+    most = TREE_FACTOR_CAP // (nx + ny)  # transcripts a tree may have
     while stack:
         node, parent = stack.pop()
         i = len(owner)

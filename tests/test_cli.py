@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import infowalk
-from infowalk import JointDistribution, ic_and_zero, tree_to_json
+from infowalk import JointDistribution, ic_and_zero, one_sided_and, tree_to_json
 from infowalk.cli import main
 
 from helpers import exchange_tree
@@ -337,8 +337,7 @@ def test_xor_out_search_without_search_leaves_no_output(capsys, tmp_path, monkey
 
 @pytest.mark.parametrize("argv", [
     ("xor", "--eps-list", "0.1", "--search", "--out", "x.csv"),
-    ("disj", "--n", "2", "--eps", "0.1", "--mode", "mc", "--and-grid", "16",
-     "--out-audit", "a.json"),
+    ("xor", "--eps-list", "0.1", "--search", "--out-search", "s.json"),
 ])
 def test_seedless_sampled_modes_leave_no_output(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -400,10 +399,45 @@ def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
     assert not audit.exists()
 
 
-def test_disj_exact_cap_is_code_3(capsys):
-    code, _, err = run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "exact")
-    assert code == 3
-    assert "resource cap" in err
+def test_disj_exact_cap_is_code_3(capsys, monkeypatch):
+    # 4¹⁰ inputs fit the audit's table; 4¹¹ are refused before any AND walk
+    code, out, err = run(capsys, "disj", "--n", "10", "--eps", "0.1", "--and-grid", "16")
+    assert code == 0, err
+    assert out.startswith("n=10 mode=exact distributional=0.010774499980894836 ")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an AND walk was built before the cap check")
+
+    monkeypatch.setattr("infowalk.cli.one_sided_and", forbidden)
+    code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--with-ic")
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "table" in err
+
+
+def test_disj_has_no_sampled_mode(capsys):
+    code, out, _ = run(capsys, "disj", "--help")
+    assert code == 0 and "--with-ic" in out
+    for flag, value in (("--mode", "mc"), ("--samples", "5"), ("--seed", "1")):
+        assert flag not in out
+        code, out_bad, err = run(capsys, "disj", "--n", "2", "--eps", "0.1", flag, value)
+        assert code == 1 and out_bad == "" and "unrecognized" in err
+
+
+def test_disj_with_ic_builds_each_and_walk_once(capsys, monkeypatch):
+    # the audit and the cost share the walk of the one distinct prior
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return one_sided_and(*args, **kwargs)
+
+    monkeypatch.setattr("infowalk.cli.one_sided_and", counting)
+    code, out, err = run(capsys, "disj", "--n", "3", "--eps", "0.1", "--with-ic",
+                         "--and-grid", "16")
+    assert code == 0, err
+    assert len(calls) == 1
+    assert out == ("n=3 mode=exact distributional=0.03754845714962589 "
+                   "eps_round=0.08648648648648649 expected_rounds=2.3670215485756025\n")
 
 
 def test_shared_node_tree_file_is_code_3_at_once(capsys, files):
@@ -434,50 +468,6 @@ def test_deep_chain_tree_file_prices(capsys, files):
     prior = write("u.json", [[0.25, 0.25], [0.25, 0.25]])
     code, out, _ = run(capsys, "ic", "--protocol", tree, "--prior", prior)
     assert code == 0 and "internal" in out
-
-
-def test_disj_mc_needs_seed(capsys):
-    assert run(capsys, "disj", "--n", "5", "--eps", "0.1", "--mode", "mc")[0] == 2
-
-
-def test_disj_mc_samples_must_be_positive(capsys):
-    code, out, err = run(capsys, "disj", "--n", "2", "--eps", "0.1", "--mode", "mc",
-                         "--seed", "1", "--samples", "0")
-    assert code == 2 and out == ""
-    assert "precondition" in err and "samples" in err
-
-
-def test_disj_mc_draw_cap_is_code_3(capsys):
-    code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--mode", "mc",
-                         "--seed", "1", "--samples", "1", "--and-grid", "8")
-    assert code == 3 and out == ""
-    assert "resource cap" in err and "draws" in err
-
-
-def test_disj_mc_deterministic(capsys, files):
-    tmp, _ = files
-    a_path, b_path = str(tmp / "a.json"), str(tmp / "b.json")
-    args = ["disj", "--n", "5", "--eps", "0.1", "--mode", "mc", "--seed", "7",
-            "--samples", "60"]
-    assert run(capsys, *args, "--out-audit", a_path)[0] == 0
-    assert run(capsys, *args, "--out-audit", b_path)[0] == 0
-    a = json.loads((tmp / "a.json").read_text())
-    b = json.loads((tmp / "b.json").read_text())
-    assert a["result"] == b["result"]
-
-
-def test_disj_mc_is_honoured_below_the_exact_cap(capsys, files):
-    tmp, _ = files
-    audit_path = str(tmp / "a.json")
-    code, out, err = run(
-        capsys, "disj", "--n", "2", "--eps", "0.1", "--mode", "mc", "--seed", "1",
-        "--and-grid", "16", "--out-audit", audit_path,
-    )
-    assert code == 0, err
-    assert "mode=mc" in out.split()
-    payload = json.loads((tmp / "a.json").read_text())
-    assert payload["config"]["params"]["mode"] == "mc"
-    assert payload["result"]["mode"] == "mc"
 
 
 def test_trivial_check_verdict(capsys, files):
@@ -558,13 +548,13 @@ ECHO_CASES = [
     ("disj --n 2 --eps 0.1 --hardest --and-grid 16 --curve-eps 1e-3,1e-2 "
      "--out-audit a.json --out-curve dc.csv", "dc.csv",
      {}, {"out_audit": "a.json", "out_curve": "dc.csv"},
-     {"n": 2, "eps": 0.1, "hardest": True, "mode": "exact", "samples": 400,
-      "with_ic": False, "and_grid": 16, "curve_eps": "1e-3,1e-2"}, None),
-    ("disj --n 2 --eps 0.1 --coord-prior w.json --mode mc --seed 1 --samples 5 "
-     "--and-grid 16 --with-ic --out-audit a.json", "a.json",
+     {"n": 2, "eps": 0.1, "hardest": True, "with_ic": False, "and_grid": 16,
+      "curve_eps": "1e-3,1e-2"}, None),
+    ("disj --n 2 --eps 0.1 --coord-prior w.json --and-grid 16 --with-ic "
+     "--out-audit a.json", "a.json",
      {"coord_prior": "w.json"}, {"out_audit": "a.json"},
-     {"n": 2, "eps": 0.1, "hardest": False, "mode": "mc", "samples": 5,
-      "with_ic": True, "and_grid": 16, "curve_eps": "1e-4,1e-3,1e-2,5e-2,1e-1"}, 1),
+     {"n": 2, "eps": 0.1, "hardest": False, "with_ic": True, "and_grid": 16,
+      "curve_eps": "1e-4,1e-3,1e-2,5e-2,1e-1"}, None),
     ("trivial-check --table xor.json --mu diag.json --out v.json", "v.json",
      {"table": "xor.json", "mu": "diag.json"}, {"out": "v.json"}, {"kind": "auto"}, None),
 ]
@@ -626,8 +616,9 @@ ARTIFACT_PINS = {
     # none qualifies, so min_external is null
     "xor --eps-list 0 --search --samples 1 --seed 0 --out-search s.json":
         "bcb93d8e6e0ba4f7a4e73743c9424ced7419970daed0eaecbf41a315b3f13843",
-    "disj --n 2 --eps 0.1 --mode mc --seed 1 --samples 5 --and-grid 16 --out-audit a.json":
-        "85f8fa2ffb6e8b4f33b7db24a7345170d279f930e158076cc27b9037aa1e63f3",
+    # past the composite law's reach: a table of 4⁵ inputs
+    "disj --n 5 --eps 0.1 --and-grid 16 --with-ic --out-audit a.json":
+        "97a40aea6948e6b022c133b45d12d35b391675782e95a7dfe0893bc9ab514877",
     # internally trivial: two blocks and a witness
     "trivial-check --table xor.json --mu diag.json --out v.json":
         "2292f9c249ccf44cd1f894494d90eaf6c439e3b14b34551f53e15fe8683fcb17",

@@ -83,18 +83,15 @@ def test_trivial_when_intersection_unlikely():
 
 
 def test_audit_mode_is_honoured_at_any_n():
-    inst = DisjInstance.iid(W, 2)
-    audit = disj_error_audit(inst, 0.1, grid8, seed=3, samples=20, mode="mc")
-    assert audit.mode == "mc"
-    truth = disj_table(2)
-    assert np.all(audit.per_input[truth == 0] == 0.0)
-    assert disj_error_audit(inst, 0.1, grid8).mode == "exact"
-    with pytest.raises(ResourceCapError):
-        disj_error_audit(DisjInstance.iid(W, 5), 0.1, grid4, mode="exact")
-    with pytest.raises(PreconditionError):
-        disj_error_audit(inst, 0.1, grid8, mode="mc")
-    with pytest.raises(PreconditionError):
-        disj_error_audit(inst, 0.1, grid8, mode="fast")
+    # one exact audit at every n whose table fits; seed and samples are read
+    # by nothing
+    for n in (2, 5, 10):
+        inst = DisjInstance.iid(W, n)
+        audit = disj_error_audit(inst, 0.1, grid4)
+        assert audit.mode == "exact" and not audit.trivial
+        assert np.all(audit.per_input[disj_table(n) == 0] == 0.0)
+        assert audit_fields(disj_error_audit(
+            inst, 0.1, grid4, seed=3, samples=20)) == audit_fields(audit)
 
 
 def test_n1_reduces_to_the_subprotocol():
@@ -167,15 +164,6 @@ def test_factory_failure_is_wrapped():
 
     with pytest.raises(ProtocolError):
         disj_protocol(DisjInstance.iid(W, 2), 0.1, broken)
-
-
-def test_mc_audit_tracks_exact():
-    inst = DisjInstance.iid(W, 5)
-    audit = disj_error_audit(inst, 0.1, grid4, seed=7, samples=200)
-    assert audit.mode == "mc"
-    truth = disj_table(5)
-    assert np.all(audit.per_input[truth == 0] == 0.0)
-    assert audit.distributional < 0.1
 
 
 def test_ic_subadditive_over_coordinates():
@@ -284,6 +272,16 @@ def leaky(prior, eps):
     return TranscriptLaw(prior, ("a", "b", "c"), cond, (0, 1, 1))
 
 
+def leaky_by_prior(prior, eps):
+    """A leaky round whose table depends on its coordinate's prior, so that a
+    table put on the wrong coordinate shows: a grid round's table does not."""
+    law = leaky(prior, eps)
+    scale = np.array([1.0, 0.5 + 0.5 * prior.mass[0, 0], 0.5 + 0.5 * prior.mass[0, 0]])
+    cond = law.cond * scale[:, None, None]
+    cond[0] = 1.0 - cond[1:].sum(axis=0)
+    return TranscriptLaw(prior, law.leaf_ids, cond, law.outputs)
+
+
 def grid64(prior, eps):
     return one_sided_and(eps, prior, n=64)
 
@@ -299,8 +297,8 @@ PRIOR_SETS = {
 }
 
 
-@pytest.mark.parametrize("factory", [grid16, grid64, leaky],
-                         ids=["grid16", "grid64", "leaky"])
+@pytest.mark.parametrize("factory", [grid16, grid64, leaky, leaky_by_prior],
+                         ids=["grid16", "grid64", "leaky", "leaky-by-prior"])
 @pytest.mark.parametrize("priors", PRIOR_SETS.values(), ids=PRIOR_SETS.keys())
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_factorized_audit_matches_composite_law(priors, factory, eps):
@@ -312,7 +310,7 @@ def test_factorized_audit_matches_composite_law(priors, factory, eps):
     assert np.max(np.abs(audit.per_input - err)) <= 1e-12
     assert abs(audit.distributional - distributional) <= 1e-12
     assert abs(audit.expected_rounds - rounds) <= 1e-12
-    if factory is not leaky:
+    if factory in (grid16, grid64):
         assert np.all(audit.per_input[disj_table(inst.n) == 0] == 0.0)
 
 
@@ -368,20 +366,20 @@ def test_ic_at_two_hundred_coordinates(monkeypatch):
     assert ic == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("n, mode", [(4, "exact"), (5, "mc")])
-def test_trivial_audit_reports_the_always_zero_error(n, mode):
+@pytest.mark.parametrize("n", [4, 5], ids=lambda n: f"{n}-exact")
+def test_trivial_audit_reports_the_always_zero_error(n):
     inst = DisjInstance.iid(THIN, n)
     assert inst.p_one < 0.5
-    audit = disj_error_audit(inst, 0.5, grid16, seed=3, samples=5)
-    assert audit.mode == mode and audit.trivial
+    audit = disj_error_audit(inst, 0.5, grid16)
+    assert audit.mode == "exact" and audit.trivial
     assert np.array_equal(audit.per_input, disj_table(n).astype(float))
     assert audit.distributional == pytest.approx(inst.p_one, abs=1e-12)
     assert audit.expected_rounds == 0.0
 
 
 # ---------------------------------------------------------------------------
-# the vectorized Monte-Carlo sampler against the exact audit and the
-# one-run-at-a-time reference
+# the exact audit against the one-run-at-a-time reference sampler, and the
+# cap on its table
 # ---------------------------------------------------------------------------
 
 def round_moments(inst, laws):
@@ -413,10 +411,20 @@ def audit_fields(audit):
             audit.expected_rounds, audit.trivial, audit.mode)
 
 
-def assert_within_5_se(inst, laws, exact, err, rounds, samples):
+def assert_within_5_se(inst, laws, exact, err, rounds, samples, per_input=True):
+    """Sampled errors and rounds within 5 standard errors of the exact audit.
+
+    With ``per_input`` off, each input is checked only where its error is
+    certain (0 or 1): over 4ⁿ inputs of few samples each, some input whose
+    error is near 0 strays past 5 of its own standard errors by chance."""
     p = exact.per_input
-    assert np.all(np.abs(err - p) <= 5.0 * np.sqrt(p * (1.0 - p) / samples) + 1e-12)
-    mass = inst.joint_prior().mass.reshape(-1)
+    tol = 5.0 * np.sqrt(p * (1.0 - p) / samples) + 1e-12
+    checked = np.ones(p.shape, bool) if per_input else (p == 0.0) | (p == 1.0)
+    assert np.all(np.abs(err - p)[checked] <= tol[checked])
+    mass = inst.joint_prior().mass
+    se = math.sqrt(float(np.sum(mass**2 * p * (1.0 - p))) / samples)
+    assert abs(float(np.sum(mass * err)) - exact.distributional) <= 5.0 * se + 1e-12
+    mass = mass.reshape(-1)
     m1, m2 = round_moments(inst, laws)
     assert float(np.sum(mass * m1)) == pytest.approx(exact.expected_rounds, abs=1e-12)
     se = math.sqrt(float(np.sum(mass**2 * (m2 - m1**2))) / samples)
@@ -430,54 +438,46 @@ def assert_within_5_se(inst, laws, exact, err, rounds, samples):
 def test_mc_audit_agrees_with_exact_within_5_se(priors, factory):
     inst = DisjInstance.from_priors(priors)
     exact = disj_error_audit(inst, 0.1, factory)
-    laws = [factory(w, exact.eps_round) for w in priors]
-    mc = disj_error_audit(inst, 0.1, factory, seed=11, samples=4000, mode="mc")
-    assert mc.mode == "mc" and mc.eps_round == exact.eps_round
-    assert_within_5_se(inst, laws, exact, mc.per_input, mc.expected_rounds, 4000)
-    assert mc.distributional == pytest.approx(
-        float(np.sum(inst.joint_prior().mass * mc.per_input)), abs=1e-15
+    assert exact.distributional == pytest.approx(
+        float(np.sum(inst.joint_prior().mass * exact.per_input)), abs=1e-15
     )
+    laws = [factory(w, exact.eps_round) for w in priors]
     err, rounds = disj_mc_audit_reference(inst, laws, seed=12, samples=200)
     assert_within_5_se(inst, laws, exact, err, rounds, 200)
 
 
-def test_mc_audit_is_fixed_by_its_seed_not_its_batches(monkeypatch):
-    inst = DisjInstance.from_priors((W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR))
-    first = disj_error_audit(inst, 0.1, grid8, seed=5, samples=7, mode="mc")
-    assert audit_fields(disj_error_audit(
-        inst, 0.1, grid8, seed=5, samples=7, mode="mc")) == audit_fields(first)
-    assert audit_fields(disj_error_audit(
-        inst, 0.1, grid8, seed=6, samples=7, mode="mc")) != audit_fields(first)
-    # 448 runs of 3 draws: batches of 7 runs, of 1 run, and of 13 runs that
-    # end inside an input's samples all replay the same stream
-    for chunk in (21, 1, 40):
-        monkeypatch.setattr(disjointness, "MC_CHUNK_DRAWS", chunk)
-        again = disj_error_audit(inst, 0.1, grid8, seed=5, samples=7, mode="mc")
-        assert audit_fields(again) == audit_fields(first)
+def test_mc_audit_tracks_exact():
+    # past the composite law's reach: n = 5, 1024 inputs of 30 runs each
+    priors = (W, UNIFORM, HARDEST_ZERO_DIAG_PRIOR, THIN, W)
+    inst = DisjInstance.from_priors(priors)
+    for seed, factory in ((13, grid16), (14, leaky)):
+        exact = disj_error_audit(inst, 0.1, factory)
+        laws = [factory(w, exact.eps_round) for w in priors]
+        err, rounds = disj_mc_audit_reference(inst, laws, seed=seed, samples=30)
+        assert_within_5_se(inst, laws, exact, err, rounds, 30, per_input=False)
 
 
-def test_samples_must_be_positive():
-    inst = DisjInstance.iid(W, 2)
-    for samples in (0, -3):
-        with pytest.raises(PreconditionError):
-            disj_error_audit(inst, 0.1, grid8, seed=1, samples=samples, mode="mc")
-
-
-def test_mc_draw_cap_is_checked_before_any_work(monkeypatch):
+def test_table_cap_is_checked_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
     monkeypatch.setattr(DisjInstance, "joint_prior", forbidden)
-    with pytest.raises(ResourceCapError, match="draws"):
-        disj_error_audit(DisjInstance.iid(W, 11), 0.1, forbidden, seed=1,
-                         samples=1, mode="mc")
-    monkeypatch.undo()
-    # the cap counts 4ⁿ · samples · n draws: 16 · 3 · 2 = 96 fits, 128 does not
-    monkeypatch.setattr(disjointness, "MC_DRAW_CAP", 96)
-    inst = DisjInstance.iid(W, 2)
-    assert disj_error_audit(inst, 0.1, grid8, seed=1, samples=3, mode="mc").mode == "mc"
-    with pytest.raises(ResourceCapError):
-        disj_error_audit(inst, 0.1, grid8, seed=1, samples=4, mode="mc")
+    with pytest.raises(ResourceCapError, match="table of 4194304 inputs"):
+        disj_error_audit(DisjInstance.iid(W, 11), 0.1, forbidden)
+    with pytest.raises(ResourceCapError):  # the always-0 protocol too
+        disj_error_audit(DisjInstance.iid(THIN, 11), 0.5, forbidden)
+
+
+@pytest.mark.parametrize("cap", [4, 15, 16, 100, 256])
+def test_table_cap_admits_exactly_the_tables_that_fit(monkeypatch, cap):
+    monkeypatch.setattr(disjointness, "AUDIT_TABLE_CAP", cap)
+    for n in range(1, 6):
+        inst = DisjInstance.iid(W, n)
+        if 4**n <= cap:
+            assert disj_error_audit(inst, 0.1, grid4).per_input.size == 4**n
+        else:
+            with pytest.raises(ResourceCapError):
+                disj_error_audit(inst, 0.1, grid4)
 
 
 def test_factory_runs_once_per_distinct_prior():
@@ -494,7 +494,7 @@ def test_factory_runs_once_per_distinct_prior():
     assert len(calls) == 2
     calls.clear()
     mixed = DisjInstance.from_priors((W, UNIFORM, W, UNIFORM))
-    disj_error_audit(mixed, 0.1, counting, seed=1, samples=1, mode="mc")
+    disj_error_audit(mixed, 0.1, counting)
     assert len(calls) == 2 and len(set(calls)) == 2
 
     def fails_off_w(prior, eps):

@@ -153,3 +153,67 @@ def test_every_public_name_serves_a_command_claim_or_bench_layer():
     public = {unit for unit, name, _, _ in units if not name.startswith("_")}
     unserved = sorted((public | exported) - kept)
     assert not unserved, f"no command, claim or bench layer uses {unserved}"
+
+
+# ---------------------------------------------------------------------------
+# One sampler in src/: ``xor_floor_search`` and the two tree samplers it
+# draws from.  Every other number comes from exact code, so a random draw
+# anywhere else would be a second path to a number that code already gives.
+# ---------------------------------------------------------------------------
+
+SAMPLERS = {"optimize.py:xor_floor_search", "optimize.py:_random_dyadic_tree",
+            "optimize.py:_perturbed_exchange_tree"}
+# the methods of a numpy Generator (or of the random module) that draw
+DRAW_METHODS = {"random", "integers", "choice", "permutation", "permuted", "shuffle",
+                "uniform", "normal", "standard_normal", "binomial", "poisson",
+                "exponential", "multinomial", "randint", "randrange", "sample"}
+
+
+def _draws(node):
+    """Whether a statement draws at random: it imports the ``random`` module
+    or ``numpy.random``, reads ``default_rng`` or ``np.random``, or calls a
+    drawing method on anything but a class (``JointDistribution.uniform``
+    builds a law)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import) and any(
+                a.name == "random" or a.name.startswith("numpy.random") for a in sub.names):
+            return True
+        if isinstance(sub, ast.ImportFrom) and (
+                sub.module in ("random", "numpy.random")
+                or any(a.name in ("random", "default_rng") for a in sub.names)):
+            return True
+        if isinstance(sub, ast.Name) and sub.id == "default_rng":
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr in ("random", "default_rng"):
+            return True
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in DRAW_METHODS
+                and not (isinstance(sub.func.value, ast.Name) and sub.func.value.id[:1].isupper())):
+            return True
+    return False
+
+
+def _drawing_names(trees):
+    """``module:name`` of each top-level statement that draws at random."""
+    return {f"{module}:{(_defined(node) or ['<module>'])[0]}"
+            for module, tree in trees.items() for node in tree.body if _draws(node)}
+
+
+def test_the_draw_finder_sees_each_kind_of_draw():
+    snippets = {
+        "import random\nx = random.random()": True,
+        "from random import shuffle": True,
+        "import numpy.random": True,
+        "from numpy.random import default_rng": True,
+        "g = np.random.default_rng(3)": True,
+        "def f(g, n):\n    return g.integers(0, 2, size=n)": True,
+        "def f(g):\n    return g.permutation(4)": True,
+        "w = JointDistribution.uniform(2, 2)": False,
+        "def f(x):\n    return np.kron(x, x)": False,
+    }
+    for text, draws in snippets.items():
+        assert bool(_drawing_names({"m.py": ast.parse(text)})) is draws, text
+
+
+def test_random_draws_live_only_in_the_xor_floor_search():
+    assert _drawing_names(TREES) == SAMPLERS

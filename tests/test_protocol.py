@@ -34,7 +34,7 @@ from infowalk import (
     tree_to_json,
     walk,
 )
-from infowalk.protocol import COLUMNS, JSON_FACTOR_CAP, ROWS
+from infowalk.protocol import COLUMNS, ROWS, TREE_FACTOR_CAP
 
 from helpers import (
     InfeasibleSplitError,
@@ -362,7 +362,7 @@ def test_tree_json_caps_the_transcripts_shared_nodes_expand_to():
     text = tree_to_json(completed)
     assert tree_to_json(tree_from_json(text)) == text
     assert len(completed.path_law.outputs) == 3 * 64 + 15
-    assert (3 * 262144 + 15) * (2 + 2) <= JSON_FACTOR_CAP
+    assert (3 * 262144 + 15) * (2 + 2) <= TREE_FACTOR_CAP
 
 
 def test_shared_levels_parse_as_block_copies():
@@ -408,7 +408,7 @@ def test_both_sources_cap_the_transcripts_as_they_are_laid_out(build):
 
 
 def test_the_cap_counts_transcripts_without_shared_nodes(monkeypatch):
-    monkeypatch.setattr("infowalk.protocol.JSON_FACTOR_CAP", 3 * (2 + 2))
+    monkeypatch.setattr("infowalk.protocol.TREE_FACTOR_CAP", 3 * (2 + 2))
     three = Internal(ALICE, (0.5, 0.5), Leaf(0), Internal(BOB, (0.5, 0.5), Leaf(0), Leaf(0)))
     assert len(ProtocolTree(2, 2, (0,), three).owner) == 5
     with pytest.raises(ResourceCapError):

@@ -51,7 +51,7 @@ ARTIFACT_SHA256 = {
         "curve.csv": "d6ec2ee751da4b3011da2b435b6ce378cb0d4fc82008fb03681e0573d8520509",
     },
     "disj": {
-        "audit.json": "fd0da66c1f726fc5d2cf5fdb777f0a8a34918f94b5189208dbd1208573d31ed6",
+        "audit.json": "449d6b5d8fd1832e51b935e4d288e76fd8939098ef5e4e2540a40bddfa093b48",
     },
 }
 
