@@ -414,6 +414,18 @@ def test_disj_exact_cap_is_code_3(capsys, monkeypatch):
     assert "resource cap" in err and "table" in err
 
 
+def test_disj_mc_draw_cap_is_code_3(capsys, files):
+    # n = 11 once ran into the sampled audit's draw cap; the table cap that
+    # replaced it refuses the same input with the same code and writes nothing
+    tmp, _ = files
+    audit = tmp / "a.json"
+    code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--and-grid", "8",
+                         "--out-audit", str(audit))
+    assert code == 3 and out == ""
+    assert "resource cap" in err and str(4**11) in err
+    assert not audit.exists()
+
+
 def test_disj_has_no_sampled_mode(capsys):
     code, out, _ = run(capsys, "disj", "--help")
     assert code == 0 and "--with-ic" in out
