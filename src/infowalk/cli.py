@@ -388,8 +388,8 @@ def _cmd_disj(args) -> int:
         f"eps_round={audit.eps_round!r} expected_rounds={audit.expected_rounds!r}"
     )
     if args.out_audit:
-        result = dict(asdict(audit), n=inst.n, p_one=inst.p_one,
-                      per_input=audit.per_input.tolist())
+        result = dict(asdict(audit), n=inst.n, p_one=inst.p_one, per_input=None
+                      if audit.per_input is None else audit.per_input.tolist())
         if ic_internal is not None:
             result["ic_internal"] = ic_internal
         _write_json(args.out_audit, args, result)

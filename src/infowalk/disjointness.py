@@ -7,21 +7,19 @@ first 1.  Because the subprotocols never answer 1 falsely, disjoint inputs
 never err, and an input with t intersecting coordinates errs exactly when
 all t of its AND rounds err — probability (per-round error)^t.
 
-Input laws are product-across-coordinates, so earlier rounds never move the
-posterior of a later coordinate and each round's prior is just its
-coordinate's marginal law.  The exact cost and error audit therefore factor
-over the n per-coordinate AND laws: a coordinate's round runs with the
-probability that every round drawn before it said 0, and pays its AND cost
-when it does.  The composite law over all 4ⁿ inputs (``disj_protocol``)
-stays the definition they are checked against.  Composite inputs
-are encoded as integers whose bit i is coordinate i; intersection is then
-literally ``x & y``.
+Input laws are product-across-coordinates, so the rounds are independent
+and each round's prior is its coordinate's marginal law: every audit and
+cost number is a product, or a sum of prefix and suffix products, over the
+rounds' 2x2 "says 1" tables o_c and AND costs, at any n.  They are checked
+against the composite law over all 4ⁿ inputs (``disj_protocol``), whose
+inputs are integers with coordinate i in bit i, so intersection is ``x & y``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -35,10 +33,10 @@ from .infocost import TranscriptLaw, internal_ic
 # disj_protocol's composite law keeps a 4ⁿ-cell table per transcript and
 # walks all n! orders of the coordinates.
 COMPOSITE_COORD_CAP = 4
-# The audit's tables over 4ⁿ inputs peak at 48 bytes a cell (tracemalloc;
-# most of it the joint prior's mass check).  At 2²⁰ cells (n = 10, 48 MB)
-# `disj --and-grid 16` takes 0.4–0.6 s, process start included, at 88 MB
-# peak RSS on a 2-core host; n = 11 would need 192 MB.
+# The audit's one table, ``per_input`` over 4ⁿ inputs, peaks at 25 bytes a
+# cell (tracemalloc).  At 2²⁰ cells (n = 10, 26 MB) `disj --and-grid 16`
+# takes 0.2–0.3 s, process start included, at 57 MB peak RSS on a 2-core
+# host.  Past the cap the audit reports no table; its numbers need none.
 AUDIT_TABLE_CAP = 2**20
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
@@ -103,30 +101,31 @@ def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
     return epsilon / (2.0 * inst.p_one)
 
 
-def _coordinate_laws(inst: DisjInstance, eps_round: float, and_factory):
-    """The AND law of every coordinate, built once per distinct prior."""
-    built = {}
-    laws = []
+def _rounds(inst: DisjInstance, eps_round: float, and_factory):
+    """Every coordinate's round as (AND law, o_c), with o_c = Pr[the round
+    says 1 | a, b] as a 2x2 table; the factory runs once per distinct prior."""
+    built, rounds = {}, []
     for i, w in enumerate(inst.coord_priors):
         key = w.mass.tobytes()
         if key not in built:
             try:
-                built[key] = and_factory(w, eps_round)
+                law = and_factory(w, eps_round)
             except Exception as exc:
-                raise ProtocolError(
-                    f"AND factory failed on coordinate {i}: {exc}"
-                ) from exc
-        laws.append(built[key])
-    return laws
+                raise ProtocolError(f"AND factory failed on coordinate {i}: {exc}") from exc
+            ones = [t for t, out in enumerate(law.outputs) if out == 1]
+            built[key] = (law, law.cond[ones].sum(axis=0))
+        rounds.append(built[key])
+    return rounds
 
 
-def _says_one(law: TranscriptLaw) -> np.ndarray:
-    """Pr[the round answers 1 | a, b] as a 2x2 table."""
-    ones = [t for t, out in enumerate(law.outputs) if out == 1]
-    return law.cond[ones].sum(axis=0)
+def _around(before, after):
+    """(Π_{k<c} before_k, Π_{k>c} after_k) for every c, along axis 0."""
+    ones = np.ones_like(before[:1])
+    return (np.cumprod(np.vstack([ones, before[:-1]]), axis=0),
+            np.cumprod(np.vstack([ones, after[:0:-1]]), axis=0)[::-1])
 
 
-def _reach(inst: DisjInstance, laws) -> np.ndarray:
+def _reach(inst: DisjInstance, says) -> np.ndarray:
     """Pr[the round of coordinate c runs], for every c, under the prior.
 
     A round runs when every round drawn before it said 0.  The rounds are
@@ -134,18 +133,14 @@ def _reach(inst: DisjInstance, laws) -> np.ndarray:
     reach_c = E_σ Π_{k before c} miss_k = ∫₀¹ Π_{k≠c} (1 − t(1 − miss_k)) dt,
     the integral summing over the position of c in σ.  The integrand is a
     polynomial of degree n − 1, which ⌊n/2⌋ + 1 Gauss–Legendre nodes
-    integrate exactly; prefix and suffix products over k make all n values
-    O(n²)."""
-    miss = np.array([
-        float(np.sum(w.mass * (1.0 - _says_one(law))))
-        for w, law in zip(inst.coord_priors, laws)
-    ])
+    integrate exactly in exact arithmetic; prefix and suffix products over k
+    make all n values O(n²).  In floats, iid uniform rounds at ε = 0.1 sum to
+    within 1e-11 relative of (1 − missⁿ)/(1 − miss) at n ≤ 1000, 1e-9 at 4000."""
+    miss = np.array([np.sum(w.mass * (1.0 - o)) for w, o in zip(inst.coord_priors, says)])
     nodes, weights = np.polynomial.legendre.leggauss(inst.n // 2 + 1)
     t = 0.5 * (nodes + 1.0)
     factors = 1.0 - np.outer(1.0 - miss, t)  # (coordinate, node)
-    ones = np.ones((1, t.size))
-    before = np.cumprod(np.vstack([ones, factors[:-1]]), axis=0)
-    after = np.cumprod(np.vstack([ones, factors[:0:-1]]), axis=0)[::-1]
+    before, after = _around(factors, factors)
     return (before * after) @ (0.5 * weights)
 
 
@@ -213,20 +208,23 @@ def disj_protocol(
             f"the composite law caps at {COMPOSITE_COORD_CAP} coordinates; "
             "audit larger instances with disj_error_audit"
         )
-    return _composite_law(inst, _coordinate_laws(inst, eps_round, and_factory))
+    laws, _ = zip(*_rounds(inst, eps_round, and_factory))
+    return _composite_law(inst, laws)
 
 
 @dataclass(frozen=True)
 class DisjAudit:
     """Error accounting of one protocol instance.
 
-    ``per_input`` is the full error table over composite inputs;
+    ``per_input`` is the error table over composite inputs, the Kronecker
+    product of the rounds' 2x2 silences, where it fits (4ⁿ ≤
+    AUDIT_TABLE_CAP), else None; the other fields are exact at any n.
     ``expected_rounds`` averages the stopping time under the product law.
     ``mode`` always reads "exact": the CLI's stdout and the benchmark's
     digest print it."""
 
     distributional: float
-    per_input: np.ndarray
+    per_input: Optional[np.ndarray]
     eps_round: float
     expected_rounds: float
     trivial: bool
@@ -241,43 +239,44 @@ def disj_error_audit(
     seed: Optional[int] = None,
     samples: Optional[int] = None,
 ) -> DisjAudit:
-    """Exact error table of the protocol, whose rounds ``and_factory`` builds
-    as in ``disj_protocol``, over at most AUDIT_TABLE_CAP composite inputs
-    (n <= 10), checked before any table or AND law is built.
+    """Exact error audit of the protocol, whose rounds ``and_factory`` builds
+    as in ``disj_protocol``, at any n from the rounds' 2x2 tables alone.
 
-    The table comes from the coordinate laws alone.  Whatever the
-    permutation, the protocol answers 0 exactly when no round says 1, which
-    has probability Π_c (1 − o_c(x_c, y_c)) with o_c = Pr[round c says 1];
-    the table over composite inputs is the Kronecker product of these 2x2
-    factors, so a disjoint input (every o_c exactly 0 for one-sided rounds)
-    has error exactly 0.  The expected rounds are Σ_c Pr[round c runs].  When
-    the always-0 protocol meets the budget, the audit reports its exact
-    error: 1 on every intersecting input, and no rounds.
+    The protocol answers 0 exactly when no round says 1, whatever the
+    permutation: probability Π_c (1 − o_c(x_c, y_c)).  With silent_c =
+    w_c ⊙ (1 − o_c), A_c its sum, B_c that sum without cell (1, 1) and
+    D_c = 1 − w_c(1, 1), intersecting inputs err with mass Π A − Π B and
+    disjoint ones with Π D − Π B.  Each difference is summed as
+    Σ_c (Π_{k<c} hi_k)(hi_c − lo_c)(Π_{k>c} lo_k), its middle factor formed
+    directly: nothing cancels, one-sided rounds leave the disjoint part
+    exactly 0, and the sum is within (2n + 6)·2⁻⁵³ relative of exact
+    arithmetic on the same inputs, and at n ≤ 10 within 1e-15 of the table
+    oracle Σ joint prior ⊙ ``per_input``.  The always-0 protocol is the same
+    formula with every o_c = 0, and runs no round.
 
-    ``seed`` and ``samples`` are read by nothing: they are left from a
-    Monte-Carlo audit that the benchmark's ``disj mc n=5`` op still passes
-    them to, and they go when that op changes."""
+    ``seed`` and ``samples`` are read by nothing; the benchmark's
+    ``disj mc n=5`` op still passes them, and they go when that op changes."""
     eps_round = _round_budget(inst, epsilon)
-    if 4**inst.n > AUDIT_TABLE_CAP:
-        raise ResourceCapError(
-            f"the audit of n = {inst.n} needs a table of {4**inst.n} inputs, "
-            f"over the cap of {AUDIT_TABLE_CAP}"
-        )
-    prior = inst.joint_prior()
-    if eps_round is None:
-        err = disj_table(inst.n).astype(float)
-        return DisjAudit(float(np.sum(prior.mass * err)), err, 0.0, 0.0, True)
-    laws = _coordinate_laws(inst, eps_round, and_factory)
-    silent = np.ones((1, 1))
-    for law in reversed(laws):  # the last factor is coordinate 0, bit 0
-        silent = np.kron(silent, 1.0 - _says_one(law))
-    err = np.where(disj_table(inst.n) == 1, silent, 1.0 - silent)
+    trivial = eps_round is None
+    if trivial:  # the always-0 protocol runs no round, so none says 1
+        eps_round, says = 0.0, (np.zeros((2, 2)),) * inst.n
+    else:
+        _, says = zip(*_rounds(inst, eps_round, and_factory))
+    # one row per coordinate, cells (0,0), (0,1), (1,0), (1,1)
+    w = np.stack([prior.mass for prior in inst.coord_priors]).reshape(-1, 4)
+    o = np.stack(says).reshape(-1, 4)
+    silent, leak = w * (1.0 - o), w * o
+    b = silent[:, :3].sum(axis=1)
+    before, after = _around(np.column_stack([b + silent[:, 3], 1.0 - w[:, 3]]),  # hi: A, D
+                            np.column_stack([b, b]))  # lo: B, B
+    gap = np.column_stack([silent[:, 3], leak[:, :3].sum(axis=1)])  # hi − lo
+    per_input = None
+    if 4**inst.n <= AUDIT_TABLE_CAP:  # the last factor is coordinate 0, bit 0
+        table = reduce(np.kron, [1.0 - o_c for o_c in reversed(says)])
+        per_input = np.where(disj_table(inst.n) == 1, table, 1.0 - table)
     return DisjAudit(
-        distributional=float(np.sum(prior.mass * err)),
-        per_input=err,
-        eps_round=eps_round,
-        expected_rounds=float(np.sum(_reach(inst, laws))),
-        trivial=False,
+        float(np.sum(before * gap * after)), per_input, eps_round,
+        0.0 if trivial else float(np.sum(_reach(inst, says))), trivial,
     )
 
 
@@ -298,11 +297,11 @@ def disj_ic_exact(
     eps_round = _round_budget(inst, epsilon)
     if eps_round is None:
         return 0.0
-    laws = _coordinate_laws(inst, eps_round, and_factory)
+    laws, says = zip(*_rounds(inst, eps_round, and_factory))
     distinct = {id(law): law for law in laws}  # coordinates with one prior share one law
     cost = {key: internal_ic(law) for key, law in distinct.items()}
     return math.fsum(
-        float(r) * cost[id(law)] for r, law in zip(_reach(inst, laws), laws)
+        float(r) * cost[id(law)] for r, law in zip(_reach(inst, says), laws)
     )
 
 

@@ -399,31 +399,54 @@ def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
     assert not audit.exists()
 
 
-def test_disj_exact_cap_is_code_3(capsys, monkeypatch):
-    # 4¹⁰ inputs fit the audit's table; 4¹¹ are refused before any AND walk
+def test_disj_past_the_table_cap_exits_0(capsys):
+    # 4¹⁰ inputs fit the audit's table; past it the audit is exact without one
     code, out, err = run(capsys, "disj", "--n", "10", "--eps", "0.1", "--and-grid", "16")
     assert code == 0, err
     assert out.startswith("n=10 mode=exact distributional=0.010774499980894836 ")
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an AND walk was built before the cap check")
-
-    monkeypatch.setattr("infowalk.cli.one_sided_and", forbidden)
     code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--with-ic")
-    assert code == 3 and out == ""
-    assert "resource cap" in err and "table" in err
+    assert code == 0 and err == ""
+    assert out.startswith("n=11 mode=exact distributional=")
 
 
-def test_disj_mc_draw_cap_is_code_3(capsys, files):
-    # n = 11 once ran into the sampled audit's draw cap; the table cap that
-    # replaced it refuses the same input with the same code and writes nothing
+def test_disj_past_the_table_cap_writes_a_null_table(capsys, files):
+    # n = 11 once exited 3 at the audit's table cap; now only per_input is left out
     tmp, _ = files
     audit = tmp / "a.json"
     code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--and-grid", "8",
                          "--out-audit", str(audit))
-    assert code == 3 and out == ""
-    assert "resource cap" in err and str(4**11) in err
-    assert not audit.exists()
+    assert code == 0, err
+    result = json.loads(audit.read_text())["result"]
+    assert result["per_input"] is None
+    assert out == (f"n=11 mode=exact distributional={result['distributional']!r} "
+                   f"eps_round={result['eps_round']!r} "
+                   f"expected_rounds={result['expected_rounds']!r}\n")
+
+
+def test_disj_at_1000_coordinates_runs_in_a_fresh_process_within_1_s(tmp_path):
+    # iid uniform rounds say 1 only at (1, 1), with o = 1 − ε_r there, so the
+    # error and the rounds have closed forms in m = w(1, 1) and ε_r
+    package_root = str(Path(infowalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "infowalk", "disj", "--n", "1000", "--eps", "0.1",
+         "--with-ic", "--out-audit", "a.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert elapsed < 1.0
+    result = json.loads((tmp_path / "a.json").read_text())["result"]
+    assert result["per_input"] is None and result["ic_internal"] > 0.0
+    n, m, eps_r = 1000, 0.25, result["eps_round"]
+    # products of n factors: n ulps, 2.2e-13, of relative rounding, read at 1e-12
+    assert result["distributional"] == pytest.approx(
+        (1.0 - m + m * eps_r) ** n - (1.0 - m) ** n, rel=1e-12, abs=0.0)
+    # the rounds' quadrature bound at n ≤ 1000
+    miss = 1.0 - m * (1.0 - eps_r)
+    assert result["expected_rounds"] == pytest.approx(
+        (1.0 - miss**n) / (1.0 - miss), rel=1e-11, abs=0.0)
 
 
 def test_disj_has_no_sampled_mode(capsys):
@@ -630,7 +653,7 @@ ARTIFACT_PINS = {
         "bcb93d8e6e0ba4f7a4e73743c9424ced7419970daed0eaecbf41a315b3f13843",
     # past the composite law's reach: a table of 4⁵ inputs
     "disj --n 5 --eps 0.1 --and-grid 16 --with-ic --out-audit a.json":
-        "97a40aea6948e6b022c133b45d12d35b391675782e95a7dfe0893bc9ab514877",
+        "f9172f7df52ec56f46f4b1a1d9f25abd2b4a51af71f3d09e87747e5eb640daf0",
     # internally trivial: two blocks and a witness
     "trivial-check --table xor.json --mu diag.json --out v.json":
         "2292f9c249ccf44cd1f894494d90eaf6c439e3b14b34551f53e15fe8683fcb17",

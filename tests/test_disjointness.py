@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -458,26 +461,44 @@ def test_mc_audit_tracks_exact():
 
 
 def test_table_cap_is_checked_before_any_work(monkeypatch):
+    # past the cap the audit builds nothing of 4ⁿ cells: neither the joint
+    # prior nor the function table, and no array near the 32 MB that 4¹¹
+    # floats would take (tracemalloc sees numpy's buffers)
     def forbidden(*args, **kwargs):
-        raise AssertionError("work started before the cap check")
+        raise AssertionError("a table over 4ⁿ inputs was built")
 
     monkeypatch.setattr(DisjInstance, "joint_prior", forbidden)
-    with pytest.raises(ResourceCapError, match="table of 4194304 inputs"):
-        disj_error_audit(DisjInstance.iid(W, 11), 0.1, forbidden)
-    with pytest.raises(ResourceCapError):  # the always-0 protocol too
-        disj_error_audit(DisjInstance.iid(THIN, 11), 0.5, forbidden)
+    monkeypatch.setattr(disjointness, "disj_table", forbidden)
+    for w, eps, factory in ((W, 0.1, grid4), (W, 0.1, leaky), (THIN, 0.5, forbidden)):
+        inst = DisjInstance.iid(w, 11)
+        tracemalloc.start()
+        try:
+            audit = disj_error_audit(inst, eps, factory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.per_input is None and audit.mode == "exact"
+        assert peak < 2**20
+        assert audit.trivial == (factory is forbidden)  # the always-0 protocol too
+        # leaky rounds err on disjoint inputs, so only the others meet ε
+        assert 0.0 < audit.distributional < (1.0 if factory is leaky else eps)
 
 
 @pytest.mark.parametrize("cap", [4, 15, 16, 100, 256])
 def test_table_cap_admits_exactly_the_tables_that_fit(monkeypatch, cap):
+    # the cap decides only whether per_input is built; every other field is
+    # the same either side of it
+    cases = [(DisjInstance.iid(w, n), eps, factory) for n in range(1, 6)
+             for w, eps, factory in ((W, 0.1, grid4), (W, 0.1, leaky), (THIN, 0.5, grid4))]
+    whole = [disj_error_audit(*case) for case in cases]
     monkeypatch.setattr(disjointness, "AUDIT_TABLE_CAP", cap)
-    for n in range(1, 6):
-        inst = DisjInstance.iid(W, n)
-        if 4**n <= cap:
-            assert disj_error_audit(inst, 0.1, grid4).per_input.size == 4**n
+    for (inst, eps, factory), full in zip(cases, whole):
+        audit = disj_error_audit(inst, eps, factory)
+        if 4**inst.n <= cap:
+            assert np.array_equal(audit.per_input, full.per_input)
         else:
-            with pytest.raises(ResourceCapError):
-                disj_error_audit(inst, 0.1, grid4)
+            assert audit.per_input is None
+        assert replace(audit, per_input=None) == replace(full, per_input=None)
 
 
 def test_factory_runs_once_per_distinct_prior():
@@ -510,9 +531,9 @@ def test_factory_runs_once_per_distinct_prior():
                          ids=["iid", "mixed"])
 def test_ic_prices_each_distinct_law_once(monkeypatch, priors):
     inst = DisjInstance.from_priors(priors)
-    laws = disjointness._coordinate_laws(inst, disjointness._round_budget(inst, 0.1), grid8)
+    laws, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid8))
     per_coordinate = math.fsum(
-        float(r) * internal_ic(law) for r, law in zip(disjointness._reach(inst, laws), laws)
+        float(r) * internal_ic(law) for r, law in zip(disjointness._reach(inst, says), laws)
     )
     priced = []
 
@@ -523,3 +544,78 @@ def test_ic_prices_each_distinct_law_once(monkeypatch, priors):
     monkeypatch.setattr(disjointness, "internal_ic", counting)
     assert disj_ic_exact(inst, 0.1, grid8) == per_coordinate  # bit for bit
     assert len(priced) == len(set(map(id, laws))) == len(set(priors))
+
+
+# ---------------------------------------------------------------------------
+# the stated tolerances of the product forms
+# ---------------------------------------------------------------------------
+
+def hardest_plus(delta):
+    """The hardest zero-diagonal prior with mass delta moved onto (1, 1)."""
+    mass = (1.0 - delta) * HARDEST_ZERO_DIAG_PRIOR.mass
+    mass[1, 1] += delta
+    return JointDistribution.from_mass(mass)
+
+
+def seeded_priors(n):
+    rng = np.random.default_rng(200 + n)
+    return tuple(random_prior(rng, 2, 2) for _ in range(n))
+
+
+ORACLE_PRIORS = {
+    "uniform": lambda n: (UNIFORM,) * n,
+    "seeded": seeded_priors,
+    "hardest+delta": lambda n: (hardest_plus(1.0 / n),) * n,
+}
+
+
+def exact_distributional(inst, says):
+    """Σ prior ⊙ error in rational arithmetic on the float inputs: the
+    intersecting mass Π A − Π B plus the disjoint mass Π D − Π B, where D
+    sums the prior off (1, 1) as the joint prior's disjoint cells do."""
+    a = b = d = Fraction(1)
+    for w, o in zip(inst.coord_priors, says):
+        cells = [(Fraction(w.mass[i, j]), Fraction(o[i, j])) for i in (0, 1) for j in (0, 1)]
+        silent = [m * (1 - p) for m, p in cells]
+        a *= sum(silent)
+        b *= sum(silent[:3])
+        d *= sum(m for m, _ in cells[:3])
+    return (a - b) + (d - b)
+
+
+@pytest.mark.parametrize("priors", ORACLE_PRIORS.values(), ids=ORACLE_PRIORS.keys())
+@pytest.mark.parametrize("n", range(2, 11))
+def test_distributional_error_within_1e_15_of_the_table_oracle(priors, n):
+    # the product forms against Σ joint prior ⊙ per_input (at most 1.7e-16
+    # apart over these cases and ε ∈ {0, 0.01, 0.1, 0.5}), and against exact
+    # arithmetic within (2n + 6)·2⁻⁵³ relative (at most 0.43 of it), which a
+    # disjoint part formed as a float difference D − B exceeds 7-fold
+    inst = DisjInstance.from_priors(priors(n))
+    mass = inst.joint_prior().mass
+    for factory in (grid16, leaky, leaky_by_prior):
+        for eps in (0.0, 0.1):
+            audit = disj_error_audit(inst, eps, factory)
+            oracle = float(np.sum(mass * audit.per_input))
+            assert abs(audit.distributional - oracle) <= 1e-15
+            _, says = zip(*disjointness._rounds(inst, audit.eps_round, factory))
+            exact = exact_distributional(inst, says)
+            assert abs(Fraction(audit.distributional) - exact) <= (2 * n + 6) * 2.0**-53 * exact
+            if factory is grid16:  # one-sided rounds: the disjoint part is exactly 0
+                assert np.all(audit.per_input[disj_table(n) == 0] == 0.0)
+
+
+def grid256(prior, eps):
+    return one_sided_and(eps, prior, n=256)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 4000])
+def test_reach_within_its_stated_bound_at_large_n(n):
+    # iid rounds sum to (1 − missⁿ)/(1 − miss); the Gauss–Legendre rule is
+    # exact only in exact arithmetic, and its float error grows with n
+    # (1.0e-12 relative at n = 1000, 8.9e-11 at n = 4000)
+    inst = DisjInstance.iid(UNIFORM, n)
+    _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid256))
+    miss = float(np.sum(UNIFORM.mass * (1.0 - says[0])))
+    expect = (1.0 - miss**n) / (1.0 - miss)
+    bound = 1e-11 if n <= 1000 else 1e-9
+    assert abs(float(np.sum(disjointness._reach(inst, says))) - expect) <= bound * expect

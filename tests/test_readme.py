@@ -51,7 +51,7 @@ ARTIFACT_SHA256 = {
         "curve.csv": "d6ec2ee751da4b3011da2b435b6ce378cb0d4fc82008fb03681e0573d8520509",
     },
     "disj": {
-        "audit.json": "449d6b5d8fd1832e51b935e4d288e76fd8939098ef5e4e2540a40bddfa093b48",
+        "audit.json": "baab97ade2efe97d0807e4a913b5fc69014a3e61128bb81082073588546841ed",
     },
 }
 
