@@ -10,7 +10,8 @@ all t of its AND rounds err — probability (per-round error)^t.
 Input laws are product-across-coordinates, so the rounds are independent
 and each round's prior is its coordinate's marginal law: every audit and
 cost number is a product, or a sum of prefix and suffix products, over the
-rounds' 2x2 "says 1" tables o_c and AND costs, at any n.  They are checked
+rounds' 2x2 "says 1" tables o_c and AND costs, at any n up to
+REACH_COORD_CAP, which every instance keeps to.  They are checked
 against the composite law over all 4ⁿ inputs (``disj_protocol``), whose
 inputs are integers with coordinate i in bit i, so intersection is ``x & y``.
 """
@@ -33,6 +34,10 @@ from .infocost import TranscriptLaw, internal_ic
 # disj_protocol's composite law keeps a 4ⁿ-cell table per transcript and
 # walks all n! orders of the coordinates.
 COMPOSITE_COORD_CAP = 4
+# _reach holds a few arrays of n × (⌊n/2⌋ + 1) floats and takes O(n²) time; at
+# n = 4096 `disj --with-ic` takes 2.6 s at 289 MB peak RSS on a 2-core host.
+# Every DisjInstance is checked against it as it is made.
+REACH_COORD_CAP = 4096
 # The audit's one table, ``per_input`` over 4ⁿ inputs, peaks at 25 bytes a
 # cell (tracemalloc).  At 2²⁰ cells (n = 10, 26 MB) `disj --and-grid 16`
 # takes 0.2–0.3 s, process start included, at 57 MB peak RSS on a 2-core
@@ -46,6 +51,11 @@ HARDEST_ZERO_DIAG_PRIOR = JointDistribution.from_mass(
 )
 
 
+def _cap_coords(n: int) -> None:
+    if n > REACH_COORD_CAP:
+        raise ResourceCapError(f"DISJ caps at {REACH_COORD_CAP} coordinates, got {n}")
+
+
 @dataclass(frozen=True)
 class DisjInstance:
     """A product-form input law: one independent 2x2 prior per coordinate."""
@@ -57,6 +67,7 @@ class DisjInstance:
     def __post_init__(self):
         if not self.coord_priors:
             raise PreconditionError("need at least one coordinate prior")
+        _cap_coords(len(self.coord_priors))
         for w in self.coord_priors:
             if (w.nx, w.ny) != (2, 2):
                 raise PreconditionError("coordinate priors must be 2x2")
@@ -71,6 +82,7 @@ class DisjInstance:
 
     @classmethod
     def iid(cls, w: JointDistribution, n: int) -> "DisjInstance":
+        _cap_coords(n)  # before n references are made
         return cls.from_priors((w,) * n)
 
     def joint_prior(self) -> JointDistribution:

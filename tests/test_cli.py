@@ -13,6 +13,9 @@ import pytest
 import infowalk
 from infowalk import JointDistribution, ic_and_zero, one_sided_and, tree_to_json
 from infowalk.cli import main
+from infowalk.disjointness import (
+    REACH_COORD_CAP, DisjInstance, disj_error_audit, disj_ic_exact,
+)
 
 from helpers import exchange_tree
 
@@ -399,14 +402,36 @@ def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
     assert not audit.exists()
 
 
-def test_disj_past_the_table_cap_exits_0(capsys):
-    # 4¹⁰ inputs fit the audit's table; past it the audit is exact without one
+def test_disj_exact_cap_is_code_3(capsys, monkeypatch):
+    # 4¹⁰ inputs fit the audit's table and 4¹¹ do not, yet both audits run:
+    # only the instance's coordinate cap, not its table, is code 3
     code, out, err = run(capsys, "disj", "--n", "10", "--eps", "0.1", "--and-grid", "16")
     assert code == 0, err
     assert out.startswith("n=10 mode=exact distributional=0.010774499980894836 ")
     code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--with-ic")
     assert code == 0 and err == ""
     assert out.startswith("n=11 mode=exact distributional=")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an AND walk was built before the cap check")
+
+    monkeypatch.setattr("infowalk.cli.one_sided_and", forbidden)
+    for n in (REACH_COORD_CAP + 1, 10**7):
+        code, out, err = run(capsys, "disj", "--n", str(n), "--eps", "0.1", "--with-ic")
+        assert code == 3 and out == ""
+        assert "resource cap" in err and str(REACH_COORD_CAP) in err
+
+
+def test_disj_mc_draw_cap_is_code_3(capsys, files):
+    # n = 11 once ran into the sampled audit's draw cap and then the table
+    # cap; past the coordinate cap the audit is refused and nothing written
+    tmp, _ = files
+    audit = tmp / "a.json"
+    code, out, err = run(capsys, "disj", "--n", str(REACH_COORD_CAP + 1), "--eps", "0.1",
+                         "--and-grid", "8", "--out-audit", str(audit))
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "coordinates" in err
+    assert not audit.exists()
 
 
 def test_disj_past_the_table_cap_writes_a_null_table(capsys, files):
@@ -423,20 +448,17 @@ def test_disj_past_the_table_cap_writes_a_null_table(capsys, files):
                    f"expected_rounds={result['expected_rounds']!r}\n")
 
 
-def test_disj_at_1000_coordinates_runs_in_a_fresh_process_within_1_s(tmp_path):
+def test_disj_at_1000_coordinates_matches_its_closed_forms(tmp_path):
     # iid uniform rounds say 1 only at (1, 1), with o = 1 − ε_r there, so the
     # error and the rounds have closed forms in m = w(1, 1) and ε_r
     package_root = str(Path(infowalk.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": package_root}
-    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "infowalk", "disj", "--n", "1000", "--eps", "0.1",
          "--with-ic", "--out-audit", "a.json"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
-    elapsed = time.perf_counter() - start
     assert done.returncode == 0, done.stderr
-    assert elapsed < 1.0
     result = json.loads((tmp_path / "a.json").read_text())["result"]
     assert result["per_input"] is None and result["ic_internal"] > 0.0
     n, m, eps_r = 1000, 0.25, result["eps_round"]
@@ -447,6 +469,20 @@ def test_disj_at_1000_coordinates_runs_in_a_fresh_process_within_1_s(tmp_path):
     miss = 1.0 - m * (1.0 - eps_r)
     assert result["expected_rounds"] == pytest.approx(
         (1.0 - miss**n) / (1.0 - miss), rel=1e-11, abs=0.0)
+
+
+def test_disj_audit_at_1000_coordinates_takes_well_under_1_s():
+    # the audit and its cost are O(n²) in the rounds' reach (about 0.1 s
+    # here on a 2-core host); an O(n³) or 4ⁿ path would take far longer
+    inst = DisjInstance.iid(JointDistribution.from_mass(np.full((2, 2), 0.25)), 1000)
+
+    def factory(prior, eps):
+        return one_sided_and(eps, prior, n=256)
+
+    start = time.perf_counter()
+    disj_error_audit(inst, 0.1, factory)
+    disj_ic_exact(inst, 0.1, factory)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_disj_has_no_sampled_mode(capsys):

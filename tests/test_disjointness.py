@@ -11,6 +11,7 @@ from infowalk import disjointness
 from infowalk.and_protocols import one_sided_and
 from infowalk.disjointness import (
     HARDEST_ZERO_DIAG_PRIOR,
+    REACH_COORD_CAP,
     DisjInstance,
     disj_bound_curve,
     disj_error_audit,
@@ -154,11 +155,28 @@ def test_exact_mode_caps_coordinates():
         disj_protocol(inst, 0.1, grid4)
     with pytest.raises(ResourceCapError):
         disj_protocol(inst, 0.1, forbidden)
-    # the exact cost has no coordinate cap: it needs only the coordinate laws
+    # the exact cost has no composite cap: it needs only the coordinate laws
     four = DisjInstance.iid(W, 4)
     assert disj_ic_exact(four, 0.1, grid4) == pytest.approx(
         chain_rule_enumeration(four, 0.1, grid4)[0], abs=1e-12
     )
+
+
+def test_instances_cap_coordinates_before_any_work():
+    # the rounds' reach holds n × (⌊n/2⌋ + 1) floats, so an instance past the
+    # cap is refused as it is made
+    assert DisjInstance.from_priors((W,) * REACH_COORD_CAP).n == REACH_COORD_CAP
+    with pytest.raises(ResourceCapError, match="coordinates"):
+        DisjInstance.from_priors((W,) * (REACH_COORD_CAP + 1))
+    # iid checks before it makes its n references (80 MB at n = 10⁷)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=str(10**7)):
+            DisjInstance.iid(W, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_factory_failure_is_wrapped():
