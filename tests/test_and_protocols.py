@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from infowalk.distributions import (
     binary_entropy,
     symmetric_decomposition,
 )
-from infowalk.errors import PreconditionError
+from infowalk.errors import PreconditionError, ResourceCapError
 from infowalk.infocost import internal_ic, law_of, sim
 from infowalk.protocol import (
     ALICE,
@@ -639,3 +640,37 @@ def test_completion_rejects_shape_mismatch():
         complete_to_zero_error(tree, [[0, 1, 0], [1, 0, 1]], random_prior(rng, 2, 2))
     with pytest.raises(PreconditionError):
         complete_to_zero_error(tree, AND_TABLE, random_prior(rng, 2, 3))
+
+
+def test_completion_past_the_transcript_cap_raises_before_building_a_round(monkeypatch):
+    # each test doubles the paths below it: the one leaf of a 5x5 tree with an
+    # all-1 table has 25 tests and would grow 2**26 - 1 transcripts (a 640 MiB
+    # array), past the 5x5 tree's 2**22 // 10; no round is built, and next to
+    # nothing allocated, before the refusal
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verification round was built before the cap check")
+
+    monkeypatch.setattr("infowalk.and_protocols.Internal", forbidden)
+    tree = ProtocolTree(5, 5, (0,), Leaf(0))
+    tree.path_law
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="transcripts"):
+            complete_to_zero_error(tree, np.ones((5, 5), int).tolist(),
+                                   JointDistribution.uniform(5, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_completion_within_the_transcript_cap_builds_every_round():
+    # 16 tests: 2**17 - 1 transcripts, within the 4x4 tree's 2**22 // 8
+    prior = JointDistribution.uniform(4, 4)
+    table = np.ones((4, 4), int).tolist()
+    completed = complete_to_zero_error(ProtocolTree(4, 4, (0,), Leaf(0)), table, prior)
+    assert len(completed.owner) == 2**18 - 3
+    law = law_of(completed, prior)
+    assert law.transcript_count() == 2**17 - 1
+    assert evaluate_error(completed, Task(table, 0.0, "pointwise", measure=prior)) \
+        .max_pointwise == 0.0

@@ -16,6 +16,7 @@ from infowalk.cli import main
 from infowalk.disjointness import (
     REACH_COORD_CAP, DisjInstance, disj_error_audit, disj_ic_exact,
 )
+from infowalk.protocol import Leaf, ProtocolTree
 
 from helpers import exchange_tree
 
@@ -268,6 +269,21 @@ def test_complete_repairs_pointwise_error(capsys, files):
     assert payload["result"]["max_pointwise_before"] == 1.0
     assert payload["result"]["max_pointwise_after"] == 0.0
     assert (tmp / "completed.json").read_text().startswith("{")
+
+
+def test_complete_past_the_transcript_cap_is_code_3(capsys, files):
+    # one leaf, 25 tests: 2**26 - 1 transcripts, refused before any is built
+    tmp, write = files
+    tree = write("t.json", tree_to_json(ProtocolTree(5, 5, (0,), Leaf(0))))
+    table = write("f.json", [[1] * 5] * 5)
+    prior = write("mu.json", [[0.04] * 5] * 5)
+    report, out_tree = tmp / "comp.json", tmp / "completed.json"
+    code, out, err = run(capsys, "complete", "--protocol", tree, "--table", table,
+                         "--prior", prior, "--out-report", str(report),
+                         "--out-tree", str(out_tree))
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "transcripts" in err
+    assert not report.exists() and not out_tree.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -637,3 +637,25 @@ def test_reach_within_its_stated_bound_at_large_n(n):
     expect = (1.0 - miss**n) / (1.0 - miss)
     bound = 1e-11 if n <= 1000 else 1e-9
     assert abs(float(np.sum(disjointness._reach(inst, says))) - expect) <= bound * expect
+
+
+def test_the_audit_and_the_cost_solve_the_gauss_legendre_rule_once(monkeypatch):
+    # `disj --with-ic` reaches twice, in the audit and in the cost; the rule is
+    # a dense eigenproblem, solved once per node count, and both reach the
+    # same bits as a rule solved afresh
+    solved, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda count: solved.append(count) or leggauss(count))
+    disjointness._gauss_legendre.cache_clear()
+    inst = DisjInstance.iid(W, 301)
+    audit = disj_error_audit(inst, 0.1, grid8)
+    disj_ic_exact(inst, 0.1, grid8)
+    _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid8))
+    first, second = disjointness._reach(inst, says), disjointness._reach(inst, says)
+    assert solved == [151]
+    assert first.tobytes() == second.tobytes()
+    assert audit.expected_rounds == float(np.sum(first))
+    monkeypatch.undo()
+    disjointness._gauss_legendre.cache_clear()
+    assert disjointness._reach(inst, says).tobytes() == first.tobytes()
+    assert not disjointness._gauss_legendre(151)[0].flags.writeable

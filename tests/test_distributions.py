@@ -235,7 +235,7 @@ def test_symmetric_decomposition_requires_positive_corner_entries():
     dec = symmetric_decomposition(
         JointDistribution.from_mass([[0.4, 0.3], [0.3, 0.0]])
     )
-    assert dec.z == 0.0
+    assert dec.reference.mass[1, 1] == 0.0
 
 
 def test_inner_is_the_sum_of_the_entrywise_product_bit_for_bit():

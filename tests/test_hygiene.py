@@ -20,6 +20,12 @@ def _loaded_names(*trees):
     return names
 
 
+def _attributes(*trees):
+    """Every name the modules or statements read as an attribute."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
 def _defined(node):
     """The names a top-level statement defines."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -123,25 +129,25 @@ def _units():
 
 
 def _kept_names():
-    roots = set()
-    roots |= _loaded_names(TREES["cli.py"])
-    roots |= _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    roots |= _bench_layer_names()
+    """(the kept units, all units).  A top-level name is kept when kept code
+    reads it at all, a method only when kept code reads it as an attribute:
+    a local variable spelled like a method keeps nothing."""
+    roots = [TREES["cli.py"], ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    read, attributes = _loaded_names(*roots) | _bench_layer_names(), _attributes(*roots)
     # bench/ops.py calls the package as ``iw.<name>``, and both files call
     # methods of its results, as ``law.transcript_count()``: each attribute
     # they read is a root only until the benchmark itself changes
-    roots |= {node.attr for name in ("ops.py", "spans.py")
-              for node in ast.walk(ast.parse((BENCH / name).read_text()))
-              if isinstance(node, ast.Attribute)}
-    units, read, kept = _units(), roots, set()
+    bench = _attributes(*(ast.parse((BENCH / name).read_text()) for name in ("ops.py", "spans.py")))
+    read, attributes, units, kept = read | bench, attributes | bench, _units(), set()
     while True:
-        reached = [(unit, body) for unit, name, cls, body in units
-                   if unit not in kept and name in read and (cls is None or cls in kept)]
+        reached = [(unit, body) for unit, name, cls, body in units if unit not in kept and (
+            name in read if cls is None else cls in kept and name in attributes)]
         if not reached:
             return kept, units
         for unit, body in reached:
             kept.add(unit)
             read |= _loaded_names(*body)
+            attributes |= _attributes(*body)
 
 
 def test_every_public_name_serves_a_command_claim_or_bench_layer():
