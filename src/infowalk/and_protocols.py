@@ -36,8 +36,8 @@ from .distributions import (
 )
 from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import TranscriptLaw, _margin, _snap, law_of, leaf_posteriors
-from .protocol import (ALICE, BOB, Internal, Leaf, LeafIds, ProtocolTree, SplicedIds, Task,
-                       _Lazy, _scan, evaluate_error_law)
+from .protocol import (ALICE, BOB, Internal, Leaf, ProtocolTree, Task, _Lazy, _scan,
+                       evaluate_error_law)
 
 LN2 = math.log(2.0)
 EXP_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
@@ -122,7 +122,9 @@ class GridWalkSpec:
     value), ``high[k]`` (the gambler's-ruin ceiling; the floor is always 0)
     and ``other[k]`` (the resting coordinate's lattice value); ``terminal`` is
     the output reached when no phase gives up.  The phases are derived from
-    (n, a, b), which alone decide equality."""
+    (n, a, b), which alone decide equality.  A walk may have 2n + 1
+    transcripts, so n past ``TREE_FACTOR_CAP`` / 8 raises ``ResourceCapError``
+    before any phase is made."""
 
     n: int
     a: int
@@ -138,6 +140,10 @@ class GridWalkSpec:
             raise PreconditionError("grid resolution must be at least 2")
         if not (0 <= self.a <= self.n and 0 <= self.b <= self.n):
             raise PreconditionError("grid start off-lattice: need 0 <= a, b <= n")
+        most = protocol.TREE_FACTOR_CAP // 4  # transcripts of a 2x2 tree
+        if 2 * self.n + 1 > most:  # the most a resolution-n walk may have
+            raise ResourceCapError(f"a resolution-{self.n} grid walk may have {2 * self.n + 1} "
+                                   f"transcripts, over the {most} that fit a 2x2 tree")
         a, b, n = self.a, self.b, self.n
         # The walk climbs the diagonal: from c = max(a, b), Bob moves c → c + 1
         # resting at c, then Alice c → c + 1 resting at c + 1.  It enters with
@@ -194,8 +200,9 @@ def buzzer_grid_tree(
     (posterior ratio (m/high)·(high/n)/(m/n) = 1); a 0 continues with
     probability m(n−high)/(high(n−m)), where m < n on every phase.
 
-    The tree comes with the scan plan and path law that scans would derive,
-    written from the phases: pricing it derives no plan and runs no scan."""
+    The tree comes with the scan plan and factor rows that scans would
+    derive, written from the phases: pricing it derives no plan and runs no
+    scan."""
     m, high, n, bob = spec.mover.astype(np.int64), spec.high, spec.n, spec.bob  # m·n reaches n²
     signals = np.column_stack((m * (n - high) / (high * (n - m)), np.ones(len(m))))
     k = 2 * len(bob)  # phase i: its node at entry 2i, its give-up leaf (output 0) at 2i + 1
@@ -216,8 +223,7 @@ def buzzer_grid_tree(
     reach[phase + 1, side] = signals
     np.multiply.accumulate(reach, axis=0, out=reach)
     reach[phase, side] *= 1.0 - signals
-    return ProtocolTree(2, 2, (0, 1), plan=plan, law=(LeafIds(len(reach), owner, child1, plan),
-                                                      reach.reshape(-1, 4)),
+    return ProtocolTree(2, 2, (0, 1), plan=plan, factors=reach.reshape(-1, 4),
                         arrays=(owner, signal, child1, np.arange(k + 1, dtype=np.int32),
                                 signals[~bob], signals[bob]))
 
@@ -515,7 +521,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     if not len(asked):  # the tree and its law stand, its internal nodes unshared as below
         signal, copy_of = tree.signal.copy(), np.where(tree.owner >= 0, np.arange(n), tree.copy_of)
         signal[leaves] = kept
-        return ProtocolTree(nx, ny, outputs, law=tree.path_law[:2], arrays=(
+        return ProtocolTree(nx, ny, outputs, factors=tree.path_law.factors, arrays=(
             tree.owner, signal, tree.child1, copy_of, tree.alice, tree.bob))
     most = protocol.TREE_FACTOR_CAP // (nx + ny)  # t tests give a leaf 2^(t+1) − 1 paths
     counts = np.bincount(np.array(list(map(len, tests)))[tree.signal[leaves[asked]]]).tolist()
@@ -532,11 +538,9 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
                 for c, row in enumerate(np.eye(nx).tolist() + np.eye(ny).tolist())]
     # entry i moves down by the entries that the rounds of the leaves before it
     # add (grow); a leaf's factor row becomes its rounds' rows, the masks
-    # times it, which are the rows a scan would give, as every mask entry is
-    # 0 or 1, and its id their ids, its own followed by their paths (ends)
+    # times it, which are the rows a scan would give, as every mask entry is 0 or 1
     grow, asks, rows = np.zeros(n, np.intp), np.zeros(n, np.intp), np.ones(len(leaves), np.intp)
-    # groups: (the reached leaves of one code, its tests, its rounds' arrays, their masks)
-    groups, kind, ends = [], np.zeros(len(leaves), np.intp), [("",)]
+    groups = []  # (the reached leaves of one code, its tests, its rounds' arrays, their masks)
     for k in np.unique(tree.signal[leaves[asked]]).tolist():
         here = (tree.signal[leaves[asked]] == k).nonzero()[0]
         xs, ys = np.array(tests[k]).T
@@ -544,14 +548,13 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
         # is the smaller (the cap keeps the tests to at most 20)
         codes = (px[here][:, xs] <= py[here][:, ys]) @ (1 << np.arange(len(xs)))
         for code in np.unique(codes).tolist():
-            node, masks, paths = Leaf(tree.outputs[k]), np.ones((1, nx + ny)), [""]  # all fail
+            node, masks = Leaf(tree.outputs[k]), np.ones((1, nx + ny))  # all tests fail
             for j in reversed(range(len(xs))):  # each 1-edge is the match
                 ask, then = (xs[j], nx + ys[j])[::1 if code >> j & 1 else -1]
                 node = Internal(*question[ask], node,
                                 Internal(*question[then], node, Leaf(table[xs[j], ys[j]])))
                 masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
                                         (yes[ask] * yes[then])[None]))
-                paths = ["0" + p for p in paths] + ["10" + p for p in paths] + ["11"]
             rounds = ProtocolTree(nx, ny, outputs, node)
             o, s = rounds.owner, rounds.signal.copy()  # a question's unit row, appended below
             s[o == 0] = len(tree.alice) + rounds.alice.argmax(axis=1)[s[o == 0]]
@@ -559,8 +562,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
             reached = asked[here[codes == code]]
             groups.append((reached, len(xs), (o, s, rounds.child1, rounds.copy_of), masks))
             grow[leaves[reached]], asks[leaves[reached]] = len(o) - 1, len(xs)
-            rows[reached], kind[reached] = len(masks), len(ends)
-            ends.append(tuple(paths))
+            rows[reached] = len(masks)
     # a leaf stays itself, and so stays shared: where it was, or first reached
     # at the bottom of its rounds, at the end of their 0-edges, one per test
     moved = np.arange(n) + grow.cumsum() - grow
@@ -581,4 +583,4 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
                                                  np.vstack((tree.alice, np.eye(nx))),
                                                  np.vstack((tree.bob, np.eye(ny)))),
-                        law=(SplicedIds(tree.path_law.leaf_ids, kind, ends), factors))
+                        factors=factors)

@@ -115,13 +115,16 @@ def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
 
 def _rounds(inst: DisjInstance, eps_round: float, and_factory):
     """Every coordinate's round as (AND law, o_c), with o_c = Pr[the round
-    says 1 | a, b] as a 2x2 table; the factory runs once per distinct prior."""
+    says 1 | a, b] as a 2x2 table; the factory runs once per distinct prior,
+    and its failures become ``ProtocolError``, apart from a blown cap."""
     built, rounds = {}, []
     for i, w in enumerate(inst.coord_priors):
         key = w.mass.tobytes()
         if key not in built:
             try:
                 law = and_factory(w, eps_round)
+            except ResourceCapError:
+                raise
             except Exception as exc:
                 raise ProtocolError(f"AND factory failed on coordinate {i}: {exc}") from exc
             ones = [t for t, out in enumerate(law.outputs) if out == 1]
@@ -172,14 +175,14 @@ def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
     for i, law in enumerate(laws):
         bits = (np.arange(size) >> i) & 1
         lifted.append(law.cond[:, bits[:, None], bits[None, :]])
+    ids_of = [tuple(law.leaf_ids) for law in laws]  # each round's ids, read once
     ids, tables, outs = [], [], []
 
     def extend(sigma, j, prefix_ids, table):
         coord = sigma[j]
-        law = laws[coord]
-        for t, out in enumerate(law.outputs):
+        for t, (leaf_id, out) in enumerate(zip(ids_of[coord], laws[coord].outputs)):
             branch = table * lifted[coord][t]
-            ids_here = prefix_ids + [law.leaf_ids[t]]
+            ids_here = prefix_ids + [leaf_id]
             if out == 1:
                 record(sigma, ids_here, branch, 1)
             elif j + 1 == inst.n:

@@ -34,7 +34,7 @@ from .distributions import (
     binary_entropy,
     symmetric_decomposition,
 )
-from .errors import PreconditionError, ProtocolError
+from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import external_ic, internal_ic, law_of
 from .protocol import (
     ALICE,
@@ -54,6 +54,10 @@ ZERO_AT_11 = "zero-at-(1,1)"
 _FREE_CELLS = {FULL_SUPPORT: ((0, 0), (0, 1), (1, 0), (1, 1)),
                ZERO_AT_11: ((0, 0), (0, 1), (1, 0))}
 _MASS_FLOOR = 1e-9
+# ``maximize_ic_and`` visits at most this many grid points over all its levels:
+# a point took 53 µs (full support) to 68 µs (zero at (1,1)) in the default
+# runs on a 2-core host, so about 7 to 9 s; the defaults visit 13 182 and 1 014
+OPT_GRID_CAP = 2**17
 
 XOR_TABLE = ((0, 1), (1, 0))
 
@@ -93,7 +97,9 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
     grid step around the winner).
 
     ``constraint`` names the slice: ``ZERO_AT_11`` (no mass on (1,1)) or
-    ``FULL_SUPPORT``; any other value is refused.
+    ``FULL_SUPPORT``; any other value is refused.  A search of more than
+    ``OPT_GRID_CAP`` grid points, levels × (divisions + 1)^(free cells − 1),
+    raises ``ResourceCapError`` before the first evaluation.
     """
     if levels < 1:
         raise PreconditionError(f"levels = {levels!r} must be at least 1")
@@ -105,6 +111,11 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
         )
     free = _FREE_CELLS[constraint]
     anchor, params = free[0], free[1:]
+    if levels * (divisions + 1) ** len(params) > OPT_GRID_CAP:
+        raise ResourceCapError(
+            f"{levels} levels of {divisions + 1}^{len(params)} grid points pass the "
+            f"optimizer's cap of {OPT_GRID_CAP} evaluations"
+        )
 
     def measure_at(point):
         rest = 1.0 - math.fsum(point)

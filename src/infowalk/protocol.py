@@ -19,6 +19,7 @@ import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -68,14 +69,17 @@ Node = Union[Leaf, Internal]
 
 class _Lazy(Sequence):
     """A sequence that makes its items when they are read, item i by
-    ``_at(i)``; a slice is a tuple, and it equals any sequence of equal items."""
+    ``_at(i)``; a slice is a tuple, taken from one pass over the items it
+    spans, and it equals any sequence of equal items."""
 
     __slots__ = ()
 
     def __getitem__(self, i):
         at = range(len(self))[i]  # an index or, for a slice, a range
         if isinstance(at, range):
-            return tuple(map(self.__getitem__, at))
+            first = min(at, default=0)
+            span = tuple(islice(self, first, max(at, default=-1) + 1))
+            return tuple(span[k - first] for k in at)
         return self._at(at)
 
     def __eq__(self, other):
@@ -86,70 +90,45 @@ class _Lazy(Sequence):
 
 class LeafIds(_Lazy):
     """The path strings of a tree's leaves ('0'/'1' per edge) in depth-first
-    preorder, 0-child first (their sorted order), rendered on demand from
-    run-length handles derived from the tree's arrays when first read.  A path
-    is a handle (run, k): k copies of run ``run``'s bit appended to the path
-    that run extends, itself a handle.  ``runs`` holds flat integer triples
-    (bit, run, k) and ``leaves`` flat handles: a few bytes a node, where the
-    strings take Σ depth characters (quadratic on the buzzer caterpillar)."""
+    preorder, 0-child first (their sorted order), rendered from the tree's
+    ``owner`` and ``child1`` when read: all by one preorder pass down the
+    0-children, each 1-child stacked with its path, and leaf i by following
+    parents up from it.  Held, they are those arrays; rendered, Σ depth
+    characters (quadratic on the buzzer caterpillar)."""
 
-    __slots__ = ("_count", "_tree", "_runs", "_leaves")
+    __slots__ = ("_count", "_owner", "_child1", "_up")
 
-    def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray, plan: list):
-        self._count, self._tree, self._runs = count, (owner, child1, plan), None
-
-    def __len__(self):
-        return self._count
-
-    def _at(self, i):
-        return self._path(*self._handles()[2 * i:2 * i + 2])
-
-    def __iter__(self):
-        leaves = self._handles()
-        return map(self._path, leaves[::2], leaves[1::2])
-
-    def _handles(self) -> array:
-        if self._runs is None:
-            self._runs, self._leaves = _leaf_runs(*self._tree)
-        return self._leaves
-
-    def _path(self, run, k):
-        runs, parts = self._runs, []
-        while run >= 0:
-            parts.append("01"[runs[3 * run]] * k)
-            run, k = runs[3 * run + 1], runs[3 * run + 2]
-        return "".join(reversed(parts))
-
-
-class SplicedIds(_Lazy):
-    """The leaf ids of a tree made by splicing subtrees in below the leaves
-    of another, whose ids are ``base``: leaf i gives way to its id followed by
-    each path of ``ends[kind[i]]``, its subtree's paths in preorder (("",)
-    for a leaf left as it was).  Nothing is derived from the new tree."""
-
-    __slots__ = ("_count", "_base", "_kind", "_ends", "_first")
-
-    def __init__(self, base: Sequence, kind: np.ndarray, ends: list):
-        counts = np.array(list(map(len, ends)), np.intp)[kind]
-        self._count, self._base, self._kind, self._ends = int(counts.sum()), base, kind, ends
-        self._first = counts.cumsum() - counts  # the new index of each base leaf's first path
+    def __init__(self, count: int, owner: np.ndarray, child1: np.ndarray):
+        self._count, self._owner, self._child1, self._up = count, owner, child1, None
 
     def __len__(self):
         return self._count
 
-    def _at(self, i):
-        leaf = int(np.searchsorted(self._first, i, side="right")) - 1
-        return self._base[leaf] + self._ends[self._kind[leaf]][i - self._first[leaf]]
-
     def __iter__(self):
-        ends = self._ends
-        return (path + end for path, k in zip(self._base, self._kind.tolist()) for end in ends[k])
+        owner, child1, stack = self._owner.tolist(), self._child1.tolist(), [(0, "")]
+        while stack:
+            i, path = stack.pop()
+            while owner[i] >= 0:
+                stack.append((child1[i], path + "1"))
+                i, path = i + 1, path + "0"
+            yield path
+
+    def _at(self, i):
+        if self._up is None:  # the leaves' entries, and each entry's parent
+            self._up = ((self._owner < 0).nonzero()[0],
+                        array("i", _parents(self._owner, self._child1)[0].tobytes()))
+        leaves, parent = self._up
+        entry, bits = int(leaves[i]), []
+        while entry:  # a 0-child follows its parent
+            bits.append("0" if entry == parent[entry] + 1 else "1")
+            entry = parent[entry]
+        return "".join(reversed(bits))
 
 
 class PathLaw(NamedTuple):
-    """A tree's prior-free law, leaf by leaf: its id, its output, and its
-    factors, one row of Alice's nx and Bob's ny edge-probability products along
-    the path, so that Pr[leaf | x, y] = alice[x] · bob[y]."""
+    """A tree's prior-free law, leaf by leaf: its id, rendered from the tree's
+    arrays, its output, and its factors, one row of Alice's nx and Bob's ny
+    edge-probability products along the path: Pr[leaf | x, y] = alice[x] · bob[y]."""
 
     leaf_ids: LeafIds
     factors: np.ndarray
@@ -169,27 +148,27 @@ class ProtocolTree:
     ``ProtocolTree(nx, ny, outputs, root)`` checks and flattens a tree of
     ``Leaf`` and ``Internal`` nodes; builders pass the six arrays as
     ``arrays``, and may pass ``plan``, the scan plan of a tree with the same
-    ``owner`` and ``child1`` (a flipped tree's), and ``law``, the leaf ids and
-    factor rows of its path law as scans would give them (a completed tree's;
-    a grid walk passes both, written from its phases).  Otherwise ``plan``,
-    the groups of paths that scans down the tree take, and ``path_law``, from
+    ``owner`` and ``child1`` (a flipped tree's), and ``factors``, the factor
+    rows of its path law as scans would give them (a completed tree's; a grid
+    walk passes both, written from its phases).  Otherwise ``plan``, the
+    groups of paths that scans down the tree take, and ``path_law``, from
     which ``law_of`` prices the tree under any prior, are derived from the
-    arrays when first read.
+    arrays when first read; its leaf ids, from the arrays alone, need no plan.
     """
 
     __slots__ = ("nx", "ny", "outputs", "owner", "signal", "child1", "copy_of",
                  "alice", "bob", "_plan", "_law")
 
     def __init__(self, nx: int, ny: int, outputs, root: Optional[Node] = None, arrays=None,
-                 plan: Optional[list] = None, law: Optional[tuple] = None):
+                 plan: Optional[list] = None, factors: Optional[np.ndarray] = None):
         self.nx, self.ny, self.outputs, self._plan, self._law = nx, ny, tuple(outputs), plan, None
         arrays = arrays or _flatten(root, nx, ny, self.outputs)
         for name, a, dtype in zip(("owner", "signal", "child1", "copy_of", "alice", "bob"),
                                   arrays, (np.int8, np.int32, np.int32, np.int32, float, float)):
             setattr(self, name, np.asarray(a, dtype))
             getattr(self, name).flags.writeable = False
-        if law is not None:
-            self._law = _path_law(self, *law)
+        if factors is not None:
+            self._law = _path_law(self, factors)
 
     @property
     def plan(self) -> list:
@@ -367,8 +346,7 @@ def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.nd
     return edges[:-2]
 
 
-def _path_law(tree: ProtocolTree, leaf_ids: Optional[Sequence] = None,
-              factors: Optional[np.ndarray] = None) -> PathLaw:
+def _path_law(tree: ProtocolTree, factors: Optional[np.ndarray] = None) -> PathLaw:
     owner, signal, child1 = tree.owner, tree.signal, tree.child1
     leaves = (owner < 0).nonzero()[0]
     if factors is None:
@@ -380,10 +358,9 @@ def _path_law(tree: ProtocolTree, leaf_ids: Optional[Sequence] = None,
             s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
             edges[at + 1, cols], edges[child1[at], cols] = 1.0 - s, s
         factors = _scan(tree.plan, np.multiply, edges, 1.0)[leaves]
-        leaf_ids = LeafIds(len(leaves), owner, child1, tree.plan)
     symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
     outputs = tuple(symbols.take(signal[leaves]).tolist())
-    return PathLaw(leaf_ids, factors, outputs)
+    return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
 
 
 def _depths(n: int, plan: list) -> np.ndarray:
@@ -391,26 +368,6 @@ def _depths(n: int, plan: list) -> np.ndarray:
     edges = np.ones((n + 2, 1))
     edges[0] = 0.0  # the root
     return _scan(plan, np.add, edges, 0.0)[:, 0].astype(np.intp)
-
-
-def _leaf_runs(owner: np.ndarray, child1: np.ndarray, plan: list) -> tuple:
-    """(runs, leaves) of ``LeafIds``: a run of equal bits starts at each
-    entry whose parent is the root or has the other bit, and each entry's run
-    starts at the deepest such entry at or above it."""
-    n = len(owner)
-    parent, _, ones = _parents(owner, child1)
-    bit = np.zeros(n + 1, bool)  # False above the root, so the root starts no run
-    bit[ones] = True
-    starts = (parent[:n] == 0) | (bit[:n] != bit[parent[:n]])
-    heads = np.append(np.where(starts, np.arange(n), 0), (0, 0)).astype(float)[:, None]
-    head = _scan(plan, np.maximum, heads, 0.0)[:, 0].astype(np.intp)
-    depth = _depths(n, plan)
-    run, k = (starts.cumsum() - 1)[head], depth - depth[head] + 1
-    run[0], k[0] = -1, 0  # the root's path is empty
-    at, leaves = starts.nonzero()[0], (owner < 0).nonzero()[0]
-    return tuple(array("i", np.ascontiguousarray(a, np.int32).tobytes()) for a in (
-        np.column_stack((bit[at], run[parent[at]], k[parent[at]])),
-        np.column_stack((run[leaves], k[leaves]))))
 
 
 @dataclass(frozen=True, eq=False)

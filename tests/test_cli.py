@@ -286,6 +286,31 @@ def test_complete_past_the_transcript_cap_is_code_3(capsys, files):
     assert not report.exists() and not out_tree.exists()
 
 
+@pytest.mark.parametrize("argv, cap", [
+    ("buzzer --p .5 --q .25 --n 50000000 --out-report r.json", "grid walk"),
+    ("buzzer --p .5 --q .25 --n 524288 --out-report r.json", "grid walk"),  # 2n + 1 = 2**20 + 1
+    ("flip --eps 0.1 --nu-file nu.json --n 50000000 --out r.json", "grid walk"),
+    ("tradeoff --eps-list 0.01 --n 50000000 --out r.json", "grid walk"),
+    ("disj --n 2 --eps 0.1 --and-grid 50000000 --out-audit r.json", "grid walk"),
+    ("optimize --constraint full --divisions 2000 --out r.json", "optimizer's cap"),
+    ("tradeoff --eps-list 0.01 --levels 100000 --out r.json", "optimizer's cap"),
+])
+def test_work_past_a_size_cap_is_code_3_at_once(argv, cap, capsys, files, monkeypatch):
+    # a grid walk's 2n + 1 transcripts are checked against the tree cap before
+    # any phase array is made (a DISJ round's factory passes the cap on as it
+    # is), and the optimizer's levels x (divisions + 1)**3 or **2 grid points
+    # before the first of them is evaluated
+    tmp, write = files
+    write("nu.json", [[0.4, 0.2], [0.3, 0.1]])
+    monkeypatch.chdir(tmp)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "resource cap" in err and cap in err
+    assert not (tmp / "r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # optimize / tradeoff / xor
 # ---------------------------------------------------------------------------

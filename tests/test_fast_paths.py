@@ -325,16 +325,22 @@ def test_leaf_ids_behave_as_a_tuple_of_strings():
 
 
 def test_leaf_ids_slice_and_index_as_a_tuple_does():
-    law = law_of(buzzer_grid_tree(GridWalkSpec(64, 32, 16)), JointDistribution.uniform(2, 2))
-    ids, as_tuple = law.leaf_ids, tuple(law.leaf_ids)
-    for part in (slice(None, 2), slice(-3, None), slice(1, 40, 3), slice(None, None, -2),
-                 slice(500, 600), slice(0, 0)):
-        assert ids[part] == as_tuple[part]
-    for i in (0, 7, -1, -2, -len(ids)):
-        assert ids[i] == as_tuple[i]
-    for i in (len(ids), -len(ids) - 1):
-        with pytest.raises(IndexError):
-            ids[i]
+    # a shallow walk, and a deep one (8 192 phases) with its completion
+    w = JointDistribution.uniform(2, 2)
+    deep = buzzer_grid_tree(GridWalkSpec(16384, 12288, 8192))
+    for tree in (buzzer_grid_tree(GridWalkSpec(64, 32, 16)), deep,
+                 complete_to_zero_error(deep, AND_TABLE, w)):
+        ids = law_of(tree, w).leaf_ids
+        as_tuple = tuple(ids)
+        for part in (slice(None, 2), slice(-3, None), slice(1, 40, 3), slice(None, None, -2),
+                     slice(500, 600), slice(0, 0)):
+            assert ids[part] == as_tuple[part]
+        for i in (0, 7, -1, -2, -len(ids)):
+            assert ids[i] == as_tuple[i]
+        for i in (len(ids), -len(ids) - 1):
+            with pytest.raises(IndexError):
+                ids[i]
+        del ids, as_tuple
 
 
 # Trees that ``buzzer_grid_tree``, ``flip_tree`` and ``complete_to_zero_error``
@@ -503,6 +509,28 @@ def test_grid_walks_price_without_a_plan_or_a_scan(monkeypatch):
             one_sided_and(0.05, w, n=n)
         for spec, w in grid_cases(n):
             cost_report(law_of(buzzer_grid_tree(spec), w))
+
+
+def test_reading_leaf_ids_runs_no_plan_and_no_scan(monkeypatch):
+    # every tree renders its ids from its own owner and child1 arrays
+    w = JointDistribution.uniform(2, 2)
+    walk_tree = buzzer_grid_tree(GridWalkSpec(256, 128, 64))
+    trees = [walk_tree, flip_tree(walk_tree, 0, 1, 0.05),
+             complete_to_zero_error(walk_tree, AND_TABLE, w),
+             tree_from_json(SHARED_NODE_FILES[0]), tree_from_json(SHARED_NODE_FILES[1])]
+    laws = [law_of(tree, w) for tree in trees]
+    want = [law_of_reference(tree, w).leaf_ids for tree in trees]  # sorted node-walk paths
+
+    def refuse(*args):
+        raise AssertionError("reading leaf ids derived a scan plan or ran a scan")
+
+    monkeypatch.setattr(protocol, "_plan", refuse)
+    monkeypatch.setattr(protocol, "_scan", refuse)
+    for law, ids in zip(laws, want):
+        assert tuple(law.leaf_ids) == ids
+        assert [law.leaf_ids[i] for i in (0, 1, len(ids) // 2, -1, -2)] == \
+            [ids[i] for i in (0, 1, len(ids) // 2, -1, -2)]
+        assert law.leaf_ids[1:-1:3] == ids[1:-1:3] and law.leaf_ids[::-5] == ids[::-5]
 
 
 def test_grid_walk_at_65536_builds_and_prices_under_the_scans_peak():
