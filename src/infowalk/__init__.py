@@ -90,9 +90,6 @@ from .disjointness import (  # noqa: F401
 )
 from .trivial import (  # noqa: F401
     Block,
-    Component,
-    SupportGraph,
-    build_support_graph,
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
     trivial_witness_protocol,

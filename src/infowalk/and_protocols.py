@@ -508,7 +508,7 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
         raise PreconditionError("function table or prior shape does not match the tree")
     nx, ny, n = tree.nx, tree.ny, len(tree.owner)
     outputs = tuple(dict.fromkeys(tree.outputs + tuple(table.flat)))
-    cells = [(x, y) for x in range(nx) for y in range(ny) if prior.support()[x, y]]
+    cells = list(map(tuple, np.argwhere(prior.support()).tolist()))
     leaves = (tree.owner < 0).nonzero()[0]
     kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
     tests = [[c for c in cells if table[c] != z] for z in tree.outputs]
@@ -525,7 +525,8 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
             tree.owner, signal, tree.child1, copy_of, tree.alice, tree.bob))
     most = protocol.TREE_FACTOR_CAP // (nx + ny)  # t tests give a leaf 2^(t+1) − 1 paths
     counts = np.bincount(np.array(list(map(len, tests)))[tree.signal[leaves[asked]]]).tolist()
-    if sum(k * (2 ** (t + 1) - 1) for t, k in enumerate(counts)) + len(leaves) - len(asked) > most:
+    if len(counts) > most.bit_length() or sum(  # a leaf with that many tests is over alone
+            k * (2 ** (t + 1) - 1) for t, k in enumerate(counts)) + len(leaves) - len(asked) > most:
         raise ResourceCapError(f"the completed tree expands to over {most} transcripts, "
                                f"the most that fit a {nx}x{ny} tree")
     px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
 from array import array
 from collections.abc import Sequence
@@ -84,7 +85,7 @@ class _Lazy(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
+            return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
 

@@ -1,9 +1,11 @@
 """Which priors make a function free to compute.
 
-Put an edge between two support cells of the prior whenever they share a row
-or a column; a protocol's rectangle structure can never separate cells inside
-one connected component, so the function is internally free exactly when each
-component's row-projection x column-projection rectangle is monochromatic.
+Link two support cells of the prior whenever they share a row or a column; a
+protocol's rectangle structure can never separate cells inside one connected
+component, so the function is internally free exactly when each component's
+row-projection x column-projection rectangle is monochromatic.  The
+components come from one union-find over the rows and the columns, each
+support cell joining its row to its column, in time linear in the table.
 Externally (against an observer) the whole marginal-support rectangle must be
 monochromatic.
 
@@ -14,7 +16,6 @@ determined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,27 +25,12 @@ from .errors import PreconditionError
 from .protocol import ALICE, Internal, Leaf, ProtocolTree
 
 
-class Component(NamedTuple):
-    cells: tuple
-    rows: tuple  # the C_A projection
-    cols: tuple  # the C_B projection
-
-
-@dataclass(frozen=True)
-class SupportGraph:
-    """Support cells of a prior under shared-row/shared-column adjacency."""
-
-    vertices: tuple
-    edges: tuple
-    components: tuple
-
-
-def build_support_graph(mu: JointDistribution) -> SupportGraph:
-    support = mu.support()
-    vertices = [
-        (x, y) for x in range(mu.nx) for y in range(mu.ny) if support[x, y]
-    ]
-    parent = {v: v for v in vertices}
+def _components(mu: JointDistribution) -> list:
+    """The connected components of the support cells, two cells linked when
+    they share a row or a column, each as its sorted (rows, cols), ordered by
+    first row: one union-find over the rows and the columns (column y is node
+    nx + y), in which each support cell joins its row to its column."""
+    parent = list(range(mu.nx + mu.ny))
 
     def find(v):
         while parent[v] != v:
@@ -52,29 +38,15 @@ def build_support_graph(mu: JointDistribution) -> SupportGraph:
             v = parent[v]
         return v
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    edges = []
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1 :]:
-            if (a[0] == b[0]) != (a[1] == b[1]):  # agree in exactly one slot
-                edges.append((a, b))
-                union(a, b)
+    support = mu.support()
+    for x, y in np.argwhere(support).tolist():
+        parent[find(x)] = find(mu.nx + y)
     groups: dict = {}
-    for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    components = tuple(
-        Component(
-            tuple(cells),
-            tuple(sorted({x for x, _ in cells})),
-            tuple(sorted({y for _, y in cells})),
-        )
-        for cells in sorted(groups.values())
-    )
-    return SupportGraph(tuple(vertices), tuple(edges), components)
+    for x in support.any(axis=1).nonzero()[0].tolist():
+        groups.setdefault(find(x), ([], []))[0].append(x)
+    for y in support.any(axis=0).nonzero()[0].tolist():
+        groups[find(mu.nx + y)][1].append(y)
+    return [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
 
 
 class Block(NamedTuple):
@@ -99,11 +71,11 @@ def is_structurally_internal_trivial(f, mu: JointDistribution):
     """
     table = _table(f, mu)
     blocks = []
-    for comp in build_support_graph(mu).components:
-        values = {table[x, y] for x in comp.rows for y in comp.cols}
+    for rows, cols in _components(mu):
+        values = {table[x, y] for x in rows for y in cols}
         if len(values) != 1:
             return False, None
-        blocks.append(Block(comp.rows, comp.cols, values.pop()))
+        blocks.append(Block(rows, cols, values.pop()))
     return True, tuple(blocks)
 
 

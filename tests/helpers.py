@@ -796,6 +796,28 @@ def pretend_prob(
     return lambda_real * dec_parent.inner() / dec_child.inner()
 
 
+def support_components_reference(mu: JointDistribution) -> list:
+    """The connected components of the support cells, two cells linked when
+    they share a row or a column, grown by comparing pairs of cells; each as
+    its sorted (rows, cols), in the order of their first cells."""
+    cells = [(x, y) for x in range(mu.nx) for y in range(mu.ny) if mu.mass[x, y] > 0.0]
+    left, components = set(cells), []
+    for start in cells:
+        if start not in left:
+            continue
+        left.discard(start)
+        component, frontier = [start], [start]
+        while frontier:
+            a = frontier.pop()
+            for b in [b for b in left if a[0] == b[0] or a[1] == b[1]]:
+                left.discard(b)
+                component.append(b)
+                frontier.append(b)
+        components.append((tuple(sorted({x for x, _ in component})),
+                           tuple(sorted({y for _, y in component}))))
+    return components
+
+
 def deterministic_ic_floor(f, mu: JointDistribution, depth: int = 4) -> float:
     """Minimum internal cost over deterministic trees, up to a depth budget,
     that answer correctly on every input (not just the support).

@@ -614,6 +614,36 @@ def test_trivial_check_requested_kind_unavailable(capsys, files):
     assert payload["result"]["witness"] is None
 
 
+def test_trivial_check_on_a_300x300_full_support_prior_exits_0(capsys, files):
+    # linear in the table: comparing every pair of the 90000 support cells
+    # would take minutes
+    _, write = files
+    table = write("zero.json", [[0] * 300] * 300)
+    mu = write("uniform.json", np.full((300, 300), 1 / 90000).tolist())
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "trivial-check", "--table", table, "--mu", mu)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and out == "internal-trivial True external-trivial True\n"
+
+
+def test_complete_past_the_cap_at_400x400_is_code_3_at_once(capsys, files):
+    # every one of the 160000 cells is a test of the one leaf; the cap check
+    # stops at the first leaf with too many tests
+    tmp, write = files
+    tree = write("leaf.json", {"nx": 400, "ny": 400, "outputs": [0], "root": 0,
+                               "nodes": [{"kind": "leaf", "output": 0}]})
+    table = write("ones.json", [[1] * 400] * 400)
+    prior = write("uniform.json", np.full((400, 400), 1 / 160000).tolist())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complete", "--protocol", tree, "--table", table,
+                         "--prior", prior, "--out-tree", str(tmp / "t.json"),
+                         "--out-report", str(tmp / "r.json"))
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "transcripts" in err
+    assert not (tmp / "t.json").exists() and not (tmp / "r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # the configuration every artifact embeds
 # ---------------------------------------------------------------------------

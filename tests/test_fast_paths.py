@@ -349,7 +349,7 @@ def test_leaf_ids_slice_and_index_as_a_tuple_does():
 
 def assert_same_tree(tree, ref, prior):
     law, want = law_of(tree, prior), law_of(ref, prior)
-    assert tuple(law.leaf_ids) == tuple(want.leaf_ids)
+    assert law.leaf_ids == want.leaf_ids
     assert law.cond.tobytes() == want.cond.tobytes()
     assert law.outputs == want.outputs
     assert tree_to_json(tree) == tree_to_json(ref)

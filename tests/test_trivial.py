@@ -9,13 +9,13 @@ from infowalk.errors import PreconditionError
 from infowalk.infocost import external_ic, internal_ic, law_of
 from infowalk.protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, Task, evaluate_error
 from infowalk.trivial import (
-    build_support_graph,
+    _components,
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
     trivial_witness_protocol,
 )
 
-from helpers import deterministic_ic_floor, root_of
+from helpers import deterministic_ic_floor, root_of, support_components_reference
 
 AND = [[0, 0], [0, 1]]
 XOR = [[0, 1], [1, 0]]
@@ -64,43 +64,37 @@ def brute_force_internal_trivial(f, mu):
 
 
 # ---------------------------------------------------------------------------
-# support graph
+# support components
 # ---------------------------------------------------------------------------
 
-def test_full_support_single_component():
-    graph = build_support_graph(JointDistribution.uniform(2, 3))
-    assert len(graph.components) == 1
-    comp = graph.components[0]
-    assert comp.rows == (0, 1)
-    assert comp.cols == (0, 1, 2)
-    assert len(graph.vertices) == 6
-
-
-def test_diagonal_support_splits():
-    graph = build_support_graph(DIAG)
-    assert graph.edges == ()
-    assert len(graph.components) == 2
-    assert [c.cells for c in graph.components] == [((0, 0),), ((1, 1),)]
-
-
-def test_l_shaped_support_is_connected():
-    mu = JointDistribution.from_mass([[0.4, 0.3], [0.0, 0.3]])
-    graph = build_support_graph(mu)
-    assert len(graph.components) == 1
-    assert set(graph.edges) == {((0, 0), (0, 1)), ((0, 1), (1, 1))}
-
-
-def test_components_partition_vertices():
+def support_cases():
+    """Priors of every shape up to 6x6 with random supports, so with empty
+    rows and columns, then a single cell, the diagonal and an L."""
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        mass = rng.random((3, 3)) * (rng.random((3, 3)) < 0.5)
-        if mass.sum() == 0:
-            continue
-        mu = JointDistribution.from_mass(mass / mass.sum())
-        graph = build_support_graph(mu)
-        seen = [c for comp in graph.components for c in comp.cells]
-        assert sorted(seen) == sorted(graph.vertices)
-        assert len(seen) == len(set(seen))
+    for _ in range(400):
+        nx, ny = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < rng.random())
+        if mass.sum() > 0:
+            yield mass / mass.sum()
+    yield np.ones((1, 1))
+    yield np.eye(5) / 5
+    yield np.array([[0.4, 0.3], [0.0, 0.3]])
+
+
+def test_components_match_the_pairwise_oracle():
+    for mass in support_cases():
+        mu = JointDistribution.from_mass(mass)
+        components = _components(mu)
+        assert components == support_components_reference(mu)
+        # every support cell lies in exactly one component's rectangle, and
+        # no row or column is in two components
+        for x, y in np.argwhere(mu.support()).tolist():
+            assert sum(x in rows and y in cols for rows, cols in components) == 1
+        for axis in (0, 1):
+            items = [v for component in components for v in component[axis]]
+            assert len(items) == len(set(items))
+    assert _components(JointDistribution.uniform(2, 3)) == [((0, 1), (0, 1, 2))]
+    assert _components(DIAG) == [((0,), (0,)), ((1,), (1,))]
 
 
 # ---------------------------------------------------------------------------
