@@ -84,8 +84,29 @@ def support_cases():
 def test_components_match_the_pairwise_oracle():
     for mass in support_cases():
         mu = JointDistribution.from_mass(mass)
+        assert _components(mu) == support_components_reference(mu)
+
+
+def test_full_support_single_component():
+    assert _components(JointDistribution.uniform(2, 3)) == [((0, 1), (0, 1, 2))]
+
+
+def test_diagonal_support_splits():
+    assert _components(DIAG) == [((0,), (0,)), ((1,), (1,))]
+    assert _components(JointDistribution.from_mass(np.eye(5) / 5)) == [
+        ((i,), (i,)) for i in range(5)
+    ]
+
+
+def test_l_shaped_support_is_connected():
+    mu = JointDistribution.from_mass([[0.4, 0.3], [0.0, 0.3]])
+    assert _components(mu) == [((0, 1), (0, 1))]
+
+
+def test_components_partition_vertices():
+    for mass in support_cases():
+        mu = JointDistribution.from_mass(mass)
         components = _components(mu)
-        assert components == support_components_reference(mu)
         # every support cell lies in exactly one component's rectangle, and
         # no row or column is in two components
         for x, y in np.argwhere(mu.support()).tolist():
@@ -93,8 +114,6 @@ def test_components_match_the_pairwise_oracle():
         for axis in (0, 1):
             items = [v for component in components for v in component[axis]]
             assert len(items) == len(set(items))
-    assert _components(JointDistribution.uniform(2, 3)) == [((0, 1), (0, 1, 2))]
-    assert _components(DIAG) == [((0,), (0,)), ((1,), (1,))]
 
 
 # ---------------------------------------------------------------------------
