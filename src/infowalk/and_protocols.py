@@ -31,11 +31,13 @@ from .distributions import (
     Decomposition,
     JointDistribution,
     ProductDistribution,
-    entropy_profile,
+    _conditional_entropies,
+    _symmetric_reference,
     symmetric_decomposition,
 )
 from .errors import PreconditionError, ProtocolError, ResourceCapError
-from .infocost import TranscriptLaw, _margin, _snap, law_of, leaf_posteriors
+from .infocost import (SUM_BLOCK_CELLS, TranscriptLaw, _margin, _snap, law_of,
+                       leaf_posteriors)
 from .protocol import (ALICE, BOB, Internal, Leaf, ProtocolTree, Task, _Lazy, _scan,
                        evaluate_error_law)
 
@@ -305,10 +307,10 @@ def grid_law_kolmogorov(spec: GridWalkSpec, law: BuzzerLeafLaw) -> float:
 # stability potential
 # ---------------------------------------------------------------------------
 
-def _require_positive_reference(dec: Decomposition):
-    if dec.x <= 0.0:
+def _require_positive_reference(x: float, y: float):
+    if x <= 0.0:
         raise PreconditionError("reference entry x = ν(0,0) must be positive")
-    if dec.y <= 0.0:
+    if y <= 0.0:
         raise PreconditionError("reference entry y = ν(0,1) must be positive")
 
 
@@ -319,12 +321,16 @@ def sim_and_zero(p: float, q: float, dec: Decomposition) -> float:
     global 1/ln 2 converts it to bits.  Both absorption axes contribute
     identically because ν is symmetric, so for p < q the value is the p ≥ q
     branch at (q, p) with (x, y) unchanged."""
+    return _sim_and_zero(p, q, dec.x, dec.y)
+
+
+def _sim_and_zero(p: float, q: float, x: float, y: float) -> float:
+    """``sim_and_zero`` with ν(0,0) = x and ν(0,1) = y."""
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise PreconditionError("sim_and_zero needs an interior start")
-    _require_positive_reference(dec)
+    _require_positive_reference(x, y)
     if p < q:
         p, q = q, p
-    x, y = dec.x, dec.y
     a = (1.0 - p) * x + p * y
     val = (
         q * (1.0 - p) * y
@@ -339,10 +345,10 @@ def sim_and_zero_d2p(p: float, q: float, dec: Decomposition) -> float:
 
     −2(p−q)·xy / (2(1−p)·p²·((1−p)x+py)) / ln 2; the curvature in q is
     identically zero (the cost is linear in the smaller coordinate)."""
-    _require_positive_reference(dec)
+    x, y = dec.x, dec.y
+    _require_positive_reference(x, y)
     if p <= q:
         raise PreconditionError("curvature formula applies on the p > q side")
-    x, y = dec.x, dec.y
     a = (1.0 - p) * x + p * y
     return -2.0 * (p - q) * x * y / (2.0 * (1.0 - p) * p * p * a) / LN2
 
@@ -352,11 +358,13 @@ def ic_and_zero(w: JointDistribution) -> float:
 
     H(X|Y) + H(Y|X) at w, minus the buzzer's concealed information — the
     closed-form scaled cost divided by ⟨ν, μ⟩ of w's symmetric
-    decomposition."""
-    dec = symmetric_decomposition(w)
-    profile = entropy_profile(w)
-    scaled = sim_and_zero(dec.pretend.p, dec.pretend.q, dec)
-    return float(profile.h_x_given_y + profile.h_y_given_x - scaled / dec.inner())
+    decomposition.  Computed on w's four masses by the float steps that
+    ``symmetric_decomposition``, ``entropy_profile`` and ``sim_and_zero``
+    take, with their errors, and no object built."""
+    (m00, m01, m10, m11), q, nu, inner = _symmetric_reference(w)
+    h_x_given_y, h_y_given_x = _conditional_entropies(
+        ((m00, m01), (m10, m11)), (m00 + m01, m10 + m11), (m00 + m10, m01 + m11))
+    return h_x_given_y + h_y_given_x - _sim_and_zero(0.5, q, nu[0], nu[1]) / inner
 
 
 def potential_phi_closed(c: float, p: float, q: float) -> float:
@@ -512,12 +520,20 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     leaves = (tree.owner < 0).nonzero()[0]
     kept = np.array([outputs.index(z) for z in tree.outputs])[tree.signal[leaves]]
     tests = [[c for c in cells if table[c] != z] for z in tree.outputs]
-    # posteriors as leaf_posteriors gives them, at the reached leaves with tests
+    # the leaves with tests, by blocks of rows of prior ⊙ path factors: those
+    # reached (a positive row sum) are counted against the cap before any posterior
     asked = np.isin(tree.signal[leaves], [k for k, t in enumerate(tests) if t]).nonzero()[0]
-    fa = tree.path_law.factors[asked]
-    joint = fa[:, :nx, None] * fa[:, None, nx:] * prior.mass
-    prob = joint.reshape(len(asked), nx * ny).sum(axis=1)
-    asked, post = asked[prob > 0.0], _snap(joint[prob > 0.0] / prob[prob > 0.0, None, None])
+    step = max(1, SUM_BLOCK_CELLS // (nx * ny))
+
+    def joints(rows):
+        for lo in range(0, len(rows), step):
+            fa = tree.path_law.factors[rows[lo:lo + step]]
+            yield slice(lo, lo + step), fa[:, :nx, None] * fa[:, None, nx:] * prior.mass
+
+    prob = np.zeros(len(asked))
+    for at, joint in joints(asked):
+        prob[at] = joint.reshape(len(joint), nx * ny).sum(axis=1)
+    asked, prob = asked[prob > 0.0], prob[prob > 0.0]
     if not len(asked):  # the tree and its law stand, its internal nodes unshared as below
         signal, copy_of = tree.signal.copy(), np.where(tree.owner >= 0, np.arange(n), tree.copy_of)
         signal[leaves] = kept
@@ -529,7 +545,10 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
             k * (2 ** (t + 1) - 1) for t, k in enumerate(counts)) + len(leaves) - len(asked) > most:
         raise ResourceCapError(f"the completed tree expands to over {most} transcripts, "
                                f"the most that fit a {nx}x{ny} tree")
-    px, py = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
+    px, py = np.empty((len(asked), nx)), np.empty((len(asked), ny))
+    for at, joint in joints(asked):  # their marginals, as leaf_posteriors gives them
+        post = _snap(joint / prob[at, None, None])
+        px[at], py[at] = _margin(post, 2)[:, :, 0], _margin(post, 1)[:, 0]
     # the question on factor column c (Alice's x, or Bob's nx + y) sends 1 on a
     # unit row (question[c]: its asker and that row); its 1-edge multiplies each
     # factor by yes[c], zeroing the asker's other columns, its 0-edge by no[c]

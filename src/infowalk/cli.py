@@ -68,6 +68,7 @@ from .optimize import (
 )
 from .protocol import Task, evaluate_error_law, tree_from_json, tree_to_json
 from .trivial import (
+    _block_protocol,
     is_structurally_external_trivial,
     is_structurally_internal_trivial,
     trivial_witness_protocol,
@@ -426,7 +427,9 @@ def _cmd_trivial_check(args) -> int:
         ):
             result["witness"] = None
         else:
-            witness = trivial_witness_protocol(table, mu, kind)
+            # the verdict's blocks give the internal witness: no second search
+            witness = (_block_protocol(mu, blocks) if kind == "internal"
+                       else trivial_witness_protocol(table, mu, kind))
             law = law_of(witness, mu)
             report = evaluate_error_law(
                 law, Task(table, 0.0, "distributional", measure=mu)

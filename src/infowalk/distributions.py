@@ -8,7 +8,7 @@ use compensated summation so the stated tolerances hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,7 @@ class JointDistribution:
         m[np.abs(m) < SNAP_EPS] = 0.0
         if (m < 0.0).any():
             raise DistributionError("mass entries must be nonnegative")
-        total = math.fsum(m.ravel().tolist())
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise DistributionError(f"total mass {total!r} is not 1")
+        _check_total(m.ravel().tolist())
         m.flags.writeable = False
         object.__setattr__(self, "mass", m)
 
@@ -95,6 +93,36 @@ class JointDistribution:
         return self.mass > 0.0
 
 
+def _check_total(masses):
+    total = math.fsum(masses)
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise DistributionError(f"total mass {total!r} is not 1")
+
+
+def _snapped(masses) -> list:
+    """Nonnegative floats as ``JointDistribution`` keeps them: entries below
+    ``SNAP_EPS`` made exactly 0, and the total checked against 1."""
+    masses = [0.0 if t < SNAP_EPS else t for t in masses]
+    _check_total(masses)
+    return masses
+
+
+def _product(p: float, q: float) -> list:
+    """The product measure with marginals of 1 p and q, row by row."""
+    return [(1 - p) * (1 - q), (1 - p) * q, p * (1 - q), p * q]
+
+
+def _overlap(nu, mu) -> float:
+    """⟨ν, μ⟩ of two 2x2 laws given row by row, added left to right as numpy
+    sums their 2x2 entrywise product."""
+    a, b, c, d = nu
+    e, f, g, h = mu
+    inner = a * e + b * f + c * g + d * h
+    if inner <= 0.0:
+        raise UndefinedProductError("reference and pretend have zero overlap")
+    return inner
+
+
 @dataclass(frozen=True)
 class ProductDistribution:
     """A product measure on {0,1}² given by the two marginals of 1."""
@@ -110,10 +138,7 @@ class ProductDistribution:
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
     def as_joint(self) -> JointDistribution:
-        p, q = self.p, self.q
-        return JointDistribution.from_mass(
-            [[(1 - p) * (1 - q), (1 - p) * q], [p * (1 - q), p * q]]
-        )
+        return JointDistribution(2, 2, np.reshape(_product(self.p, self.q), (2, 2)))
 
 
 @dataclass(frozen=True)
@@ -122,13 +147,12 @@ class Decomposition:
 
     The real prior it encodes is odot(reference, pretend); the pretend part is
     what protocol signals act on.  Properties x and y read the reference's
-    entries (0, 0) and (0, 1) = (1, 0).  ⟨ν, μ⟩ is computed once, when the
-    pair is made.
+    entries (0, 0) and (0, 1) = (1, 0).  A pair with ⟨ν, μ⟩ = 0 is refused
+    when it is made.
     """
 
     reference: JointDistribution
     pretend: ProductDistribution
-    _inner: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.reference
@@ -136,10 +160,7 @@ class Decomposition:
             raise DecompositionError("reference measure must be 2x2")
         if abs(r.mass[0, 1] - r.mass[1, 0]) > SYMMETRY_TOLERANCE:
             raise DecompositionError("reference measure must be symmetric")
-        inner = float((r.mass * self.pretend.as_joint().mass).sum())
-        if inner <= 0.0:
-            raise UndefinedProductError("reference and pretend have zero overlap")
-        object.__setattr__(self, "_inner", inner)
+        _overlap(r.mass.ravel().tolist(), self.pretend.as_joint().mass.ravel().tolist())
 
     @property
     def x(self) -> float:
@@ -148,9 +169,6 @@ class Decomposition:
     @property
     def y(self) -> float:
         return float(self.reference.mass[0, 1])
-
-    def inner(self) -> float:
-        return self._inner
 
     def compose(self) -> JointDistribution:
         return odot(self.reference, self.pretend.as_joint())
@@ -192,13 +210,19 @@ def entropy_profile(d: JointDistribution) -> EntropyProfile:
     h_xy = -math.fsum([t * math.log2(t) for row in rows for t in row if t > 0.0])
     h_x = -math.fsum([t * math.log2(t) for t in px if t > 0.0])
     h_y = -math.fsum([t * math.log2(t) for t in py if t > 0.0])
+    return EntropyProfile(h_x, h_y, h_xy, *_conditional_entropies(rows, px, py))
+
+
+def _conditional_entropies(rows, px, py) -> tuple:
+    """H(X|Y) and H(Y|X) of the masses ``rows`` (lists of floats) with
+    marginals px and py, as ``entropy_profile`` sums them."""
     h_x_given_y = -math.fsum(
         [t * math.log2(t / b) for row in rows for t, b in zip(row, py) if t > 0.0]
     )
     h_y_given_x = -math.fsum(
         [t * math.log2(t / a) for row, a in zip(rows, px) for t in row if t > 0.0]
     )
-    return EntropyProfile(h_x, h_y, h_xy, h_x_given_y, h_y_given_x)
+    return h_x_given_y, h_y_given_x
 
 
 def symmetric_decomposition(w: JointDistribution) -> Decomposition:
@@ -209,15 +233,26 @@ def symmetric_decomposition(w: JointDistribution) -> Decomposition:
     quotient of w by the pretend mass, renormalized.  Requires w(0,0),
     w(0,1), w(1,0) > 0; w(1,1) may vanish.
     """
+    _, q, nu, _ = _symmetric_reference(w)
+    return Decomposition(JointDistribution(2, 2, np.reshape(nu, (2, 2))),
+                         ProductDistribution(0.5, q))
+
+
+def _symmetric_reference(w: JointDistribution) -> tuple:
+    """``symmetric_decomposition`` on floats, with the errors of the objects
+    it makes: w's masses, the pretend q, the reference ν (the masses and ν
+    row by row, ν snapped and checked as ``JointDistribution`` does) and
+    ⟨ν, pretend⟩."""
     if (w.nx, w.ny) != (2, 2):
         raise DecompositionError("symmetric decomposition needs a 2x2 prior")
-    m = w.mass
-    if m[0, 0] <= 0.0 or m[0, 1] <= 0.0 or m[1, 0] <= 0.0:
+    m = m00, m01, m10, m11 = w.mass.ravel().tolist()
+    if m00 <= 0.0 or m01 <= 0.0 or m10 <= 0.0:
         raise DecompositionError(
             "w(0,0), w(0,1), w(1,0) must be positive for a symmetric decomposition"
         )
-    s = m[0, 1] + m[1, 0]
-    q = m[0, 1] / s
-    raw = np.array([[m[0, 0] / (1.0 - q), s], [s, m[1, 1] / q]])
-    nu = JointDistribution.from_mass(raw / math.fsum(raw.flat))
-    return Decomposition(nu, ProductDistribution(0.5, q))
+    s = m01 + m10
+    q = m01 / s
+    raw = (m00 / (1.0 - q), s, s, m11 / q)
+    total = math.fsum(raw)
+    nu = _snapped([t / total for t in raw])
+    return m, q, nu, _overlap(nu, _snapped(_product(0.5, q)))

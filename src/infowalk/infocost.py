@@ -39,6 +39,7 @@ PRIOR_MATCH_TOLERANCE = 1e-9
 # transcripts, at least one), so that their terms take a block's memory: on a 2x2
 # law of 2**18 transcripts ``cost_report`` peaks at 18.3 MB (tracemalloc), 35.1 MB
 # in one block, and ``buzzer --n 262144`` at 87.6 MB (VmHWM), 103.7 MB in one block.
+# ``complete_to_zero_error`` forms its reached leaves' posteriors in such blocks.
 SUM_BLOCK_CELLS = 2**14
 
 

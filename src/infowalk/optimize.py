@@ -55,8 +55,9 @@ _FREE_CELLS = {FULL_SUPPORT: ((0, 0), (0, 1), (1, 0), (1, 1)),
                ZERO_AT_11: ((0, 0), (0, 1), (1, 0))}
 _MASS_FLOOR = 1e-9
 # ``maximize_ic_and`` visits at most this many grid points over all its levels:
-# a point took 53 µs (full support) to 68 µs (zero at (1,1)) in the default
-# runs on a 2-core host, so about 7 to 9 s; the defaults visit 13 182 and 1 014
+# a point took 19 µs (zero at (1,1)) to 20 µs (full support) in runs of 59 and
+# 775 levels, just under the cap, on a 2-core host, so about 2.5 s; the
+# defaults visit 13 182 and 1 014
 OPT_GRID_CAP = 2**17
 
 XOR_TABLE = ((0, 1), (1, 0))

@@ -109,6 +109,12 @@ def trivial_witness_protocol(f, mu: JointDistribution, kind: str) -> ProtocolTre
     ok, blocks = is_structurally_internal_trivial(f, mu)
     if not ok:
         raise PreconditionError("instance is not internally trivial")
+    return _block_protocol(mu, blocks)
+
+
+def _block_protocol(mu: JointDistribution, blocks) -> ProtocolTree:
+    """The internal witness of ``trivial_witness_protocol`` from the blocks
+    that ``is_structurally_internal_trivial`` gives."""
     block_of = {}
     for i, block in enumerate(blocks):
         for x in block.rows:

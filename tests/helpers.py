@@ -25,6 +25,8 @@ from infowalk import (
     binary_entropy,
     entropy_profile,
     odot,
+    sim_and_zero,
+    symmetric_decomposition,
 )
 from infowalk.and_protocols import GridLeaf
 from infowalk.distributions import SNAP_EPS
@@ -793,7 +795,24 @@ def pretend_prob(
         raise PreconditionError(
             "pretend_prob needs parent and child to share one reference measure"
         )
-    return lambda_real * dec_parent.inner() / dec_child.inner()
+    return lambda_real * inner(dec_parent) / inner(dec_child)
+
+
+def inner(dec: Decomposition) -> float:
+    """⟨ν, μ⟩ of a decomposition, from its masses: numpy's sum of the
+    reference times the pretend mass, entry by entry."""
+    return float((dec.reference.mass * dec.pretend.as_joint().mass).sum())
+
+
+def ic_and_zero_reference(w: JointDistribution) -> float:
+    """``ic_and_zero`` by the object route: w's ``Decomposition`` and
+    ``EntropyProfile``, then the closed form over ⟨ν, μ⟩.  ``ic_and_zero``
+    takes the same float steps on w's four masses, so the two agree bit for
+    bit and refuse the same priors with the same errors."""
+    dec = symmetric_decomposition(w)
+    profile = entropy_profile(w)
+    scaled = sim_and_zero(dec.pretend.p, dec.pretend.q, dec)
+    return float(profile.h_x_given_y + profile.h_y_given_x - scaled / inner(dec))
 
 
 def support_components_reference(mu: JointDistribution) -> list:

@@ -25,8 +25,11 @@ from infowalk.and_protocols import (
     sim_and_zero,
     sim_and_zero_d2p,
 )
+from infowalk import distributions, optimize
 from infowalk.distributions import (
+    SNAP_EPS,
     Decomposition,
+    EntropyProfile,
     JointDistribution,
     ProductDistribution,
     binary_entropy,
@@ -48,6 +51,7 @@ from infowalk.protocol import (
 
 from helpers import (
     grid_leaf_id,
+    ic_and_zero_reference,
     leaf_law_density,
     pretend_prob,
     random_prior,
@@ -393,6 +397,91 @@ def test_ic_and_zero_requires_off_diagonal_support():
         ic_and_zero(w)
 
 
+def optimizer_grid_priors():
+    """Every prior that ``maximize_ic_and`` evaluates on its two default grids."""
+    seen = []
+
+    def record(mu):
+        seen.append(mu)
+        return ic_and_zero(mu)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "ic_and_zero", record)
+        for constraint in (optimize.FULL_SUPPORT, optimize.ZERO_AT_11):
+            optimize.maximize_ic_and(constraint)
+    return seen
+
+
+def seeded_priors(count):
+    """Full-support and zero-at-(1,1) Dirichlet priors, and priors with one
+    cell from 1e-6 down to below ``SNAP_EPS`` (the cell after it takes up the
+    rest), each kind in turn."""
+    rng = np.random.default_rng(25)
+    priors = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            m = rng.dirichlet(np.ones(4))
+        elif kind == 1:
+            m = np.append(rng.dirichlet(np.ones(3)), 0.0)
+        else:
+            m = rng.dirichlet(np.full(4, 1.0 if kind == 2 else 0.3))
+            cell = rng.integers(4)
+            m[cell] = 10.0 ** rng.uniform(-16.5, -6.0)
+            m[(cell + 1) % 4] += 1.0 - m.sum()
+        priors.append(JointDistribution.from_mass(m.reshape(2, 2)))
+    return priors
+
+
+def outcome(ic, w):
+    """``ic(w)`` as its float's hex, or as its error's class and message."""
+    try:
+        return ic(w).hex()
+    except Exception as exc:  # the refusals are compared, not raised
+        return type(exc), str(exc)
+
+
+def test_ic_and_zero_equals_its_object_route_bit_for_bit():
+    priors = optimizer_grid_priors() + seeded_priors(2400)
+    assert len(priors) > 11_000
+    got = [outcome(ic_and_zero, w) for w in priors]
+    assert got == [outcome(ic_and_zero_reference, w) for w in priors]
+    refused = [o for o in got if isinstance(o, tuple)]
+    assert len(refused) > 100  # a cell under SNAP_EPS snaps to 0
+    assert any("reference entry" in message for _, message in refused)
+
+
+@pytest.mark.parametrize("mass, message", [
+    (np.full((3, 3), 1 / 9), "needs a 2x2 prior"),
+    (np.full((2, 3), 1 / 6), "needs a 2x2 prior"),
+    ([[0.0, 0.5], [0.25, 0.25]], "w(0,0), w(0,1), w(1,0) must be positive"),
+    ([[0.5, 0.0], [0.25, 0.25]], "w(0,0), w(0,1), w(1,0) must be positive"),
+    ([[0.5, 0.5], [0.0, 0.0]], "w(0,0), w(0,1), w(1,0) must be positive"),
+    ([[SNAP_EPS / 2, 0.5], [0.5, 0.0]], "w(0,0), w(0,1), w(1,0) must be positive"),
+    ([[1.2e-15, 0.3], [0.5, 0.2 - 1.2e-15]], "x = ν(0,0) must be positive"),
+])
+def test_ic_and_zero_refuses_what_its_object_route_refuses(mass, message):
+    w = JointDistribution.from_mass(mass)
+    got = outcome(ic_and_zero, w)
+    assert got == outcome(ic_and_zero_reference, w)
+    assert message in got[1]
+
+
+def test_ic_and_zero_builds_no_decomposition_or_entropy_profile(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a decomposition object")
+
+    monkeypatch.setattr(Decomposition, "__post_init__", refuse)
+    monkeypatch.setattr(EntropyProfile, "__init__", refuse)
+    with pytest.raises(AssertionError):  # the guards hold
+        symmetric_decomposition(W_STAR)
+    assert ic_and_zero(W_STAR) == pytest.approx(IC_STAR, abs=1e-12)
+    for mass in ([[0.4, 0.2], [0.3, 0.1]], [[0.25, 0.25], [0.25, 0.25]]):
+        ic_and_zero(JointDistribution.from_mass(mass))
+    opt = optimize.maximize_ic_and(optimize.ZERO_AT_11, levels=2)
+    assert opt.value > 0.48
+
+
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------
@@ -662,6 +751,43 @@ def test_completion_past_the_transcript_cap_raises_before_building_a_round(monke
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_completion_past_the_cap_refuses_before_any_posterior():
+    # 2048 reached leaves over a 60x60 table: their posteriors alone are
+    # 2048 x 3600 floats (59 MB), and holding them took the peak to 178 MB;
+    # the reached leaves are found and counted by blocks of rows instead
+    node = Leaf(0)
+    for _ in range(11):
+        node = Internal(ALICE, (0.5,) * 60, node, node)
+    tree = ProtocolTree(60, 60, (0,), node)
+    tree.path_law
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="transcripts"):
+            complete_to_zero_error(tree, np.ones((60, 60), int).tolist(),
+                                   JointDistribution.uniform(60, 60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 178 * 2**20 / 10
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_completion_is_bit_identical_at_any_block_size(cells, monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for nx, ny in [(2, 2), (3, 2), (1, 9), (9, 1), (2, 9), (3, 3)]:
+        prior = random_prior(rng, nx, ny, floor=0.005)
+        table = (rng.random((nx, ny)) < 0.5).astype(int).tolist()
+        cases.append((random_tree(rng, nx, ny, depth=5), table, prior))
+    want = [complete_to_zero_error(*case) for case in cases]
+    monkeypatch.setattr("infowalk.and_protocols.SUM_BLOCK_CELLS", cells)
+    for case, ref in zip(cases, want):
+        got = complete_to_zero_error(*case)
+        for name in ("owner", "signal", "child1", "copy_of"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert got.path_law.factors.tobytes() == ref.path_law.factors.tobytes()
 
 
 def test_completion_within_the_transcript_cap_builds_every_round():

@@ -599,6 +599,23 @@ def test_trivial_check_verdict(capsys, files):
     assert payload["result"]["witness"]["support_error"] == 0.0
 
 
+def test_trivial_check_finds_the_components_once(capsys, files, monkeypatch):
+    # the witness is built from the verdict's blocks, with no second search
+    from infowalk import trivial
+
+    calls = []
+    components = trivial._components
+    monkeypatch.setattr(trivial, "_components", lambda mu: calls.append(mu) or components(mu))
+    tmp, write = files
+    table = write("xor.json", [[0, 1], [1, 0]])
+    mu = write("diag.json", {"mass": [[0.5, 0.0], [0.0, 0.5]]})
+    code, _, _ = run(capsys, "trivial-check", "--table", table, "--mu", mu,
+                     "--out", str(tmp / "verdict.json"))
+    assert code == 0 and len(calls) == 1
+    assert json.loads((tmp / "verdict.json").read_text())["result"]["witness"]["kind"] \
+        == "internal"
+
+
 def test_trivial_check_requested_kind_unavailable(capsys, files):
     tmp, write = files
     table = write("and.json", [[0, 0], [0, 1]])

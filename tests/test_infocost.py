@@ -29,6 +29,7 @@ from helpers import (
     exchange_tree,
     external_reference,
     ic_reference,
+    inner,
     pretend_prob,
     random_law,
     random_prior,
@@ -137,7 +138,7 @@ def test_sim_constant_and_full_reveal():
     prior = dec.compose()
     const = law_of(ProtocolTree(2, 2, (0,), Leaf(0)), prior)
     prof = entropy_profile(prior)
-    expected = dec.inner() * (prof.h_x_given_y + prof.h_y_given_x)
+    expected = inner(dec) * (prof.h_x_given_y + prof.h_y_given_x)
     assert abs(sim(const, dec) - expected) < 1e-12
 
     full = law_of(exchange_tree(2, 2, [[0, 0], [0, 1]]), prior)
@@ -151,7 +152,7 @@ def test_sim_matches_scaled_concealed_information():
         prior = dec.compose()
         tree = random_tree(rng, 2, 2, depth=4)
         law = law_of(tree, prior)
-        expected = dec.inner() * cost_report(law).ci_internal
+        expected = inner(dec) * cost_report(law).ci_internal
         assert abs(sim(law, dec) - expected) < 1e-9
 
 
