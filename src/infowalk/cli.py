@@ -377,8 +377,7 @@ def _cmd_disj(args) -> int:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
 
-    # the audit and the cost share each coordinate's AND walk; every
-    # coordinate of an iid instance holds the same prior object
+    # the audit and the cost share the one run's AND walk
     @functools.lru_cache(maxsize=None)
     def factory(prior, epsilon):
         return one_sided_and(epsilon, prior, n=args.and_grid)

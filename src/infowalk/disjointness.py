@@ -8,20 +8,22 @@ never err, and an input with t intersecting coordinates errs exactly when
 all t of its AND rounds err — probability (per-round error)^t.
 
 Input laws are product-across-coordinates, so the rounds are independent
-and each round's prior is its coordinate's marginal law: every audit and
-cost number is a product, or a sum of prefix and suffix products, over the
-rounds' 2x2 "says 1" tables o_c and AND costs, at any n up to
-REACH_COORD_CAP, which every instance keeps to.  They are checked
-against the composite law over all 4ⁿ inputs (``disj_protocol``), whose
-inputs are integers with coordinate i in bit i, so intersection is ``x & y``.
+and each round's prior is its coordinate's marginal law.  An instance holds
+runs of (prior, multiplicity) in coordinate order, and every audit and cost
+number is a product, or a sum of prefix and suffix products, over the runs'
+2x2 "says 1" tables o and AND costs: O(runs) work at any n, with the reach
+within 2e-15 relative of exact arithmetic.  They are checked against the
+composite law over all 4ⁿ inputs (``disj_protocol``), whose inputs are
+integers with coordinate i in bit i, so intersection is ``x & y``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import permutations
+from functools import reduce
+from itertools import groupby, permutations
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,15 +36,16 @@ from .infocost import TranscriptLaw, internal_ic
 # disj_protocol's composite law keeps a 4ⁿ-cell table per transcript and
 # walks all n! orders of the coordinates.
 COMPOSITE_COORD_CAP = 4
-# _reach holds a few arrays of n × (⌊n/2⌋ + 1) floats and takes O(n²) time; at
-# n = 4096 `disj --with-ic` takes 1.6 s at 289 MB peak RSS on a 2-core host,
-# its Gauss–Legendre rule solved once.  Every DisjInstance is checked as made.
-REACH_COORD_CAP = 4096
 # The audit's one table, ``per_input`` over 4ⁿ inputs, peaks at 25 bytes a
 # cell (tracemalloc).  At 2²⁰ cells (n = 10, 26 MB) `disj --and-grid 16`
 # takes 0.2–0.3 s, process start included, at 57 MB peak RSS on a 2-core
-# host.  Past the cap the audit reports no table; its numbers need none.
+# host.  Past the cap the audit reports no table.  Its numbers need none:
+# they cost O(runs) at any n, the reach within 2e-15 relative.
 AUDIT_TABLE_CAP = 2**20
+# the 24-point Gauss–Legendre rule on [−1, 1] by Golub–Welsch, in 0.2 ms
+_k = np.arange(1.0, 24.0)
+_GL_NODES, _GL_VECTORS = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k**2 - 1.0), -1))
+_GL_WEIGHTS = 2.0 * _GL_VECTORS[0] ** 2
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
 # closed-form cost anchors the analytic bound curve
@@ -51,39 +54,38 @@ HARDEST_ZERO_DIAG_PRIOR = JointDistribution.from_mass(
 )
 
 
-def _cap_coords(n: int) -> None:
-    if n > REACH_COORD_CAP:
-        raise ResourceCapError(f"DISJ caps at {REACH_COORD_CAP} coordinates, got {n}")
-
-
 @dataclass(frozen=True)
 class DisjInstance:
-    """A product-form input law: one independent 2x2 prior per coordinate."""
+    """A product-form input law: runs of (prior, multiplicity), a 2x2 prior a coordinate."""
 
-    coord_priors: tuple
+    runs: tuple
     n: int = field(init=False)
     p_one: float = field(init=False)  # probability that the sets intersect
 
     def __post_init__(self):
-        if not self.coord_priors:
+        if not self.runs or min(m for _, m in self.runs) < 1:
             raise PreconditionError("need at least one coordinate prior")
-        _cap_coords(len(self.coord_priors))
-        for w in self.coord_priors:
-            if (w.nx, w.ny) != (2, 2):
-                raise PreconditionError("coordinate priors must be 2x2")
-        object.__setattr__(self, "n", len(self.coord_priors))
+        if any((w.nx, w.ny) != (2, 2) for w, _ in self.runs):
+            raise PreconditionError("coordinate priors must be 2x2")
+        object.__setattr__(self, "n", sum(operator.index(m) for _, m in self.runs))
         object.__setattr__(self, "p_one", 1.0 - math.prod(
-            1.0 - float(w.mass[1, 1]) for w in self.coord_priors
+            (1.0 - float(w.mass[1, 1])) ** m for w, m in self.runs
         ))
 
     @classmethod
     def from_priors(cls, coord_priors) -> "DisjInstance":
-        return cls(tuple(coord_priors))
+        """One run per maximal block of adjacent equal priors."""
+        blocks = [list(b) for _, b in groupby(coord_priors, key=lambda w: w.mass.tobytes())]
+        return cls(tuple((block[0], len(block)) for block in blocks))
 
     @classmethod
     def iid(cls, w: JointDistribution, n: int) -> "DisjInstance":
-        _cap_coords(n)  # before n references are made
-        return cls.from_priors((w,) * n)
+        return cls(((w, n),))
+
+    @property
+    def coord_priors(self) -> tuple:
+        """Every coordinate's prior, n of them: for small n only."""
+        return tuple(w for w, m in self.runs for _ in range(m))
 
     def joint_prior(self) -> JointDistribution:
         """The product law over composite inputs (bit i of the index is
@@ -114,11 +116,11 @@ def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
 
 
 def _rounds(inst: DisjInstance, eps_round: float, and_factory):
-    """Every coordinate's round as (AND law, o_c), with o_c = Pr[the round
-    says 1 | a, b] as a 2x2 table; the factory runs once per distinct prior,
-    and its failures become ``ProtocolError``, apart from a blown cap."""
-    built, rounds = {}, []
-    for i, w in enumerate(inst.coord_priors):
+    """Every run's round as (AND law, o = Pr[says 1 | a, b] as a 2x2 table);
+    the factory runs once per distinct prior, and its failures, apart from a
+    blown cap, become ``ProtocolError`` naming the prior's first coordinate."""
+    built, rounds, coord = {}, [], 0
+    for w, m in inst.runs:
         key = w.mass.tobytes()
         if key not in built:
             try:
@@ -126,44 +128,35 @@ def _rounds(inst: DisjInstance, eps_round: float, and_factory):
             except ResourceCapError:
                 raise
             except Exception as exc:
-                raise ProtocolError(f"AND factory failed on coordinate {i}: {exc}") from exc
+                raise ProtocolError(f"AND factory failed on coordinate {coord}: {exc}") from exc
             ones = [t for t, out in enumerate(law.outputs) if out == 1]
             built[key] = (law, law.cond[ones].sum(axis=0))
         rounds.append(built[key])
+        coord += m
     return rounds
 
 
-def _around(before, after):
-    """(Π_{k<c} before_k, Π_{k>c} after_k) for every c, along axis 0."""
-    ones = np.ones_like(before[:1])
-    return (np.cumprod(np.vstack([ones, before[:-1]]), axis=0),
-            np.cumprod(np.vstack([ones, after[:0:-1]]), axis=0)[::-1])
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre(count: int) -> tuple:
-    """The count-point Gauss–Legendre rule's nodes and weights, read-only: a
-    dense eigenproblem, solved once for the audit and the cost alike."""
-    return tuple(np.frombuffer(a.tobytes()) for a in np.polynomial.legendre.leggauss(count))
-
-
 def _reach(inst: DisjInstance, says) -> np.ndarray:
-    """Pr[the round of coordinate c runs], for every c, under the prior.
+    """Pr[the round of c runs] under the prior, summed over each run's c.
 
     A round runs when every round drawn before it said 0.  The rounds are
-    independent, so with miss_k = Pr[round k says 0] the probability is
-    reach_c = E_σ Π_{k before c} miss_k = ∫₀¹ Π_{k≠c} (1 − t(1 − miss_k)) dt,
-    the integral summing over the position of c in σ.  The integrand is a
-    polynomial of degree n − 1, which ⌊n/2⌋ + 1 Gauss–Legendre nodes
-    integrate exactly in exact arithmetic; prefix and suffix products over k
-    make all n values O(n²).  In floats, iid uniform rounds at ε = 0.1 sum to
-    within 1e-11 relative of (1 − missⁿ)/(1 − miss) at n ≤ 1000, 1e-9 at 4000."""
-    miss = np.array([np.sum(w.mass * (1.0 - o)) for w, o in zip(inst.coord_priors, says)])
-    nodes, weights = _gauss_legendre(inst.n // 2 + 1)
-    t = 0.5 * (nodes + 1.0)
-    factors = 1.0 - np.outer(1.0 - miss, t)  # (coordinate, node)
-    before, after = _around(factors, factors)
-    return (before * after) @ (0.5 * weights)
+    independent, so with a_k = Pr[round k says 1] the probability is
+    reach_c = E_σ Π_{k before c} (1 − a_k) = ∫₀¹ Π_{k≠c} (1 − t·a_k) dt, the
+    integral summing over the position of c in σ.  The integrand,
+    exp(Σ_j m_j·log1p(−t·a_j) − log1p(−t·a_c)) over the runs j, decays on
+    the scale s = 1/Σ_j m_j·a_j, and 24-point Gauss–Legendre on each panel
+    of [0, s/4, s, 4s, …, 1] integrates it in O(runs × panels) within 2e-15
+    relative of exact arithmetic (6.3e-16 seen, iid n ≤ 10¹², mixed runs)."""
+    m = np.array([count for _, count in inst.runs], dtype=float)
+    a = np.array([np.sum(w.mass * o) for (w, _), o in zip(inst.runs, says)])
+    edges = [0.0, 0.25 / max(float(m @ a), 0.25)]
+    while edges[-1] < 1.0:
+        edges.append(min(4.0 * edges[-1], 1.0))
+    width = np.diff(edges)[:, None]
+    t = (np.array(edges[:-1])[:, None] + 0.5 * width * (_GL_NODES + 1.0)).ravel()
+    weights = (0.5 * width * _GL_WEIGHTS).ravel()
+    logs = np.log1p(-np.outer(a, t))  # (run, node)
+    return m * (np.exp(m @ logs - logs) @ weights)
 
 
 def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
@@ -230,8 +223,9 @@ def disj_protocol(
             f"the composite law caps at {COMPOSITE_COORD_CAP} coordinates; "
             "audit larger instances with disj_error_audit"
         )
-    laws, _ = zip(*_rounds(inst, eps_round, and_factory))
-    return _composite_law(inst, laws)
+    rounds = _rounds(inst, eps_round, and_factory)
+    return _composite_law(inst, [law for (law, _), (_, m) in zip(rounds, inst.runs)
+                                 for _ in range(m)])
 
 
 @dataclass(frozen=True)
@@ -268,37 +262,43 @@ def disj_error_audit(
     permutation: probability Π_c (1 − o_c(x_c, y_c)).  With silent_c =
     w_c ⊙ (1 − o_c), A_c its sum, B_c that sum without cell (1, 1) and
     D_c = 1 − w_c(1, 1), intersecting inputs err with mass Π A − Π B and
-    disjoint ones with Π D − Π B.  Each difference is summed as
-    Σ_c (Π_{k<c} hi_k)(hi_c − lo_c)(Π_{k>c} lo_k), its middle factor formed
+    disjoint ones with Π D − Π B.  Each difference is summed over the runs
+    as Σ_j (Π_{i<j} hi_i^m_i)(hi_j^m_j − lo_j^m_j)(Π_{i>j} lo_i^m_i), the
+    middle factor −hi^m·expm1(−m·log1p(gap/lo)) with gap = hi − lo formed
     directly: nothing cancels, one-sided rounds leave the disjoint part
-    exactly 0, and the sum is within (2n + 6)·2⁻⁵³ relative of exact
-    arithmetic on the same inputs, and at n ≤ 10 within 1e-15 of the table
-    oracle Σ joint prior ⊙ ``per_input``.  The always-0 protocol is the same
-    formula with every o_c = 0, and runs no round.
+    exactly 0, and at n ≤ 10 the sum is within (2n + 6)·2⁻⁵³ relative of
+    exact arithmetic on the same inputs and 1e-15 of Σ joint prior ⊙
+    ``per_input``.  The always-0 protocol has every o = 0 and runs no round.
 
     ``seed`` and ``samples`` are read by nothing; the benchmark's
     ``disj mc n=5`` op still passes them, and they go when that op changes."""
     eps_round = _round_budget(inst, epsilon)
     trivial = eps_round is None
     if trivial:  # the always-0 protocol runs no round, so none says 1
-        eps_round, says = 0.0, (np.zeros((2, 2)),) * inst.n
+        eps_round, says = 0.0, (np.zeros((2, 2)),) * len(inst.runs)
     else:
         _, says = zip(*_rounds(inst, eps_round, and_factory))
-    # one row per coordinate, cells (0,0), (0,1), (1,0), (1,1)
-    w = np.stack([prior.mass for prior in inst.coord_priors]).reshape(-1, 4)
+    # one row per run, cells (0,0), (0,1), (1,0), (1,1)
+    m = np.array([[count] for _, count in inst.runs])
+    w = np.stack([prior.mass for prior, _ in inst.runs]).reshape(-1, 4)
     o = np.stack(says).reshape(-1, 4)
     silent, leak = w * (1.0 - o), w * o
     b = silent[:, :3].sum(axis=1)
-    before, after = _around(np.column_stack([b + silent[:, 3], 1.0 - w[:, 3]]),  # hi: A, D
-                            np.column_stack([b, b]))  # lo: B, B
+    hi = np.column_stack([b + silent[:, 3], 1.0 - w[:, 3]]) ** m  # A^m, D^m
+    lo = np.column_stack([b, b])  # B, B
     gap = np.column_stack([silent[:, 3], leak[:, :3].sum(axis=1)])  # hi − lo
+    # lo = 0 leaves hi^m whole: gap/lo reads +inf there
+    ratio = np.divide(gap, lo, out=np.full_like(gap, np.inf), where=lo > 0.0)
+    before = np.cumprod(np.vstack([np.ones(2), hi[:-1]]), axis=0)  # Π_{i<j} hi_i^m_i
+    after = np.cumprod(np.vstack([np.ones(2), (lo**m)[:0:-1]]), axis=0)[::-1]
     per_input = None
-    if 4**inst.n <= AUDIT_TABLE_CAP:  # the last factor is coordinate 0, bit 0
-        table = reduce(np.kron, [1.0 - o_c for o_c in reversed(says)])
+    if inst.n <= (AUDIT_TABLE_CAP.bit_length() - 1) // 2:  # 4ⁿ ≤ the cap; 4ⁿ is never made
+        silences = [1.0 - o_j for o_j, (_, count) in zip(says, inst.runs) for _ in range(count)]
+        table = reduce(np.kron, silences[::-1])  # the last factor is coordinate 0, bit 0
         per_input = np.where(disj_table(inst.n) == 1, table, 1.0 - table)
     return DisjAudit(
-        float(np.sum(before * gap * after)), per_input, eps_round,
-        0.0 if trivial else float(np.sum(_reach(inst, says))), trivial,
+        float(np.sum(before * -hi * np.expm1(-m * np.log1p(ratio)) * after)), per_input,
+        eps_round, 0.0 if trivial else float(np.sum(_reach(inst, says))), trivial,
     )
 
 
@@ -320,7 +320,7 @@ def disj_ic_exact(
     if eps_round is None:
         return 0.0
     laws, says = zip(*_rounds(inst, eps_round, and_factory))
-    distinct = {id(law): law for law in laws}  # coordinates with one prior share one law
+    distinct = {id(law): law for law in laws}  # runs with one prior share one law
     cost = {key: internal_ic(law) for key, law in distinct.items()}
     return math.fsum(
         float(r) * cost[id(law)] for r, law in zip(_reach(inst, says), laws)

@@ -14,7 +14,7 @@ import infowalk
 from infowalk import JointDistribution, ic_and_zero, one_sided_and, tree_to_json
 from infowalk.cli import main
 from infowalk.disjointness import (
-    REACH_COORD_CAP, DisjInstance, disj_error_audit, disj_ic_exact,
+    DisjInstance, disj_error_audit, disj_ic_exact,
 )
 from infowalk.protocol import Leaf, ProtocolTree
 
@@ -443,36 +443,32 @@ def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
     assert not audit.exists()
 
 
-def test_disj_exact_cap_is_code_3(capsys, monkeypatch):
-    # 4¹⁰ inputs fit the audit's table and 4¹¹ do not, yet both audits run:
-    # only the instance's coordinate cap, not its table, is code 3
+def test_disj_runs_at_any_n(capsys):
+    # 4¹⁰ inputs fit the audit's table and 4¹¹ do not, yet both audits run,
+    # and so do instances past 4096 coordinates: n has no cap
     code, out, err = run(capsys, "disj", "--n", "10", "--eps", "0.1", "--and-grid", "16")
     assert code == 0, err
-    assert out.startswith("n=10 mode=exact distributional=0.010774499980894836 ")
-    code, out, err = run(capsys, "disj", "--n", "11", "--eps", "0.1", "--with-ic")
-    assert code == 0 and err == ""
-    assert out.startswith("n=11 mode=exact distributional=")
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an AND walk was built before the cap check")
-
-    monkeypatch.setattr("infowalk.cli.one_sided_and", forbidden)
-    for n in (REACH_COORD_CAP + 1, 10**7):
-        code, out, err = run(capsys, "disj", "--n", str(n), "--eps", "0.1", "--with-ic")
-        assert code == 3 and out == ""
-        assert "resource cap" in err and str(REACH_COORD_CAP) in err
+    assert out.startswith("n=10 mode=exact distributional=0.010774499980894837 ")
+    for n in (11, 4097, 10**7):
+        code, out, err = run(capsys, "disj", "--n", str(n), "--eps", "0.1", "--with-ic",
+                              "--and-grid", "16")
+        assert code == 0 and err == ""
+        assert out.startswith(f"n={n} mode=exact distributional=")
 
 
-def test_disj_mc_draw_cap_is_code_3(capsys, files):
-    # n = 11 once ran into the sampled audit's draw cap and then the table
-    # cap; past the coordinate cap the audit is refused and nothing written
+def test_disj_at_a_billion_coordinates_writes_a_null_table(capsys, files):
+    # n is checked against the table cap's base-4 log, so no 2n-bit 4ⁿ is made
     tmp, _ = files
     audit = tmp / "a.json"
-    code, out, err = run(capsys, "disj", "--n", str(REACH_COORD_CAP + 1), "--eps", "0.1",
-                         "--and-grid", "8", "--out-audit", str(audit))
-    assert code == 3 and out == ""
-    assert "resource cap" in err and "coordinates" in err
-    assert not audit.exists()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "disj", "--n", "1000000000", "--eps", "0.1", "--with-ic",
+                         "--out-audit", str(audit))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    result = json.loads(audit.read_text())["result"]
+    assert result["n"] == 10**9 and result["per_input"] is None
+    assert out.startswith("n=1000000000 mode=exact ")
+    assert 0.0 < result["expected_rounds"] < 10**9 and result["ic_internal"] > 0.0
 
 
 def test_disj_past_the_table_cap_writes_a_null_table(capsys, files):
@@ -503,18 +499,19 @@ def test_disj_at_1000_coordinates_matches_its_closed_forms(tmp_path):
     result = json.loads((tmp_path / "a.json").read_text())["result"]
     assert result["per_input"] is None and result["ic_internal"] > 0.0
     n, m, eps_r = 1000, 0.25, result["eps_round"]
-    # products of n factors: n ulps, 2.2e-13, of relative rounding, read at 1e-12
+    # n-fold powers, in the audit and in the closed form: read at 1e-12
     assert result["distributional"] == pytest.approx(
         (1.0 - m + m * eps_r) ** n - (1.0 - m) ** n, rel=1e-12, abs=0.0)
-    # the rounds' quadrature bound at n ≤ 1000
+    # the rounds' reach is within 2e-15 relative of exact arithmetic; the
+    # closed form here is in floats
     miss = 1.0 - m * (1.0 - eps_r)
     assert result["expected_rounds"] == pytest.approx(
         (1.0 - miss**n) / (1.0 - miss), rel=1e-11, abs=0.0)
 
 
 def test_disj_audit_at_1000_coordinates_takes_well_under_1_s():
-    # the audit and its cost are O(n²) in the rounds' reach (about 0.1 s
-    # here on a 2-core host); an O(n³) or 4ⁿ path would take far longer
+    # the audit and its cost are O(runs), one run here (about 0.1 s on a
+    # 2-core host, nearly all of it the AND walk); a 4ⁿ path would take far longer
     inst = DisjInstance.iid(JointDistribution.from_mass(np.full((2, 2), 0.25)), 1000)
 
     def factory(prior, eps):
@@ -548,7 +545,7 @@ def test_disj_with_ic_builds_each_and_walk_once(capsys, monkeypatch):
                          "--and-grid", "16")
     assert code == 0, err
     assert len(calls) == 1
-    assert out == ("n=3 mode=exact distributional=0.03754845714962589 "
+    assert out == ("n=3 mode=exact distributional=0.037548457149625895 "
                    "eps_round=0.08648648648648649 expected_rounds=2.3670215485756025\n")
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,7 +12,6 @@ from infowalk import disjointness
 from infowalk.and_protocols import one_sided_and
 from infowalk.disjointness import (
     HARDEST_ZERO_DIAG_PRIOR,
-    REACH_COORD_CAP,
     DisjInstance,
     disj_bound_curve,
     disj_error_audit,
@@ -162,21 +162,24 @@ def test_exact_mode_caps_coordinates():
     )
 
 
-def test_instances_cap_coordinates_before_any_work():
-    # the rounds' reach holds n × (⌊n/2⌋ + 1) floats, so an instance past the
-    # cap is refused as it is made
-    assert DisjInstance.from_priors((W,) * REACH_COORD_CAP).n == REACH_COORD_CAP
-    with pytest.raises(ResourceCapError, match="coordinates"):
-        DisjInstance.from_priors((W,) * (REACH_COORD_CAP + 1))
-    # iid checks before it makes its n references (80 MB at n = 10⁷)
+def test_iid_makes_no_n_references():
+    # an instance holds runs of equal adjacent priors, so iid(W, 10⁷) is one
+    # run, not 80 MB of references, and from_priors collapses adjacent priors
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=str(10**7)):
-            DisjInstance.iid(W, 10**7)
+        inst = DisjInstance.iid(W, 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert inst.n == 10**7 and inst.runs == ((W, 10**7),)
+    mixed = DisjInstance.from_priors((W, UNIFORM, W, W, UNIFORM))
+    assert mixed.runs == ((W, 1), (UNIFORM, 1), (W, 2), (UNIFORM, 1))
+    assert mixed.coord_priors == (W, UNIFORM, W, W, UNIFORM) and mixed.n == 5
+    with pytest.raises(PreconditionError):
+        DisjInstance.iid(W, 0)
+    with pytest.raises(TypeError):
+        DisjInstance.iid(W, 2.5)
 
 
 def test_factory_failure_is_wrapped():
@@ -543,6 +546,10 @@ def test_factory_runs_once_per_distinct_prior():
 
     with pytest.raises(ProtocolError, match="coordinate 1: unsupported prior"):
         disj_error_audit(mixed, 0.1, fails_off_w)
+    # the failing prior first appears inside a later run: its coordinate, not
+    # its run, is named
+    with pytest.raises(ProtocolError, match="coordinate 2: unsupported prior"):
+        disj_error_audit(DisjInstance.from_priors((W, W, THIN)), 0.1, fails_off_w)
 
 
 @pytest.mark.parametrize("priors", [(W,) * 64, (W, UNIFORM, THIN, W, UNIFORM, W)],
@@ -584,6 +591,9 @@ ORACLE_PRIORS = {
     "uniform": lambda n: (UNIFORM,) * n,
     "seeded": seeded_priors,
     "hardest+delta": lambda n: (hardest_plus(1.0 / n),) * n,
+    # long runs: each enters the sums once, as hi^m − lo^m
+    "full": lambda n: (W,) * n,
+    "runs-4-3-3": lambda n: ((W,) * 4 + (UNIFORM,) * 3 + (THIN,) * 3)[:n],
 }
 
 
@@ -592,12 +602,12 @@ def exact_distributional(inst, says):
     intersecting mass Π A − Π B plus the disjoint mass Π D − Π B, where D
     sums the prior off (1, 1) as the joint prior's disjoint cells do."""
     a = b = d = Fraction(1)
-    for w, o in zip(inst.coord_priors, says):
+    for (w, count), o in zip(inst.runs, says):
         cells = [(Fraction(w.mass[i, j]), Fraction(o[i, j])) for i in (0, 1) for j in (0, 1)]
         silent = [m * (1 - p) for m, p in cells]
-        a *= sum(silent)
-        b *= sum(silent[:3])
-        d *= sum(m for m, _ in cells[:3])
+        a *= sum(silent) ** count
+        b *= sum(silent[:3]) ** count
+        d *= sum(m for m, _ in cells[:3]) ** count
     return (a - b) + (d - b)
 
 
@@ -626,36 +636,55 @@ def grid256(prior, eps):
     return one_sided_and(eps, prior, n=256)
 
 
-@pytest.mark.parametrize("n", [10, 100, 1000, 4000])
+REACH_REL_TOL = 2e-15  # the reach's stated tolerance against exact arithmetic
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 4000, 4096, 10**6, 10**7])
 def test_reach_within_its_stated_bound_at_large_n(n):
-    # iid rounds sum to (1 − missⁿ)/(1 − miss); the Gauss–Legendre rule is
-    # exact only in exact arithmetic, and its float error grows with n
-    # (1.0e-12 relative at n = 1000, 8.9e-11 at n = 4000)
+    # iid rounds that each say 1 with probability a sum to (1 − (1 − a)ⁿ)/a,
+    # here in 40-digit arithmetic on the float tables
     inst = DisjInstance.iid(UNIFORM, n)
     _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid256))
-    miss = float(np.sum(UNIFORM.mass * (1.0 - says[0])))
-    expect = (1.0 - miss**n) / (1.0 - miss)
-    bound = 1e-11 if n <= 1000 else 1e-9
-    assert abs(float(np.sum(disjointness._reach(inst, says))) - expect) <= bound * expect
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = sum(Decimal(w) * Decimal(o) for w, o in zip(UNIFORM.mass.flat, says[0].flat))
+        expect = (1 - (1 - a) ** n) / a
+        reach = disjointness._reach(inst, says)
+        assert reach.shape == (1,)
+        assert abs(Decimal(float(reach[0])) - expect) <= Decimal(REACH_REL_TOL) * expect
 
 
-def test_the_audit_and_the_cost_solve_the_gauss_legendre_rule_once(monkeypatch):
-    # `disj --with-ic` reaches twice, in the audit and in the cost; the rule is
-    # a dense eigenproblem, solved once per node count, and both reach the
-    # same bits as a rule solved afresh
-    solved, leggauss = [], np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda count: solved.append(count) or leggauss(count))
-    disjointness._gauss_legendre.cache_clear()
-    inst = DisjInstance.iid(W, 301)
-    audit = disj_error_audit(inst, 0.1, grid8)
-    disj_ic_exact(inst, 0.1, grid8)
-    _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid8))
-    first, second = disjointness._reach(inst, says), disjointness._reach(inst, says)
-    assert solved == [151]
-    assert first.tobytes() == second.tobytes()
-    assert audit.expected_rounds == float(np.sum(first))
-    monkeypatch.undo()
-    disjointness._gauss_legendre.cache_clear()
-    assert disjointness._reach(inst, says).tobytes() == first.tobytes()
-    assert not disjointness._gauss_legendre(151)[0].flags.writeable
+def exact_reach(inst, says):
+    """Each run's summed reach, Σ_c ∫₀¹ Π_{k≠c} (1 − t·a_k) dt over its
+    coordinates c, in rational arithmetic on the float tables."""
+    a = [sum(Fraction(w) * Fraction(o) for w, o in zip(prior.mass.flat, o_run.flat))
+         for (prior, _), o_run in zip(inst.runs, says)]
+    coords = [j for j, (_, count) in enumerate(inst.runs) for _ in range(count)]
+    reach = [Fraction(0)] * len(inst.runs)
+    for c, run in enumerate(coords):
+        poly = [Fraction(1)]  # coefficients of t⁰, t¹, …
+        for k, other in enumerate(coords):
+            if k != c:
+                poly = [p - a[other] * q for p, q in zip(poly + [0], [0] + poly)]
+        reach[run] += sum(coef / (i + 1) for i, coef in enumerate(poly))
+    return reach
+
+
+MIXED_RUNS = {
+    "W,U,W,W,U": (W, UNIFORM, W, W, UNIFORM),
+    "hardest,W,hardest": (HARDEST_ZERO_DIAG_PRIOR, W, HARDEST_ZERO_DIAG_PRIOR),
+    "U*3,thin*5": (UNIFORM,) * 3 + (THIN,) * 5,
+    "seeded-8": seeded_priors(8),
+}
+
+
+@pytest.mark.parametrize("priors", MIXED_RUNS.values(), ids=MIXED_RUNS.keys())
+def test_reach_of_mixed_runs_within_its_stated_bound_of_exact(priors):
+    # equal priors in runs apart share a law and a reach per coordinate
+    inst = DisjInstance.from_priors(priors)
+    for factory in (grid16, leaky_by_prior):
+        _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.05), factory))
+        reach = disjointness._reach(inst, says)
+        assert reach.shape == (len(inst.runs),)
+        for got, exact in zip(reach, exact_reach(inst, says)):
+            assert abs(Fraction(float(got)) - exact) <= Fraction(REACH_REL_TOL) * exact

@@ -51,7 +51,7 @@ ARTIFACT_SHA256 = {
         "curve.csv": "d6ec2ee751da4b3011da2b435b6ce378cb0d4fc82008fb03681e0573d8520509",
     },
     "disj": {
-        "audit.json": "baab97ade2efe97d0807e4a913b5fc69014a3e61128bb81082073588546841ed",
+        "audit.json": "79da9c02a54f67ceef0137f7e734f6bb9737dc493f4569936de78b584345bbce",
     },
 }
 
