@@ -213,7 +213,7 @@ def _buzzer_pieces(args):
 
 def _cmd_buzzer(args) -> int:
     spec, snap, dec, prior = _buzzer_pieces(args)
-    tree = buzzer_grid_tree(spec, dec)
+    tree = buzzer_grid_tree(spec)
     law = law_of(tree, prior)
     report = cost_report(law)
     kolmogorov = grid_law_kolmogorov(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import groupby, permutations
 from typing import Callable, Optional
 
@@ -42,10 +42,6 @@ COMPOSITE_COORD_CAP = 4
 # host.  Past the cap the audit reports no table.  Its numbers need none:
 # they cost O(runs) at any n, the reach within 2e-15 relative.
 AUDIT_TABLE_CAP = 2**20
-# the 24-point Gauss–Legendre rule on [−1, 1] by Golub–Welsch, in 0.2 ms
-_k = np.arange(1.0, 24.0)
-_GL_NODES, _GL_VECTORS = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k**2 - 1.0), -1))
-_GL_WEIGHTS = 2.0 * _GL_VECTORS[0] ** 2
 
 # the zero-diagonal prior at which the zero-error cost of AND peaks; its
 # closed-form cost anchors the analytic bound curve
@@ -136,6 +132,16 @@ def _rounds(inst: DisjInstance, eps_round: float, and_factory):
     return rounds
 
 
+@cache
+def _gauss_legendre() -> tuple:
+    """The 24-point Gauss–Legendre rule on [−1, 1], (nodes, weights), by
+    Golub–Welsch in 0.2 ms, made on first use: a process that reaches no
+    DISJ round makes no LAPACK call for it (about 0.9 MB of RSS)."""
+    k = np.arange(1.0, 24.0)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k**2 - 1.0), -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def _reach(inst: DisjInstance, says) -> np.ndarray:
     """Pr[the round of c runs] under the prior, summed over each run's c.
 
@@ -152,9 +158,9 @@ def _reach(inst: DisjInstance, says) -> np.ndarray:
     edges = [0.0, 0.25 / max(float(m @ a), 0.25)]
     while edges[-1] < 1.0:
         edges.append(min(4.0 * edges[-1], 1.0))
-    width = np.diff(edges)[:, None]
-    t = (np.array(edges[:-1])[:, None] + 0.5 * width * (_GL_NODES + 1.0)).ravel()
-    weights = (0.5 * width * _GL_WEIGHTS).ravel()
+    width, (nodes, rule) = np.diff(edges)[:, None], _gauss_legendre()
+    t = (np.array(edges[:-1])[:, None] + 0.5 * width * (nodes + 1.0)).ravel()
+    weights = (0.5 * width * rule).ravel()
     logs = np.log1p(-np.outer(a, t))  # (run, node)
     return m * (np.exp(m @ logs - logs) @ weights)
 

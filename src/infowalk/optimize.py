@@ -179,7 +179,7 @@ def and_tradeoff_curve(
     mu = opt.argmax
     dec = symmetric_decomposition(mu)
     spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
-    tree = buzzer_grid_tree(spec, dec)
+    tree = buzzer_grid_tree(spec)
     base = law_of(tree, mu)
     points = []
     for eps in eps_list:

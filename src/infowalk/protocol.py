@@ -464,15 +464,13 @@ class Task:
     """A computation target: a function table plus an error budget.
 
     ``error_kind`` is "pointwise" (every input must meet epsilon) or
-    "distributional" (error weighted by ``measure``).  A one-sided task
-    ``(z1, z0)`` only tolerates errors that output z0 in place of z1.
+    "distributional" (error weighted by ``measure``).
     """
 
     f: np.ndarray
     epsilon: float
     error_kind: str = "pointwise"
     measure: Optional[JointDistribution] = None
-    one_sided: Optional[tuple] = None
 
     def __post_init__(self):
         f = np.array(self.f, dtype=object)
@@ -504,16 +502,13 @@ class Task:
 class ErrorReport:
     max_pointwise: float
     distributional: float
-    one_sided_violation: Optional[float]
 
 
 def evaluate_error_law(law, task: Task) -> ErrorReport:
     """Exact error of a transcript law against a task, by full enumeration.
 
     The distributional error is weighted by ``task.measure`` when present and
-    by the uniform measure otherwise.  The one-sided violation is the weighted
-    mass of errors other than answering z0 on a z1 input (None when the task
-    is not one-sided).
+    by the uniform measure otherwise.
     """
     if law.outputs is None:
         raise PreconditionError("law carries no outputs; cannot evaluate error")
@@ -525,25 +520,12 @@ def evaluate_error_law(law, task: Task) -> ErrorReport:
     index = {out: k for k, out in enumerate(dict.fromkeys(law.outputs))}  # the kinds
     rows = np.fromiter(map(index.__getitem__, law.outputs), np.intp, len(law.outputs))
     f = task.f.tolist()
-
-    def per_transcript(test):  # one table per distinct output, gathered
-        return np.array([[[test(out, f[x][y]) for y in range(ny)] for x in range(nx)]
-                         for out in index])[rows]
-
-    # a first-axis sum adds row by row, in transcript order, as a loop would
-    wrong = per_transcript(lambda out, value: out != value)
+    # one table per distinct output, gathered; a first-axis sum adds row by
+    # row, in transcript order, as a loop would
+    wrong = np.array([[[out != value for value in row] for row in f] for out in index])[rows]
     err = (law.cond * wrong).sum(axis=0)
-    if task.one_sided is not None:
-        z1, z0 = task.one_sided
-        excused = per_transcript(lambda out, value: value == z1 and out == z0)
-        violation = (law.cond * (wrong & ~excused)).sum(axis=0)
-    return ErrorReport(
-        max_pointwise=float(np.max(err)),
-        distributional=float(np.sum(weight * err)),
-        one_sided_violation=(
-            float(np.sum(weight * violation)) if task.one_sided is not None else None
-        ),
-    )
+    return ErrorReport(max_pointwise=float(np.max(err)),
+                       distributional=float(np.sum(weight * err)))
 
 
 def evaluate_error(tree: ProtocolTree, task: Task) -> ErrorReport:

@@ -648,19 +648,13 @@ def grid_law_kolmogorov_reference(spec, law):
 
 
 def evaluate_error_reference(law, task):
-    """(error table, violation table or None), one transcript at a time."""
+    """The error table, one transcript at a time."""
     nx, ny = task.f.shape
     err = np.zeros((nx, ny))
-    violation = np.zeros((nx, ny))
     for t, out in enumerate(law.outputs):
         wrong = np.array([[out != task.f[x, y] for y in range(ny)] for x in range(nx)])
         err += law.cond[t] * wrong
-        if task.one_sided is not None:
-            z1, z0 = task.one_sided
-            excused = np.array([[task.f[x, y] == z1 and out == z0 for y in range(ny)]
-                                for x in range(nx)])
-            violation += law.cond[t] * (wrong & ~excused)
-    return err, (violation if task.one_sided is not None else None)
+    return err
 
 
 def disj_run_reference(rng, inst, laws, x, y):

@@ -35,8 +35,8 @@ from infowalk.distributions import (
     binary_entropy,
     symmetric_decomposition,
 )
-from infowalk.errors import PreconditionError, ResourceCapError
-from infowalk.infocost import internal_ic, law_of, sim
+from infowalk.errors import PreconditionError, ProtocolError, ResourceCapError
+from infowalk.infocost import TranscriptLaw, internal_ic, law_of, sim
 from infowalk.protocol import (
     ALICE,
     BOB,
@@ -659,6 +659,25 @@ def test_one_sided_and_accepts_zero_diagonal_prior():
         law.cond[t, 1, 1] for t, out in enumerate(law.outputs) if out != 1
     )
     assert err11 == pytest.approx(0.1, abs=1e-12)
+
+
+def test_one_sided_and_refuses_a_law_off_its_says_one_table(monkeypatch):
+    # the round checks its own "says 1" table, [[0, 0], [0, 1 − ε]]
+    w = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
+    real = flip_transform
+
+    def swapped(law, x0, x1, eps):  # answers 1 wherever the walk answers 0
+        flipped = real(law, x0, x1, eps)
+        return TranscriptLaw(flipped.prior, flipped.leaf_ids, flipped.cond,
+                             tuple(1 - out for out in flipped.outputs))
+
+    monkeypatch.setattr("infowalk.and_protocols.flip_transform", swapped)
+    with pytest.raises(ProtocolError, match="forbidden error direction"):
+        one_sided_and(0.05, w, n=64)
+    monkeypatch.setattr("infowalk.and_protocols.flip_transform",
+                        lambda law, x0, x1, eps: real(law, x0, x1, eps + 0.01))
+    with pytest.raises(ProtocolError, match="differs from epsilon"):
+        one_sided_and(0.05, w, n=64)
 
 
 def test_completion_fixes_flipped_tree_exactly():

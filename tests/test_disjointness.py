@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infowalk
 from infowalk import disjointness
 from infowalk.and_protocols import one_sided_and
 from infowalk.disjointness import (
@@ -614,10 +619,12 @@ def exact_distributional(inst, says):
 @pytest.mark.parametrize("priors", ORACLE_PRIORS.values(), ids=ORACLE_PRIORS.keys())
 @pytest.mark.parametrize("n", range(2, 11))
 def test_distributional_error_within_1e_15_of_the_table_oracle(priors, n):
-    # the product forms against Σ joint prior ⊙ per_input (at most 1.7e-16
-    # apart over these cases and ε ∈ {0, 0.01, 0.1, 0.5}), and against exact
-    # arithmetic within (2n + 6)·2⁻⁵³ relative (at most 0.43 of it), which a
-    # disjoint part formed as a float difference D − B exceeds 7-fold
+    # the product forms against Σ joint prior ⊙ per_input, and against exact
+    # arithmetic within (2n + 6)·2⁻⁵³ relative, which a disjoint part formed
+    # as a float difference D − B exceeds 7-fold.  Over these cases and
+    # ε ∈ {0, 0.01, 0.1, 0.5} (non-trivial audits) they are at most 2.2e-16
+    # apart and 0.38 of the bound on the uniform, seeded and hardest+delta
+    # sets, 2.8e-16 and 0.37 on runs-4-3-3, and 4.4e-16 and 0.60 on full
     inst = DisjInstance.from_priors(priors(n))
     mass = inst.joint_prior().mass
     for factory in (grid16, leaky, leaky_by_prior):
@@ -637,6 +644,34 @@ def grid256(prior, eps):
 
 
 REACH_REL_TOL = 2e-15  # the reach's stated tolerance against exact arithmetic
+
+
+LAPACK_PROBE = """
+import numpy as np
+calls = []
+eigh = np.linalg.eigh
+np.linalg.eigh = lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs)
+import infowalk as iw
+w = iw.JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
+iw.ic_and_zero(w)
+iw.buzzer_grid_tree(iw.GridWalkSpec(64, 32, 16))
+seen = [len(calls)]
+for _ in range(2):
+    iw.disj_error_audit(iw.DisjInstance.iid(w, 3), 0.1,
+                        lambda prior, e: iw.one_sided_and(e, prior, n=16))
+    seen.append(len(calls))
+print(seen)
+"""
+
+
+def test_the_quadrature_rule_is_made_on_first_use():
+    # importing the package, the AND closed form and a grid walk make no
+    # eigh call; the first audit solves the rule once, and a second reuses it
+    package_root = str(Path(infowalk.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", LAPACK_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "1,", "1]"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 4000, 4096, 10**6, 10**7])

@@ -170,12 +170,9 @@ def assert_costs_near(law, want):
 
 def assert_same_error(law, task):
     report = evaluate_error_law(law, task)
-    err, violation = evaluate_error_reference(law, task)
+    err = evaluate_error_reference(law, task)
     assert report.max_pointwise == float(np.max(err))
-    weight = task.measure.mass
-    assert report.distributional == float(np.sum(weight * err))
-    if violation is not None:
-        assert report.one_sided_violation == float(np.sum(weight * violation))
+    assert report.distributional == float(np.sum(task.measure.mass * err))
 
 
 @pytest.mark.parametrize("k", range(len(INSTANCES)))
@@ -186,8 +183,6 @@ def test_random_trees_match_the_slow_loops(k):
     assert_same_walk(tree, prior)
     table = np.random.default_rng(k).integers(0, 2, size=(tree.nx, tree.ny)).tolist()
     assert_same_error(law, Task(table, 1.0, "distributional", measure=prior))
-    assert_same_error(law, Task(table, 1.0, "distributional", measure=prior,
-                                one_sided=(1, 0)))
     completed = complete_to_zero_error(tree, table, prior)
     assert tree_to_json(completed) == tree_to_json(complete_reference(tree, table, prior))
 
@@ -198,8 +193,7 @@ def test_error_tables_add_in_transcript_order():
     for size in (2, 3):
         law = random_law(rng, size, size, transcripts=400)
         table = rng.integers(0, 2, size=(size, size)).tolist()
-        assert_same_error(law, Task(table, 1.0, "distributional", measure=law.prior,
-                                    one_sided=(1, 0)))
+        assert_same_error(law, Task(table, 1.0, "distributional", measure=law.prior))
 
 
 def test_sim_and_potential_on_random_two_by_two_trees():
@@ -229,8 +223,7 @@ def test_buzzer_grids_match_the_slow_loops(n, w, dec, tree):
     )
     law_c = assert_same_law(completed, w)
     assert_costs_near(law_c, cost_report_reference(law_c))
-    assert_same_error(law_c, Task(AND_TABLE, 1.0, "distributional", measure=w,
-                                  one_sided=(1, 0)))
+    assert_same_error(law_c, Task(AND_TABLE, 1.0, "distributional", measure=w))
 
 
 def grid_starts(n):

@@ -230,16 +230,6 @@ def test_evaluate_error_constant_zero_for_and():
     assert abs(report.distributional - 0.25) < 1e-15
 
 
-def test_evaluate_error_one_sided():
-    # outputs 0 always: on AND the only error is 1 -> 0, an allowed direction
-    task = Task(AND_TABLE, epsilon=1.0, one_sided=(1, 0))
-    report = evaluate_error(leaf_tree(0), task)
-    assert report.one_sided_violation == 0.0
-    # outputs 1 always: errs 0 -> 1 on three inputs, all violations
-    report = evaluate_error(leaf_tree(1), task)
-    assert report.one_sided_violation > 0.7
-
-
 def test_mix_with_abort_identity_and_scaling():
     rng = np.random.default_rng(23)
     tree = exchange_tree(2, 2, AND_TABLE)
