@@ -643,9 +643,6 @@ def grid256(prior, eps):
     return one_sided_and(eps, prior, n=256)
 
 
-REACH_REL_TOL = 2e-15  # the reach's stated tolerance against exact arithmetic
-
-
 LAPACK_PROBE = """
 import numpy as np
 calls = []
@@ -671,7 +668,10 @@ def test_the_quadrature_rule_is_made_on_first_use():
     done = subprocess.run([sys.executable, "-c", LAPACK_PROBE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": package_root}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "1,", "1]"]
+    assert done.stdout.strip() == "[0, 1, 1]"
+
+
+REACH_REL_TOL = 2e-15  # the reach's stated tolerance against exact arithmetic
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 4000, 4096, 10**6, 10**7])
