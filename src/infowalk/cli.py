@@ -44,11 +44,7 @@ from .disjointness import (
     disj_error_audit,
     disj_ic_exact,
 )
-from .distributions import (
-    JointDistribution,
-    binary_entropy,
-    symmetric_decomposition,
-)
+from .distributions import JointDistribution, _symmetric_reference, binary_entropy
 from .errors import (
     InfowalkError,
     ParseError,
@@ -194,25 +190,23 @@ def _cmd_ic(args) -> int:
 
 
 def _buzzer_pieces(args):
-    """Shared setup: (spec, snap, dec, prior) from --p/--q or --nu-file."""
+    """Shared setup: (spec, snap, prior) from --p/--q, or from --nu-file at
+    its prior's symmetric decomposition's pretend (1/2, q)."""
     start = (args.p, args.q)
     if (args.nu_file and start != (None, None)) or (not args.nu_file and None in start):
         raise PreconditionError("need either --nu-file or both --p and --q, not both")
     if args.nu_file:
         prior = _load_prior(args.nu_file)
-        dec = symmetric_decomposition(prior)
-        p, q = dec.pretend.p, dec.pretend.q
+        p, q = 0.5, _symmetric_reference(prior)[1]
     else:
         p, q = start
-        dec = None
-        outer = np.outer([1.0 - p, p], [1.0 - q, q])
-        prior = JointDistribution.from_mass(outer)
+        prior = JointDistribution.from_mass(np.outer([1.0 - p, p], [1.0 - q, q]))
     spec, snap = GridWalkSpec.from_start(p, q, args.n)
-    return spec, snap, dec, prior
+    return spec, snap, prior
 
 
 def _cmd_buzzer(args) -> int:
-    spec, snap, dec, prior = _buzzer_pieces(args)
+    spec, snap, prior = _buzzer_pieces(args)
     tree = buzzer_grid_tree(spec)
     law = law_of(tree, prior)
     report = cost_report(law)
@@ -235,7 +229,7 @@ def _cmd_buzzer(args) -> int:
             "ic_internal": report.ic_internal,
             "ic_external": report.ic_external,
         }
-        if dec is not None:
+        if args.nu_file:
             result["ic_closed_form"] = ic_and_zero(prior)
         _write_json(args.out_report, args, result)
     return EXIT_OK
@@ -376,6 +370,8 @@ def _cmd_disj(args) -> int:
     else:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
+    # made before the first print, so a refused --curve-eps leaves no output
+    curve = disj_bound_curve(_parse_eps_list(args.curve_eps)) if args.out_curve else None
 
     # the audit and the cost share the one run's AND walk
     @functools.lru_cache(maxsize=None)
@@ -394,8 +390,7 @@ def _cmd_disj(args) -> int:
         if ic_internal is not None:
             result["ic_internal"] = ic_internal
         _write_json(args.out_audit, args, result)
-    if args.out_curve:
-        curve = disj_bound_curve(_parse_eps_list(args.curve_eps))
+    if curve is not None:
         _write_csv(
             args.out_curve,
             args,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import groupby, permutations
 from typing import Callable, Optional
 
@@ -111,10 +111,23 @@ def _round_budget(inst: DisjInstance, epsilon: float) -> Optional[float]:
     return epsilon / (2.0 * inst.p_one)
 
 
-def _rounds(inst: DisjInstance, eps_round: float, and_factory):
-    """Every run's round as (AND law, o = Pr[says 1 | a, b] as a 2x2 table);
-    the factory runs once per distinct prior, and its failures, apart from a
-    blown cap, become ``ProtocolError`` naming the prior's first coordinate."""
+class _Round:
+    """A distinct prior's AND round: ``says`` = Pr[it says 1 | a, b] as a 2x2 table,
+    ``cost`` priced on first read (an audit prices none), ``law`` for ``_composite_law``."""
+
+    def __init__(self, law: TranscriptLaw):
+        self.law = law
+        self.says = law.cond[[t for t, out in enumerate(law.outputs) if out == 1]].sum(axis=0)
+
+    @cached_property
+    def cost(self) -> float:
+        return internal_ic(self.law)
+
+
+def _rounds(inst: DisjInstance, eps_round: float, and_factory) -> list:
+    """Every run's ``_Round``, one shared per distinct prior; the factory runs
+    once per distinct prior, and its failures, apart from a blown cap, become
+    ``ProtocolError`` naming the prior's first coordinate."""
     built, rounds, coord = {}, [], 0
     for w, m in inst.runs:
         key = w.mass.tobytes()
@@ -125,8 +138,7 @@ def _rounds(inst: DisjInstance, eps_round: float, and_factory):
                 raise
             except Exception as exc:
                 raise ProtocolError(f"AND factory failed on coordinate {coord}: {exc}") from exc
-            ones = [t for t, out in enumerate(law.outputs) if out == 1]
-            built[key] = (law, law.cond[ones].sum(axis=0))
+            built[key] = _Round(law)
         rounds.append(built[key])
         coord += m
     return rounds
@@ -230,7 +242,7 @@ def disj_protocol(
             "audit larger instances with disj_error_audit"
         )
     rounds = _rounds(inst, eps_round, and_factory)
-    return _composite_law(inst, [law for (law, _), (_, m) in zip(rounds, inst.runs)
+    return _composite_law(inst, [r.law for r, (_, m) in zip(rounds, inst.runs)
                                  for _ in range(m)])
 
 
@@ -283,7 +295,7 @@ def disj_error_audit(
     if trivial:  # the always-0 protocol runs no round, so none says 1
         eps_round, says = 0.0, (np.zeros((2, 2)),) * len(inst.runs)
     else:
-        _, says = zip(*_rounds(inst, eps_round, and_factory))
+        says = [r.says for r in _rounds(inst, eps_round, and_factory)]
     # one row per run, cells (0,0), (0,1), (1,0), (1,1)
     m = np.array([[count] for _, count in inst.runs])
     w = np.stack([prior.mass for prior, _ in inst.runs]).reshape(-1, 4)
@@ -325,12 +337,9 @@ def disj_ic_exact(
     eps_round = _round_budget(inst, epsilon)
     if eps_round is None:
         return 0.0
-    laws, says = zip(*_rounds(inst, eps_round, and_factory))
-    distinct = {id(law): law for law in laws}  # runs with one prior share one law
-    cost = {key: internal_ic(law) for key, law in distinct.items()}
-    return math.fsum(
-        float(r) * cost[id(law)] for r, law in zip(_reach(inst, says), laws)
-    )
+    rounds = _rounds(inst, eps_round, and_factory)  # one prior, one round priced once
+    reach = _reach(inst, [r.says for r in rounds])
+    return math.fsum(float(r) * rnd.cost for r, rnd in zip(reach, rounds))
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,7 @@ from .and_protocols import (
     flip_tree,
     ic_and_zero,
 )
-from .distributions import (
-    JointDistribution,
-    binary_entropy,
-    symmetric_decomposition,
-)
+from .distributions import JointDistribution, _symmetric_reference, binary_entropy
 from .errors import PreconditionError, ProtocolError, ResourceCapError
 from .infocost import external_ic, internal_ic, law_of
 from .protocol import (
@@ -177,8 +173,8 @@ def and_tradeoff_curve(
             raise PreconditionError(f"epsilon = {eps!r} outside (0, 0.2]")
     opt = maximize_ic_and(constraint, levels=levels)
     mu = opt.argmax
-    dec = symmetric_decomposition(mu)
-    spec, _ = GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q, n)
+    # the walk starts at mu's symmetric decomposition's pretend (1/2, q)
+    spec, _ = GridWalkSpec.from_start(0.5, _symmetric_reference(mu)[1], n)
     tree = buzzer_grid_tree(spec)
     base = law_of(tree, mu)
     points = []

@@ -443,6 +443,19 @@ def test_disj_refuses_hardest_with_a_coordinate_prior(capsys, files):
     assert not audit.exists()
 
 
+@pytest.mark.parametrize("curve_eps, exit_code", [("0.6", 2), ("0.1,abc", 1)],
+                         ids=["outside-domain", "unparsable"])
+def test_disj_refuses_a_bad_curve_eps_before_any_output(capsys, files, curve_eps, exit_code):
+    tmp, _ = files
+    audit, curve = tmp / "a.json", tmp / "c.csv"
+    code, out, err = run(
+        capsys, "disj", "--n", "2", "--eps", "0.1", "--and-grid", "16",
+        "--out-audit", str(audit), "--out-curve", str(curve), "--curve-eps", curve_eps,
+    )
+    assert code == exit_code and out == "" and err
+    assert not audit.exists() and not curve.exists()
+
+
 def test_disj_runs_at_any_n(capsys):
     # 4¹⁰ inputs fit the audit's table and 4¹¹ do not, yet both audits run,
     # and so do instances past 4096 coordinates: n has no cap

@@ -561,9 +561,10 @@ def test_factory_runs_once_per_distinct_prior():
                          ids=["iid", "mixed"])
 def test_ic_prices_each_distinct_law_once(monkeypatch, priors):
     inst = DisjInstance.from_priors(priors)
-    laws, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid8))
+    rounds = disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid8)
+    says = [rnd.says for rnd in rounds]
     per_coordinate = math.fsum(
-        float(r) * internal_ic(law) for r, law in zip(disjointness._reach(inst, says), laws)
+        float(r) * internal_ic(rnd.law) for r, rnd in zip(disjointness._reach(inst, says), rounds)
     )
     priced = []
 
@@ -572,8 +573,10 @@ def test_ic_prices_each_distinct_law_once(monkeypatch, priors):
         return internal_ic(law)
 
     monkeypatch.setattr(disjointness, "internal_ic", counting)
+    disj_error_audit(inst, 0.1, grid8)
+    assert priced == []  # an audit reads each round's "says 1" table and prices none
     assert disj_ic_exact(inst, 0.1, grid8) == per_coordinate  # bit for bit
-    assert len(priced) == len(set(map(id, laws))) == len(set(priors))
+    assert len(priced) == len(set(map(id, rounds))) == len(set(priors))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +635,7 @@ def test_distributional_error_within_1e_15_of_the_table_oracle(priors, n):
             audit = disj_error_audit(inst, eps, factory)
             oracle = float(np.sum(mass * audit.per_input))
             assert abs(audit.distributional - oracle) <= 1e-15
-            _, says = zip(*disjointness._rounds(inst, audit.eps_round, factory))
+            says = [r.says for r in disjointness._rounds(inst, audit.eps_round, factory)]
             exact = exact_distributional(inst, says)
             assert abs(Fraction(audit.distributional) - exact) <= (2 * n + 6) * 2.0**-53 * exact
             if factory is grid16:  # one-sided rounds: the disjoint part is exactly 0
@@ -679,7 +682,8 @@ def test_reach_within_its_stated_bound_at_large_n(n):
     # iid rounds that each say 1 with probability a sum to (1 − (1 − a)ⁿ)/a,
     # here in 40-digit arithmetic on the float tables
     inst = DisjInstance.iid(UNIFORM, n)
-    _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.1), grid256))
+    eps_round = disjointness._round_budget(inst, 0.1)
+    says = [r.says for r in disjointness._rounds(inst, eps_round, grid256)]
     with localcontext() as ctx:
         ctx.prec = 40
         a = sum(Decimal(w) * Decimal(o) for w, o in zip(UNIFORM.mass.flat, says[0].flat))
@@ -718,7 +722,8 @@ def test_reach_of_mixed_runs_within_its_stated_bound_of_exact(priors):
     # equal priors in runs apart share a law and a reach per coordinate
     inst = DisjInstance.from_priors(priors)
     for factory in (grid16, leaky_by_prior):
-        _, says = zip(*disjointness._rounds(inst, disjointness._round_budget(inst, 0.05), factory))
+        eps_round = disjointness._round_budget(inst, 0.05)
+        says = [r.says for r in disjointness._rounds(inst, eps_round, factory)]
         reach = disjointness._reach(inst, says)
         assert reach.shape == (len(inst.runs),)
         for got, exact in zip(reach, exact_reach(inst, says)):

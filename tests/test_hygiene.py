@@ -223,3 +223,27 @@ def test_the_draw_finder_sees_each_kind_of_draw():
 
 def test_random_draws_live_only_in_the_xor_floor_search():
     assert _drawing_names(TREES) == SAMPLERS
+
+
+# ---------------------------------------------------------------------------
+# One place reads a DISJ round off its AND law.  ``_Round`` sums the round's
+# "says 1" table and prices it; ``_composite_law``, the oracle that the
+# benchmark keeps in src/, lays out its transcripts.  Every other DISJ
+# function reads the round's record.
+# ---------------------------------------------------------------------------
+
+LAW_READERS = {"_Round", "_composite_law"}
+
+
+def _reads_a_law(node):
+    """Whether a statement reads ``.cond`` or ``.outputs`` or names
+    ``internal_ic``."""
+    return any((isinstance(sub, ast.Attribute) and sub.attr in ("cond", "outputs"))
+               or (isinstance(sub, ast.Name) and sub.id == "internal_ic")
+               for sub in ast.walk(node))
+
+
+def test_only_the_round_record_and_the_composite_law_read_an_and_law():
+    readers = {(_defined(node) or ["<module>"])[0]
+               for node in TREES["disjointness.py"].body if _reads_a_law(node)}
+    assert readers == LAW_READERS
