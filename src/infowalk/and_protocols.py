@@ -31,7 +31,9 @@ from .distributions import (
     Decomposition,
     JointDistribution,
     ProductDistribution,
+    SNAP_EPS,
     _conditional_entropies,
+    _product,
     _symmetric_reference,
 )
 from .errors import PreconditionError, ProtocolError, ResourceCapError
@@ -329,13 +331,17 @@ def _sim_and_zero(p: float, q: float, x: float, y: float) -> float:
     _require_positive_reference(x, y)
     if p < q:
         p, q = q, p
+    t1, t2, t3, _, _ = _sim_terms(p, q, x, y, math.log)
+    return -(t1 + t2 + t3) / LN2
+
+
+def _sim_terms(p, q, x, y, log):
+    """The closed form's three terms at p ≥ q, in nats, and the coefficients
+    of its two logs: on floats with ``math.log``, on arrays with ``np.log``."""
     a = (1.0 - p) * x + p * y
-    val = (
-        q * (1.0 - p) * y
-        + (1.0 - p) * (1.0 - q) * x * math.log((1.0 - p) * x / a)
-        + (p * q * y * y / x + (p + q - 2.0 * p * q) * y) * math.log(p * y / a)
-    )
-    return -val / LN2
+    c2 = (1.0 - p) * (1.0 - q) * x
+    c3 = p * q * y * y / x + (p + q - 2.0 * p * q) * y
+    return q * (1.0 - p) * y, c2 * log((1.0 - p) * x / a), c3 * log(p * y / a), c2, c3
 
 
 def sim_and_zero_d2p(p: float, q: float, dec: Decomposition) -> float:
@@ -363,6 +369,29 @@ def ic_and_zero(w: JointDistribution) -> float:
     h_x_given_y, h_y_given_x = _conditional_entropies(
         ((m00, m01), (m10, m11)), (m00 + m01, m10 + m11), (m00 + m10, m01 + m11))
     return h_x_given_y + h_y_given_x - _sim_and_zero(0.5, q, nu[0], nu[1]) / inner
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a snapped ν(0,0) gives NaN, not a warning
+def _ic_and_zero_screen(m00, m01, m10, m11):
+    """``ic_and_zero`` at arrays of masses by its float steps, with numpy's logs
+    and plain sums for ``math.fsum``, and a scale S of the error: the |terms|
+    of the entropies, of the closed form and of its log coefficients (an ulp
+    of ν moves a log by an ulp) over ln 2·⟨ν, μ⟩, plus the masses' sum, 1.
+    Checks nothing: a prior the scalar refuses may give NaN."""
+    s = m01 + m10
+    q = m01 / s
+    raw = (m00 / (1.0 - q), s, s, m11 / q)
+    nu = [t / (raw[0] + raw[1] + raw[2] + raw[3]) for t in raw]
+    nu = [np.where(t < SNAP_EPS, 0.0, t) for t in nu]
+    pretend = _product(0.5, q)
+    inner = nu[0] * pretend[0] + nu[1] * pretend[1] + nu[2] * pretend[2] + nu[3] * pretend[3]
+    rows, px, py = ((m00, m01), (m10, m11)), (m00 + m01, m10 + m11), (m00 + m10, m01 + m11)
+    ent = [t * np.log2(np.where(t > 0.0, t / b, 1.0)) for row in rows for t, b in zip(row, py)]
+    ent += [t * np.log2(np.where(t > 0.0, t / a, 1.0)) for row, a in zip(rows, px) for t in row]
+    terms = _sim_terms(np.maximum(0.5, q), np.minimum(0.5, q), nu[0], nu[1], np.log)
+    sim = -(terms[0] + terms[1] + terms[2]) / LN2
+    value = -sum(ent[:4]) - sum(ent[4:]) - sim / inner
+    return value, sum(map(abs, ent)) + sum(map(abs, terms)) / (LN2 * inner) + 1.0
 
 
 def potential_phi_closed(c: float, p: float, q: float) -> float:

@@ -370,8 +370,9 @@ def _cmd_disj(args) -> int:
     else:
         coord = JointDistribution.from_mass(np.full((2, 2), 0.25))
     inst = DisjInstance.iid(coord, args.n)
-    # made before the first print, so a refused --curve-eps leaves no output
-    curve = disj_bound_curve(_parse_eps_list(args.curve_eps)) if args.out_curve else None
+    # parsed always, made before the first print: a refused --curve-eps prints nothing
+    curve_eps = _parse_eps_list(args.curve_eps)
+    curve = disj_bound_curve(curve_eps) if args.out_curve else None
 
     # the audit and the cost share the one run's AND walk
     @functools.lru_cache(maxsize=None)

@@ -4,16 +4,17 @@ Three related questions live here.  First: over which input distribution is
 the zero-error cost of AND largest?  ``maximize_ic_and`` answers by nested
 grid refinement over a simplex slice, leaning on the fact that the cost is
 concave in the distribution, so the refined brackets cannot strand the
-optimum.  Second: how much cost does an ε error budget buy back at that
-worst-case prior?  ``and_tradeoff_curve`` measures the drop obtained by the
-flip transform and the price of repairing it with verification rounds.
+optimum; a numpy screen of each level leaves the scalar ``ic_and_zero`` only
+the points that could lead it.  Second: how much cost does an ε error budget
+buy back at that worst-case prior?  ``and_tradeoff_curve`` measures the drop
+obtained by the flip transform and the price of repairing it with
+verification rounds.
 Third: ``xor_external_experiment`` plays the same game for the external cost
 of XOR on the correlated diagonal prior, where an abort coin achieves
 1 − ε exactly and a floor of 1 − 3ε is conjectured tight up to the constant;
 ``xor_floor_search`` hammers the floor with random small protocols.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -28,6 +29,7 @@ from .and_protocols import (
     flip_transform,
     flip_tree,
     ic_and_zero,
+    _ic_and_zero_screen,
 )
 from .distributions import JointDistribution, _symmetric_reference, binary_entropy
 from .errors import PreconditionError, ProtocolError, ResourceCapError
@@ -50,10 +52,11 @@ ZERO_AT_11 = "zero-at-(1,1)"
 _FREE_CELLS = {FULL_SUPPORT: ((0, 0), (0, 1), (1, 0), (1, 1)),
                ZERO_AT_11: ((0, 0), (0, 1), (1, 0))}
 _MASS_FLOOR = 1e-9
-# ``maximize_ic_and`` visits at most this many grid points over all its levels:
-# a point took 19 µs (zero at (1,1)) to 20 µs (full support) in runs of 59 and
-# 775 levels, just under the cap, on a 2-core host, so about 2.5 s; the
-# defaults visit 13 182 and 1 014
+SCREEN_K = 64  # |screen − ic_and_zero| ≤ K·2⁻⁵³·S; seeded priors reach 1.6·2⁻⁵³·S
+# ``maximize_ic_and`` screens at most this many grid points over all its levels:
+# on a 2-core host, one level of 117 649 or 130 321 points takes about 30 ms
+# and 9 or 22 MB, and 59 or 775 levels just under the cap 1.1 or 0.5 s (past
+# the floats' resolution, points tie); the defaults screen 13 182 and 1 014
 OPT_GRID_CAP = 2**17
 
 XOR_TABLE = ((0, 1), (1, 0))
@@ -93,6 +96,12 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
     inside every shrunken bracket (the box always spans more than one old
     grid step around the winner).
 
+    Each level is screened in one numpy pass, within ``SCREEN_K``·2⁻⁵³·S
+    of ``ic_and_zero`` (S each point's scale).  Only the points whose screen
+    plus margin reaches the best screen minus margin and the best value so
+    far, one or two a level, are priced by ``ic_and_zero``, in grid order,
+    so the result is the point-by-point search's, bit for bit.
+
     ``constraint`` names the slice: ``ZERO_AT_11`` (no mass on (1,1)) or
     ``FULL_SUPPORT``; any other value is refused.  A search of more than
     ``OPT_GRID_CAP`` grid points, levels × (divisions + 1)^(free cells − 1),
@@ -107,7 +116,7 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
             f"unknown constraint {constraint!r}; expected {ZERO_AT_11!r} or {FULL_SUPPORT!r}"
         )
     free = _FREE_CELLS[constraint]
-    anchor, params = free[0], free[1:]
+    params = free[1:]
     if levels * (divisions + 1) ** len(params) > OPT_GRID_CAP:
         raise ResourceCapError(
             f"{levels} levels of {divisions + 1}^{len(params)} grid points pass the "
@@ -119,8 +128,7 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
         if rest < _MASS_FLOOR or min(point) < _MASS_FLOOR:
             return None
         mass = np.zeros((2, 2))
-        mass[anchor] = rest
-        for cell, value in zip(params, point):
+        for cell, value in zip(free, (rest, *point)):
             mass[cell] = value
         return JointDistribution.from_mass(mass)
 
@@ -130,13 +138,25 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
     trace = []
     for level in range(levels):
         axes = [np.linspace(c - half, c + half, divisions + 1) for c in center]
-        for point in itertools.product(*axes):
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(params))
+        rest = 1.0 - _fsum_rows(grid)
+        room = np.minimum(rest, grid.min(axis=1))
+        live = np.flatnonzero(room >= _MASS_FLOOR)
+        cells = dict(zip(free, (rest[live], *grid[live].T)))
+        masses = [cells.get(cell, 0.0) for cell in _FREE_CELLS[FULL_SUPPORT]]  # row by row
+        screen, scale = _ic_and_zero_screen(*masses)
+        margin = SCREEN_K * 2.0**-53 * scale
+        # a NaN, where the scalar code may refuse, is priced too; a point equal
+        # to an earlier one cannot win, so tied points are priced once
+        floor = np.max(screen - margin, initial=best_value)
+        leaders = grid[live[~(screen + margin < floor)]].tolist()
+        for point in dict.fromkeys(map(tuple, leaders)):
             mu = measure_at(point)
             if mu is None:
                 continue
             value = ic_and_zero(mu)
             if value > best_value:
-                best_point, best_mu, best_value = np.array(point), mu, value
+                best_point, best_mu, best_value = point, mu, value
         if best_point is None:
             raise PreconditionError(
                 f"no feasible prior inside the {constraint} slice at level {level}"
@@ -145,6 +165,17 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
         center = best_point
         half /= 4.0
     return OptResult(best_mu, float(best_value), constraint, tuple(trace))
+
+
+def _fsum_rows(grid):
+    """Each row's ``math.fsum`` by two-sums, their errors added last: exact
+    for two columns, and equal for three on every grid point tested."""
+    total, carry = grid[:, 0], 0.0
+    for column in grid.T[1:]:
+        new = total + column
+        back = new - total
+        total, carry = new, carry + ((total - (new - back)) + (column - back))
+    return total + carry
 
 
 class TradeoffPoint(NamedTuple):

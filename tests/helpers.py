@@ -1,5 +1,6 @@
 """Shared generators and slow reference implementations used across tests."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -24,7 +25,9 @@ from infowalk import (
     WalkStep,
     binary_entropy,
     entropy_profile,
+    ic_and_zero,
     odot,
+    optimize,
     sim_and_zero,
     symmetric_decomposition,
 )
@@ -807,6 +810,47 @@ def ic_and_zero_reference(w: JointDistribution) -> float:
     profile = entropy_profile(w)
     scaled = sim_and_zero(dec.pretend.p, dec.pretend.q, dec)
     return float(profile.h_x_given_y + profile.h_y_given_x - scaled / inner(dec))
+
+
+def maximize_ic_and_reference(constraint, levels, divisions, ic=ic_and_zero):
+    """``maximize_ic_and`` point by point: every grid point of every level,
+    in ``itertools.product`` order, gets its own ``JointDistribution`` and
+    its own call of ``ic`` (``ic_and_zero`` unless given), and a point wins
+    only on a strictly larger value."""
+    free = optimize._FREE_CELLS[constraint]
+    anchor, params = free[0], free[1:]
+
+    def measure_at(point):
+        rest = 1.0 - math.fsum(point)
+        if rest < optimize._MASS_FLOOR or min(point) < optimize._MASS_FLOOR:
+            return None
+        mass = np.zeros((2, 2))
+        mass[anchor] = rest
+        for cell, value in zip(params, point):
+            mass[cell] = value
+        return JointDistribution.from_mass(mass)
+
+    center = np.full(len(params), 1.0 / len(free))
+    half = 0.5
+    best_point, best_mu, best_value = None, None, -math.inf
+    trace = []
+    for level in range(levels):
+        axes = [np.linspace(c - half, c + half, divisions + 1) for c in center]
+        for point in itertools.product(*axes):
+            mu = measure_at(point)
+            if mu is None:
+                continue
+            value = ic(mu)
+            if value > best_value:
+                best_point, best_mu, best_value = np.array(point), mu, value
+        if best_point is None:
+            raise PreconditionError(
+                f"no feasible prior inside the {constraint} slice at level {level}"
+            )
+        trace.append(optimize.RefinementStep(level, 2.0 * half / divisions, best_value))
+        center = best_point
+        half /= 4.0
+    return optimize.OptResult(best_mu, float(best_value), constraint, tuple(trace))
 
 
 def support_components_reference(mu: JointDistribution) -> list:

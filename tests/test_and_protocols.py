@@ -53,6 +53,7 @@ from helpers import (
     grid_leaf_id,
     ic_and_zero_reference,
     leaf_law_density,
+    maximize_ic_and_reference,
     pretend_prob,
     random_prior,
     random_tree,
@@ -398,17 +399,16 @@ def test_ic_and_zero_requires_off_diagonal_support():
 
 
 def optimizer_grid_priors():
-    """Every prior that ``maximize_ic_and`` evaluates on its two default grids."""
+    """Every feasible prior of ``maximize_ic_and``'s two default grids, as its
+    point-by-point oracle visits them."""
     seen = []
 
     def record(mu):
         seen.append(mu)
         return ic_and_zero(mu)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "ic_and_zero", record)
-        for constraint in (optimize.FULL_SUPPORT, optimize.ZERO_AT_11):
-            optimize.maximize_ic_and(constraint)
+    for constraint in (optimize.FULL_SUPPORT, optimize.ZERO_AT_11):
+        maximize_ic_and_reference(constraint, 6, 12, ic=record)
     return seen
 
 

@@ -456,6 +456,15 @@ def test_disj_refuses_a_bad_curve_eps_before_any_output(capsys, files, curve_eps
     assert not audit.exists() and not curve.exists()
 
 
+def test_disj_parses_curve_eps_without_out_curve(capsys, files):
+    tmp, _ = files
+    audit = tmp / "a.json"
+    code, out, err = run(capsys, "disj", "--n", "2", "--eps", "0.1", "--and-grid", "16",
+                         "--out-audit", str(audit), "--curve-eps", "abc")
+    assert code == 1 and out == "" and "bad epsilon list 'abc'" in err
+    assert not audit.exists()
+
+
 def test_disj_runs_at_any_n(capsys):
     # 4¹⁰ inputs fit the audit's table and 4¹¹ do not, yet both audits run,
     # and so do instances past 4096 coordinates: n has no cap

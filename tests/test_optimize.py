@@ -12,12 +12,16 @@ from infowalk import (
     ic_and_zero,
     law_of,
     mix_with_abort,
+    optimize,
 )
+from infowalk.and_protocols import _ic_and_zero_screen
 from infowalk.cli import _CONSTRAINTS
 from infowalk.disjointness import DisjInstance, disj_error_audit, disj_ic_exact, disj_protocol
 from infowalk.optimize import (
     FULL_SUPPORT,
+    SCREEN_K,
     ZERO_AT_11,
+    _fsum_rows,
     and_tradeoff_curve,
     maximize_ic_and,
     xor_diag_prior,
@@ -26,7 +30,7 @@ from infowalk.optimize import (
 )
 from infowalk.protocol import ALICE, BOB, Internal, Leaf, ProtocolTree
 
-from helpers import random_prior
+from helpers import maximize_ic_and_reference, random_prior
 
 IC_STAR = 0.4827018481689195
 IC_FULL = 1.4922794227754252  # measured; agrees with the published ≈1.4923
@@ -76,6 +80,80 @@ def test_optimizer_results_are_pinned_bit_for_bit(constraint):
     opt = maximize_ic_and(constraint)
     assert (opt.value.hex(), [float(v).hex() for v in opt.argmax.mass.flat],
             [step.value.hex() for step in opt.trace]) == OPT_PINS[constraint]
+
+
+def bits(opt):
+    """An ``OptResult`` as float hex: value, argmax row by row, and trace."""
+    return (opt.value.hex(), [float(v).hex() for v in opt.argmax.mass.flat],
+            [(s.level, s.spacing.hex(), s.value.hex()) for s in opt.trace])
+
+
+@pytest.mark.parametrize("constraint", [FULL_SUPPORT, ZERO_AT_11])
+@pytest.mark.parametrize("levels, divisions", [(1, 4), (3, 4), (6, 12), (8, 20)])
+def test_screened_search_matches_the_point_by_point_oracle(monkeypatch, constraint, levels,
+                                                           divisions):
+    calls = []
+    monkeypatch.setattr(optimize, "ic_and_zero", lambda mu: calls.append(mu) or ic_and_zero(mu))
+    opt = maximize_ic_and(constraint, levels, divisions)
+    assert bits(opt) == bits(maximize_ic_and_reference(constraint, levels, divisions))
+    assert len(calls) <= 3 * levels  # the screen leaves one or two points a level
+
+
+@pytest.mark.parametrize("constraint, floor", [(ZERO_AT_11, 0.33), (FULL_SUPPORT, 0.1)])
+def test_screened_search_matches_the_oracle_where_the_mass_floor_binds(monkeypatch,
+                                                                       constraint, floor):
+    # a raised floor cuts through the optimum, so the last levels straddle it
+    monkeypatch.setattr(optimize, "_MASS_FLOOR", floor)
+    opt = maximize_ic_and(constraint, 8, 12)
+    assert bits(opt) == bits(maximize_ic_and_reference(constraint, 8, 12))
+    assert min(opt.argmax.mass.flat[:3]) < floor + 1e-5
+    monkeypatch.setattr(optimize, "_MASS_FLOOR", 0.3)  # and no feasible point at all
+    with pytest.raises(PreconditionError, match="no feasible prior .* at level 0"):
+        maximize_ic_and(FULL_SUPPORT, 2, 4)
+    with pytest.raises(PreconditionError, match="no feasible prior .* at level 0"):
+        maximize_ic_and_reference(FULL_SUPPORT, 2, 4)
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_grid_rows_sum_as_math_fsum_sums_them(cells):
+    # the screen prices the masses the scalar code would: 1 − fsum(point)
+    rng = np.random.default_rng(cells)
+    for level in range(12):
+        half = 0.5 / 4.0**level
+        axes = [np.linspace(c - half, c + half, 13) for c in rng.uniform(0.0, 0.5, cells)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cells)
+        assert _fsum_rows(grid).tolist() == [math.fsum(row) for row in grid.tolist()]
+
+
+def screen_priors(count):
+    """Dirichlet priors, zero-at-(1,1) priors, and priors with one of w(0,0),
+    w(0,1), w(1,0) between 1e-3 and the optimizer's mass floor (the next
+    cell takes up the rest), each kind in turn, as rows of four masses."""
+    rng = np.random.default_rng(29)
+    rows = []
+    for i in range(count):
+        kind = i % 3
+        m = rng.dirichlet(np.ones(4))
+        if kind == 1:
+            m = np.append(rng.dirichlet(np.ones(3)), 0.0)
+        elif kind == 2:
+            cell = rng.integers(3)
+            m[cell] = 10.0 ** rng.uniform(math.log10(optimize._MASS_FLOOR), -3.0)
+            m[cell + 1] += 1.0 - m.sum()
+        rows.append(m)
+    return np.array(rows)
+
+
+def test_screen_stays_within_its_margin_of_the_scalar_cost():
+    """|screen − ic_and_zero| ≤ K·2⁻⁵³·S with K = ``SCREEN_K`` = 64; the worst
+    ratio |screen − ic_and_zero| / (2⁻⁵³·S) on these 3 000 priors is 1.28."""
+    masses = screen_priors(3000)
+    screen, scale = _ic_and_zero_screen(*masses.T)
+    exact = np.array([ic_and_zero(JointDistribution.from_mass(m.reshape(2, 2)))
+                      for m in masses])
+    ratio = np.abs(screen - exact) / (2.0**-53 * scale)
+    assert 0.5 < ratio.max() <= SCREEN_K / 8  # the scale is not loose, and K leaves room
+    assert (screen != exact).sum() > 300  # the two paths really differ
 
 
 @pytest.mark.parametrize("levels", [3, 6])
