@@ -11,8 +11,9 @@ the three failure families: 1 for inputs that do not parse, 2 for calls
 outside an operation's domain, 3 for blown resource caps.
 
 The one randomized mode, ``xor --search``, requires an explicit ``--seed``;
-the library refuses a seedless call before any output, and every per-sample
-generator is derived from that master seed, so a rerun repeats its samples
+the library refuses a seedless call before any output.  The search draws
+every tree, in order, from one generator seeded with it, and each ε of
+``--eps-list`` repeats the same draws, so a rerun repeats its samples
 exactly.  ``disj`` audits exactly and has no seed.
 """
 

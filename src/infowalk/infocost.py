@@ -66,15 +66,7 @@ class TranscriptLaw:
             raise DistributionError(
                 f"cond shape {cond.shape} != ({T}, {self.prior.nx}, {self.prior.ny})"
             )
-        if (cond < -COND_TOLERANCE).any() or (cond > 1.0 + COND_TOLERANCE).any():
-            raise DistributionError("conditional probabilities outside [0, 1]")
-        np.clip(cond, 0.0, 1.0, out=cond)
-        sums = cond.sum(axis=0)
-        live = self.prior.mass > 0.0
-        if (np.abs(sums[live] - 1.0) > COND_TOLERANCE).any():
-            raise DistributionError(
-                "conditional transcript probabilities do not sum to 1 on the support"
-            )
+        _check_cond(cond, self.prior.mass > 0.0)
         cond.flags.writeable = False
         object.__setattr__(self, "cond", cond)
         if self.outputs is not None and len(self.outputs) != T:
@@ -86,6 +78,29 @@ class TranscriptLaw:
 
     def transcript_count(self) -> int:
         return len(self.leaf_ids)
+
+
+def _check_cond(cond: np.ndarray, live: np.ndarray, law=None) -> None:
+    """Clips ``cond`` into [0, 1] once it lies there within ``COND_TOLERANCE``,
+    and checks that it sums to 1 within it on ``live`` (the support): as one
+    law, or as several end to end, transcript t in law ``law[t]``."""
+    if (cond < -COND_TOLERANCE).any() or (cond > 1.0 + COND_TOLERANCE).any():
+        raise DistributionError("conditional probabilities outside [0, 1]")
+    np.clip(cond, 0.0, 1.0, out=cond)
+    sums = cond.sum(axis=0)[live] if law is None else _law_sums(cond, law)[:, live]
+    if (np.abs(sums - 1.0) > COND_TOLERANCE).any():
+        raise DistributionError(
+            "conditional transcript probabilities do not sum to 1 on the support"
+        )
+
+
+def _law_sums(a: np.ndarray, law: np.ndarray) -> np.ndarray:
+    """Each law's sum of its rows of ``a`` (row t in law ``law[t]``), added in
+    order from +0.0 as ``sum(axis=0)`` adds nonnegative rows; ``np.add.reduceat``
+    adds a run's first row to the pairwise sum of the others."""
+    sums = np.zeros((law[-1] + 1, *a.shape[1:]))
+    np.add.at(sums, law, a)
+    return sums
 
 
 def law_of(tree: ProtocolTree, prior: JointDistribution) -> TranscriptLaw:

@@ -289,12 +289,9 @@ def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
     its entries padded with n above the root or n + 1 below a leaf)."""
     n = len(owner)
     parent, inner, ones = _parents(owner, child1)
-    up = [(owner < 0).nonzero()[0]]
-    while len(up) * len(up[0]) <= 2 * n + 64:  # root-to-leaf paths while they are short
-        if up[-1].min() == n:
-            return [(up[-1], np.stack(up[-2::-1], axis=1))]
-        up.append(parent[up[-1]])
-    del up
+    plan = _root_paths(parent, (owner < 0).nonzero()[0], 2 * n + 64)
+    if plan:  # root-to-leaf paths while they are short
+        return plan
     # +1 at an internal entry and −1 at a leaf, summed before each entry, grows
     # by one down a 0-edge and stays along a 1-edge; so a subtree ends after
     # the last entry of its 1-chain, a run of equal level
@@ -327,6 +324,17 @@ def _plan(owner: np.ndarray, child1: np.ndarray) -> list:
     return plan
 
 
+def _root_paths(parent: np.ndarray, leaves: np.ndarray, most: float) -> list:
+    """The one scan group of the paths from the roots (entries whose parent
+    is n) to ``leaves``, padded with n above a root; [] past ``most`` cells."""
+    n, up = len(parent) - 1, [leaves.astype(np.int32)]  # int32, as a heavy-path plan's
+    while len(up) * len(leaves) <= most:
+        if up[-1].min() == n:
+            return [(up[-1], np.stack(up[-2::-1], axis=1))]
+        up.append(parent[up[-1]])
+    return []
+
+
 def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.ndarray:
     """Turns ``edges`` (n + 2 C-contiguous rows) in place into op(value at
     the parent, edges[j]) at each entry j, from the identity above the root,
@@ -347,21 +355,44 @@ def _scan(plan: list, op: np.ufunc, edges: np.ndarray, identity: float) -> np.nd
     return edges[:-2]
 
 
+def _leaf_factors(plan: list, leaves, owner, signal, child1, alice, bob, nx: int, ny: int):
+    """The factor rows of ``leaves``, by one scan for both players: the other
+    player's columns multiply by 1.0."""
+    edges = np.ones((len(owner) + 2, nx + ny))
+    for side, table, cols in ((0, alice, slice(None, nx)), (1, bob, slice(nx, None))):
+        at = (owner == side).nonzero()[0]
+        s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
+        edges[at + 1, cols], edges[child1[at], cols] = 1.0 - s, s
+    return _scan(plan, np.multiply, edges, 1.0)[leaves]
+
+
 def _path_law(tree: ProtocolTree, factors: Optional[np.ndarray] = None) -> PathLaw:
     owner, signal, child1 = tree.owner, tree.signal, tree.child1
     leaves = (owner < 0).nonzero()[0]
     if factors is None:
-        # one scan for both players: the other player's columns multiply by 1.0
-        edges = np.ones((len(owner) + 2, tree.nx + tree.ny))
-        for side, table, cols in ((0, tree.alice, slice(None, tree.nx)),
-                                  (1, tree.bob, slice(tree.nx, None))):
-            at = (owner == side).nonzero()[0]
-            s = table[signal[at]]  # the owner's factors move: f·s, f·(1 − s)
-            edges[at + 1, cols], edges[child1[at], cols] = 1.0 - s, s
-        factors = _scan(tree.plan, np.multiply, edges, 1.0)[leaves]
+        factors = _leaf_factors(tree.plan, leaves, owner, signal, child1, tree.alice, tree.bob,
+                                tree.nx, tree.ny)
     symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
     outputs = tuple(symbols.take(signal[leaves]).tolist())
     return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
+
+
+def _forest(layouts: list, nx: int, ny: int) -> tuple:
+    """Trees' ``_flatten`` layouts end to end, 1-children and signal rows
+    shifted: an entry after a leaf has no parent, so one scan down every
+    root-to-leaf path gives each leaf the factor row of its own tree's scan.
+    Returns (those rows, the leaves' signals, each leaf's tree), in preorder."""
+    size = np.array([len(layout[0]) for layout in layouts])
+    owner, signal, child1, alice, bob = (np.concatenate([layout[k] for layout in layouts])
+                                         for k in (0, 1, 2, 4, 5))
+    child1 = np.where(child1 < 0, child1, child1 + np.repeat(np.cumsum(size) - size, size))
+    for side in (0, 1):  # a tree's signal rows follow the earlier trees'
+        rows = np.array([len(layout[4 + side]) for layout in layouts])
+        signal = np.where(owner == side, signal + np.repeat(np.cumsum(rows) - rows, size), signal)
+    leaves = (owner < 0).nonzero()[0]
+    plan = _root_paths(_parents(owner, child1)[0], leaves, math.inf)
+    return (_leaf_factors(plan, leaves, owner, signal, child1, alice, bob, nx, ny),
+            signal[leaves], np.repeat(np.arange(len(size)), size)[leaves])
 
 
 def _depths(n: int, plan: list) -> np.ndarray:

@@ -23,9 +23,13 @@ from infowalk import (
     ShapeMismatchError,
     TranscriptLaw,
     WalkStep,
+    Task,
     binary_entropy,
     entropy_profile,
+    evaluate_error_law,
+    external_ic,
     ic_and_zero,
+    law_of,
     odot,
     optimize,
     sim_and_zero,
@@ -851,6 +855,29 @@ def maximize_ic_and_reference(constraint, levels, divisions, ic=ic_and_zero):
         center = best_point
         half /= 4.0
     return optimize.OptResult(best_mu, float(best_value), constraint, tuple(trace))
+
+
+def xor_floor_search_reference(epsilon, samples, seed):
+    """``xor_floor_search`` tree by tree: each draw, in the generator's
+    order, becomes its own ``ProtocolTree``, is priced by ``law_of`` and
+    ``evaluate_error_law``, and, within ε, by ``external_ic``."""
+    rng = np.random.default_rng(seed)
+    prior = optimize.xor_diag_prior()
+    task = Task(optimize.XOR_TABLE, epsilon, "pointwise", measure=prior)
+    valid, min_external = 0, math.inf
+    for _ in range(samples):
+        if rng.random() < 0.5:
+            root = optimize._random_dyadic_tree(rng)
+        else:
+            root = optimize._perturbed_exchange_tree(rng)
+        law = law_of(ProtocolTree(2, 2, (0, 1), root), prior)
+        if evaluate_error_law(law, task).max_pointwise > epsilon + 1e-12:
+            continue
+        valid += 1
+        min_external = min(min_external, external_ic(law))
+    return optimize.XorSearchResult(
+        float(epsilon), 1.0 - 3.0 * epsilon, samples, valid, min_external
+    )
 
 
 def support_components_reference(mu: JointDistribution) -> list:

@@ -25,6 +25,8 @@ from infowalk import (
     walk,
 )
 
+from infowalk.infocost import _check_cond
+
 from helpers import (
     exchange_tree,
     external_reference,
@@ -85,6 +87,36 @@ def test_transcript_law_validation():
     assert law.cond[:, 1].sum() == 0.0
     with pytest.raises(DistributionError, match=f"^{sums}$"):
         TranscriptLaw(prior, ("a", "b"), cond)
+
+
+def test_one_check_serves_a_law_and_laws_end_to_end():
+    # two laws end to end: transcript 0 is the first, 1 and 2 the second
+    live, law = np.ones((2, 2), bool), np.array([0, 1, 1])
+    good = np.zeros((3, 2, 2))
+    good[0], good[1], good[2] = 1.0, 0.25, 0.75
+    cond = good.copy()
+    cond[2, 0, 0] = 0.75 + 5e-11  # within the tolerance: clipped in place
+    cond[0, 0, 0] = 1.0 + 5e-11
+    _check_cond(cond, live, law)
+    assert cond[0, 0, 0] == 1.0 and cond[2, 0, 0] == 0.75 + 5e-11
+    outside = r"conditional probabilities outside \[0, 1\]"
+    sums = "conditional transcript probabilities do not sum to 1 on the support"
+    # the second law's probabilities at the input (1, 0), just past each check
+    for cells, message in (((-1e-9, 1.0 + 1e-9), outside), ((1.0 + 1e-9, 0.0), outside),
+                           ((0.9, 0.0), sums), ((0.5, 0.5 + 1e-9), sums)):
+        cond = good.copy()
+        cond[1:, 1, 0] = cells
+        with pytest.raises(DistributionError, match=f"^{message}$"):
+            _check_cond(cond, live, law)
+    # each law must sum to 1 on its own, not only all of them together
+    cond = np.full((4, 2, 2), 0.25)
+    _check_cond(cond.copy(), live)
+    with pytest.raises(DistributionError, match=f"^{sums}$"):
+        _check_cond(cond, live, np.array([0, 0, 0, 1]))
+    cond = good.copy()
+    cond[1:, 1, 0] = 0.0  # the input (1, 0) sums to 0: allowed off the support
+    live[1, 0] = False
+    _check_cond(cond, live, law)
 
 
 def test_internal_ic_examples():

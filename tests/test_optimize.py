@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from infowalk.optimize import (
 )
 from infowalk.protocol import ALICE, BOB, Internal, Leaf, ProtocolTree
 
-from helpers import maximize_ic_and_reference, random_prior
+from helpers import maximize_ic_and_reference, random_prior, xor_floor_search_reference
 
 IC_STAR = 0.4827018481689195
 IC_FULL = 1.4922794227754252  # measured; agrees with the published ≈1.4923
@@ -310,3 +311,42 @@ def test_xor_floor_search_contract():
         xor_floor_search(0.7, samples=10, seed=0)
     with pytest.raises(PreconditionError):
         xor_floor_search(0.15, samples=0, seed=0)
+
+
+def assert_search_is_the_oracles(eps, samples, seed):
+    got, want = xor_floor_search(eps, samples, seed), xor_floor_search_reference(eps, samples, seed)
+    for name in optimize.XorSearchResult._fields:
+        assert getattr(got, name) == getattr(want, name), (name, eps, samples, seed)
+
+
+# ε from 0 to the largest allowed, a single draw, and runs past one chunk
+XOR_SEARCH_CASES = [(eps, samples, seed) for seed, (eps, samples) in enumerate(
+    (eps, samples) for eps in (0.0, 0.03, 0.0625, 0.1, 0.15, 0.25, 0.5)
+    for samples in (1, 17, 120, 300))]
+
+
+@pytest.mark.parametrize("eps, samples, seed", XOR_SEARCH_CASES)
+def test_xor_floor_search_matches_the_tree_by_tree_oracle(eps, samples, seed):
+    assert_search_is_the_oracles(eps, samples, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 128])
+def test_xor_floor_search_is_the_oracles_in_any_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(optimize, "_SEARCH_CHUNK_TREES", chunk)
+    for eps, samples, seed in ((0.1, 150, 3), (0.0, 20, 4), (0.5, 65, 5), (0.2, 1, 6)):
+        assert_search_is_the_oracles(eps, samples, seed)
+
+
+def test_xor_floor_search_memory_does_not_grow_with_samples():
+    # Python 3.11, numpy 2.4, once warm: 0.20–0.33 MB at 2 000 draws and
+    # 0.21–0.30 MB at 20 000 (ratios 0.9–1.03); in one chunk, 5.2 and 51 MB
+    xor_floor_search(0.1, samples=10, seed=0)  # first-use caches outlive it
+    peaks = []
+    for samples in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            xor_floor_search(0.1, samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]

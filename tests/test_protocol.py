@@ -27,6 +27,7 @@ from infowalk import (
     buzzer_grid_tree,
     complete_to_zero_error,
     evaluate_error,
+    evaluate_error_law,
     internal_ic,
     law_of,
     mix_with_abort,
@@ -34,6 +35,8 @@ from infowalk import (
     tree_to_json,
     walk,
 )
+from infowalk import protocol
+from infowalk.infocost import _check_cond, _law_sums
 from infowalk.protocol import COLUMNS, ROWS, TREE_FACTOR_CAP
 
 from helpers import (
@@ -41,6 +44,7 @@ from helpers import (
     exchange_tree,
     random_prior,
     random_tree,
+    root_of,
     step_from_split,
     total_variation,
 )
@@ -449,6 +453,43 @@ def test_flattened_arrays_are_pinned():
     assert _arrays_sha256([ProtocolTree(2, 2, (0,), node_levels(20))]) == shared
     assert _arrays_sha256(small_trees(np.random.default_rng(480))) == (
         "a9fe68488132aa2c10bdfc7d642a118fe9d31c2d3ba1dec5693b8f7b17cb95b5")
+
+
+def test_trees_laid_end_to_end_price_as_one_forest(monkeypatch):
+    # an entry after a leaf is the next tree's root, so ``_parents`` puts n
+    # above it; one scan gives each tree's leaves their own factor rows, and
+    # one segmented sum each tree's error table, bit for bit
+    rng = np.random.default_rng(30)
+    nx, ny = 3, 2
+    trees = [random_tree(rng, nx, ny, depth=1 + k % 4) for k in range(40)]
+    trees[5:5] = [ProtocolTree(nx, ny, (0, 1), Leaf(k)) for k in (1, 0)]  # lone leaves
+    layouts = [protocol._flatten(root_of(tree), nx, ny, (0, 1)) for tree in trees]
+    found, real = [], protocol._parents
+
+    def spy(owner, child1):
+        found.append(real(owner, child1))
+        return found[-1]
+
+    monkeypatch.setattr(protocol, "_parents", spy)
+    factors, outputs, tree_of = protocol._forest(layouts, nx, ny)
+    size = [len(layout[0]) for layout in layouts]
+    ((parent, _, _),) = found
+    n = sum(size)
+    assert (parent == n).nonzero()[0].tolist() == [*(np.cumsum(size) - size), n]
+
+    prior, f = random_prior(rng, nx, ny), rng.integers(0, 2, size=(nx, ny))
+    task = Task(f, 0.1, "pointwise", measure=prior)
+    cond = factors[:, :nx, None] * factors[:, None, nx:]
+    _check_cond(cond, prior.mass > 0.0, tree_of)
+    wrong = np.array([[[out != v for v in row] for row in f.tolist()] for out in (0, 1)])
+    err = _law_sums(cond * wrong[outputs], tree_of)
+    bounds = np.searchsorted(tree_of, np.arange(len(trees) + 1))
+    for tree, lo, hi, table in zip(trees, bounds[:-1], bounds[1:], err, strict=True):
+        assert factors[lo:hi].tobytes() == tree.path_law.factors.tobytes()
+        assert tuple(outputs[lo:hi].tolist()) == tree.path_law.outputs
+        report = evaluate_error_law(law_of(tree, prior), task)
+        assert float(table.max()).hex() == report.max_pointwise.hex()
+        assert float(np.sum(prior.mass * table)).hex() == report.distributional.hex()
 
 
 def test_tree_json_ignores_a_legacy_depth_cap():
