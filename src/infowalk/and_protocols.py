@@ -472,7 +472,12 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     comes back once per path, and the flipped tree scans with this tree's
     plan, as it has the same shape.  Log-weights (libm's, summed down each path)
     keep the reweighting stable on very deep trees; a posterior whose odds
-    overflow is 0, or 1 at ε = 1."""
+    overflow is 0, or 1 at ε = 1.  The weights are read only at Alice's nodes,
+    so ``log`` runs only on edges into internal nodes with probability in
+    (0, 1) (log 1 = 0 and log 0 = −inf are exact), ``exp`` only on the odds
+    read; both stay libm's, whose bits the node-by-node oracle pins.  Only
+    Alice's column x1 moves: the flipped tree ships this tree's factors with
+    that column scanned again."""
     _check_flip(x0, x1, epsilon, tree.nx)
     if epsilon == 0.0:
         return tree
@@ -481,8 +486,9 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     s = tree.alice[tree.signal[at]]
     logs = np.zeros((n + 2, 2))  # the path's log-weight behaving as x0 and as x1
     for kids, p in ((at + 1, 1.0 - s[:, [x0, x1]]), (child1[at], s[:, [x0, x1]])):
-        log_p = np.full(p.shape, -math.inf)
-        log_p[p > 0.0] = np.fromiter(map(math.log, p[p > 0.0].tolist()), float)
+        log_p = np.where(p > 0.0, 0.0, -math.inf)
+        read = (p > 0.0) & (p < 1.0) & (owner[kids] >= 0)[:, None]
+        log_p[read] = np.fromiter(map(math.log, p[read].tolist()), float)
         logs[kids] = log_p
     la0, la1 = _scan(tree.plan, np.add, logs, 0.0)[at].T
     moved = (la0 > -math.inf) | (la1 > -math.inf)  # x1 cannot reach the others either way
@@ -498,8 +504,11 @@ def flip_tree(tree: ProtocolTree, x0: int, x1: int, epsilon: float) -> ProtocolT
     signal = tree.signal.copy()
     signal[at] = np.arange(len(at))
     copy_of = np.where(owner >= 0, np.arange(n), tree.copy_of)  # leaves stay shared
-    return ProtocolTree(tree.nx, tree.ny, tree.outputs,
-                        arrays=(owner, signal, child1, copy_of, rows, tree.bob), plan=tree.plan)
+    factors, edges = tree.path_law.factors.copy(), np.ones((n + 2, 1))
+    edges[at + 1, 0], edges[child1[at], 0] = 1.0 - rows[:, x1], rows[:, x1]
+    factors[:, x1] = _scan(tree.plan, np.multiply, edges, 1.0)[owner < 0, 0]
+    return ProtocolTree(tree.nx, tree.ny, tree.outputs, plan=tree.plan, factors=factors,
+                        arrays=(owner, signal, child1, copy_of, rows, tree.bob))
 
 
 def one_sided_and(
@@ -515,7 +524,7 @@ def one_sided_and(
     _, q, _, _ = _symmetric_reference(w)
     spec, _ = GridWalkSpec.from_start(0.5, q, n)
     flipped = flip_transform(law_of(buzzer_grid_tree(spec), w), 0, 1, epsilon)
-    says = flipped.cond[[out == 1 for out in flipped.outputs]].sum(axis=0)
+    says = flipped.cond[flipped.outputs.equal_to(1)].sum(axis=0)
     error = 1.0 - says[1, 1]
     if (says.sum() - says[1, 1]) / 4 > 1e-12:
         raise ProtocolError("one-sided AND produced a forbidden error direction")

@@ -117,7 +117,7 @@ class _Round:
 
     def __init__(self, law: TranscriptLaw):
         self.law = law
-        self.says = law.cond[[t for t, out in enumerate(law.outputs) if out == 1]].sum(axis=0)
+        self.says = law.cond[law.outputs.equal_to(1)].sum(axis=0)
 
     @cached_property
     def cost(self) -> float:
@@ -186,12 +186,12 @@ def _composite_law(inst: DisjInstance, laws) -> TranscriptLaw:
     for i, law in enumerate(laws):
         bits = (np.arange(size) >> i) & 1
         lifted.append(law.cond[:, bits[:, None], bits[None, :]])
-    ids_of = [tuple(law.leaf_ids) for law in laws]  # each round's ids, read once
+    ids_of = [tuple(zip(law.leaf_ids, law.outputs)) for law in laws]  # read once
     ids, tables, outs = [], [], []
 
     def extend(sigma, j, prefix_ids, table):
         coord = sigma[j]
-        for t, (leaf_id, out) in enumerate(zip(ids_of[coord], laws[coord].outputs)):
+        for t, (leaf_id, out) in enumerate(ids_of[coord]):
             branch = table * lifted[coord][t]
             ids_here = prefix_ids + [leaf_id]
             if out == 1:
@@ -362,12 +362,12 @@ class DisjBoundCurve:
 def _balance_p(epsilon: float) -> float:
     """Solve p = h̄(ε/p) by bisection; the difference is increasing in p."""
     lo, hi = epsilon, 1.0
-    for _ in range(200):
+    for _ in range(200):  # a step that leaves (lo, hi) as it was leaves it for good
         mid = 0.5 * (lo + hi)
-        if mid - truncated_entropy(epsilon / mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if mid - truncated_entropy(epsilon / mid) < 0.0 else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return 0.5 * (lo + hi)
 
 

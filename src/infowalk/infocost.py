@@ -31,7 +31,7 @@ from .distributions import (
     entropy_profile,
 )
 from .errors import DecompositionMismatchError, DistributionError, PreconditionError
-from .protocol import ALICE, ProtocolTree
+from .protocol import ALICE, Outputs, ProtocolTree
 
 COND_TOLERANCE = 1e-10
 PRIOR_MATCH_TOLERANCE = 1e-9
@@ -51,13 +51,15 @@ class TranscriptLaw:
     prior mass the conditional probabilities must sum to 1 within 1e-10 (they
     usually do for all inputs; zero-mass inputs are not constrained).
     ``leaf_ids`` is a sequence of strings, such as a tuple or ``LeafIds``.
-    ``outputs``, when present, gives the protocol's answer per transcript.
+    ``outputs``, when present, gives the protocol's answer per transcript as
+    ``Outputs``, codes into an alphabet; any other sequence is coded once
+    here, its alphabet its distinct answers in order of first appearance.
     """
 
     prior: JointDistribution
     leaf_ids: Sequence
     cond: np.ndarray
-    outputs: Optional[tuple] = None
+    outputs: Optional[Outputs] = None
 
     def __post_init__(self):
         cond = np.array(self.cond, dtype=float)
@@ -71,6 +73,10 @@ class TranscriptLaw:
         object.__setattr__(self, "cond", cond)
         if self.outputs is not None and len(self.outputs) != T:
             raise DistributionError("outputs length does not match transcripts")
+        if self.outputs is not None and not isinstance(self.outputs, Outputs):
+            code = {out: k for k, out in enumerate(dict.fromkeys(self.outputs))}
+            object.__setattr__(self, "outputs", Outputs(tuple(code), np.fromiter(
+                map(code.__getitem__, self.outputs), np.intp, T)))
 
     def joint(self) -> np.ndarray:
         """Pr[t, x, y] with shape (transcripts, nx, ny)."""
@@ -153,20 +159,25 @@ class CostReport:
     ci_external: float
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # 0/0 and log₂ 0 at the cells set to 1
 def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
     """−Σ weight·log₂(table / margin) over the cells where table > 0, one sum
     per margin (an array with the table's first axis that broadcasts against
     it), by numpy over blocks of about ``SUM_BLOCK_CELLS`` cells along the
     first axis, whose sums ``math.fsum`` adds, so that the rounding does not
-    grow with the block count.  Cells where table = 0 read a ratio of 1."""
+    grow with the block count.  Cells where table = 0 read a ratio of 1: a
+    margin's block is one scratch array, divided over every cell, set to 1
+    where table = 0, and turned into its terms in place.  The error state is
+    set once a call, not once a margin, where it costs more than it saves."""
     step = max(1, SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
     parts = [[] for _ in margins]
     for lo in range(0, len(table), step):
         p, w = table[lo:lo + step], weight[lo:lo + step]
-        live = p > 0.0
+        dead = p <= 0.0
         for margin, part in zip(margins, parts):
-            q = np.divide(p, margin[lo:lo + step], out=np.ones(p.shape), where=live)
-            part.append(float(np.sum(w * np.log2(q))))
+            q = np.divide(p, margin[lo:lo + step])
+            q[dead] = 1.0
+            part.append(float(np.sum(np.multiply(w, np.log2(q, out=q), out=q))))
     return tuple(-math.fsum(part) for part in parts)
 
 

@@ -42,6 +42,7 @@ from .protocol import (
     Leaf,
     LeafIds,
     Node,
+    Outputs,
     ProtocolTree,
     _flatten,
     _forest,
@@ -319,7 +320,7 @@ def xor_floor_search(
             lo, hi = bounds[k:k + 2].tolist()
             owner, _, child1 = layouts[k][:3]
             law = TranscriptLaw(prior, LeafIds(hi - lo, np.asarray(owner), child1),
-                                cond[lo:hi], tuple(outputs[lo:hi].tolist()))
+                                cond[lo:hi], Outputs((0, 1), outputs[lo:hi]))
             valid += 1
             min_external = min(min_external, external_ic(law))
     return XorSearchResult(

@@ -126,14 +126,38 @@ class LeafIds(_Lazy):
         return "".join(reversed(bits))
 
 
+class Outputs(_Lazy):
+    """A law's output per transcript, held as ``codes`` into the alphabet
+    ``symbols``: transcript t answers ``symbols[codes[t]]``, made when read."""
+
+    __slots__ = ("symbols", "codes")
+
+    def __init__(self, symbols: tuple, codes: np.ndarray):
+        self.symbols, self.codes = symbols, codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.symbols.__getitem__, self.codes.tolist())
+
+    def _at(self, i):
+        return self.symbols[self.codes[i]]
+
+    def equal_to(self, value) -> np.ndarray:
+        """Whether each transcript's output equals ``value``, as a mask."""
+        return np.array([s == value for s in self.symbols], bool)[self.codes]
+
+
 class PathLaw(NamedTuple):
     """A tree's prior-free law, leaf by leaf: its id, rendered from the tree's
-    arrays, its output, and its factors, one row of Alice's nx and Bob's ny
-    edge-probability products along the path: Pr[leaf | x, y] = alice[x] · bob[y]."""
+    arrays, its output, coded by the leaf's signal into the tree's alphabet,
+    and its factors, one row of Alice's nx and Bob's ny edge-probability
+    products along the path: Pr[leaf | x, y] = alice[x] · bob[y]."""
 
     leaf_ids: LeafIds
     factors: np.ndarray
-    outputs: tuple
+    outputs: Outputs
 
 
 class ProtocolTree:
@@ -372,9 +396,8 @@ def _path_law(tree: ProtocolTree, factors: Optional[np.ndarray] = None) -> PathL
     if factors is None:
         factors = _leaf_factors(tree.plan, leaves, owner, signal, child1, tree.alice, tree.bob,
                                 tree.nx, tree.ny)
-    symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
-    outputs = tuple(symbols.take(signal[leaves]).tolist())
-    return PathLaw(LeafIds(len(leaves), owner, child1), factors, outputs)
+    return PathLaw(LeafIds(len(leaves), owner, child1), factors,
+                   Outputs(tree.outputs, signal[leaves]))
 
 
 def _forest(layouts: list, nx: int, ny: int) -> tuple:
@@ -446,11 +469,11 @@ def walk(tree: ProtocolTree, prior: JointDistribution) -> WalkResult:
 
     law = law_of(tree, prior)
     prob, post = leaf_posteriors(law)
-    ids = list(law.leaf_ids)
+    ids, outputs = list(law.leaf_ids), list(law.outputs)
     live = [i for i, p in enumerate(prob) if p > 0.0]
     leaves = tuple(
         WalkLeaf(ids[i], JointDistribution(tree.nx, tree.ny, post[i]),
-                 float(prob[i]), law.outputs[i])
+                 float(prob[i]), outputs[i])
         for i in live
     )
     pruned = set()
@@ -548,12 +571,11 @@ def evaluate_error_law(law, task: Task) -> ErrorReport:
         raise PreconditionError("law shape does not match the task table")
     uniform = np.full((nx, ny), 1.0 / (nx * ny))
     weight = task.measure.mass if task.measure is not None else uniform
-    index = {out: k for k, out in enumerate(dict.fromkeys(law.outputs))}  # the kinds
-    rows = np.fromiter(map(index.__getitem__, law.outputs), np.intp, len(law.outputs))
     f = task.f.tolist()
-    # one table per distinct output, gathered; a first-axis sum adds row by
-    # row, in transcript order, as a loop would
-    wrong = np.array([[[out != value for value in row] for row in f] for out in index])[rows]
+    # one table per symbol of the alphabet, gathered by code; a first-axis sum
+    # adds row by row, in transcript order, as a loop would
+    wrong = np.array([[[out != value for value in row] for row in f]
+                      for out in law.outputs.symbols])[law.outputs.codes]
     err = (law.cond * wrong).sum(axis=0)
     return ErrorReport(max_pointwise=float(np.max(err)),
                        distributional=float(np.sum(weight * err)))
@@ -584,7 +606,7 @@ def mix_with_abort(law, epsilon: float, abort_output=None):
         [(1.0 - epsilon) * law.cond, np.full((1, nx, ny), epsilon)], axis=0
     )
     leaf_ids = tuple(law.leaf_ids) + ("abort",)
-    outputs = None if law.outputs is None else law.outputs + (abort_output,)
+    outputs = None if law.outputs is None else tuple(law.outputs) + (abort_output,)
     return TranscriptLaw(law.prior, leaf_ids, cond, outputs)
 
 

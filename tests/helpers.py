@@ -36,7 +36,8 @@ from infowalk import (
     symmetric_decomposition,
 )
 from infowalk.and_protocols import GridLeaf
-from infowalk.distributions import SNAP_EPS
+from infowalk import infocost
+from infowalk.distributions import SNAP_EPS, truncated_entropy
 from infowalk.infocost import PRIOR_MATCH_TOLERANCE
 from infowalk.protocol import COLUMNS, ROWS
 
@@ -878,6 +879,39 @@ def xor_floor_search_reference(epsilon, samples, seed):
     return optimize.XorSearchResult(
         float(epsilon), 1.0 - 3.0 * epsilon, samples, valid, min_external
     )
+
+
+def balance_p_reference(epsilon):
+    """``disjointness._balance_p`` as 200 bisection steps, none skipped."""
+    lo, hi = epsilon, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - truncated_entropy(epsilon / mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def neg_plogq_sums_masked(weight, table, margins):
+    """``infocost._neg_plogq_sums`` with a masked division a margin: the
+    ratio is written only where table > 0, into an array of ones."""
+    step = max(1, infocost.SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
+    parts = [[] for _ in margins]
+    for lo in range(0, len(table), step):
+        p, w = table[lo:lo + step], weight[lo:lo + step]
+        live = p > 0.0
+        for margin, part in zip(margins, parts):
+            q = np.divide(p, margin[lo:lo + step], out=np.ones(p.shape), where=live)
+            part.append(float(np.sum(w * np.log2(q))))
+    return tuple(-math.fsum(part) for part in parts)
+
+
+def path_outputs_reference(tree):
+    """A tree's leaf outputs as the tuple that its path law once held: the
+    alphabet's objects taken at the leaves' signals, in preorder."""
+    symbols = np.fromiter(tree.outputs, object, len(tree.outputs))  # a tuple stays one entry
+    return tuple(symbols.take(tree.signal[tree.owner < 0]).tolist())
 
 
 def support_components_reference(mu: JointDistribution) -> list:

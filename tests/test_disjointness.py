@@ -28,7 +28,7 @@ from infowalk.distributions import JointDistribution, truncated_entropy
 from infowalk.errors import PreconditionError, ProtocolError, ResourceCapError
 from infowalk.infocost import TranscriptLaw, internal_ic
 
-from helpers import disj_mc_audit_reference, random_prior
+from helpers import balance_p_reference, disj_mc_audit_reference, random_prior
 
 W = JointDistribution.from_mass([[0.4, 0.2], [0.3, 0.1]])
 UNIFORM = JointDistribution.uniform(2, 2)
@@ -247,6 +247,23 @@ def test_bound_curve_balances_p():
     assert pt.bound == pytest.approx(expect, abs=1e-10)
     with pytest.raises(PreconditionError):
         disj_bound_curve([0.7])
+
+
+def test_bisection_stops_where_its_200_steps_would_end(monkeypatch):
+    # a step that leaves (lo, hi) unchanged leaves it for good, so stopping
+    # there gives the 200 steps' p bit for bit, in at most 71 entropy calls
+    calls = []
+    monkeypatch.setattr(disjointness, "truncated_entropy",
+                        lambda x: calls.append(x) or truncated_entropy(x))
+    counts = []
+    for eps in np.geomspace(1e-12, 0.4999, 401).tolist() + [0.1, 0.25, 0.4999]:
+        calls.clear()
+        assert disjointness._balance_p(eps).hex() == balance_p_reference(eps).hex()
+        counts.append(len(calls))
+    assert max(counts) <= 71
+    calls.clear()
+    disj_bound_curve([1e-4, 1e-3, 1e-2])
+    assert len(calls) <= 3 * 72 + 3  # a bisection and the bound a point, the fit's three
 
 
 # ---------------------------------------------------------------------------

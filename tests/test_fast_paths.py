@@ -15,7 +15,10 @@ arrays, are bit-identical to phase-by-phase and point-by-point loops.  A
 completed tree's inherited law equals the law that scans of its own arrays
 give, bit for bit, and the one-axis margins equal numpy's sums bit for bit.
 Scans are bit-identical at any chunk size, and ``entropy_profile`` equals
-the per-cell loops bit for bit, the sign of a zero included.
+the per-cell loops bit for bit, the sign of a zero included.  A flipped
+tree's shipped factors equal a scan of its own arrays, the entropy kernel
+equals the masked kernel it replaced, and a law's coded outputs equal the
+tuple its path law once held, all bit for bit.
 """
 import dataclasses
 import json
@@ -37,6 +40,7 @@ from infowalk import (
     Leaf,
     ProtocolTree,
     Task,
+    TranscriptLaw,
     buzzer_grid_tree,
     buzzer_leaf_law,
     complete_to_zero_error,
@@ -50,6 +54,7 @@ from infowalk import (
     grid_leaf_law,
     internal_ic,
     law_of,
+    mix_with_abort,
     one_sided_and,
     potential_of_tree,
     sim,
@@ -57,7 +62,8 @@ from infowalk import (
     tree_to_json,
     walk,
 )
-from infowalk import infocost, protocol
+from infowalk import and_protocols, infocost, protocol
+from infowalk.disjointness import _Round
 from infowalk.distributions import SNAP_EPS
 
 from helpers import (
@@ -73,6 +79,8 @@ from helpers import (
     law_of_reference,
     leaf_law_cdf_reference,
     leaf_posteriors_reference,
+    neg_plogq_sums_masked,
+    path_outputs_reference,
     potential_reference,
     random_law,
     random_prior,
@@ -630,6 +638,139 @@ def test_flipped_caterpillars_share_the_scan_plan(n, w, dec, tree):
 def test_flipped_shared_node_files_share_the_scan_plan(k):
     flipped = assert_flip_reuses_the_plan(tree_from_json(SHARED_NODE_FILES[k]))
     assert_flip_reuses_the_plan(flipped, 1, 0, 0.2)
+
+
+def assert_flip_ships_the_scanned_factors(tree, x0=0, x1=1, eps=0.05):
+    """The flipped tree comes with its path law, and its factors are those
+    of a scan of its own arrays with a plan of its own, bit for bit."""
+    flipped = flip_tree(tree, x0, x1, eps)
+    assert flipped._law is not None
+    owner, child1 = flipped.owner, flipped.child1
+    want = protocol._leaf_factors(protocol._plan(owner, child1), (owner < 0).nonzero()[0],
+                                  owner, flipped.signal, child1, flipped.alice, flipped.bob,
+                                  flipped.nx, flipped.ny)
+    got = flipped.path_law.factors
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return flipped
+
+
+@pytest.mark.parametrize("k", range(0, len(INSTANCES), 3))
+def test_flipped_random_trees_ship_the_scanned_factors(k):
+    tree, prior = INSTANCES[k]
+    fresh = from_arrays(tree)  # a parent whose law was never derived
+    flipped = assert_flip_ships_the_scanned_factors(fresh, 1, 0, 0.3)
+    assert_flip_ships_the_scanned_factors(flipped, 0, 1, 1.0)
+    table = np.random.default_rng(k).integers(0, 3, size=(tree.nx, tree.ny)).tolist()
+    assert_flip_ships_the_scanned_factors(complete_to_zero_error(flipped, table, prior), 0, 1, 0.1)
+
+
+@pytest.mark.parametrize("n, w, dec, tree", BUZZERS, ids=BUZZER_IDS)
+def test_flipped_caterpillars_ship_the_scanned_factors(n, w, dec, tree):
+    flipped = assert_flip_ships_the_scanned_factors(tree)
+    assert_flip_ships_the_scanned_factors(from_arrays(tree), 1, 0, 0.5)
+    completed = complete_to_zero_error(flipped, AND_TABLE, w)
+    assert_flip_ships_the_scanned_factors(completed, 1, 0, 0.2)
+
+
+@pytest.mark.parametrize("k", range(len(SHARED_NODE_FILES)))
+def test_flipped_shared_node_files_ship_the_scanned_factors(k):
+    tree = tree_from_json(SHARED_NODE_FILES[k])
+    assert tree._law is None
+    flipped = assert_flip_ships_the_scanned_factors(tree, 0, 1, 0.2)
+    assert_flip_ships_the_scanned_factors(flipped, 1, 0, 0.7)
+
+
+def test_a_flip_of_a_known_law_scans_one_column_and_logs_only_what_it_reads(monkeypatch):
+    # the grid walk ships its law and the completion inherits it, so besides
+    # the flip's log-weight scan (x0 and x1) the one scan left is column x1
+    n, w, dec, tree = next(case for case in BUZZERS if case[0] == 2048 and case[1].mass[1, 1])
+    scans, logs = [], []
+    scan, log = protocol._scan, math.log
+
+    def counted_scan(plan, op, edges, identity):
+        scans.append((op, edges.shape[1]))
+        return scan(plan, op, edges, identity)
+
+    def counted_log(v):
+        logs.append(v)
+        return log(v)
+
+    for module in (protocol, and_protocols):
+        monkeypatch.setattr(module, "_scan", counted_scan)
+    monkeypatch.setattr(math, "log", counted_log)
+    flipped = flip_tree(tree, 0, 1, 0.05)
+    assert 0 < len(logs) <= np.count_nonzero(tree.owner == 0)
+    law = law_of(complete_to_zero_error(flipped, AND_TABLE, w), w)
+    cost_report(law), internal_ic(law), sim(law, dec)
+    evaluate_error_law(law, Task(AND_TABLE, 1.0, "distributional", measure=w))
+    assert scans == [(np.add, 2), (np.multiply, 1)]
+
+
+@pytest.mark.parametrize("cells", (4, 16, None))
+def test_entropy_blocks_match_the_masked_kernel_bit_for_bit(cells, priced_laws, monkeypatch):
+    # blocks of one or a few transcripts: whole blocks of zero cells, blocks
+    # with some, and none; the kernel sets its own error state
+    if cells is not None:
+        monkeypatch.setattr(infocost, "SUM_BLOCK_CELLS", cells)
+    kinds = set()
+    for law, _, _ in priced_laws:
+        j = law.joint()
+        margins = [infocost._margin(j, axis) for axis in (1, 2, (1, 2))]
+        for weight in (j, law.cond):
+            with np.errstate(divide="raise", invalid="raise"):
+                got = infocost._neg_plogq_sums(weight, j, margins)
+            want = neg_plogq_sums_masked(weight, j, margins)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        rows = j.reshape(len(j), -1)
+        kinds.add((bool(np.any(rows == 0.0)), bool(np.any(np.all(rows == 0.0, axis=1)))))
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_outputs_read_as_the_tuple_the_path_law_held():
+    trees = [tree for tree, _ in INSTANCES] + [tree for *_, tree in BUZZERS[:4]]
+    trees += [tree_from_json(text) for text in SHARED_NODE_FILES]
+    trees += [complete_to_zero_error(tree, table, prior) for tree, table, prior in
+              COMPLETION_CASES[::7]]
+    for tree in trees:
+        got, want = tree.path_law.outputs, path_outputs_reference(tree)
+        assert got == want and tuple(got) == want and list(got) == list(want)
+        assert [type(out) for out in got] == [type(out) for out in want]
+        assert [got[i] for i in (0, -1, len(want) // 2)] == [want[i] for i in (0, -1, len(want) // 2)]
+        assert got[1::2] == want[1::2]
+
+
+def says_one_by_list(law):
+    """The "says 1" table by the transcripts listed one by one."""
+    return law.cond[[t for t, out in enumerate(law.outputs) if out == 1]].sum(axis=0)
+
+
+def assert_twins_price_alike(law, table):
+    """The law and its twin built from plain tuples: the same error report,
+    "says 1" table and round record, bit for bit, as the per-transcript loops."""
+    twin = TranscriptLaw(law.prior, tuple(law.leaf_ids), law.cond, tuple(law.outputs))
+    assert twin.outputs == law.outputs
+    task = Task(table, 1.0, "distributional", measure=law.prior)
+    want = evaluate_error_reference(law, task)
+    for one in (law, twin):
+        report = evaluate_error_law(one, task)
+        assert report.max_pointwise.hex() == float(np.max(want)).hex()
+        assert report.distributional.hex() == float(np.sum(task.measure.mass * want)).hex()
+        assert _Round(one).says.tobytes() == says_one_by_list(law).tobytes()
+
+
+def test_laws_from_tuples_price_as_their_law_of_twins():
+    for k, (tree, prior) in enumerate(INSTANCES):
+        table = np.random.default_rng(k).integers(0, 3, size=(tree.nx, tree.ny)).tolist()
+        law = law_of(complete_to_zero_error(tree, table, prior), prior)
+        assert_twins_price_alike(law, table)
+        mixed = mix_with_abort(law, 0.25)  # an abort answering None joins the alphabet
+        assert tuple(mixed.outputs) == tuple(law.outputs) + (None,)
+        assert_twins_price_alike(mixed, table)
+    for n, w, dec, tree in BUZZERS:
+        flipped = one_sided_and(0.05, w, n=n)  # its check reads the "says 1" table
+        assert_twins_price_alike(flipped, AND_TABLE)
+        assert_twins_price_alike(law_of(tree, w), AND_TABLE)
 
 
 # A completed tree inherits its path law from its base tree: every round
