@@ -37,7 +37,7 @@ from .distributions import (
     _symmetric_reference,
 )
 from .errors import PreconditionError, ProtocolError, ResourceCapError
-from .infocost import (SUM_BLOCK_CELLS, TranscriptLaw, _margin, _snap, law_of,
+from .infocost import (SUM_BLOCK_CELLS, TranscriptLaw, _margin, _outer, _snap, law_of,
                        leaf_posteriors)
 from .protocol import ALICE, BOB, Internal, Leaf, ProtocolTree, _Lazy, _scan
 
@@ -422,7 +422,7 @@ def potential_of_tree(tree: ProtocolTree, c: float, dec: Decomposition) -> float
     law = law_of(tree, dec.pretend.as_joint())
     prob, post = leaf_posteriors(law)
     live = np.flatnonzero(prob > 0.0)
-    m = post[live]
+    m = post.take(live, axis=0)
     lp = m[:, 1, 0] + m[:, 1, 1]
     lq = m[:, 0, 1] + m[:, 1, 1]
     # a 2x2 law with these marginals is a product iff its (1,1) entry is lp·lq
@@ -533,6 +533,11 @@ def one_sided_and(
     return flipped
 
 
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """start, start + 1, … for runs of the given starts and sizes, end to end."""
+    return np.arange(sizes.sum()) + np.repeat(starts - sizes.cumsum() + sizes, sizes)
+
+
 def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> ProtocolTree:
     """Append verification rounds below every leaf until no input can be
     answered incorrectly.
@@ -558,17 +563,17 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     tests = [[c for c in cells if table[c] != z] for z in tree.outputs]
     # the leaves with tests, by blocks of rows of prior ⊙ path factors: those
     # reached (a positive row sum) are counted against the cap before any posterior
-    asked = np.isin(tree.signal[leaves], [k for k, t in enumerate(tests) if t]).nonzero()[0]
+    asked = np.array(list(map(bool, tests)))[tree.signal[leaves]].nonzero()[0]
     step = max(1, SUM_BLOCK_CELLS // (nx * ny))
 
     def joints(rows):
         for lo in range(0, len(rows), step):
             fa = tree.path_law.factors[rows[lo:lo + step]]
-            yield slice(lo, lo + step), fa[:, :nx, None] * fa[:, None, nx:] * prior.mass
+            yield slice(lo, lo + step), _outer(fa, nx) * prior.mass
 
     prob = np.zeros(len(asked))
     for at, joint in joints(asked):
-        prob[at] = joint.reshape(len(joint), nx * ny).sum(axis=1)
+        prob[at] = _margin(joint, (1, 2)).reshape(-1)
     asked, prob = asked[prob > 0.0], prob[prob > 0.0]
     if not len(asked):  # the tree and its law stand, its internal nodes unshared as below
         signal, copy_of = tree.signal.copy(), np.where(tree.owner >= 0, np.arange(n), tree.copy_of)
@@ -592,18 +597,20 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
     yes, no = np.where(side == side[:, None], np.eye(nx + ny), 1.0), 1.0 - np.eye(nx + ny)
     question = [((ALICE, BOB)[c >= nx], tuple(row))
                 for c, row in enumerate(np.eye(nx).tolist() + np.eye(ny).tolist())]
-    # entry i moves down by the entries that the rounds of the leaves before it
-    # add (grow); a leaf's factor row becomes its rounds' rows, the masks
-    # times it, which are the rows a scan would give, as every mask entry is 0 or 1
-    grow, asks, rows = np.zeros(n, np.intp), np.zeros(n, np.intp), np.ones(len(leaves), np.intp)
-    groups = []  # (the reached leaves of one code, its tests, its rounds' arrays, their masks)
-    for k in np.unique(tree.signal[leaves[asked]]).tolist():
-        here = (tree.signal[leaves[asked]] == k).nonzero()[0]
+    # the rounds of each output and asking order (group), and each reached leaf's group
+    grow, asks, group = np.zeros(n, np.intp), np.zeros(n, np.intp), np.full(len(leaves), -1)
+    rounds = []  # per group: its rounds' arrays, each entry's test count, and their masks
+    said = tree.signal[leaves[asked]]
+    for k in np.bincount(said).nonzero()[0].tolist():
+        here = (said == k).nonzero()[0]
         xs, ys = np.array(tests[k]).T
         # bit j of a leaf's code: Alice asks first in test j, as her marginal
         # is the smaller (the cap keeps the tests to at most 20)
-        codes = (px[here][:, xs] <= py[here][:, ys]) @ (1 << np.arange(len(xs)))
-        for code in np.unique(codes).tolist():
+        codes, ax, ay = np.zeros(len(here), np.intp), px[here], py[here]
+        for j, (x, y) in enumerate(zip(xs, ys)):
+            codes |= (ax[:, x] <= ay[:, y]).astype(np.intp) << j
+        order, ends = asked[here[codes.argsort(kind="stable")]], np.bincount(codes).cumsum()
+        for code in np.flatnonzero(np.diff(ends, prepend=0)).tolist():
             node, masks = Leaf(tree.outputs[k]), np.ones((1, nx + ny))  # all tests fail
             for j in reversed(range(len(xs))):  # each 1-edge is the match
                 ask, then = (xs[j], nx + ys[j])[::1 if code >> j & 1 else -1]
@@ -611,31 +618,43 @@ def complete_to_zero_error(tree: ProtocolTree, f, prior: JointDistribution) -> P
                                 Internal(*question[then], node, Leaf(table[xs[j], ys[j]])))
                 masks = np.concatenate((no[ask] * masks, yes[ask] * no[then] * masks,
                                         (yes[ask] * yes[then])[None]))
-            rounds = ProtocolTree(nx, ny, outputs, node)
-            o, s = rounds.owner, rounds.signal.copy()  # a question's unit row, appended below
-            s[o == 0] = len(tree.alice) + rounds.alice.argmax(axis=1)[s[o == 0]]
-            s[o == 1] = len(tree.bob) + rounds.bob.argmax(axis=1)[s[o == 1]]
-            reached = asked[here[codes == code]]
-            groups.append((reached, len(xs), (o, s, rounds.child1, rounds.copy_of), masks))
+            made = ProtocolTree(nx, ny, outputs, node)
+            o, s = made.owner, made.signal.copy()  # a question's unit row, appended below
+            s[o == 0] = len(tree.alice) + made.alice.argmax(axis=1)[s[o == 0]]
+            s[o == 1] = len(tree.bob) + made.bob.argmax(axis=1)[s[o == 1]]
+            reached = order[ends[code - 1] if code else 0:ends[code]]
+            group[reached], e = len(rounds), np.arange(len(o))  # links relative to the entry
+            rounds.append((o, s, made.child1 - e, made.copy_of - e, made.copy_of == len(xs),
+                           masks))
             grow[leaves[reached]], asks[leaves[reached]] = len(o) - 1, len(xs)
-            rows[reached] = len(masks)
     # a leaf stays itself, and so stays shared: where it was, or first reached
     # at the bottom of its rounds, at the end of their 0-edges, one per test
     moved = np.arange(n) + grow.cumsum() - grow
     own = moved + asks
-    factors = tree.path_law.factors.repeat(rows, axis=0)
     owner, signal, child1, copy_of = (np.full(n + grow.sum(), -1, np.int32) for _ in range(4))
     inner = (tree.owner >= 0).nonzero()[0]
     owner[moved], signal[moved], signal[moved[leaves]] = tree.owner, tree.signal, kept
     child1[moved[inner]], copy_of[moved[inner]] = moved[tree.child1[inner]], moved[inner]
     copy_of[moved[leaves]] = own[tree.copy_of[leaves]]
-    for reached, tested, (o, s, c1, c), masks in groups:
-        start = moved[leaves[reached]][:, None]
-        at = start + np.arange(len(o))
-        owner[at], signal[at] = o, s
-        child1[at] = np.where(c1 < 0, -1, start + c1)
-        copy_of[at] = np.where(c == tested, own[tree.copy_of[leaves[reached]]][:, None], start + c)
-        factors[(rows.cumsum() - rows)[reached][:, None] + np.arange(len(masks))] *= masks
+    # each reached leaf's rounds, entry by entry, written from its leaf's place on
+    o, s, c1, c, mine, masks = map(np.concatenate, zip(*rounds))
+    hit = (group >= 0).nonzero()[0]
+    g = group[hit]
+    entries, rows = (np.array([len(r[i]) for r in rounds]) for i in (0, -1))
+    src = _runs((entries.cumsum() - entries)[g], entries[g])
+    at = _runs(moved[leaves[hit]], entries[g])
+    kind = o[src]
+    owner[at], signal[at] = kind, s[src]
+    child1[at] = np.where(kind < 0, -1, at + c1[src])
+    copy_of[at] = np.where(mine[src], np.repeat(own[tree.copy_of[leaves[hit]]], entries[g]),
+                           at + c[src])
+    # a leaf's factor row becomes its rounds' rows, the masks times it, which
+    # are the rows a scan would give, as every mask entry is 0 or 1; a leaf
+    # with no rounds is times the row of ones put before every group's masks
+    count, base = np.ones(len(leaves), np.intp), np.zeros(len(leaves), np.intp)
+    count[hit], base[hit] = rows[g], (rows.cumsum() + 1 - rows)[g]
+    factors = tree.path_law.factors.repeat(count, axis=0)
+    factors *= np.vstack((np.ones(nx + ny), masks))[_runs(base, count)]
     return ProtocolTree(nx, ny, outputs, arrays=(owner, signal, child1, copy_of,
                                                  np.vstack((tree.alice, np.eye(nx))),
                                                  np.vstack((tree.bob, np.eye(ny)))),

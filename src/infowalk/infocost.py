@@ -41,6 +41,13 @@ PRIOR_MATCH_TOLERANCE = 1e-9
 # in one block, and ``buzzer --n 262144`` at 87.6 MB (VmHWM), 103.7 MB in one block.
 # ``complete_to_zero_error`` forms its reached leaves' posteriors in such blocks.
 SUM_BLOCK_CELLS = 2**14
+# From this many transcripts on, the pricing kernels' numpy loops run along the
+# transcripts: a transcript's sum or outer product over fewer than 8 cells is one
+# array op a cell, a margin that keeps an axis meets its table repeated to the
+# table's shape, and cells are set by masked writes, not boolean scatters.  Those
+# extra ops repay their cost only on long laws: on a 2x2 law of 33 or 65
+# transcripts each pricing call took 2-41% longer so, of 257 3-15% less.
+WIDE_TRANSCRIPTS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,26 +129,57 @@ def law_of(tree: ProtocolTree, prior: JointDistribution) -> TranscriptLaw:
     if (prior.nx, prior.ny) != (tree.nx, tree.ny):
         raise PreconditionError("prior shape does not match the tree rectangle")
     paths = tree.path_law
-    f = paths.factors
-    cond = f[:, :tree.nx, None] * f[:, None, tree.nx:]
-    return TranscriptLaw(prior, paths.leaf_ids, cond, paths.outputs)
+    return TranscriptLaw(prior, paths.leaf_ids, _outer(paths.factors, tree.nx), paths.outputs)
+
+
+def _outer(f: np.ndarray, nx: int) -> np.ndarray:
+    """Each row's outer product of its first ``nx`` entries with the rest, as a
+    (T, nx, ny) array: from ``WIDE_TRANSCRIPTS`` rows on, with fewer than 8
+    cells a row, one multiply a cell along the rows."""
+    if len(f) < WIDE_TRANSCRIPTS or nx * (f.shape[1] - nx) >= 8:
+        return f[:, :nx, None] * f[:, None, nx:]
+    T, ny = len(f), f.shape[1] - nx
+    out = np.empty((T, nx, ny))
+    cells = out.reshape(T, -1).T
+    for cell in range(nx * ny):
+        np.multiply(f[:, cell // ny], f[:, nx + cell % ny], out=cells[cell])
+    return out
 
 
 def _snap(m: np.ndarray) -> np.ndarray:
-    m[np.abs(m) < SNAP_EPS] = 0.0  # as JointDistribution does
+    """``m`` with the cells under ``SNAP_EPS`` in size made +0.0 in place, as
+    JointDistribution snaps; on a wide law by one masked write, not a
+    boolean scatter."""
+    small = np.abs(m) < SNAP_EPS
+    if len(m) < WIDE_TRANSCRIPTS:
+        m[small] = 0.0
+    else:
+        np.putmask(m, small, 0.0)
     return m
+
+
+def _spread(m: np.ndarray, shape) -> np.ndarray:
+    """A margin that keeps one axis of a (T, nx, ny) table, repeated along the
+    other to ``shape``: met as it is, it makes numpy loop along the kept
+    axis, a few cells a transcript.  A margin over both axes, one value a
+    transcript, is returned as it is; numpy broadcasts it faster than a
+    repeat."""
+    if m.shape[1] * m.shape[2] == 1:
+        return m
+    axis = 1 if m.shape[1] == 1 else 2
+    return m.repeat(shape[axis], axis=axis)
 
 
 def leaf_posteriors(law: TranscriptLaw, prior: Optional[JointDistribution] = None):
     """(Pr[t], posterior of t) per transcript under ``prior`` (by default the
-    law's): the row sum of prior ⊙ Pr[t|x,y], and that table over it, snapped
-    as JointDistribution snaps.  A transcript of probability zero has an
-    all-zero posterior."""
+    law's): the cells of prior ⊙ Pr[t|x,y] summed in order, and that table
+    over its sum, snapped as JointDistribution snaps.  A transcript of
+    probability zero has an all-zero posterior: its table, all zeros, is
+    divided by 1."""
     joint = law.cond * (prior or law.prior).mass[None, :, :]
-    prob = joint.reshape(len(joint), -1).sum(axis=1)
-    live = (prob > 0.0)[:, None, None]
-    post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
-    return prob, _snap(post)
+    prob = _margin(joint, (1, 2))
+    post = joint / np.where(prob > 0.0, prob, 1.0)
+    return prob.reshape(-1), _snap(post)
 
 
 @dataclass(frozen=True)
@@ -166,33 +204,45 @@ def _neg_plogq_sums(weight: np.ndarray, table: np.ndarray, margins) -> tuple:
     it), by numpy over blocks of about ``SUM_BLOCK_CELLS`` cells along the
     first axis, whose sums ``math.fsum`` adds, so that the rounding does not
     grow with the block count.  Cells where table = 0 read a ratio of 1: a
-    margin's block is one scratch array, divided over every cell, set to 1
-    where table = 0, and turned into its terms in place.  The error state is
-    set once a call, not once a margin, where it costs more than it saves."""
+    margin's block is one scratch array, divided over every cell (the margin
+    repeated to the block's shape on a wide law), set to 1 where table = 0,
+    and turned into its terms in place.  The error state and the width are
+    set once a call, not once a margin, where they cost more than they save."""
     step = max(1, SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
+    wide = len(table) >= WIDE_TRANSCRIPTS
     parts = [[] for _ in margins]
     for lo in range(0, len(table), step):
         p, w = table[lo:lo + step], weight[lo:lo + step]
         dead = p <= 0.0
         for margin, part in zip(margins, parts):
-            q = np.divide(p, margin[lo:lo + step])
-            q[dead] = 1.0
+            if wide:
+                q = np.divide(p, _spread(margin[lo:lo + step], p.shape))
+                np.putmask(q, dead, 1.0)
+            else:
+                q = np.divide(p, margin[lo:lo + step])
+                q[dead] = 1.0
             part.append(float(np.sum(np.multiply(w, np.log2(q, out=q), out=q))))
     return tuple(-math.fsum(part) for part in parts)
 
 
 def _margin(a: np.ndarray, axis) -> np.ndarray:
-    """``a.sum(axis=axis, keepdims=True)``, bit for bit.  numpy adds fewer
-    than 8 values in order from +0.0, so from 32 rows on such an axis is
-    summed slice by slice, an array op a slice, not by a reduction loop per
-    row of two or three values.  Fewer rows (where numpy's sum is the faster),
-    a wider axis, or two axes at once take numpy's own sum."""
-    if not isinstance(axis, int) or a.shape[axis] >= 8 or len(a) < 32:
+    """``a.sum(axis=axis, keepdims=True)``, bit for bit, over axis 1, 2 or
+    (1, 2) of a (T, nx, ny) array.  numpy adds fewer than 8 values in order
+    from +0.0; from ``WIDE_TRANSCRIPTS`` rows on, so do the adds here, one
+    cell at a time in row-major order, each one loop along the transcripts
+    rather than one reduction loop per row of a few values.  Fewer rows, or
+    8 cells or more a row, take numpy's own sum."""
+    if len(a) < WIDE_TRANSCRIPTS:
         return a.sum(axis=axis, keepdims=True)
-    at = (slice(None),) * axis
-    out = a[at + (slice(0, 1),)] + 0.0  # from +0.0, as numpy starts: −0.0s add to +0.0
-    for k in range(1, a.shape[axis]):
-        out += a[at + (slice(k, k + 1),)]
+    T, nx, ny = a.shape
+    shape = (T, nx if axis == 2 else 1, ny if axis == 1 else 1)
+    if nx * ny >= 8 * shape[1] * shape[2]:
+        return a.sum(axis=axis, keepdims=True)
+    out = np.zeros(shape)
+    sums = out.reshape(T, -1).T
+    for cell, column in enumerate(a.reshape(T, -1).T):
+        k = cell // ny if axis == 2 else cell % ny if axis == 1 else 0
+        np.add(sums[k], column, out=sums[k])
     return out
 
 
@@ -269,11 +319,12 @@ def sim(law: TranscriptLaw, dec: Decomposition) -> float:
         )
     lam, real = leaf_posteriors(law, dec.pretend.as_joint())  # pretend world
     real *= dec.reference.mass  # ν·μ_t, in place: the posteriors are not needed again
-    inner = real.sum(axis=(1, 2))  # 0 on a dead transcript's all-zero posterior
-    keep = inner > 0.0
-    real = _snap(real[keep] / inner[keep, None, None])  # ν ⊙ μ_t
+    inner = _margin(real, (1, 2))  # 0 on a dead transcript's all-zero posterior
+    keep = inner.reshape(-1) > 0.0
+    real, inner, lam = (v.compress(keep, axis=0) for v in (real, inner, lam))
+    real = _snap(real / inner)  # ν ⊙ μ_t
     # Σ_t λ_t⟨ν,μ_t⟩·(H(X|Y) + H(Y|X)) at ν ⊙ μ_t, summed cell by cell
-    weight = (lam[keep] * inner[keep])[:, None, None] * real
+    weight = lam[:, None, None] * inner * real
     margins = [_margin(real, axis) for axis in (1, 2)]
     return sum(_neg_plogq_sums(weight, real, margins))
 

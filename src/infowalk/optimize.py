@@ -146,6 +146,11 @@ def maximize_ic_and(constraint=ZERO_AT_11, levels: int = 6, divisions: int = 12)
     trace = []
     for level in range(levels):
         axes = [np.linspace(c - half, c + half, divisions + 1) for c in center]
+        if best_point is not None and all((axis == c).all() for axis, c in zip(axes, center)):
+            # past the floats' resolution: every point is the centre, priced already
+            trace.append(RefinementStep(level, 2.0 * half / divisions, best_value))
+            half /= 4.0
+            continue
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(params))
         rest = 1.0 - _fsum_rows(grid)
         room = np.minimum(rest, grid.min(axis=1))

@@ -907,6 +907,59 @@ def neg_plogq_sums_masked(weight, table, margins):
     return tuple(-math.fsum(part) for part in parts)
 
 
+def snap_scatter(m):
+    """``infocost._snap`` as a boolean scatter over every cell, in place."""
+    m[np.abs(m) < SNAP_EPS] = 0.0
+    return m
+
+
+def leaf_posteriors_broadcast(law, prior=None):
+    """``infocost.leaf_posteriors`` by numpy's row sums, a divide masked to
+    the live rows and the scatter snap."""
+    joint = law.cond * (prior or law.prior).mass[None, :, :]
+    prob = joint.reshape(len(joint), -1).sum(axis=1)
+    live = (prob > 0.0)[:, None, None]
+    post = np.divide(joint, prob[:, None, None], out=np.zeros_like(joint), where=live)
+    return prob, snap_scatter(post)
+
+
+def neg_plogq_sums_broadcast(weight, table, margins):
+    """``infocost._neg_plogq_sums`` with each margin's block broadcast
+    against the table's and the cells where table = 0 set by a scatter."""
+    step = max(1, infocost.SUM_BLOCK_CELLS // max(1, math.prod(table.shape[1:])))
+    parts = [[] for _ in margins]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(table), step):
+            p, w = table[lo:lo + step], weight[lo:lo + step]
+            dead = p <= 0.0
+            for margin, part in zip(margins, parts):
+                q = np.divide(p, margin[lo:lo + step])
+                q[dead] = 1.0
+                part.append(float(np.sum(np.multiply(w, np.log2(q, out=q), out=q))))
+    return tuple(-math.fsum(part) for part in parts)
+
+
+def sim_broadcast(law, dec):
+    """``infocost.sim``'s value by numpy's sums over each transcript's cells,
+    broadcast divides, the scatter snap and the broadcast kernel."""
+    lam, real = leaf_posteriors_broadcast(law, dec.pretend.as_joint())
+    real *= dec.reference.mass
+    inner = real.sum(axis=(1, 2))
+    keep = inner > 0.0
+    real = snap_scatter(real[keep] / inner[keep, None, None])
+    weight = (lam[keep] * inner[keep])[:, None, None] * real
+    margins = [real.sum(axis=axis, keepdims=True) for axis in (1, 2)]
+    return sum(neg_plogq_sums_broadcast(weight, real, margins))
+
+
+def potential_of_tree_broadcast(tree, c, dec):
+    """``potential_of_tree``'s value from ``leaf_posteriors_broadcast``."""
+    prob, post = leaf_posteriors_broadcast(law_of(tree, dec.pretend.as_joint()))
+    m = post[prob > 0.0]
+    lp, lq = m[:, 1, 0] + m[:, 1, 1], m[:, 0, 1] + m[:, 1, 1]
+    return float((prob[prob > 0.0] * np.maximum(c - np.maximum(lp, lq), 0.0) ** 2).sum())
+
+
 def path_outputs_reference(tree):
     """A tree's leaf outputs as the tuple that its path law once held: the
     alphabet's objects taken at the leaves' signals, in preorder."""

@@ -12,6 +12,7 @@ import pytest
 
 import infowalk
 from infowalk import JointDistribution, ic_and_zero, one_sided_and, tree_to_json
+from infowalk import cli
 from infowalk.cli import main
 from infowalk.disjointness import (
     DisjInstance, disj_error_audit, disj_ic_exact,
@@ -389,6 +390,40 @@ def test_seedless_sampled_modes_leave_no_output(capsys, tmp_path, monkeypatch, a
     assert code == 2 and out == ""
     assert "seed" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_one_parser_a_process_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    # the parser is built once a process: a refused parse, a call with a flag
+    # and the same call without it, then --version, all through that one
+    # parser, must each print, exit and write what a freshly built one gives
+    monkeypatch.chdir(tmp_path)
+    disj = ["disj", "--n", "2", "--eps", "0.1", "--and-grid", "16"]
+    calls = [["disj", "--n", "two", "--eps", "0.1"],
+             disj + ["--with-ic", "--out-audit", "a.json"],
+             disj + ["--out-audit", "b.json"],
+             ["--version"]]
+
+    def call(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code, out, err = run(capsys, *argv)
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return code, out, err, written
+
+    cli.build_parser.cache_clear()
+    shared = [call(argv, fresh=False) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == [call(argv, fresh=True) for argv in calls]
+    assert [code for code, *_ in shared] == [1, 0, 0, 0]
+    assert shared[3][1].strip() == infowalk.__version__
+    first, second = (json.loads(written[name])["config"]
+                     for (*_, written), name in zip(shared[1:3], ("a.json", "b.json")))
+    assert first["params"]["with_ic"] is True and second["params"]["with_ic"] is False
+    assert second["outputs"] == {"out_audit": "b.json"}
+    assert "ic_internal" in json.loads(shared[1][3]["a.json"])["result"]
+    assert "ic_internal" not in json.loads(shared[2][3]["b.json"])["result"]
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,19 @@ from helpers import (
     grid_leaf_law_reference,
     law_of_reference,
     leaf_law_cdf_reference,
+    leaf_posteriors_broadcast,
     leaf_posteriors_reference,
+    neg_plogq_sums_broadcast,
     neg_plogq_sums_masked,
     path_outputs_reference,
+    potential_of_tree_broadcast,
     potential_reference,
     random_law,
     random_prior,
     random_symmetric_decomposition,
     random_tree,
     root_of,
+    sim_broadcast,
     sim_reference,
     walk_reference,
 )
@@ -727,6 +731,92 @@ def test_entropy_blocks_match_the_masked_kernel_bit_for_bit(cells, priced_laws, 
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
+def gate_laws():
+    """(law, decomposition or None) of one transcript fewer than
+    ``WIDE_TRANSCRIPTS``, as many, and one more: 2×2 laws at a
+    decomposition's recomposed prior, and 2×3 and 3×2 laws, each with a dead
+    transcript, zero and −0.0 cells, and cells whose posterior lies just
+    under or just over ``SNAP_EPS``."""
+    rng = np.random.default_rng(32)
+    wide = infocost.WIDE_TRANSCRIPTS
+    for transcripts in (wide - 1, wide, wide + 1):
+        for nx, ny in ((2, 2), (2, 3), (3, 2)):
+            law = random_law(rng, nx, ny, transcripts)
+            dec = random_symmetric_decomposition(rng) if nx == ny else None
+            prior = dec.compose() if dec else law.prior
+            mass = prior.mass
+            cond = law.cond * (rng.random(law.cond.shape) < 0.8)
+            cond[0] = 0.0
+            cond /= cond.sum(axis=0)
+            for t, k in zip((1, 2, 3), (0.5, 1 - 1e-7, 1 + 1e-7)):  # times SNAP_EPS, posterior
+                rest = (cond[t] * mass).sum() - cond[t, 0, 0] * mass[0, 0]
+                spare, cond[t, 0, 0] = cond[t, 0, 0], k * SNAP_EPS * rest / mass[0, 0]
+                cond[np.argmax(cond[4:, 0, 0]) + 4, 0, 0] += spare - cond[t, 0, 0]
+            cond[cond == 0.0] = -0.0
+            cond[0, 0, 0] = 0.0
+            yield TranscriptLaw(prior, tuple(f"t{k}" for k in range(transcripts)), cond), dec
+
+
+GATE_LAWS = list(gate_laws())
+
+
+@pytest.fixture(scope="module")
+def kernel_laws(priced_laws):
+    """``priced_laws``' laws, the buzzers' flipped laws and the laws around
+    the gate, each with its decomposition or None."""
+    flipped = [(law_of(flip_tree(tree, 0, 1, 0.05), w), dec) for _, w, dec, tree in BUZZERS]
+    return [(law, dec) for law, dec, _ in priced_laws] + flipped + GATE_LAWS
+
+
+def test_gate_laws_hold_what_they_are_for():
+    for law, _ in GATE_LAWS:
+        joint = law.cond * law.prior.mass
+        post = joint[1:4, 0, 0] / joint[1:4].sum(axis=(1, 2))
+        assert list(post < SNAP_EPS) == [True, True, False] and post[1] > (1 - 1e-6) * SNAP_EPS
+        assert np.any(np.signbit(law.cond) & (law.cond == 0.0))
+        assert not law.cond[0].any() and np.count_nonzero(law.cond[1:] == 0.0) > 1
+    wide = infocost.WIDE_TRANSCRIPTS
+    assert {len(law.cond) for law, _ in GATE_LAWS} == {wide - 1, wide, wide + 1}
+
+
+@pytest.mark.parametrize("cells", (1, 7, 64, None))
+def test_pricing_kernels_match_the_broadcast_kernels_bit_for_bit(cells, kernel_laws,
+                                                                 monkeypatch):
+    # the kernels that loop along transcripts from WIDE_TRANSCRIPTS on give
+    # the bits of numpy's sums, broadcast divides and scatters, on either side
+    if cells is not None:
+        monkeypatch.setattr(infocost, "SUM_BLOCK_CELLS", cells)
+    axes = (1, 2, (1, 2))
+    for law, dec in kernel_laws:
+        for prior in [None] + ([dec.pretend.as_joint()] if dec else []):
+            got, want = infocost.leaf_posteriors(law, prior), leaf_posteriors_broadcast(law, prior)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        j = law.joint()
+        margins = [infocost._margin(j, axis) for axis in axes]
+        assert [m.tobytes() for m in margins] == \
+            [j.sum(axis=axis, keepdims=True).tobytes() for axis in axes]
+        for weight in (j, law.cond):
+            with np.errstate(divide="raise", invalid="raise"):
+                got = infocost._neg_plogq_sums(weight, j, margins)
+            want = neg_plogq_sums_broadcast(weight, j, margins)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        if dec is not None:
+            assert sim(law, dec).hex() == sim_broadcast(law, dec).hex()
+
+
+def test_potential_matches_the_broadcast_posteriors_bit_for_bit():
+    cases = [(tree, dec) for _, _, dec, tree in BUZZERS]
+    for n in range(infocost.WIDE_TRANSCRIPTS - 2, infocost.WIDE_TRANSCRIPTS + 1):  # n + 1 each
+        w = JointDistribution.from_mass([[0.4, 0.15], [0.3, 0.15]])
+        dec = symmetric_decomposition(w)
+        cases.append((buzzer_grid_tree(GridWalkSpec.from_start(dec.pretend.p, dec.pretend.q,
+                                                               n)[0], dec), dec))
+    for tree, dec in cases:
+        for c in (0.3, 0.6, 0.9):
+            assert potential_of_tree(tree, c, dec).hex() == \
+                potential_of_tree_broadcast(tree, c, dec).hex()
+
+
 def test_outputs_read_as_the_tuple_the_path_law_held():
     trees = [tree for tree, _ in INSTANCES] + [tree for *_, tree in BUZZERS[:4]]
     trees += [tree_from_json(text) for text in SHARED_NODE_FILES]
@@ -871,11 +961,11 @@ def test_spliced_ids_index_and_slice_as_a_tuple_does():
 
 
 @st.composite
-def margin_arrays(draw):
-    """(T, nx, ny) arrays, T from 1 to 64 and nx, ny from 1 to 9, filled from
-    a drawn pool of zeros of either sign, subnormals and values of any
-    exponent and sign."""
-    shape = draw(st.integers(1, 64)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+def margin_arrays(draw, transcripts=st.integers(1, 64)):
+    """(T, nx, ny) arrays, T from 1 to 64 (or as drawn from ``transcripts``)
+    and nx, ny from 1 to 9, filled from a drawn pool of zeros of either
+    sign, subnormals and values of any exponent and sign."""
+    shape = draw(transcripts), draw(st.integers(1, 9)), draw(st.integers(1, 9))
     cell = st.one_of(
         st.floats(-1e300, 1e300),
         st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 3 * 2.0**-1074)),
@@ -889,6 +979,25 @@ def margin_arrays(draw):
 def test_margins_are_numpys_sums_bit_for_bit(a, axis):
     want = a.sum(axis=axis, keepdims=True)
     got = infocost._margin(a, axis)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+WIDE = infocost.WIDE_TRANSCRIPTS
+AROUND_THE_GATE = st.sampled_from((1, 7, WIDE - 1, WIDE, WIDE + 1, 3 * WIDE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_arrays(AROUND_THE_GATE), st.sampled_from((1, 2, (1, 2))))
+def test_sums_and_outer_products_around_the_gate_are_numpys_bit_for_bit(a, axis):
+    want = a.sum(axis=axis, keepdims=True)
+    got = infocost._margin(a, axis)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    nx = a.shape[1]
+    f = np.concatenate((a[:, :, 0], a[:, 0, :]), axis=1)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got, want = infocost._outer(f, nx), f[:, :nx, None] * f[:, None, nx:]
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -100,6 +100,19 @@ def test_screened_search_matches_the_point_by_point_oracle(monkeypatch, constrai
     assert len(calls) <= 3 * levels  # the screen leaves one or two points a level
 
 
+@pytest.mark.parametrize("constraint", [FULL_SUPPORT, ZERO_AT_11])
+def test_levels_past_the_floats_resolution_match_the_oracle_unscreened(monkeypatch,
+                                                                      constraint):
+    # from about level 27 every axis's linspace is its centre: such a level
+    # changes nothing, so it only appends its step, screening no grid
+    screens = []
+    monkeypatch.setattr(optimize, "_ic_and_zero_screen",
+                        lambda *m: screens.append(m) or _ic_and_zero_screen(*m))
+    opt = maximize_ic_and(constraint, 40, 12)
+    assert bits(opt) == bits(maximize_ic_and_reference(constraint, 40, 12))
+    assert 20 < len(screens) < 30
+
+
 @pytest.mark.parametrize("constraint, floor", [(ZERO_AT_11, 0.33), (FULL_SUPPORT, 0.1)])
 def test_screened_search_matches_the_oracle_where_the_mass_floor_binds(monkeypatch,
                                                                        constraint, floor):
